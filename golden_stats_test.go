@@ -17,6 +17,7 @@ package banshee_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,6 +45,19 @@ func goldenConfig() banshee.Config {
 // kind is covered by TestGoldenReplayIdentity below.
 var goldenWorkloads = []string{"mcf", "mix1", "pagerank"}
 
+// goldenPrefetchDegree, goldenPrefetchSchemes and
+// goldenPrefetchWorkloads pin the L2 stream prefetcher (§3.2): one
+// scheme per mapping family (none, tags in DRAM, PTE-held mapping with
+// page-boundary stops and copied mapping bits, tagless) on a pointer-
+// chasing and a streaming workload. Their keys carry a "| prefetch N"
+// suffix.
+const goldenPrefetchDegree = 4
+
+var (
+	goldenPrefetchSchemes   = []string{"NoCache", "Alloy 1", "Banshee", "TDC"}
+	goldenPrefetchWorkloads = []string{"mcf", "lbm"}
+)
+
 // goldenSchemes is the fixed built-in list (not RegisteredSchemes(),
 // which other tests in this package extend at runtime), plus one
 // +BATMAN modifier sample per wrapped family.
@@ -66,6 +80,17 @@ func TestGoldenStats(t *testing.T) {
 				t.Fatalf("%s × %s: %v", scheme, w, err)
 			}
 			got[scheme+" | "+w] = res
+		}
+	}
+	for _, scheme := range goldenPrefetchSchemes {
+		for _, w := range goldenPrefetchWorkloads {
+			cfg := goldenConfig()
+			cfg.PrefetchDegree = goldenPrefetchDegree
+			res, err := banshee.Run(cfg, w, scheme)
+			if err != nil {
+				t.Fatalf("%s × %s × prefetch: %v", scheme, w, err)
+			}
+			got[fmt.Sprintf("%s | %s | prefetch %d", scheme, w, goldenPrefetchDegree)] = res
 		}
 	}
 	data, err := json.MarshalIndent(got, "", "  ")
