@@ -1,10 +1,14 @@
-# Developer entry points. The benchmark trajectory (BENCH_6.json) is
+# Developer entry points. The benchmark trajectory ($(BASELINE)) is
 # machine-readable output of `make bench`; CI gates allocs/op against it
 # with a ±20% tolerance (time gates only make sense on one machine —
 # see PERFORMANCE.md "Keeping it fast"). Earlier baselines (BENCH_5.json)
 # stay committed as the trajectory's history.
 
-# The benchmark set tracked in BENCH_6.json: the end-to-end run, the
+# BASELINE is the committed benchmark trajectory file that bench
+# refreshes and bench-check gates against.
+BASELINE := BENCH_6.json
+
+# The benchmark set tracked in $(BASELINE): the end-to-end run, the
 # micro-benchmarks of every hot-loop structure, and the gang-vs-
 # independent sweep throughput comparison (PERFORMANCE.md "Pass 3").
 BENCHES := BenchmarkEndToEnd$$|BenchmarkSRAMCache$$|BenchmarkTagBuffer$$|BenchmarkBansheeAccess$$|BenchmarkDRAMAccess$$|BenchmarkTraceGen$$|BenchmarkGangSweep$$
@@ -18,15 +22,15 @@ GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 test:
 	go build ./... && go test ./...
 
-# bench refreshes BENCH_6.json in place. Commit the result when a perf
+# bench refreshes $(BASELINE) in place. Commit the result when a perf
 # change is deliberate; the diff is the perf review. The go test output
 # lands in a temp file first so a mid-suite failure fails the target
 # instead of silently writing a partial baseline (sh has no pipefail).
 bench:
 	go test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime 1s -count 1 . > /tmp/bench_run.txt
 	go run ./cmd/benchjson -sha $(GIT_SHA) < /tmp/bench_run.txt > /tmp/bench_new.json
-	mv /tmp/bench_new.json BENCH_6.json
-	@cat BENCH_6.json
+	mv /tmp/bench_new.json $(BASELINE)
+	@cat $(BASELINE)
 
 # bench-check runs the same suite (same benchtime, so warmup
 # allocations amortize identically) and fails if allocs/op drifted more
@@ -35,4 +39,4 @@ bench:
 bench-check:
 	go test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime 1s -count 1 . > /tmp/bench_check.txt
 	go run ./cmd/benchjson < /tmp/bench_check.txt > /tmp/bench_now.json
-	go run ./cmd/benchjson -diff -tol 0.2 -metric allocs BENCH_6.json /tmp/bench_now.json
+	go run ./cmd/benchjson -diff -tol 0.2 -metric allocs $(BASELINE) /tmp/bench_now.json

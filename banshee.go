@@ -216,9 +216,12 @@ type GangSession = sim.Gang
 // stream; an independent run reproduces any lane byte-for-byte by
 // setting the same Seed and WorkloadSeed.
 //
-// Gangs require a gang-safe scheme — one that never touches the
-// shared VM substrate (every built-in except Banshee, which rewrites
-// PTEs) — and PrefetchDegree 0; other configs return an error.
+// Gangs require a gang-safe scheme — one that never writes the shared
+// VM substrate and never stalls every core at once. Every built-in
+// qualifies except Banshee, which rewrites PTEs, and HMA, whose remap
+// epochs stall all cores; other schemes return an error. Prefetching
+// (PrefetchDegree > 0) is allowed: each lane's prefetcher observes the
+// shared stream's L1 misses against its own clock.
 func NewGangSession(cfg Config, workload, scheme string, seeds []uint64) (*GangSession, error) {
 	return sim.NewGangSeeds(cfg, workload, scheme, seeds)
 }

@@ -24,9 +24,9 @@
 //
 // With -gang a comma-separated seed list runs as lanes of one lockstep
 // gang over a shared front end (gang-safe schemes only — every
-// built-in except Banshee; see DESIGN.md §12); each lane's printed
-// stats are byte-identical to an independent -seed run of that seed
-// with WorkloadSeed pinned.
+// built-in except Banshee and HMA; see DESIGN.md §12); each lane's
+// printed stats are byte-identical to an independent -seed run of that
+// seed with WorkloadSeed pinned.
 package main
 
 import (

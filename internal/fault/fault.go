@@ -31,12 +31,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
 	"banshee/internal/runner"
 	"banshee/internal/stats"
+	"banshee/internal/util"
 )
 
 // ErrInjected is the sentinel every injected (non-panic) failure
@@ -127,13 +127,16 @@ func (in *Injector) Plan() Plan { return in.plan }
 
 // roll hashes (seed, key, salt) into [0,1).
 func (in *Injector) roll(key, salt string) float64 {
-	return float64(in.hash(key, salt)>>11) / (1 << 53)
+	return util.HashUnit(in.key(key, salt))
 }
 
+// hash hashes (seed, key, salt) for integer draws (fault positions).
 func (in *Injector) hash(key, salt string) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s", in.plan.Seed, key, salt)
-	return h.Sum64()
+	return util.Hash64(in.key(key, salt))
+}
+
+func (in *Injector) key(key, salt string) string {
+	return fmt.Sprintf("%d|%s|%s", in.plan.Seed, key, salt)
 }
 
 // ModeFor returns the fault mode the key draws under the plan.

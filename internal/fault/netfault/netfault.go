@@ -29,13 +29,13 @@ package netfault
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"banshee/internal/fault"
+	"banshee/internal/util"
 )
 
 // ErrInjected aliases the fault package's sentinel: every injected
@@ -132,28 +132,14 @@ func NewTransport(plan Plan, inner http.RoundTripper) *Transport {
 // Plan returns the transport's plan.
 func (t *Transport) Plan() Plan { return t.plan }
 
-// roll maps a hash sum to a uniform draw in [0, 1). The sum is run
-// through a 64-bit finalizer (the murmur3 fmix64 constants) first:
-// FNV-64a barely avalanches its final input byte — two keys differing
-// only in a trailing digit (consecutive attempt counters!) land within
-// ~1e-7 of each other, so without mixing, every retry would re-draw
-// the same fault and a faulted call would stay faulted forever.
-func roll(x uint64) float64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return float64(x>>11) / (1 << 53)
-}
-
 // ModeFor returns the mode call attempt n of (method, path) draws —
 // the pure decision function, exposed so tests can predict and audit
 // injections.
 func (t *Transport) ModeFor(method, path string, attempt uint64) Mode {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%d", t.plan.Seed, method, path, attempt)
-	r := roll(h.Sum64())
+	// util.HashUnit mixes the trailing attempt counter into every bit:
+	// without that, every retry would re-draw the same fault and a
+	// faulted call would stay faulted forever.
+	r := util.HashUnit(fmt.Sprintf("%d|%s|%s|%d", t.plan.Seed, method, path, attempt))
 	p := t.plan
 	for _, m := range []struct {
 		rate float64

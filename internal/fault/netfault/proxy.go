@@ -2,11 +2,12 @@ package netfault
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"banshee/internal/util"
 )
 
 // ProxyPlan configures a chaos Proxy: what fraction of proxied TCP
@@ -159,9 +160,7 @@ func (p *Proxy) partitioned() bool {
 // draw a cut, a stall, or neither. Cumulative-exclusive like
 // Transport.ModeFor.
 func (p *Proxy) faultsFor(idx uint64) (cut, stall bool) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "proxy|%d|%d", p.plan.Seed, idx)
-	r := roll(h.Sum64())
+	r := util.HashUnit(fmt.Sprintf("proxy|%d|%d", p.plan.Seed, idx))
 	if r < p.plan.CutRate {
 		return true, false
 	}

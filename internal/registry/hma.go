@@ -6,14 +6,14 @@ import (
 )
 
 // Software-managed heterogeneous memory (HMA, [Meswani et al.]): the OS
-// periodically ranks and remaps hot pages.
+// periodically ranks and remaps hot pages. Not gang-safe: each remap
+// epoch stalls every core (mc.SWCost.AllCoresCycles).
 func init() {
 	Register(Scheme{
-		Kind:     "hma",
-		Names:    []string{"HMA"},
-		Rank:     50,
-		Parse:    exact("hma", "HMA"),
-		GangSafe: true,
+		Kind:  "hma",
+		Names: []string{"HMA"},
+		Rank:  50,
+		Parse: exact("hma", "HMA"),
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
 			cfg := hma.DefaultConfig(env.CapacityBytes)
 			if spec.HMAEpochAccesses > 0 {

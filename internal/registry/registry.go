@@ -84,12 +84,18 @@ type Scheme struct {
 	Parse func(name string) (Spec, bool)
 	// Build constructs the scheme instance for a parsed spec.
 	Build func(spec Spec, env Env) (mc.Scheme, error)
-	// GangSafe declares that instances built from this registration
-	// never touch the shared VM substrate (Env.PageTable / Env.TLBs) —
-	// the contract that lets N differently-seeded instances run in
-	// lockstep over one shared front-end replay (sim.Gang). Banshee is
-	// the canonical counter-example: it rewrites PTEs and shoots down
-	// TLBs, so its lanes would perturb each other's translations.
+	// GangSafe declares two things about instances built from this
+	// registration: they never write the VM substrate (Env.PageTable /
+	// Env.TLBs), and they never charge an all-core stall
+	// (mc.SWCost.AllCoresCycles). That is the contract that lets the
+	// front end run ahead of the back end, and so lets N differently-
+	// seeded instances run in lockstep over one shared front-end
+	// replay (sim.Gang) and batch-replay core-private events. Banshee
+	// breaks the first rule: it rewrites PTEs and shoots down TLBs, so
+	// a translation made ahead of time could be stale. HMA breaks the
+	// second: the simulator applies an all-core stall lazily, when it
+	// next schedules each core, so a core batched past another core's
+	// stall would pick it up at a different point in the event order.
 	// Defaults to false, so out-of-tree schemes opt in explicitly.
 	GangSafe bool
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime/debug"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"banshee/internal/errs"
 	"banshee/internal/sim"
 	"banshee/internal/stats"
+	"banshee/internal/util"
 )
 
 // JobRunner executes one resolved job. The engine's default simulates
@@ -83,9 +83,7 @@ func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
 			d = p.BaseDelay
 		}
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", jobID, attempt)
-	frac := float64(h.Sum64()>>11) / (1 << 53) // [0,1)
+	frac := util.HashUnit(fmt.Sprintf("%s|%d", jobID, attempt))
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 

@@ -316,6 +316,29 @@ func TestRetryBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
+// TestRetryJitterVariesAcrossAttempts: the jitter is per attempt, not
+// per job. With the exponential delay capped flat, only the jitter
+// fraction varies, and one job's attempts must draw it spread across
+// [0,1). FNV-64a alone barely moves the top bits for a trailing
+// attempt digit, so an unmixed hash draws nearly one value per job.
+func TestRetryJitterVariesAcrossAttempts(t *testing.T) {
+	p := RetryPolicy{MaxAttempts: 7, BaseDelay: time.Second, MaxDelay: time.Second}
+	seen := map[time.Duration]bool{}
+	lo, hi := 1.0, 0.0
+	for attempt := 1; attempt <= 6; attempt++ {
+		d := p.Delay("abc123", attempt)
+		if seen[d] {
+			t.Fatalf("attempt %d repeated an earlier delay %v", attempt, d)
+		}
+		seen[d] = true
+		frac := float64(d-p.MaxDelay/2) / float64(p.MaxDelay/2)
+		lo, hi = min(lo, frac), max(hi, frac)
+	}
+	if hi-lo < 0.25 {
+		t.Fatalf("jitter fractions of one job's attempts span only [%.5f, %.5f]", lo, hi)
+	}
+}
+
 // TestSinkCRCTruncatesAtBadRecord: per-record checksums turn interior
 // corruption — not just a torn tail — into a clean truncate-and-retry
 // on resume, with the drop count reported.

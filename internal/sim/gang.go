@@ -16,57 +16,59 @@ import (
 	"banshee/internal/workload"
 )
 
-// Gang execution (DESIGN.md §12): N simulations of the same workload
-// stream run in lockstep as lanes of one Gang. The insight is that for
-// schemes that never touch the shared VM substrate, everything up to
-// the L2 boundary — trace generation, TLB/page-table translation, and
-// the per-core L1/L2 caches — is a pure function of the per-core event
-// stream, independent of the lane's seed and back-end timing. The Gang
-// therefore runs that front end ONCE, records each event's back-end-
-// visible residue (gap, hit/miss bits, the L3 fill addresses the L2
-// victims produce, and the demand address of each LLC access), and
-// replays the residue through N exact per-lane back ends: per-lane L3,
-// scheme, DRAM timing, MSHR/dependence stalls, and the event-ordered
-// core scheduler. Every lane's statistics are byte-identical to the
-// same config run alone — the lane IS a System, reusing Step verbatim
-// — while the shared front end amortizes the majority of per-event
-// work across the gang.
+// Front end and lanes (DESIGN.md §12). Every run is one or more lanes
+// over a front-end stream. The stream (gangStream) owns the workload
+// source, the page table, and each core's L1/L2/TLB: it simulates each
+// core's events up to the L2 boundary and records their back-end-
+// visible residue — gap, hit/miss bits, the L3 fills the L2 victims
+// produce, the demand address, and its PTE's DRAM-cache mapping bits.
+// A lane is a System: it replays the residue through its own back end
+// (L3, prefetcher, scheme, DRAM timing, MSHR/dependence stalls, and
+// the event-ordered core scheduler). NewSystem builds one lane over a
+// stream of its own; a Gang runs N differently-seeded lanes of a
+// gang-safe scheme over one shared stream, paying the front end once.
+// Every lane's statistics are byte-identical to the same config run
+// alone, because that run is the same lane over a stream of its own.
 
-// Per-event flag bits recorded by the shared front end. An event
-// carries a residual record iff any of feFill0/feFill1/feL2Miss is set.
+// Per-event flag bits recorded by the front end. An event carries a
+// residual record iff any feHasRes bit is set.
 const (
 	feTLBMiss = 1 << iota // translation missed the TLB (page-walk cost)
 	feL1Miss              // missed L1 → L2 accessed
-	feL2Miss              // missed L2 → LLC accessed (residual addr valid)
+	feL2Miss              // missed L2 → LLC accessed
 	feLarge               // the access resolves on a 2 MB page
 	feWrite               // the demand access is a write
 	feFill0               // L1-evict cascade produced an L3 fill (fill[0])
 	feFill1               // the L2 victim produced an L3 fill (fill[1])
+	feObserve             // the lane's prefetcher observes this L1 miss
 
-	feHasRes = feFill0 | feFill1 | feL2Miss
+	feHasRes = feFill0 | feFill1 | feL2Miss | feObserve
 )
 
-// fillRec is one dirty line the shared front end pushed out of L2; each
-// lane fills it into its own L3.
+// fillRec is one dirty line the front end pushed out of L2; each lane
+// fills it into its own L3.
 type fillRec struct {
 	addr mem.Addr
 	meta uint8
 }
 
-// resRec is the sparse per-event residue: the demand address (valid on
-// feL2Miss) and up to two L3 fills, in the exact order the independent
-// path would apply them (fill[0] from the L1-evict cascade through
-// l2.Fill, then — only on an L2 miss — fill[1] from the L2 victim).
+// resRec is the sparse per-event residue: the demand address, the
+// Cached/Way bits of its PTE at translation time, and up to two L3
+// fills, in the order the lane applies them (fill[0] from the L1-evict
+// cascade through l2.Fill, then — only on an L2 miss — fill[1] from
+// the L2 victim).
 type resRec struct {
-	addr mem.Addr
-	fill [2]fillRec
+	addr   mem.Addr
+	fill   [2]fillRec
+	cached bool
+	way    uint8
 }
 
-// feCore is one core's shared front end: its private L1/L2/TLB replica
-// plus the recorded event stream in SoA form (gaps and flags dense,
-// residues sparse). base/resBase are the global indices of element 0 —
-// the stream is trimmed to the slowest lane's cursor as the gang
-// advances, so memory stays bounded by lane skew, not run length.
+// feCore is one core's front end: its private L1/L2/TLB plus the
+// recorded event stream in SoA form (gaps and flags dense, residues
+// sparse). base/resBase are the global indices of element 0 — the
+// stream is trimmed to the slowest lane's cursor as the lanes advance,
+// so memory stays bounded by lane skew, not run length.
 type feCore struct {
 	l1, l2 *cache.Cache
 	tlb    *vm.TLB
@@ -84,21 +86,29 @@ type feCore struct {
 	genInstr uint64
 }
 
-// trimSlack is the trim hysteresis in events: prefixes shorter than
-// this stay in place so trimming costs amortized O(1) per event.
-const trimSlack = 8192
-
-// gangStream is the shared front end: one workload source, one page
-// table, and one feCore per simulated core, generating each core's
-// event residue on demand as the fastest lane reaches it.
+// gangStream is the front end: one workload source, one page table,
+// and one feCore per simulated core, generating each core's event
+// residue as the lanes over it reach it.
 type gangStream struct {
-	src workload.Source
-	pt  *vm.PageTable
-	fe  []feCore
+	src   workload.Source
+	pt    *vm.PageTable
+	fe    []feCore
+	lanes []*System
 	// budget is the per-core instruction budget (identical across lanes
 	// — InstrPerCore is part of GangKey); generation stops at the event
 	// that crosses it, which is the last event any lane consumes.
 	budget uint64
+	// ahead lets generation run ahead of the lanes and batchShared
+	// replay runs of generated events. Only gang-safe schemes allow
+	// it (registry.Scheme.GangSafe): a scheme that writes PTEs or
+	// shoots down TLBs changes what a later translation returns, and
+	// one that stalls every core cannot be batched. For any other
+	// scheme each event is generated at the instant its lane consumes
+	// it, so its translation sees every earlier remap and shootdown.
+	ahead bool
+	// observe records every L1 miss for the lanes' prefetchers
+	// (PrefetchDegree is part of GangKey).
+	observe bool
 
 	closed bool
 }
@@ -109,12 +119,26 @@ type gangStream struct {
 // core-private events even for the lane driving generation.
 const genAhead = 256
 
-// newGangStream builds the front end for base (the gang's shared
-// config shape) over an already-opened source.
-func newGangStream(base Config, cores int, src workload.Source) *gangStream {
+// openStream opens base's workload and builds the front end over it;
+// base.Cores == 0 adopts the source's own core count (recorded traces
+// carry theirs).
+func openStream(base Config) (*gangStream, error) {
+	src, err := workload.Open(base.Workload, workload.Config{
+		Cores: base.Cores, Seed: base.workloadSeed(), Scale: base.Scale, Intensity: base.Intensity,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cores := base.Cores
+	if cores == 0 {
+		cores = src.Cores()
+	}
 	pt := vm.NewPageTable()
 	pt.DefaultLarge = base.LargePages
-	g := &gangStream{src: src, pt: pt, fe: make([]feCore, cores), budget: base.InstrPerCore}
+	g := &gangStream{
+		src: src, pt: pt, fe: make([]feCore, cores), budget: base.InstrPerCore,
+		ahead: registry.GangSafe(base.Scheme), observe: base.PrefetchDegree > 0,
+	}
 	for i := 0; i < cores; i++ {
 		f := &g.fe[i]
 		f.l1 = cache.New(cache.Config{
@@ -127,21 +151,20 @@ func newGangStream(base Config, cores int, src workload.Source) *gangStream {
 		})
 		f.tlb = vm.NewTLB(base.TLBEntries)
 	}
-	return g
+	return g, nil
 }
 
 // gen simulates one more front-end event for core f, appending its
-// residue to the stream. The order of operations replicates
-// System.step up to the L3 boundary exactly, including the scratch-
-// eviction contract: l2.Fill's eviction is copied out before l2.Access
+// residue to the stream: translation, then the L1 access, the L1
+// victim's fill into L2, and the L2 access. The scratch-eviction
+// contract holds: l2.Fill's eviction is copied out before l2.Access
 // reuses the scratch slot.
 func (g *gangStream) gen(f *feCore, coreID int) {
 	ev := g.src.Next(coreID)
 	if uint64(ev.Gap) > math.MaxUint32 {
-		panic(fmt.Sprintf("sim: gang front end: event gap %d overflows the stream encoding", ev.Gap))
+		panic(fmt.Sprintf("sim: front end: event gap %d overflows the stream encoding", ev.Gap))
 	}
 	var flags uint8
-	var r resRec
 	pte, tlbHit := f.tlb.Lookup(ev.Addr, g.pt)
 	if !tlbHit {
 		flags |= feTLBMiss
@@ -153,8 +176,12 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 	if ev.Write {
 		flags |= feWrite
 	}
+	r := resRec{addr: ev.Addr, cached: pte.Cached, way: pte.Way}
 	if hit, ev1 := f.l1.Access(ev.Addr, ev.Write, meta); !hit {
 		flags |= feL1Miss
+		if g.observe {
+			flags |= feObserve
+		}
 		if ev1 != nil {
 			if evf := f.l2.Fill(ev1.Addr, true, ev1.Meta); evf != nil {
 				flags |= feFill0
@@ -163,7 +190,6 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 		}
 		if hit2, ev2 := f.l2.Access(ev.Addr, false, meta); !hit2 {
 			flags |= feL2Miss
-			r.addr = ev.Addr
 			if ev2 != nil {
 				flags |= feFill1
 				r.fill[1] = fillRec{addr: ev2.Addr, meta: ev2.Meta}
@@ -178,11 +204,17 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 	}
 }
 
-// event returns core coreID's event at the lane cursor c, generating
-// it first if no lane has reached it yet. r is non-nil iff the event
-// carries a residual record (feHasRes).
+// event returns core c's event at its cursor, generating it first if
+// no lane has reached it yet. r is non-nil iff the event carries a
+// residual record (feHasRes).
 func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
 	f := &g.fe[c.id]
+	if !g.ahead {
+		// One lane, no run-ahead: the buffers hold only the event being
+		// consumed.
+		f.gaps, f.flags, f.res = f.gaps[:0], f.flags[:0], f.res[:0]
+		f.base, f.resBase = c.evIdx, c.resIdx
+	}
 	i := c.evIdx - f.base
 	for i >= uint64(len(f.gaps)) {
 		g.gen(f, c.id)
@@ -193,7 +225,7 @@ func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
 	// the budget will be consumed. Materializing a chunk here lets the
 	// lead lane batch-replay runs instead of generating one event per
 	// step; trailing lanes see the events regardless.
-	for uint64(len(f.gaps))-i < genAhead && f.genInstr < g.budget {
+	for g.ahead && uint64(len(f.gaps))-i < genAhead && f.genInstr < g.budget {
 		g.gen(f, c.id)
 	}
 	gap, flags = f.gaps[i], f.flags[i]
@@ -203,35 +235,44 @@ func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
 	return gap, flags, r
 }
 
-// trim drops stream prefixes every lane has consumed, keeping gang
-// memory proportional to lane skew (bounded by the step quantum)
+// trim drops the stream prefix every lane has consumed once it is at
+// least as long as what remains. Each copy moves no more elements than
+// it drops, so trimming costs amortized O(1) per event, and memory
+// stays proportional to lane skew (bounded by the step quantum)
 // instead of run length.
-func (g *gangStream) trim(lanes []*System) {
+func (g *gangStream) trim() {
 	for ci := range g.fe {
 		f := &g.fe[ci]
 		minEv, minRes := ^uint64(0), ^uint64(0)
-		for _, l := range lanes {
+		for _, l := range g.lanes {
 			c := l.cores[ci]
-			if c.evIdx < minEv {
-				minEv = c.evIdx
-			}
-			if c.resIdx < minRes {
-				minRes = c.resIdx
-			}
+			minEv = min(minEv, c.evIdx)
+			minRes = min(minRes, c.resIdx)
 		}
-		if k := minEv - f.base; k >= trimSlack {
+		if k := minEv - f.base; k > 0 && 2*k >= uint64(len(f.gaps)) {
 			f.gaps = f.gaps[:copy(f.gaps, f.gaps[k:])]
 			f.flags = f.flags[:copy(f.flags, f.flags[k:])]
 			f.base = minEv
 		}
-		if kr := minRes - f.resBase; kr >= trimSlack/4 {
-			f.res = f.res[:copy(f.res, f.res[kr:])]
+		if k := minRes - f.resBase; k > 0 && 2*k >= uint64(len(f.res)) {
+			f.res = f.res[:copy(f.res, f.res[k:])]
 			f.resBase = minRes
 		}
 	}
 }
 
-// close releases the shared source; idempotent.
+// release closes the source once every lane over the stream has let
+// go of it.
+func (g *gangStream) release() {
+	for _, l := range g.lanes {
+		if !l.closed {
+			return
+		}
+	}
+	g.close()
+}
+
+// close releases the source; idempotent.
 func (g *gangStream) close() {
 	if g.closed {
 		return
@@ -242,16 +283,19 @@ func (g *gangStream) close() {
 	}
 }
 
-// stepShared is the gang-lane body of System.step: it replays one
-// recorded front-end event through this lane's back end, preserving
-// the independent path's exact operation order — retirement and clock
-// arithmetic, page-walk charge, counter increments, the two possible
-// L3 fills, the LLC access, and the miss path with MSHR and
-// dependence-stall behavior (the lane's own RNG draws in its own miss
-// order, exactly as an independent run would).
+// stepShared advances core c by one event: it replays the recorded
+// front-end residue through this lane's back end — retirement and
+// clock arithmetic, page-walk charge, counter increments, the L3 fill
+// of the L1 victim's cascade, the prefetcher's observation of the L1
+// miss, the L3 fill of the L2 victim, the LLC access, and the miss
+// path with MSHR and dependence-stall behavior (the lane's own RNG
+// draws in its own miss order). SRAM hit latencies are folded into the
+// core model (the out-of-order window hides them); only LLC misses are
+// timed.
 func (s *System) stepShared(c *core) {
-	gap, flags, r := s.shared.event(c)
+	gap, flags, r := s.stream.event(c)
 	c.evIdx++
+	// Non-memory instructions retire at IssueWidth.
 	c.fract += int(gap)
 	c.time += uint64(c.fract / s.cfg.IssueWidth)
 	c.fract %= s.cfg.IssueWidth
@@ -260,22 +304,28 @@ func (s *System) stepShared(c *core) {
 	if flags&feTLBMiss != 0 {
 		c.time += s.cost.PageWalkCycles
 	}
-	size := mem.Page4K
-	if flags&feLarge != 0 {
-		size = mem.Page2M
-	}
 	s.st.L1Accesses++
 	if flags&feL1Miss == 0 {
 		return
 	}
-	if r != nil {
-		c.resIdx++
-	}
 	s.st.L1Misses++
+	s.st.L2Accesses++
+	if r == nil {
+		return
+	}
+	c.resIdx++
+	pte := vm.PTE{Size: mem.Page4K, Cached: r.cached, Way: r.way}
+	if flags&feLarge != 0 {
+		pte.Size = mem.Page2M
+	}
 	if flags&feFill0 != 0 {
 		s.fillL3(c, r.fill[0].addr, true, r.fill[0].meta)
 	}
-	s.st.L2Accesses++
+	if flags&feObserve != 0 {
+		if pf := c.prefetch.Observe(r.addr, c.time); len(pf) > 0 {
+			s.issuePrefetches(c, pf, pte)
+		}
+	}
 	if flags&feL2Miss == 0 {
 		return
 	}
@@ -284,48 +334,49 @@ func (s *System) stepShared(c *core) {
 		s.fillL3(c, r.fill[1].addr, true, r.fill[1].meta)
 	}
 	s.st.LLCAccesses++
-	if hit3, ev3 := s.l3.Access(r.addr, false, lineMeta(size)); !hit3 {
+	if hit3, ev3 := s.l3.Access(r.addr, false, lineMeta(pte.Size)); !hit3 {
 		if ev3 != nil {
 			s.evictToMC(c, ev3)
 		}
-		// The zero-valued PTE fields reproduce what an inert-scheme
-		// independent run passes here: gang-safe schemes never set
-		// Cached/Way, so only Size matters. pte.Mapping() is identical.
-		s.llcMiss(c, r.addr, flags&feWrite != 0, vm.PTE{Size: size})
+		s.llcMiss(c, r.addr, flags&feWrite != 0, pte)
 	}
 }
 
 // batchShared replays, in one aggregate update, the run of already-
 // generated events at c's cursor that touch no lane state beyond
-// counters and the core clock: L1 hits, and L2 hits whose L1-evict
-// cascade produced no L3 fill (flags clear of feFill0|feL2Miss — such
-// events carry no residual record and never reach the lane's L3).
+// counters and the core clock: events with no residual record (L1
+// hits, and L2 hits whose L1-evict cascade produced no L3 fill and
+// that no prefetcher observes).
 //
 // Identity argument: for these events the per-event updates are
 // exactly associative — the clock advance over k events with gap sum G
 // is (fract+G) div/mod IssueWidth plus one PageWalkCycles charge per
 // TLB miss, retirement is G+k, and the counter bumps are sums — so the
-// aggregate equals the event-by-event replay bit for bit. Reordering
-// against other cores inside the batch window cannot be observed:
-// these events read nothing lane-global and Step's only mid-run global
-// sequence points are the warmup mark and epoch samples, so batching
-// is disabled until the warmup mark has been captured (or WarmupFrac
-// is 0, when no mark is ever taken) and whenever an epoch callback is
-// installed. The scan stops at the first event with lane-side L3 work,
-// at the end of the generated stream (never forcing generation), and
-// at the per-core budget exactly where Step would stop scheduling the
-// core.
+// aggregate equals the event-by-event replay bit for bit. Moving c
+// past other cores' events is unobservable only if nothing another
+// core does can reach c in between. Step applies an all-core stall
+// (mc.SWCost.AllCoresCycles) lazily, when it next pops the core, so a
+// stall charged while c is batched past it would land at a different
+// heap position. Step therefore batches only over a stream that runs
+// ahead, and only gang-safe schemes, which never charge such a stall,
+// get one. Step's other mid-run global sequence points are the warmup
+// mark and epoch samples, so batching is disabled until the warmup
+// mark has been captured (or WarmupFrac is 0, when no mark is ever
+// taken) and whenever an epoch callback is installed. The scan stops
+// at the first event with a residual record, at the end of the
+// generated stream (never forcing generation), and at the per-core
+// budget exactly where Step would stop scheduling the core.
 func (s *System) batchShared(c *core) {
 	if s.epochFn != nil || (!s.warmed && s.warmTarget > 0) {
 		return
 	}
-	f := &s.shared.fe[c.id]
+	f := &s.stream.fe[c.id]
 	i := c.evIdx - f.base
 	n := uint64(len(f.gaps))
 	var k, l1m, walks, gapSum uint64
 	for i < n && c.retired+gapSum+k < s.cfg.InstrPerCore {
 		fl := f.flags[i]
-		if fl&(feFill0|feL2Miss) != 0 {
+		if fl&feHasRes != 0 {
 			break
 		}
 		gapSum += uint64(f.gaps[i])
@@ -353,17 +404,11 @@ func (s *System) batchShared(c *core) {
 }
 
 // GangEligible reports whether cfg can run as a lane of a lockstep
-// gang, returning nil or the disqualifying reason. Two conditions: the
-// scheme must be registered gang-safe (it never touches the shared VM
-// substrate — see registry.Scheme.GangSafe), and the prefetcher must
-// be off (prefetch issue decisions depend on per-lane core clocks, so
-// a shared front end cannot replay them).
+// gang, returning nil or the disqualifying reason: the scheme must be
+// registered gang-safe (see registry.Scheme.GangSafe).
 func GangEligible(cfg Config) error {
-	if cfg.PrefetchDegree != 0 {
-		return fmt.Errorf("sim: gang: PrefetchDegree %d is lane-variant (prefetch timing depends on per-lane clocks); only 0 is gang-eligible", cfg.PrefetchDegree)
-	}
 	if !registry.GangSafe(cfg.Scheme) {
-		return fmt.Errorf("sim: gang: scheme kind %q is not registered gang-safe (it may touch the shared VM substrate)", cfg.Scheme.Kind)
+		return fmt.Errorf("sim: gang: scheme kind %q is not registered gang-safe (it may write the VM substrate or stall every core)", cfg.Scheme.Kind)
 	}
 	return nil
 }
@@ -373,24 +418,23 @@ func GangEligible(cfg Config) error {
 // GangEligible). The key covers everything the shared front end
 // depends on — the workload stream identity (name, cores, effective
 // workload seed, scale, intensity), the VM substrate (large pages),
-// the L1/L2/TLB geometry, and the per-core instruction budget (which
-// fixes how many events each core consumes). Everything back-end —
-// Seed, scheme tuning, L3 geometry, DRAM knobs, CPUMHz, IssueWidth,
-// MSHRs, DepStallFrac, WarmupFrac — may vary per lane.
+// the L1/L2/TLB geometry, the per-core instruction budget (which fixes
+// how many events each core consumes), and the prefetch degree (which
+// decides whether the stream records every L1 miss). Everything back-
+// end — Seed, scheme tuning, L3 geometry, DRAM knobs, CPUMHz,
+// IssueWidth, MSHRs, DepStallFrac, WarmupFrac — may vary per lane.
 func GangKey(cfg Config) string {
-	return fmt.Sprintf("%s|c%d|ws%d|sc%g|in%g|lp%t|l1:%d/%d|l2:%d/%d|tlb%d|n%d",
+	return fmt.Sprintf("%s|c%d|ws%d|sc%g|in%g|lp%t|l1:%d/%d|l2:%d/%d|tlb%d|n%d|pf%d",
 		cfg.Workload, cfg.Cores, cfg.workloadSeed(), cfg.Scale, cfg.Intensity,
 		cfg.LargePages, cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways,
-		cfg.TLBEntries, cfg.InstrPerCore)
+		cfg.TLBEntries, cfg.InstrPerCore, cfg.PrefetchDegree)
 }
 
 // Gang is a set of simulations (lanes) advancing in lockstep over one
-// shared front-end replay. Each lane is a full System producing
-// statistics byte-identical to the same config run alone; the gang
-// owns the shared workload source and the recorded stream. Like
+// shared front-end stream. Each lane is a full System producing
+// statistics byte-identical to the same config run alone. Like
 // Session, a Gang is a single-goroutine object.
 type Gang struct {
-	lanes  []*System
 	gs     *gangStream
 	runErr error
 	done   bool
@@ -423,30 +467,17 @@ func NewGang(cfgs []Config) (*Gang, error) {
 				i, GangKey(cfgs[i]), key)
 		}
 	}
-	base := cfgs[0]
-	src, err := workload.Open(base.Workload, workload.Config{
-		Cores: base.Cores, Seed: base.workloadSeed(), Scale: base.Scale, Intensity: base.Intensity,
-	})
+	gs, err := openStream(cfgs[0])
 	if err != nil {
 		return nil, err
 	}
-	cores := base.Cores
-	if cores == 0 {
-		cores = src.Cores()
-	}
-	gs := newGangStream(base, cores, src)
-	g := &Gang{gs: gs}
 	for i := range cfgs {
-		cfg := cfgs[i]
-		cfg.Cores = cores
-		lane, err := newGangLane(cfg, gs)
-		if err != nil {
+		if _, err := newGangLane(cfgs[i], gs); err != nil {
 			gs.close()
 			return nil, fmt.Errorf("sim: gang lane %d: %w", i, err)
 		}
-		g.lanes = append(g.lanes, lane)
 	}
-	return g, nil
+	return &Gang{gs: gs}, nil
 }
 
 // NewGangSeeds is the common case: one config replicated across seeds,
@@ -480,16 +511,16 @@ func NewGangSeeds(cfg Config, workloadName, scheme string, seeds []uint64) (*Gan
 	return NewGang(cfgs)
 }
 
-// newGangLane assembles one lane: a System without its own front end —
-// no workload source of its own, no per-core L1/L2/TLB, no page table
-// — wired to the gang's shared stream. Gang-safe schemes never touch
-// the VM substrate, so the scheme builds against a nil page table and
-// TLB set.
+// newGangLane assembles one lane over gs — the L3 and everything below
+// it, plus the per-core scheduling state — and registers it with the
+// stream. The scheme is built against the stream's page table and
+// TLBs; a gang-safe scheme, the only kind a stream shares, never
+// touches them.
 func newGangLane(cfg Config, gs *gangStream) (*System, error) {
+	cfg.Cores = len(gs.fe)
 	s := &System{
 		cfg:    cfg,
-		work:   gs.src,
-		shared: gs,
+		stream: gs,
 		rng:    util.NewRNG(cfg.Seed ^ 0x51A1),
 		cost:   vm.DefaultCostModel(cfg.CPUMHz),
 	}
@@ -497,10 +528,16 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,
 		LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed,
 	})
-	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &core{id: i})
+	tlbs := make([]*vm.TLB, cfg.Cores)
+	for i := range cfg.Cores {
+		c := &core{id: i}
+		if cfg.PrefetchDegree > 0 {
+			c.prefetch = NewPrefetcher(cfg.PrefetchDegree)
+		}
+		s.cores = append(s.cores, c)
+		tlbs[i] = gs.fe[i].tlb
 	}
-	scheme, err := buildScheme(cfg, nil, nil)
+	scheme, err := buildScheme(cfg, gs.pt, tlbs)
 	if err != nil {
 		return nil, err
 	}
@@ -512,26 +549,28 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 	s.st.Scheme = scheme.Name()
 	s.totalBudget = cfg.InstrPerCore * uint64(len(s.cores))
 	s.warmTarget = uint64(float64(s.totalBudget) * cfg.WarmupFrac)
-	// Latched replay failures surface through the shared source: every
-	// lane binds the same surfaces, so a corrupt or wrapped stream
-	// fails all lanes with the same typed error an independent run of
-	// the same config would report.
+	// Replayed trace files latch decode errors and wrap-around instead
+	// of panicking mid-run; bind their surfaces once so Step can poll
+	// them without per-call type assertions. Every lane over a shared
+	// stream binds the same surfaces, so a corrupt or wrapped stream
+	// fails all lanes with the error a stand-alone run would report.
 	if e, ok := gs.src.(interface{ Err() error }); ok {
 		s.srcErr = e.Err
 	}
 	if wr, ok := gs.src.(interface{ Wrapped() bool }); ok {
 		s.srcWrapped = wr.Wrapped
 	}
+	gs.lanes = append(gs.lanes, s)
 	return s, nil
 }
 
 // Width returns the number of lanes.
-func (g *Gang) Width() int { return len(g.lanes) }
+func (g *Gang) Width() int { return len(g.gs.lanes) }
 
 // Step advances every unfinished lane by at least n retired
-// instructions in lockstep, then trims the shared stream to the
-// slowest lane. done reports all lanes complete. Errors (a failed
-// shared stream, a cancelled Run) are terminal for the whole gang.
+// instructions in lockstep. done reports all lanes complete. Errors (a
+// failed shared stream, a cancelled Run) are terminal for the whole
+// gang.
 func (g *Gang) Step(n uint64) (done bool, err error) {
 	if g.runErr != nil {
 		return false, g.runErr
@@ -540,7 +579,7 @@ func (g *Gang) Step(n uint64) (done bool, err error) {
 		return true, nil
 	}
 	all := true
-	for _, l := range g.lanes {
+	for _, l := range g.gs.lanes {
 		laneDone, err := l.Step(n)
 		if err != nil {
 			g.fail(err)
@@ -550,26 +589,21 @@ func (g *Gang) Step(n uint64) (done bool, err error) {
 			all = false
 		}
 	}
-	g.gs.trim(g.lanes)
-	if all {
-		g.done = true
-		g.gs.close()
-	}
+	g.done = all
 	return all, nil
 }
 
-// fail terminates the gang: every still-running lane fails with err
-// and the shared source is released.
+// fail terminates the gang: every still-running lane fails with err,
+// which releases the shared source.
 func (g *Gang) fail(err error) {
 	if g.runErr == nil {
 		g.runErr = err
 	}
-	for _, l := range g.lanes {
+	for _, l := range g.gs.lanes {
 		if !l.finished {
 			l.fail(err)
 		}
 	}
-	g.gs.close()
 }
 
 // Run drives all lanes to completion under ctx and returns one final
@@ -601,8 +635,8 @@ func (g *Gang) Run(ctx context.Context) ([]stats.Sim, error) {
 // Results returns one stats.Sim per lane: the final measurement window
 // for completed lanes, the current partial window otherwise.
 func (g *Gang) Results() []stats.Sim {
-	out := make([]stats.Sim, len(g.lanes))
-	for i, l := range g.lanes {
+	out := make([]stats.Sim, len(g.gs.lanes))
+	for i, l := range g.gs.lanes {
 		if l.finished && l.runErr == nil {
 			out[i] = l.final
 		} else {
@@ -618,7 +652,7 @@ func (g *Gang) Results() []stats.Sim {
 func (g *Gang) Progress() Progress {
 	var p Progress
 	p.Phase = stats.PhaseDone
-	for _, l := range g.lanes {
+	for _, l := range g.gs.lanes {
 		lp := l.Progress()
 		p.Retired += lp.Retired
 		p.Total += lp.Total
@@ -634,7 +668,7 @@ func (g *Gang) Progress() Progress {
 
 // LaneSnapshot captures lane i's current measurement window; see
 // System.Snapshot for windowing semantics.
-func (g *Gang) LaneSnapshot(i int) stats.Snapshot { return g.lanes[i].Snapshot() }
+func (g *Gang) LaneSnapshot(i int) stats.Snapshot { return g.gs.lanes[i].Snapshot() }
 
 // Err returns the gang's terminal error, if any.
 func (g *Gang) Err() error { return g.runErr }

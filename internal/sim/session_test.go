@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"banshee/internal/registry"
@@ -85,8 +86,13 @@ func TestStepEqualsRunWorkloadKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wl := range []string{"mcf", "mix1", "pagerank_kernel", workload.FilePrefix + tracePath} {
-		wl := wl
-		t.Run(wl, func(t *testing.T) {
+		// The trace case gets a fixed name: its path lies under a
+		// per-run temporary directory.
+		name := wl
+		if strings.HasPrefix(wl, workload.FilePrefix) {
+			name = "file"
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := sessionTestConfig(wl)
 			oneShot, err := Run(cfg, wl, "Banshee")
 			if err != nil {

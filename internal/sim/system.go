@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"banshee/internal/cache"
 	"banshee/internal/dram"
@@ -28,37 +27,29 @@ type core struct {
 	retired     uint64   // instructions retired
 	done        bool
 
-	l1, l2   *cache.Cache
-	tlb      *vm.TLB
 	prefetch *Prefetcher // nil when disabled
 
-	// Gang lane cursors into the shared front-end stream (gang.go).
-	// Unused (zero) on the independent N=1 path.
-	evIdx  uint64 // next event index in this core's shared stream
-	resIdx uint64 // next residual record in this core's shared stream
+	// Cursors into this core's front-end stream (gang.go).
+	evIdx  uint64 // next event index
+	resIdx uint64 // next residual record
 }
 
-// System is a fully assembled simulation. Build with NewSystem, drive
-// incrementally with Step (or to completion with Run); Session is the
-// managed handle most callers want. Not safe for concurrent use; run
-// distinct Systems in parallel instead.
+// System is a fully assembled simulation: one lane — the back end from
+// the L3 down — over a front-end stream (gang.go). NewSystem gives the
+// lane a stream of its own; a Gang runs several lanes over one. Build
+// with NewSystem, drive incrementally with Step (or to completion with
+// Run); Session is the managed handle most callers want. Not safe for
+// concurrent use; run distinct Systems in parallel instead.
 type System struct {
 	cfg    Config
-	work   workload.Source
+	stream *gangStream
 	cores  []*core
 	l3     *cache.Cache
-	pt     *vm.PageTable
 	scheme mc.Scheme
 	inPkg  *dram.DRAM
 	offPkg *dram.DRAM
 	rng    *util.RNG
 	cost   vm.CostModel
-
-	// shared, when non-nil, marks this System as one lane of a lockstep
-	// gang: events come from the gang's shared front-end replay instead
-	// of s.work, and the source's lifetime belongs to the Gang, not the
-	// lane. The independent path is untouched when nil.
-	shared *gangStream
 
 	st       stats.Sim
 	warmed   bool
@@ -109,85 +100,23 @@ type mark struct {
 	cycles  uint64
 }
 
-// NewSystem assembles a system from cfg.
+// NewSystem assembles a system from cfg: a width-1 lane over a
+// front-end stream of its own, which owns the page table and the
+// per-core L1/L2/TLB the scheme is built against.
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Workload streams come from the workload registry: synthetic
-	// generators, graph kernels, and "file:<path>" recorded traces all
-	// resolve to the same Source contract. Cores == 0 adopts the
-	// source's own shape — recorded traces carry their core count, so
-	// callers need not know it up front (synthetic sources require an
-	// explicit count and reject 0).
-	w, err := workload.Open(cfg.Workload, workload.Config{
-		Cores: cfg.Cores, Seed: cfg.workloadSeed(), Scale: cfg.Scale, Intensity: cfg.Intensity,
-	})
+	gs, err := openStream(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cores == 0 {
-		cfg.Cores = w.Cores()
-	}
-	pt := vm.NewPageTable()
-	pt.DefaultLarge = cfg.LargePages
-
-	s := &System{
-		cfg:  cfg,
-		work: w,
-		pt:   pt,
-		rng:  util.NewRNG(cfg.Seed ^ 0x51A1),
-		cost: vm.DefaultCostModel(cfg.CPUMHz),
-	}
-	s.l3 = cache.New(cache.Config{
-		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,
-		LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed,
-	})
-	var tlbs []*vm.TLB
-	for i := 0; i < cfg.Cores; i++ {
-		c := &core{
-			id: i,
-			l1: cache.New(cache.Config{
-				Name: fmt.Sprintf("L1d-%d", i), SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways,
-				LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed + uint64(i),
-			}),
-			l2: cache.New(cache.Config{
-				Name: fmt.Sprintf("L2-%d", i), SizeBytes: cfg.L2Bytes, Ways: cfg.L2Ways,
-				LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed + uint64(i),
-			}),
-			tlb: vm.NewTLB(cfg.TLBEntries),
-		}
-		if cfg.PrefetchDegree > 0 {
-			c.prefetch = NewPrefetcher(cfg.PrefetchDegree)
-		}
-		s.cores = append(s.cores, c)
-		tlbs = append(tlbs, c.tlb)
-	}
-	scheme, err := buildScheme(cfg, pt, tlbs)
+	s, err := newGangLane(cfg, gs)
 	if err != nil {
 		// The source may hold a trace file open; don't leak it on a
-		// failed assembly (success hands ownership to Run's defer).
-		if c, ok := w.(io.Closer); ok {
-			c.Close()
-		}
+		// failed assembly (success hands ownership to the lane).
+		gs.close()
 		return nil, err
-	}
-	s.scheme = scheme
-	inCfg, offCfg := dramConfigs(cfg)
-	s.inPkg = dram.New(inCfg)
-	s.offPkg = dram.New(offCfg)
-	s.st.Workload = cfg.Workload
-	s.st.Scheme = scheme.Name()
-	s.totalBudget = cfg.InstrPerCore * uint64(len(s.cores))
-	s.warmTarget = uint64(float64(s.totalBudget) * cfg.WarmupFrac)
-	// Replayed trace files latch decode errors and wrap-around instead
-	// of panicking mid-run; bind their surfaces once so Step can poll
-	// them without per-call type assertions.
-	if e, ok := w.(interface{ Err() error }); ok {
-		s.srcErr = e.Err
-	}
-	if wr, ok := w.(interface{ Wrapped() bool }); ok {
-		s.srcWrapped = wr.Wrapped
 	}
 	return s, nil
 }
@@ -266,7 +195,7 @@ func (q coreQueue) heapify() {
 }
 
 // Workload returns the source driving the system (diagnostics, tests).
-func (s *System) Workload() workload.Source { return s.work }
+func (s *System) Workload() workload.Source { return s.stream.src }
 
 // start initializes the scheduling heap; the first Step calls it.
 func (s *System) start() {
@@ -310,7 +239,10 @@ func (s *System) Step(n uint64) (done bool, err error) {
 			c.pending = 0
 		}
 		before := c.retired
-		s.step(c)
+		s.stepShared(c)
+		if s.stream.ahead {
+			s.batchShared(c)
+		}
 		s.totalRetired += c.retired - before
 
 		// warmTarget == 0 (WarmupFrac 0) means no warmup at all: the
@@ -330,6 +262,7 @@ func (s *System) Step(n uint64) (done bool, err error) {
 			s.h.siftDown(0)
 		}
 	}
+	s.stream.trim()
 	if err := s.sourceErr(); err != nil {
 		s.fail(err)
 		return false, s.runErr
@@ -373,22 +306,16 @@ func (s *System) finish() {
 	s.closeSource()
 }
 
-// closeSource releases a source holding external resources (replayed
-// trace files); idempotent. A gang lane's source is shared with its
-// sibling lanes and owned by the Gang, which closes it once all lanes
-// are done — a single lane finishing must not pull it out from under
-// the others.
+// closeSource releases the lane's hold on its stream; idempotent. The
+// stream's source (a replayed trace file may hold one open) is closed
+// once every lane over it has let go, so a gang lane finishing never
+// pulls the source out from under its siblings.
 func (s *System) closeSource() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.shared != nil {
-		return
-	}
-	if c, ok := s.work.(io.Closer); ok {
-		c.Close()
-	}
+	s.stream.release()
 }
 
 // MSHRStalls reports how many times a core's MSHR window filled and
@@ -529,64 +456,6 @@ func (s *System) fireEpoch() {
 	s.epochMark = cur
 	s.epochNext = (s.totalRetired/s.epochEvery + 1) * s.epochEvery
 	s.epochFn(snap)
-}
-
-// step advances one core by one trace event.
-func (s *System) step(c *core) {
-	if s.shared != nil {
-		s.stepShared(c)
-		s.batchShared(c)
-		return
-	}
-	ev := s.work.Next(c.id)
-	// Non-memory instructions retire at IssueWidth.
-	c.fract += ev.Gap
-	c.time += uint64(c.fract / s.cfg.IssueWidth)
-	c.fract %= s.cfg.IssueWidth
-	c.retired += uint64(ev.Gap) + 1
-
-	// Translate. A TLB miss pays the page-walk cost.
-	pte, tlbHit := c.tlb.Lookup(ev.Addr, s.pt)
-	if !tlbHit {
-		c.time += s.cost.PageWalkCycles
-	}
-	meta := lineMeta(pte.Size)
-
-	// SRAM hierarchy. Hit latencies are folded into the core model (the
-	// out-of-order window hides them); only LLC misses are timed.
-	s.st.L1Accesses++
-	if hit, ev1 := c.l1.Access(ev.Addr, ev.Write, meta); !hit {
-		s.st.L1Misses++
-		if ev1 != nil {
-			s.fillL2(c, ev1.Addr, true, ev1.Meta)
-		}
-		s.st.L2Accesses++
-		if c.prefetch != nil {
-			if pf := c.prefetch.Observe(ev.Addr, c.time); len(pf) > 0 {
-				s.issuePrefetches(c, pf, pte)
-			}
-		}
-		if hit2, ev2 := c.l2.Access(ev.Addr, false, meta); !hit2 {
-			s.st.L2Misses++
-			if ev2 != nil {
-				s.fillL3(c, ev2.Addr, true, ev2.Meta)
-			}
-			s.st.LLCAccesses++
-			if hit3, ev3 := s.l3.Access(ev.Addr, false, meta); !hit3 {
-				if ev3 != nil {
-					s.evictToMC(c, ev3)
-				}
-				s.llcMiss(c, ev.Addr, ev.Write, pte)
-			}
-		}
-	}
-}
-
-// fillL2 pushes an L1 dirty eviction into L2, cascading as needed.
-func (s *System) fillL2(c *core, a mem.Addr, dirty bool, meta uint8) {
-	if ev := c.l2.Fill(a, dirty, meta); ev != nil {
-		s.fillL3(c, ev.Addr, true, ev.Meta)
-	}
 }
 
 // fillL3 pushes an L2 dirty eviction into the shared L3.

@@ -191,8 +191,11 @@ func TestDaemonSubmitBackpressure429(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until sweep A is actually running (has landed a record), so
-	// it no longer counts against the queue.
+	// it no longer counts against the queue. The engine appends a record
+	// before it counts the job done, and the queue counts a sweep with
+	// no done job as queued, so wait on the queue count itself.
 	waitForBytes(t, d.Store().ResultsPath(stA.ID), 1)
+	waitFor(t, func() bool { return d.queuedCount() == 0 })
 
 	queued := long("svc-shed-b", 2)
 	stB, err := c.Submit(ctx, queued)

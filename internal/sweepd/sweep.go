@@ -302,9 +302,12 @@ func (es *epochSink) jobRunner(reg *obs.Registry, every uint64) runner.JobRunner
 		if err != nil {
 			return stats.Sim{}, err
 		}
+		// A session holds one epoch hook, so the sampler and the epoch
+		// sink share one.
 		sp := sim.NewSampler(reg)
-		sp.Attach(sess, every)
+		sp.Bind(sess)
 		sess.OnEpoch(every, func(snap stats.Snapshot) {
+			sp.Sample(snap)
 			es.append(epochLine{
 				Job: job.ID, Workload: job.Workload, Scheme: job.Scheme, Seed: job.Seed,
 				Retired: snap.Retired, Cycles: snap.Cycles,

@@ -360,6 +360,41 @@ func TestWorkerAttachConvergence(t *testing.T) {
 	<-workerDone
 }
 
+// TestEpochSweepSamplesMetrics: a sweep with EpochEvery > 0 streams
+// epoch lines and drives the epoch metric series with them — one
+// banshee_epochs_total increment per epoch line written.
+func TestEpochSweepSamplesMetrics(t *testing.T) {
+	spec := testSpec("svc-epochs")
+	spec.Options.EpochEvery = 5_000
+
+	d := newDaemon(t, t.TempDir())
+	c, _ := dialTest(t, d)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("sweep ended %s (%s)", final.State, final.Error)
+	}
+	var epochs bytes.Buffer
+	if _, err := c.StreamEpochs(ctx, st.ID, 0, &epochs); err != nil {
+		t.Fatal(err)
+	}
+	lines := uint64(bytes.Count(epochs.Bytes(), []byte("\n")))
+	if lines == 0 {
+		t.Fatal("epoch sweep wrote no epoch lines")
+	}
+	series := `banshee_epochs_total{sweep="` + st.ID + `"}`
+	if got := d.Registry().Snapshot()[series]; got != float64(lines) {
+		t.Fatalf("%s = %v, want %d (one per epoch line)", series, got, lines)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
