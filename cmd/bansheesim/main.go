@@ -23,10 +23,12 @@
 // only the test harness: `go tool pprof bansheesim sim.prof`.
 //
 // With -gang a comma-separated seed list runs as lanes of one lockstep
-// gang over a shared front end (gang-safe schemes only — every
-// built-in except Banshee and HMA; see DESIGN.md §12); each lane's
-// printed stats are byte-identical to an independent -seed run of that
-// seed with WorkloadSeed pinned.
+// gang over a shared front end (two or more lanes need a gang-safe
+// scheme — every built-in except Banshee and HMA; see DESIGN.md §12);
+// each lane's printed stats are byte-identical to an independent -seed
+// run of that seed with WorkloadSeed pinned. A plain run is the same
+// handle at width 1, so the exit codes and partial-stats reporting
+// above apply to both; -epoch samples only a plain run.
 package main
 
 import (
@@ -81,6 +83,10 @@ func run() int {
 
 	if *epochJSON && *epoch == 0 {
 		fmt.Fprintln(os.Stderr, "bansheesim: -epoch-json requires -epoch")
+		return 1
+	}
+	if *epoch > 0 && *gang != "" {
+		fmt.Fprintln(os.Stderr, "bansheesim: -epoch samples a single run; drop it or -gang")
 		return 1
 	}
 
@@ -168,88 +174,106 @@ func run() int {
 		defer cancel()
 	}
 
+	// A plain run is a width-1 gang of -seed; -gang runs one lane per
+	// listed seed. Both take the same path from here on.
+	seeds := []uint64{*seed}
 	if *gang != "" {
-		return runGang(ctx, cfg, *workload, *scheme, *gang, *timeout, reg, tracer)
+		seeds = nil
+		for _, s := range strings.Split(*gang, ",") {
+			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "bansheesim: -gang:", err)
+				return 1
+			}
+			seeds = append(seeds, v)
+		}
 	}
-
-	sess, err := sim.NewSession(cfg, *workload, *scheme)
+	g, err := sim.NewGangSeeds(cfg, *workload, *scheme, seeds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bansheesim:", err)
 		return 1
 	}
 
-	// A Session has one epoch hook, so every consumer — human stderr
-	// line, -epoch-json stream, metric sampler, trace instants — joins
-	// one composite callback at a shared interval.
-	var sampler *sim.Sampler
-	var onEpoch []func(stats.Snapshot)
-	if *epoch > 0 && !*epochJSON {
-		onEpoch = append(onEpoch, func(s stats.Snapshot) {
-			fmt.Fprintf(os.Stderr, "[%s] %5.1f%%  MPKI %6.2f  in-pkg B/i %6.3f  off-pkg B/i %6.3f\n",
-				s.Phase, 100*float64(s.Retired)/float64(sess.Progress().Total),
-				s.Window.MPKI(), s.Window.InPkgBPI(), s.Window.OffPkgBPI())
-		})
+	// A lane has one epoch hook, so every consumer — human stderr line,
+	// -epoch-json stream, metric sampler, trace instants — joins one
+	// composite callback per lane at a shared interval.
+	every := *epoch
+	if every == 0 {
+		every = 1 << 21 // -metrics/-tracefile without -epoch: sample at a sane default
 	}
-	if *epochJSON {
-		enc := json.NewEncoder(os.Stdout)
-		onEpoch = append(onEpoch, func(s stats.Snapshot) {
-			rec := epochRecord{Retired: s.Retired, Cycles: s.Cycles, Phase: s.Phase.String(),
-				MPKI: s.Window.MPKI(), IPC: s.Window.IPC(), DCHitRate: 1 - s.Window.MissRate(),
-				InPkgBPI: s.Window.InPkgBPI(), OffPkgBPI: s.Window.OffPkgBPI()}
-			if err := enc.Encode(rec); err != nil {
-				fmt.Fprintln(os.Stderr, "bansheesim: -epoch-json:", err)
-			}
-		})
-	}
-	if reg != nil {
-		sampler = sim.NewSampler(reg)
-		sampler.Bind(sess)
-		onEpoch = append(onEpoch, sampler.Sample)
-	}
-	if tracer != nil {
-		onEpoch = append(onEpoch, func(s stats.Snapshot) {
-			tracer.Instant(fmt.Sprintf("epoch @%d", s.Retired), 0, "phase", s.Phase.String())
-		})
-	}
-	if len(onEpoch) > 0 {
-		every := *epoch
-		if every == 0 {
-			every = 1 << 21 // -metrics/-tracefile without -epoch: sample at a sane default
+	enc := json.NewEncoder(os.Stdout)
+	samplers := make([]*sim.Sampler, g.Width())
+	for i := range samplers {
+		lane := g.Lane(i)
+		var onEpoch []func(stats.Snapshot)
+		if *epoch > 0 && !*epochJSON {
+			onEpoch = append(onEpoch, func(s stats.Snapshot) {
+				fmt.Fprintf(os.Stderr, "[%s] %5.1f%%  MPKI %6.2f  in-pkg B/i %6.3f  off-pkg B/i %6.3f\n",
+					s.Phase, 100*float64(s.Retired)/float64(lane.Progress().Total),
+					s.Window.MPKI(), s.Window.InPkgBPI(), s.Window.OffPkgBPI())
+			})
 		}
-		sess.OnEpoch(every, func(s stats.Snapshot) {
-			for _, f := range onEpoch {
-				f(s)
-			}
-		})
+		if *epochJSON {
+			onEpoch = append(onEpoch, func(s stats.Snapshot) {
+				rec := epochRecord{Retired: s.Retired, Cycles: s.Cycles, Phase: s.Phase.String(),
+					MPKI: s.Window.MPKI(), IPC: s.Window.IPC(), DCHitRate: 1 - s.Window.MissRate(),
+					InPkgBPI: s.Window.InPkgBPI(), OffPkgBPI: s.Window.OffPkgBPI()}
+				if err := enc.Encode(rec); err != nil {
+					fmt.Fprintln(os.Stderr, "bansheesim: -epoch-json:", err)
+				}
+			})
+		}
+		if reg != nil {
+			samplers[i] = sim.NewSampler(reg)
+			samplers[i].Bind(lane)
+			onEpoch = append(onEpoch, samplers[i].Sample)
+		}
+		if tracer != nil {
+			onEpoch = append(onEpoch, func(s stats.Snapshot) {
+				tracer.Instant(fmt.Sprintf("epoch @%d", s.Retired), 0, "phase", s.Phase.String())
+			})
+		}
+		if len(onEpoch) > 0 {
+			lane.OnEpoch(every, func(s stats.Snapshot) {
+				for _, f := range onEpoch {
+					f(s)
+				}
+			})
+		}
 	}
 
 	runStart := time.Duration(0)
 	if tracer != nil {
 		runStart = tracer.Clock()
 	}
-	st, err := sess.Run(ctx)
+	results, err := g.Run(ctx)
 	if tracer != nil {
 		state := "done"
 		if err != nil {
 			state = "partial"
 		}
-		tracer.Span(fmt.Sprintf("run %s/%s", *workload, *scheme), 0, runStart, "state", state)
+		name := fmt.Sprintf("run %s/%s", *workload, *scheme)
+		if *gang != "" {
+			name = fmt.Sprintf("gang ×%d %s/%s", len(seeds), *workload, *scheme)
+		}
+		tracer.Span(name, 0, runStart, "state", state)
 	}
-	if sampler != nil {
-		// Fold exactly the stats the report below prints, so the exposed
-		// totals match the CLI's own output even for a partial run.
-		sampler.Finish(st)
+	for i, sp := range samplers {
+		if sp != nil {
+			// Fold exactly the stats the report below prints, so the
+			// exposed totals match the CLI's own output even for a
+			// partial run.
+			sp.Finish(results[i])
+		}
 	}
 	code := 0
-	switch {
+	switch p := g.Progress(); {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		p := sess.Progress()
 		fmt.Fprintf(os.Stderr, "bansheesim: deadline (%s) exceeded at %d of %d instructions (%.0f%%); stats below are partial\n",
 			*timeout, p.Retired, p.Total, 100*p.Fraction())
 		code = 124 // conventional timeout(1) exit
 	case errors.Is(err, context.Canceled):
-		p := sess.Progress()
 		fmt.Fprintf(os.Stderr, "bansheesim: interrupted at %d of %d instructions (%.0f%%); stats below are partial\n",
 			p.Retired, p.Total, 100*p.Fraction())
 		code = 130 // conventional 128+SIGINT
@@ -264,7 +288,12 @@ func run() int {
 	if *epochJSON {
 		out = os.Stderr
 	}
-	report(out, st, code != 0)
+	for i, st := range results {
+		if *gang != "" {
+			fmt.Fprintf(out, "--- lane %d (seed %d) ---\n", i, seeds[i])
+		}
+		report(out, st, code != 0)
+	}
 	return code
 }
 
@@ -279,68 +308,6 @@ type epochRecord struct {
 	DCHitRate float64 `json:"dc_hit_rate"`
 	InPkgBPI  float64 `json:"in_pkg_bpi"`
 	OffPkgBPI float64 `json:"off_pkg_bpi"`
-}
-
-// runGang runs one lane per seed in lockstep over a shared front end
-// and reports each lane's statistics — every lane is byte-identical to
-// an independent run with the same Seed and WorkloadSeed (pinned to
-// -seed here so all lanes share the stream). With -metrics the lanes'
-// final stats fold into the sim totals; with -tracefile the gang run is
-// one span.
-func runGang(ctx context.Context, cfg sim.Config, workload, scheme, seedList string, timeout time.Duration, reg *obs.Registry, tracer *obs.Tracer) int {
-	var seeds []uint64
-	for _, s := range strings.Split(seedList, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bansheesim: -gang:", err)
-			return 1
-		}
-		seeds = append(seeds, v)
-	}
-	g, err := sim.NewGangSeeds(cfg, workload, scheme, seeds)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bansheesim:", err)
-		return 1
-	}
-	runStart := time.Duration(0)
-	if tracer != nil {
-		runStart = tracer.Clock()
-	}
-	results, err := g.Run(ctx)
-	if tracer != nil {
-		state := "done"
-		if err != nil {
-			state = "partial"
-		}
-		tracer.Span(fmt.Sprintf("gang ×%d %s/%s", len(seeds), workload, scheme), 0, runStart, "state", state)
-	}
-	if reg != nil {
-		for _, st := range results {
-			sim.NewSampler(reg).Finish(st)
-		}
-	}
-	code := 0
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		p := g.Progress()
-		fmt.Fprintf(os.Stderr, "bansheesim: deadline (%s) exceeded at %d of %d gang instructions; stats below are partial\n",
-			timeout, p.Retired, p.Total)
-		code = 124
-	case errors.Is(err, context.Canceled):
-		p := g.Progress()
-		fmt.Fprintf(os.Stderr, "bansheesim: interrupted at %d of %d gang instructions; stats below are partial\n",
-			p.Retired, p.Total)
-		code = 130
-	default:
-		fmt.Fprintln(os.Stderr, "bansheesim:", err)
-		return 1
-	}
-	for i, st := range results {
-		fmt.Printf("--- lane %d (seed %d) ---\n", i, seeds[i])
-		report(os.Stdout, st, code != 0)
-	}
-	return code
 }
 
 func report(w io.Writer, st stats.Sim, partial bool) {

@@ -1,9 +1,8 @@
 // Command tracegen is the workload tooling of the capture/replay
 // subsystem: it samples or summarizes any registered workload stream
 // (synthetic profiles, graph kernels, or recorded traces), records
-// workloads into durable .btrc trace files, replays trace files —
-// through aggregate statistics or a full simulation — and dumps a
-// trace file's header and chunk index.
+// workloads into durable .btrc trace files, replays trace files'
+// event streams, and dumps a trace file's header and chunk index.
 //
 // Usage:
 //
@@ -11,11 +10,13 @@
 //	tracegen -workload lbm -n 200000 -summary      # aggregate statistics
 //	tracegen record -workload mcf -o mcf.btrc -events 500000
 //	tracegen replay -file mcf.btrc -summary
-//	tracegen replay -file mcf.btrc -sim -scheme Banshee
 //	tracegen inspect -file mcf.btrc
 //
 // Workload names accepted anywhere include "file:<path>", so recorded
-// traces can be sampled and summarized like any synthetic stream.
+// traces can be sampled and summarized like any synthetic stream. To
+// simulate a recording, run it through bansheesim like any workload:
+//
+//	bansheesim -workload file:mcf.btrc -scheme Banshee
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"strings"
 
 	"banshee/internal/mem"
-	"banshee/internal/sim"
 	"banshee/internal/tracefile"
 	"banshee/internal/workload"
 )
@@ -127,7 +127,8 @@ func record(args []string) {
 		r.Name(), *events, r.Cores(), *out, st.Size(), float64(st.Size())/float64(r.TotalEvents()))
 }
 
-// replay reads a trace file back: event summary or a full simulation.
+// replay reads a trace file's event stream back: raw events or an
+// aggregate summary.
 func replay(args []string) {
 	fs := flag.NewFlagSet("tracegen replay", flag.ExitOnError)
 	var (
@@ -135,33 +136,10 @@ func replay(args []string) {
 		summary = fs.Bool("summary", false, "print aggregate stream statistics")
 		n       = fs.Int("n", 20, "events to replay (dump or summary)")
 		core    = fs.Int("core", 0, "core whose stream to replay")
-		runSim  = fs.Bool("sim", false, "run a full simulation over the replayed trace")
-		scheme  = fs.String("scheme", "Banshee", "scheme for -sim")
-		instr   = fs.Uint64("instr", 0, "per-core instruction budget for -sim (0 = default)")
 	)
 	fs.Parse(args)
 	if *file == "" {
 		fatal(fmt.Errorf("replay needs -file"))
-	}
-
-	if *runSim {
-		cfg := sim.DefaultConfig()
-		cfg.Cores = 0 // adopt the recording's core count
-		if *instr > 0 {
-			cfg.InstrPerCore = *instr
-		}
-		st, err := sim.Run(cfg, workload.FilePrefix+*file, *scheme)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("workload   %s (scheme %s)\n", *file, st.Scheme)
-		fmt.Printf("cycles     %d\n", st.Cycles)
-		fmt.Printf("IPC        %.3f\n", st.IPC())
-		fmt.Printf("MPKI       %.2f\n", st.MPKI())
-		fmt.Printf("DC miss    %.1f%%\n", 100*st.MissRate())
-		fmt.Printf("in-pkg     %.2f B/instr\n", st.InPkgBPI())
-		fmt.Printf("off-pkg    %.2f B/instr\n", st.OffPkgBPI())
-		return
 	}
 
 	src := openSource(workload.FilePrefix+*file, 0, 0, 0, 0)

@@ -43,28 +43,35 @@ func gangConfig() banshee.Config {
 // prefetch-on case: each lane's prefetcher observes the shared stream's
 // L1 misses against its own clock. The default WarmupFrac stays on, so
 // each lane's warmup→measure transition is exercised at its own pace
-// inside the lockstep gang.
+// inside the lockstep gang. Width-1 gangs of the schemes that may not
+// share a stream (Banshee, HMA) are stand-alone runs, the form every
+// batch-engine single takes.
 func TestGangLaneIdentity(t *testing.T) {
 	type laneCase struct {
 		scheme, workload string
-		prefetch         int
+		prefetch, width  int
 	}
 	var cases []laneCase
 	for _, scheme := range []string{"NoCache", "Alloy 1", "TDC", "Unison"} {
 		for _, w := range []string{"mcf", "pagerank_kernel"} {
-			cases = append(cases, laneCase{scheme, w, 0})
+			cases = append(cases, laneCase{scheme, w, 0, gangWidth})
 		}
 	}
-	cases = append(cases, laneCase{"Alloy 1", "lbm", 4})
+	cases = append(cases, laneCase{"Alloy 1", "lbm", 4, gangWidth},
+		laneCase{"Banshee", "mcf", 0, 1}, laneCase{"HMA", "mcf", 0, 1})
 	for _, tc := range cases {
 		name := tc.scheme + "/" + tc.workload
 		if tc.prefetch > 0 {
 			name += "/prefetch"
 		}
+		if tc.width == 1 {
+			name += "/width1"
+		}
+		seeds := gangSeeds()[:tc.width]
 		t.Run(name, func(t *testing.T) {
 			base := gangConfig()
 			base.PrefetchDegree = tc.prefetch
-			g, err := banshee.NewGangSession(base, tc.workload, tc.scheme, gangSeeds())
+			g, err := banshee.NewGangSession(base, tc.workload, tc.scheme, seeds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +79,7 @@ func TestGangLaneIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, seed := range gangSeeds() {
+			for i, seed := range seeds {
 				cfg := base
 				cfg.Seed = seed
 				want, err := banshee.Run(cfg, tc.workload, tc.scheme)

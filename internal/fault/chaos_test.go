@@ -13,6 +13,7 @@ import (
 
 	"banshee/internal/errs"
 	"banshee/internal/fault"
+	"banshee/internal/obs"
 	"banshee/internal/runner"
 	"banshee/internal/sim"
 )
@@ -51,7 +52,27 @@ var chaosPlan = fault.Plan{Seed: 29, PanicRate: 0.05, ErrRate: 0.05, StallRate: 
 // stream byte-identical to the golden file minus the victims' lines,
 // and a fault-free resume converges the file to the golden bytes.
 func TestChaosSweepConvergesToGolden(t *testing.T) {
-	m := chaosMatrix("chaos")
+	chaosConverges(t, "chaos", 0)
+}
+
+// TestChaosGangSweepLedgersVictims: the same contract with ganging on.
+// The injector wraps the engine's one group seam, so the NoCache
+// points still run as gang lanes; a gang holding a victim faults as a
+// whole and falls back to singles, which meet their own draws.
+func TestChaosGangSweepLedgersVictims(t *testing.T) {
+	snap := chaosConverges(t, "chaosgang", 4)
+	if snap["banshee_gang_lanes_total"] == 0 || snap["banshee_gang_fallbacks_total"] == 0 {
+		t.Fatalf("chaos sweep at GangWidth 4 ran %v gang lanes and %v fallbacks, want both > 0",
+			snap["banshee_gang_lanes_total"], snap["banshee_gang_fallbacks_total"])
+	}
+}
+
+// chaosConverges runs chaosMatrix under chaosPlan at the given gang
+// width, checks the chaos contract, and returns the chaos run's
+// metrics.
+func chaosConverges(t *testing.T, name string, gangWidth int) map[string]float64 {
+	t.Helper()
+	m := chaosMatrix(name)
 	dir := t.TempDir()
 	jobs, err := m.Jobs()
 	if err != nil {
@@ -94,11 +115,14 @@ func TestChaosSweepConvergesToGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := runner.NewLedger(filepath.Join(dir, "chaos.failed.jsonl"))
+	reg := obs.NewRegistry()
 	rs, err := (runner.Engine{
 		Parallelism: 4,
 		Sink:        csink,
 		Ledger:      ledger,
 		KeepGoing:   true,
+		GangWidth:   gangWidth,
+		Metrics:     reg,
 		JobRunner:   fault.New(chaosPlan).Runner(nil),
 		Retry:       runner.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond},
 	}).Run(context.Background(), m)
@@ -179,6 +203,7 @@ func TestChaosSweepConvergesToGolden(t *testing.T) {
 	if _, err := os.Stat(ledger.Path()); !os.IsNotExist(err) {
 		t.Fatal("converged resume left a stale failure ledger")
 	}
+	return reg.Snapshot()
 }
 
 // TestChaosTransientRetryConvergence: when every fault is transient

@@ -168,37 +168,42 @@ func (in *Injector) shouldFault(key string) bool {
 	return in.attempts[key] <= in.plan.FailAttempts
 }
 
-// Runner wraps a JobRunner with per-job fault injection keyed by the
-// job's content ID. inner nil means runner.SimulateJob. Jobs whose key
-// draws None — or whose transient fault budget is spent — pass through
-// to inner untouched, so surviving results are bit-identical to a
-// fault-free run.
+// Runner wraps a JobRunner with per-job fault injection keyed by each
+// job's content ID. inner nil means runner.Simulate. A group — one
+// job, or the lanes of a gang — faults if any member draws a fault:
+// the engine retries a faulted single and falls a faulted gang back to
+// singles, so every job still meets its own draw. Groups whose members
+// all draw None — or whose transient fault budgets are spent — pass
+// through to inner untouched, so surviving results are bit-identical
+// to a fault-free run.
 func (in *Injector) Runner(inner runner.JobRunner) runner.JobRunner {
 	if inner == nil {
-		inner = runner.SimulateJob
+		inner = runner.Simulate
 	}
-	return func(ctx context.Context, job runner.Job) (stats.Sim, error) {
-		switch mode := in.ModeFor(job.ID); mode {
-		case Panic, Err, Short:
-			if in.shouldFault(job.ID) {
-				recordFault(mode)
-				if mode == Panic {
-					panic(fmt.Sprintf("fault: injected panic in job %s", job.ID))
+	return func(ctx context.Context, jobs []runner.Job) ([]stats.Sim, error) {
+		for _, job := range jobs {
+			switch mode := in.ModeFor(job.ID); mode {
+			case Panic, Err, Short:
+				if in.shouldFault(job.ID) {
+					recordFault(mode)
+					if mode == Panic {
+						panic(fmt.Sprintf("fault: injected panic in job %s", job.ID))
+					}
+					return nil, fmt.Errorf("fault: job %s: %w", job.ID, ErrInjected)
 				}
-				return stats.Sim{}, fmt.Errorf("fault: job %s: %w", job.ID, ErrInjected)
-			}
-		case Stall:
-			if in.shouldFault(job.ID) {
-				recordFault(Stall)
-				t := time.NewTimer(in.plan.stall())
-				defer t.Stop()
-				select {
-				case <-ctx.Done():
-					return stats.Sim{}, ctx.Err()
-				case <-t.C:
+			case Stall:
+				if in.shouldFault(job.ID) {
+					recordFault(Stall)
+					t := time.NewTimer(in.plan.stall())
+					select {
+					case <-ctx.Done():
+						t.Stop()
+						return nil, ctx.Err()
+					case <-t.C:
+					}
 				}
 			}
 		}
-		return inner(ctx, job)
+		return inner(ctx, jobs)
 	}
 }

@@ -91,18 +91,29 @@ func TestParsePlan(t *testing.T) {
 }
 
 // TestRunnerInjection: the JobRunner wrapper turns each drawn mode into
-// the matching failure shape, transient budgets expire, and survivors
-// pass through to the inner runner untouched.
+// the matching failure shape, a group faults if any member draws a
+// fault, transient budgets expire, and survivors pass through to the
+// inner runner untouched.
 func TestRunnerInjection(t *testing.T) {
-	inner := func(ctx context.Context, job runner.Job) (stats.Sim, error) {
-		return stats.Sim{Cycles: 42}, nil
+	inner := func(ctx context.Context, jobs []runner.Job) ([]stats.Sim, error) {
+		sts := make([]stats.Sim, len(jobs))
+		for i := range sts {
+			sts[i].Cycles = 42
+		}
+		return sts, nil
 	}
+	one := func(id string) []runner.Job { return []runner.Job{{ID: id}} }
 	in := fault.New(fault.Plan{Seed: 3, PanicRate: 0.2, ErrRate: 0.2, StallRate: 0.2, Stall: time.Microsecond})
 	wrapped := in.Runner(inner)
 
 	errKey := keyWithMode(t, in, fault.Err)
-	if _, err := wrapped(context.Background(), runner.Job{ID: errKey}); !errors.Is(err, fault.ErrInjected) {
+	if _, err := wrapped(context.Background(), one(errKey)); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Err-mode job returned %v, want ErrInjected", err)
+	}
+	noneKey := keyWithMode(t, in, fault.None)
+	group := []runner.Job{{ID: noneKey}, {ID: errKey}}
+	if _, err := wrapped(context.Background(), group); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("group with an Err-mode member returned %v, want ErrInjected", err)
 	}
 
 	panicKey := keyWithMode(t, in, fault.Panic)
@@ -113,14 +124,14 @@ func TestRunnerInjection(t *testing.T) {
 				t.Fatalf("Panic-mode job recovered %v", r)
 			}
 		}()
-		wrapped(context.Background(), runner.Job{ID: panicKey})
+		wrapped(context.Background(), one(panicKey))
 		t.Fatal("Panic-mode job returned normally")
 	}()
 
-	for _, key := range []string{keyWithMode(t, in, fault.Stall), keyWithMode(t, in, fault.None)} {
-		st, err := wrapped(context.Background(), runner.Job{ID: key})
-		if err != nil || st.Cycles != 42 {
-			t.Fatalf("key %s (mode %s): got (%d, %v), want inner's result", key, in.ModeFor(key), st.Cycles, err)
+	for _, key := range []string{keyWithMode(t, in, fault.Stall), noneKey} {
+		sts, err := wrapped(context.Background(), one(key))
+		if err != nil || sts[0].Cycles != 42 {
+			t.Fatalf("key %s (mode %s): got (%v, %v), want inner's result", key, in.ModeFor(key), sts, err)
 		}
 	}
 
@@ -128,7 +139,7 @@ func TestRunnerInjection(t *testing.T) {
 	slow := fault.New(fault.Plan{Seed: 3, StallRate: 1, Stall: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := slow.Runner(inner)(ctx, runner.Job{ID: "x"}); !errors.Is(err, context.Canceled) {
+	if _, err := slow.Runner(inner)(ctx, one("x")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled stall returned %v", err)
 	}
 
@@ -137,12 +148,12 @@ func TestRunnerInjection(t *testing.T) {
 	trKey := "transient"
 	trw := tr.Runner(inner)
 	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := trw(context.Background(), runner.Job{ID: trKey}); !errors.Is(err, fault.ErrInjected) {
+		if _, err := trw(context.Background(), one(trKey)); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("attempt %d: want injected error, got %v", attempt, err)
 		}
 	}
-	if st, err := trw(context.Background(), runner.Job{ID: trKey}); err != nil || st.Cycles != 42 {
-		t.Fatalf("attempt 3 past transient budget: got (%d, %v)", st.Cycles, err)
+	if sts, err := trw(context.Background(), one(trKey)); err != nil || sts[0].Cycles != 42 {
+		t.Fatalf("attempt 3 past transient budget: got (%v, %v)", sts, err)
 	}
 }
 

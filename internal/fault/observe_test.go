@@ -16,11 +16,11 @@ import (
 // counters are process-global, so assertions are delta-based.
 func TestInjectedCounts(t *testing.T) {
 	in := New(Plan{ErrRate: 1})
-	run := in.Runner(func(ctx context.Context, job runner.Job) (stats.Sim, error) {
-		return stats.Sim{}, nil
+	run := in.Runner(func(ctx context.Context, jobs []runner.Job) ([]stats.Sim, error) {
+		return make([]stats.Sim, len(jobs)), nil
 	})
 	before := InjectedCount(Err)
-	_, err := run(context.Background(), runner.Job{ID: "job-a"})
+	_, err := run(context.Background(), []runner.Job{{ID: "job-a"}})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

@@ -86,8 +86,11 @@ func TestDispatcherRemoteByteIdentical(t *testing.T) {
 	golden := sinkBytes(t, Engine{Parallelism: 2}, m)
 
 	d := &scriptedDispatcher{fn: func(_ int, job Job) (stats.Sim, bool, error) {
-		st, err := SimulateJob(context.Background(), job)
-		return st, true, err
+		sts, err := Simulate(context.Background(), []Job{job})
+		if err != nil {
+			return stats.Sim{}, true, err
+		}
+		return sts[0], true, nil
 	}}
 	reg := obs.NewRegistry()
 	got := sinkBytes(t, Engine{Parallelism: 2, Dispatch: d, Metrics: reg}, m)

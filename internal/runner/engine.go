@@ -53,9 +53,12 @@ type Engine struct {
 	// jobs are retryable-on-resume, so only the latest run's failures
 	// are current.
 	Ledger *Ledger
-	// JobRunner overrides how a job executes (nil = SimulateJob).
-	// Fault-injection seam: chaos harnesses wrap the default to
-	// inject panics, errors, and stalls around real simulations.
+	// JobRunner overrides how a job group executes (nil = the default:
+	// Simulate, or Observed when Metrics is set). Every group — one
+	// job, or the lanes of a gang — goes through it, so an override
+	// sees every job and ganging stays on. Fault-injection seam: chaos
+	// harnesses wrap the default to inject panics, errors, and stalls
+	// around real simulations.
 	JobRunner JobRunner
 	// Dispatch, when non-nil, is offered every singleton job attempt
 	// before it executes locally — the job-leasing seam a sweep service
@@ -70,20 +73,16 @@ type Engine struct {
 	Dispatch Dispatcher
 
 	// GangWidth, when ≥ 2, lets the engine execute up to that many
-	// adjacent gang-eligible jobs as one lockstep gang (sim.Gang):
-	// jobs sharing a scheme kind and front-end shape — same workload
-	// stream, differing only by seed or back-end knobs — amortize one
-	// shared front end across their lanes. Results are byte-identical
-	// to independent execution, so the sink, checkpoint/resume, the
-	// failure ledger, and content-key reuse all keep operating per
-	// job; a gang that fails for any reason falls back to running its
-	// members as independent supervised jobs. 0 and 1 disable ganging.
-	// A custom JobRunner also disables it (unless a GangRunner is set
-	// too), since gangs would bypass the override.
+	// adjacent gang-eligible jobs as one group: lanes of one lockstep
+	// sim.Gang. Jobs sharing a scheme kind and front-end shape — same
+	// workload stream, differing only by seed or back-end knobs —
+	// amortize one shared front end across their lanes. Results are
+	// byte-identical to independent execution, so the sink,
+	// checkpoint/resume, the failure ledger, and content-key reuse all
+	// keep operating per job; a gang that fails for any reason falls
+	// back to running its members as independent supervised jobs. 0
+	// and 1 disable ganging: every group is one job, a width-1 lane.
 	GangWidth int
-	// GangRunner overrides how a gang executes (nil = SimulateGang).
-	// Fault-injection seam, like JobRunner but gang-level.
-	GangRunner GangRunner
 
 	// Observability. All nil/zero by default: the disabled path adds no
 	// allocations, no atomics, and no output changes.
@@ -91,7 +90,8 @@ type Engine struct {
 	// Metrics, when non-nil, receives the engine's instrument panel
 	// (job states, attempts/retries, worker occupancy, gang shape,
 	// checkpoint flush lag) and — under the default JobRunner — the
-	// per-epoch simulation series (sim.Sampler).
+	// per-epoch simulation series from one sim.Sampler per lane, gang
+	// lanes included.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records the sweep timeline: one span per
 	// job and per attempt on the executing worker's lane, gang spans,
@@ -109,15 +109,15 @@ type Engine struct {
 	EpochEvery uint64
 }
 
-// gangWidth resolves the effective gang width for this run.
-func (e Engine) gangWidth() int {
-	if e.GangWidth < 2 {
-		return 1
+// jobRunner resolves the runner every group attempt goes through.
+func (e Engine) jobRunner() JobRunner {
+	switch {
+	case e.JobRunner != nil:
+		return e.JobRunner
+	case e.Metrics != nil:
+		return Observed(e.Metrics, e.EpochEvery, nil)
 	}
-	if e.JobRunner != nil && e.GangRunner == nil {
-		return 1
-	}
-	return e.GangWidth
+	return Simulate
 }
 
 // Run executes the matrix and returns its indexed results. The sink's
@@ -289,7 +289,8 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		}
 	}
 
-	q := newJobQueue(jobs, pending, e.gangWidth())
+	q := newJobQueue(jobs, pending, e.GangWidth)
+	run := e.jobRunner()
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -366,138 +367,70 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 					mu.Unlock()
 					continue
 				}
-				if len(todo) == 1 {
-					i := todo[0]
-					id := jobs[i].ID
-					ch := make(chan struct{})
-					inflight[id] = ch
-					mu.Unlock()
-
-					// Run the job supervised, under ctx so cancellation
-					// lands mid-job, not only between jobs: the session
-					// stops at its next step boundary and its partial stats
-					// are discarded here — only complete results ever reach
-					// the sink. Panics and per-attempt errors come back as
-					// one *errs.JobError after retries are exhausted.
-					if em != nil {
-						em.workersBusy.Add(1)
-					}
-					jobStart := time.Now()
-					var t0 time.Duration
-					if e.Tracer != nil {
-						t0 = e.Tracer.Clock()
-					}
-					st, err := e.runSupervised(ctx, jobs[i], w, em)
-					if em != nil {
-						em.workersBusy.Add(-1)
-						em.jobDur.Observe(uint64(time.Since(jobStart).Microseconds()))
-					}
-					if e.Tracer != nil {
-						state := "done"
-						if err != nil {
-							state = "failed"
-						}
-						e.Tracer.Span("job "+jobs[i].Coord(), w, t0, "state", state)
-					}
-
-					mu.Lock()
-					delete(inflight, id)
-					if err != nil {
-						var jerr *errs.JobError
-						if ctx.Err() == nil && errors.As(err, &jerr) && e.KeepGoing {
-							// Graceful degradation: ledger the failure and
-							// let the sweep finish everything else.
-							failedID[id] = jerr
-							failLocked(i, jerr)
-							close(ch)
-							mu.Unlock()
-							continue
-						}
-						if firstErr == nil {
-							if ctx.Err() != nil {
-								firstErr = fmt.Errorf("runner: sweep cancelled: %w", ctx.Err())
-							} else {
-								firstErr = fmt.Errorf("runner: %w", err)
-							}
-						}
-						close(ch)
-						mu.Unlock()
-						return
-					}
-					byID[id] = st
-					rs.Executed++
-					completeLocked(i, st, "done")
-					close(ch)
-					mu.Unlock()
-					continue
-				}
-
-				// Gang path: mark every member in-flight, run them as
-				// lanes of one lockstep gang, and complete them all from
-				// its per-lane results.
-				chans := make([]chan struct{}, len(todo))
+				// Run what remains as one group — a single job, or the
+				// lanes of one gang — supervised and under ctx, so
+				// cancellation lands mid-run, not only between groups: the
+				// simulation stops at its next step boundary and its
+				// partial stats are discarded here — only complete results
+				// ever reach the sink.
 				members := make([]Job, len(todo))
 				for k, i := range todo {
-					ch := make(chan struct{})
-					inflight[jobs[i].ID] = ch
-					chans[k] = ch
+					inflight[jobs[i].ID] = make(chan struct{})
 					members[k] = jobs[i]
 				}
 				mu.Unlock()
 
+				gang := len(members) > 1
 				if em != nil {
 					em.workersBusy.Add(1)
-					em.gangGroups.Inc()
-					em.gangLanes.Add(uint64(len(members)))
-					em.gangWidth.Observe(uint64(len(members)))
+					if gang {
+						em.gangGroups.Inc()
+						em.gangLanes.Add(uint64(len(members)))
+						em.gangWidth.Observe(uint64(len(members)))
+					}
 				}
+				start := time.Now()
 				var t0 time.Duration
 				if e.Tracer != nil {
 					t0 = e.Tracer.Clock()
 				}
-				sts, gerr := e.runGang(ctx, members)
+				sts, err := e.runSupervised(ctx, run, members, w, em)
 				if em != nil {
 					em.workersBusy.Add(-1)
+					em.jobDur.Observe(uint64(time.Since(start).Microseconds()))
 				}
 				if e.Tracer != nil {
 					state := "done"
-					if gerr != nil {
+					if err != nil {
 						state = "failed"
 					}
-					e.Tracer.Span(fmt.Sprintf("gang ×%d %s", len(members), members[0].Coord()), w,
-						t0, "state", state, "lanes", len(members))
-				}
-				if gerr == nil && em != nil {
-					// Gang lanes bypass the sampler (the shared front end
-					// owns the epoch machinery), so fold their finals here
-					// to keep the sim totals equal to the sums over
-					// executed results.
-					foldFinals(e.Metrics, sts)
+					if gang {
+						e.Tracer.Span(fmt.Sprintf("gang ×%d %s", len(members), members[0].Coord()), w,
+							t0, "state", state, "lanes", len(members))
+					} else {
+						e.Tracer.Span("job "+members[0].Coord(), w, t0, "state", state)
+					}
 				}
 
 				mu.Lock()
+				// Release waiters; they wake into mu, so they see whatever
+				// this block settles before it unlocks.
 				for _, i := range todo {
+					close(inflight[jobs[i].ID])
 					delete(inflight, jobs[i].ID)
 				}
-				if gerr == nil {
+				if err == nil {
+					how := "done"
+					if gang {
+						how = "gang"
+					}
 					for k, i := range todo {
 						byID[jobs[i].ID] = sts[k]
 						rs.Executed++
-						completeLocked(i, sts[k], "gang")
-					}
-					for _, ch := range chans {
-						close(ch)
+						completeLocked(i, sts[k], how)
 					}
 					mu.Unlock()
 					continue
-				}
-				// A failed gang (panic, error, blown deadline) falls back
-				// to independent execution: release any waiters and
-				// requeue the members as singleton groups at the front of
-				// this workload's queue, restoring exactly the per-job
-				// retry/ledger/resume semantics of a non-gang run.
-				for _, ch := range chans {
-					close(ch)
 				}
 				if err := ctx.Err(); err != nil {
 					if firstErr == nil {
@@ -506,18 +439,40 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 					mu.Unlock()
 					return
 				}
-				if em != nil {
-					em.gangFallbacks.Inc()
+				if gang {
+					// A failed gang (panic, error, blown deadline) falls
+					// back to independent execution: requeue the members
+					// as singleton groups at the front of this workload's
+					// queue, restoring exactly the per-job
+					// retry/ledger/resume semantics of a non-gang run.
+					if em != nil {
+						em.gangFallbacks.Inc()
+					}
+					if e.Tracer != nil {
+						e.Tracer.Instant("gang fallback", w, "lanes", len(todo))
+					}
+					if e.Progress != nil {
+						fmt.Fprintf(e.Progress, "%-6s %d-lane gang at %s: %v; retrying as independent jobs\n",
+							"gang!", len(todo), jobs[todo[0]].Coord(), err)
+					}
+					q.pushFrontSingles(wl, todo)
+					mu.Unlock()
+					continue
 				}
-				if e.Tracer != nil {
-					e.Tracer.Instant("gang fallback", w, "lanes", len(todo))
+				var jerr *errs.JobError
+				if errors.As(err, &jerr) && e.KeepGoing {
+					// Graceful degradation: ledger the failure and let the
+					// sweep finish everything else.
+					failedID[jobs[todo[0]].ID] = jerr
+					failLocked(todo[0], jerr)
+					mu.Unlock()
+					continue
 				}
-				if e.Progress != nil {
-					fmt.Fprintf(e.Progress, "%-6s %d-lane gang at %s: %v; retrying as independent jobs\n",
-						"gang!", len(todo), jobs[todo[0]].Coord(), gerr)
+				if firstErr == nil {
+					firstErr = fmt.Errorf("runner: %w", err)
 				}
-				q.pushFrontSingles(wl, todo)
 				mu.Unlock()
+				return
 			}
 		}(w)
 	}

@@ -2,23 +2,44 @@ package runner
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
+	"banshee/internal/obs"
 	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
-// GangRunner executes a group of jobs as one lockstep gang, returning
-// one result per job in order. The engine's default builds a sim.Gang
-// over the jobs' configs (SimulateGang); chaos harnesses substitute
-// their own to inject gang-level faults and exercise the
-// retry-as-singles fallback.
-type GangRunner func(ctx context.Context, jobs []Job) ([]stats.Sim, error)
+// Simulate is the default JobRunner: the group's configs run as the
+// lanes of one sim.Gang, driven to completion under ctx. A one-job
+// group is a width-1 gang — a stand-alone run of any scheme.
+func Simulate(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
+	return laneObserver{}.run(ctx, jobs)
+}
 
-// SimulateGang is the default GangRunner: one lane per job config,
-// driven to completion under ctx.
-func SimulateGang(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
+// Observed is Simulate with per-lane observation, the default
+// JobRunner when metrics are on. Every lane gets its own epoch hook
+// every `every` retired instructions (0 = a sensible default): with r
+// non-nil, a sim.Sampler bound to the lane updates r's live epoch
+// gauges, and a successful run folds each lane's final window and
+// MSHR stalls into r's totals — failed or cancelled attempts leave no
+// residue, keeping the totals equal to the sums over emitted results.
+// onEpoch, when non-nil, also receives each lane's snapshots with the
+// lane's job. An epoch hook disables batched replay on its lane
+// (sim.System.OnEpoch), the same cost a sampled single run pays.
+func Observed(r *obs.Registry, every uint64, onEpoch func(Job, stats.Snapshot)) JobRunner {
+	if every == 0 {
+		every = defaultEpochEvery
+	}
+	return laneObserver{reg: r, every: every, onEpoch: onEpoch}.run
+}
+
+// laneObserver is what the default runner attaches to each lane.
+type laneObserver struct {
+	reg     *obs.Registry
+	every   uint64
+	onEpoch func(Job, stats.Snapshot)
+}
+
+func (o laneObserver) run(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
 	cfgs := make([]sim.Config, len(jobs))
 	for i, j := range jobs {
 		cfgs[i] = j.Config
@@ -27,7 +48,34 @@ func SimulateGang(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.Run(ctx)
+	var samplers []*sim.Sampler
+	if o.reg != nil || o.onEpoch != nil {
+		for i, job := range jobs {
+			lane := g.Lane(i)
+			var sp *sim.Sampler
+			if o.reg != nil {
+				sp = sim.NewSampler(o.reg)
+				sp.Bind(lane)
+				samplers = append(samplers, sp)
+			}
+			lane.OnEpoch(o.every, func(snap stats.Snapshot) {
+				if sp != nil {
+					sp.Sample(snap)
+				}
+				if o.onEpoch != nil {
+					o.onEpoch(job, snap)
+				}
+			})
+		}
+	}
+	sts, err := g.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i, sp := range samplers {
+		sp.Finish(sts[i])
+	}
+	return sts, nil
 }
 
 // gangKey returns the grouping key under which job may join a gang,
@@ -42,30 +90,4 @@ func gangKey(job Job) (string, bool) {
 		return "", false
 	}
 	return job.Config.Scheme.Kind + "\x00" + sim.GangKey(job.Config), true
-}
-
-// runGang executes one gang attempt under the engine's supervision:
-// panic isolation and the optional per-attempt deadline, mirroring
-// Engine.attempt. There is no gang-level retry — a failed gang falls
-// back to independent supervised jobs, which own the retry policy.
-func (e Engine) runGang(ctx context.Context, members []Job) (sts []stats.Sim, err error) {
-	run := e.GangRunner
-	if run == nil {
-		run = SimulateGang
-	}
-	if e.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.JobTimeout)
-		defer cancel()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			sts, err = nil, &panicError{val: r, stack: debug.Stack()}
-		}
-	}()
-	sts, err = run(ctx, members)
-	if err == nil && len(sts) != len(members) {
-		sts, err = nil, fmt.Errorf("gang returned %d results for %d jobs", len(sts), len(members))
-	}
-	return sts, err
 }

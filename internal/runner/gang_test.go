@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"banshee/internal/obs"
 	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
@@ -84,18 +85,18 @@ func TestGangChaosFallsBackToSingles(t *testing.T) {
 	m := gangMatrix("chaos")
 	_, golden := gangRunToFile(t, Engine{Parallelism: 2}, m, filepath.Join(dir, "golden.jsonl"))
 
-	// The first gang attempt dies mid-flight; later gangs run for real,
-	// so both the fallback path and the healthy gang path are covered.
-	var calls atomic.Int32
+	// The gang attempt dies mid-flight; its members then rerun as
+	// singles through the same runner, the engine's one seam.
+	var gangs atomic.Int32
 	chaos := func(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
-		if calls.Add(1) == 1 {
+		if len(jobs) > 1 && gangs.Add(1) == 1 {
 			panic("injected gang fault")
 		}
-		return SimulateGang(ctx, jobs)
+		return Simulate(ctx, jobs)
 	}
 	var progress bytes.Buffer
 	rs, got := gangRunToFile(t,
-		Engine{Parallelism: 2, GangWidth: 8, GangRunner: chaos, Progress: &progress},
+		Engine{Parallelism: 2, GangWidth: 8, JobRunner: chaos, Progress: &progress},
 		m, filepath.Join(dir, "chaos.jsonl"))
 	if !bytes.Equal(golden, got) {
 		t.Fatalf("chaos sweep output diverged from golden:\n--- golden ---\n%s--- chaos ---\n%s", golden, got)
@@ -149,9 +150,7 @@ func TestGangResumeByteIdentical(t *testing.T) {
 }
 
 // TestGangGrouping pins the queue-building rules: ineligible jobs stay
-// singles, eligible jobs group up to the width cap, and a custom
-// JobRunner without a GangRunner disables ganging entirely (gangs
-// would bypass the override).
+// singles and eligible jobs group up to the width cap.
 func TestGangGrouping(t *testing.T) {
 	m := gangMatrix("group")
 	jobs, err := m.Jobs()
@@ -192,14 +191,45 @@ func TestGangGrouping(t *testing.T) {
 	if got := widths(newJobQueue(jobs, pending, 2)); len(got) != 6 {
 		t.Fatalf("width-2 grouping produced %v, want 6 groups", got)
 	}
-	// A JobRunner override without a matching GangRunner must disable
-	// ganging so the override sees every job.
-	e := Engine{GangWidth: 8, JobRunner: SimulateJob}
-	if e.gangWidth() != 1 {
-		t.Fatal("JobRunner override did not disable ganging")
+}
+
+// TestGangMSHRStallsMatchSessions: every gang lane carries its own
+// sampler, so a metered ganged sweep reports the same MSHR stall total
+// as the unganged sweep — the sum of each job's stand-alone
+// MSHRStalls().
+func TestGangMSHRStallsMatchSessions(t *testing.T) {
+	m := gangMatrix("mshr")
+	m.Base.MSHRs = 2
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.GangRunner = SimulateGang
-	if e.gangWidth() != 8 {
-		t.Fatal("explicit GangRunner should re-enable ganging")
+	var want uint64
+	for _, j := range jobs {
+		sess, err := sim.NewSessionConfig(j.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		stalls, _ := sess.MSHRStalls()
+		want += stalls
+	}
+	if want == 0 {
+		t.Fatal("MSHRs=2 sweep never stalled; the comparison would be vacuous")
+	}
+	for _, width := range []int{0, 8} {
+		r := obs.NewRegistry()
+		if _, err := (Engine{Parallelism: 2, GangWidth: width, Metrics: r}).Run(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Snapshot()
+		if got := uint64(snap["banshee_mshr_stalls_total"]); got != want {
+			t.Errorf("GangWidth %d: banshee_mshr_stalls_total = %d, want %d (sum over sessions)", width, got, want)
+		}
+		if width > 1 && snap["banshee_gang_lanes_total"] == 0 {
+			t.Errorf("GangWidth %d: sweep ran no gang lanes", width)
+		}
 	}
 }

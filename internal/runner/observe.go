@@ -1,12 +1,6 @@
 package runner
 
-import (
-	"context"
-
-	"banshee/internal/obs"
-	"banshee/internal/sim"
-	"banshee/internal/stats"
-)
+import "banshee/internal/obs"
 
 // defaultEpochEvery is the epoch sampling interval, in retired
 // instructions, used for metric time series when Engine.EpochEvery is
@@ -58,42 +52,10 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		gangLanes:     r.Counter("banshee_gang_lanes_total", "jobs executed as gang lanes"),
 		gangFallbacks: r.Counter("banshee_gang_fallbacks_total", "failed gangs requeued as independent jobs"),
 		gangWidth:     r.Histogram("banshee_gang_width_lanes", "lanes per executed gang group"),
-		jobDur:        r.Histogram("banshee_job_duration_us", "wall time per executed job, retries included"),
+		jobDur:        r.Histogram("banshee_job_duration_us", "wall time per executed job or gang group, retries included"),
 		attemptDur:    r.Histogram("banshee_attempt_duration_us", "wall time per job attempt"),
 
 		remoteAttempts: r.Counter("banshee_remote_attempts_total", "job attempts executed by attached workers via the dispatch seam"),
 		remoteFailures: r.Counter("banshee_remote_attempt_failures_total", "remote job attempts that returned an error"),
-	}
-}
-
-// instrumentedJobRunner wraps the default SimulateJob with an epoch
-// sampler against r: rate gauges update live every `every` retired
-// instructions, and a successful run folds its final measurement
-// window into the sim totals — failed or cancelled attempts leave no
-// residue, keeping the totals equal to the sums over emitted results.
-// foldFinals folds already-final results into the sim totals without a
-// session — the gang path, whose lanes bypass the per-session sampler.
-func foldFinals(r *obs.Registry, sts []stats.Sim) {
-	for _, st := range sts {
-		sim.NewSampler(r).Finish(st)
-	}
-}
-
-func instrumentedJobRunner(r *obs.Registry, every uint64) JobRunner {
-	if every == 0 {
-		every = defaultEpochEvery
-	}
-	return func(ctx context.Context, job Job) (stats.Sim, error) {
-		sess, err := sim.NewSessionConfig(job.Config)
-		if err != nil {
-			return stats.Sim{}, err
-		}
-		sp := sim.NewSampler(r)
-		sp.Attach(sess, every)
-		st, err := sess.Run(ctx)
-		if err == nil {
-			sp.Finish(st)
-		}
-		return st, err
 	}
 }

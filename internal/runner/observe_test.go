@@ -75,15 +75,16 @@ func TestMetricsCountRetriesAndFailures(t *testing.T) {
 	doomed := jobs[0].ID
 	var mu sync.Mutex
 	tries := map[string]int{}
-	runner := func(ctx context.Context, job Job) (stats.Sim, error) {
+	runner := func(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
+		job := jobs[0] // no ganging: every group is one job
 		mu.Lock()
 		tries[job.ID]++
 		n := tries[job.ID]
 		mu.Unlock()
 		if job.ID == doomed || n == 1 {
-			return stats.Sim{}, errors.New("injected")
+			return nil, errors.New("injected")
 		}
-		return stats.Sim{Cycles: 1, Instructions: 1}, nil
+		return []stats.Sim{{Cycles: 1, Instructions: 1}}, nil
 	}
 	r := obs.NewRegistry()
 	e := Engine{Parallelism: 2, Metrics: r, JobRunner: runner,
@@ -112,8 +113,8 @@ func TestMetricsCountRetriesAndFailures(t *testing.T) {
 
 // TestGangMetricsAndSimTotals: a ganged sweep's group/lane counters
 // reconcile with the gang completions the progress log shows, and the
-// sim totals still equal the sums over the emitted results even though
-// gang lanes bypass the per-session sampler.
+// sim totals equal the sums over the emitted results, gang lanes
+// folded by their own samplers.
 func TestGangMetricsAndSimTotals(t *testing.T) {
 	m := gangMatrix("gangmetrics")
 	r := obs.NewRegistry()
@@ -137,7 +138,7 @@ func TestGangMetricsAndSimTotals(t *testing.T) {
 		wantInstr += rec.Result.Instructions
 	}
 	if got := uint64(snap["banshee_sim_instructions_total"]); got != wantInstr {
-		t.Errorf("sim instructions = %d, want %d (gang lanes folded)", got, wantInstr)
+		t.Errorf("sim instructions = %d, want %d (sum over results)", got, wantInstr)
 	}
 }
 

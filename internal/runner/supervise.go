@@ -15,20 +15,13 @@ import (
 	"banshee/internal/util"
 )
 
-// JobRunner executes one resolved job. The engine's default simulates
-// the job's config (SimulateJob); tests and chaos harnesses substitute
-// their own to inject faults around — or instead of — the simulation.
-type JobRunner func(ctx context.Context, job Job) (stats.Sim, error)
-
-// SimulateJob is the default JobRunner: it simulates job.Config to
-// completion under ctx as a one-shot session.
-func SimulateJob(ctx context.Context, job Job) (stats.Sim, error) {
-	sess, err := sim.NewSessionConfig(job.Config)
-	if err != nil {
-		return stats.Sim{}, err
-	}
-	return sess.Run(ctx)
-}
+// JobRunner executes one job group — a single job, or gang-compatible
+// jobs (see gangKey) run as lanes of one lockstep gang — and returns
+// one result per job, in order. The engine's default runs the group as
+// one sim.Gang (Simulate, or Observed with metrics on); tests and
+// chaos harnesses substitute their own to inject faults around — or
+// instead of — the simulation.
+type JobRunner func(ctx context.Context, jobs []Job) ([]stats.Sim, error)
 
 // Dispatcher offers job attempts for out-of-process execution — the
 // leasing seam between the engine and a sweep service's attached
@@ -97,30 +90,30 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
-// runSupervised executes one job under the engine's supervision:
-// panics are recovered into errors, the optional per-job deadline is
-// applied per attempt, and failures are retried per the RetryPolicy
-// with deterministic jitter. A nil error means the job succeeded; a
-// non-nil error is always a *errs.JobError carrying the job context
-// and attempt count — except when the parent ctx was cancelled, which
-// is surfaced as-is (cancellation is the sweep ending, not this job
-// failing). w is the executing worker's index (the tracer lane); em
-// is the run's instrument panel (nil when metrics are off).
-func (e Engine) runSupervised(ctx context.Context, job Job, w int, em *engineMetrics) (stats.Sim, error) {
-	run := e.JobRunner
-	if run == nil {
-		if e.Metrics != nil {
-			run = instrumentedJobRunner(e.Metrics, e.EpochEvery)
-		} else {
-			run = SimulateJob
-		}
+// runSupervised executes one job group under the engine's
+// supervision; every attempt gets panic isolation and the optional
+// per-attempt deadline (attempt). A single job is offered to Dispatch
+// and retried per the RetryPolicy with deterministic jitter: a nil
+// error means it succeeded, and a non-nil error is always a
+// *errs.JobError carrying the job context and attempt count — except
+// when the parent ctx was cancelled, which is surfaced as-is
+// (cancellation is the sweep ending, not this job failing). A gang
+// gets one attempt and is never dispatched (its lanes need the shared
+// in-process front end): a failed gang falls back to independent
+// jobs, which own the retry policy. w is the executing worker's index
+// (the tracer lane); em is the run's instrument panel (nil when
+// metrics are off).
+func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w int, em *engineMetrics) ([]stats.Sim, error) {
+	if len(jobs) > 1 {
+		return e.attempt(ctx, jobs, run)
 	}
+	job := jobs[0]
 	if e.Dispatch != nil {
 		local := run
-		run = func(ctx context.Context, j Job) (stats.Sim, error) {
-			st, ok, err := e.Dispatch.Dispatch(ctx, j)
+		run = func(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
+			st, ok, err := e.Dispatch.Dispatch(ctx, job)
 			if !ok {
-				return local(ctx, j)
+				return local(ctx, jobs)
 			}
 			if em != nil {
 				em.remoteAttempts.Inc()
@@ -128,13 +121,16 @@ func (e Engine) runSupervised(ctx context.Context, job Job, w int, em *engineMet
 					em.remoteFailures.Inc()
 				}
 			}
-			if err == nil && e.Metrics != nil {
-				// Remote attempts bypass the in-process sampler; fold
-				// their finals so the sim totals still equal the sums
-				// over emitted results (the gang-lane rule).
-				foldFinals(e.Metrics, []stats.Sim{st})
+			if err != nil {
+				return nil, err
 			}
-			return st, err
+			if e.Metrics != nil {
+				// Remote attempts bypass the in-process samplers; fold
+				// their finals so the sim totals still equal the sums
+				// over emitted results.
+				sim.NewSampler(e.Metrics).Finish(st)
+			}
+			return []stats.Sim{st}, nil
 		}
 	}
 	max := e.Retry.Attempts()
@@ -156,7 +152,7 @@ func (e Engine) runSupervised(ctx context.Context, job Job, w int, em *engineMet
 			t0 = e.Tracer.Clock()
 		}
 		attemptStart := time.Now()
-		st, err := e.attempt(ctx, job, run)
+		sts, err := e.attempt(ctx, jobs, run)
 		if em != nil {
 			em.attemptDur.Observe(uint64(time.Since(attemptStart).Microseconds()))
 		}
@@ -168,31 +164,31 @@ func (e Engine) runSupervised(ctx context.Context, job Job, w int, em *engineMet
 			e.Tracer.Span(fmt.Sprintf("attempt %d %s", attempt, job.Coord()), w, t0, "state", state)
 		}
 		if err == nil {
-			return st, nil
+			return sts, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
 			// The sweep is shutting down: don't retry, and don't record
 			// the interruption as a job failure.
-			return stats.Sim{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 		if attempt < max {
 			if !sleepCtx(ctx, e.Retry.Delay(job.ID, attempt)) {
-				return stats.Sim{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
 	}
 	_, panicked := lastErr.(*panicError)
-	return stats.Sim{}, &errs.JobError{
+	return nil, &errs.JobError{
 		Coord: job.Coord(), ID: job.ID, Attempts: attempts, Panicked: panicked, Err: lastErr,
 	}
 }
 
-// attempt runs one try of the job: per-attempt deadline, panic
-// isolation. A panicking scheme (or workload source) unwinds only this
-// attempt's stack — the worker, its queue, and every other in-flight
-// job are untouched.
-func (e Engine) attempt(ctx context.Context, job Job, run JobRunner) (st stats.Sim, err error) {
+// attempt runs one try of a job group: per-attempt deadline, panic
+// isolation, one result per job. A panicking scheme (or workload
+// source) unwinds only this attempt's stack — the worker, its queue,
+// and every other in-flight group are untouched.
+func (e Engine) attempt(ctx context.Context, jobs []Job, run JobRunner) (sts []stats.Sim, err error) {
 	if e.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.JobTimeout)
@@ -200,10 +196,14 @@ func (e Engine) attempt(ctx context.Context, job Job, run JobRunner) (st stats.S
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = &panicError{val: r, stack: debug.Stack()}
+			sts, err = nil, &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
-	return run(ctx, job)
+	sts, err = run(ctx, jobs)
+	if err == nil && len(sts) != len(jobs) {
+		sts, err = nil, fmt.Errorf("runner returned %d results for %d jobs", len(sts), len(jobs))
+	}
+	return sts, err
 }
 
 // sleepCtx sleeps for d unless ctx ends first; reports whether the

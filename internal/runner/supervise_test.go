@@ -18,7 +18,8 @@ import (
 
 // flakyRunner fails the first failN attempts of every job whose ID is
 // in victims (all jobs when victims is nil), then delegates to the
-// real simulation — a deterministic transient fault.
+// real simulation — a deterministic transient fault. A group fails if
+// any member does.
 type flakyRunner struct {
 	mu       sync.Mutex
 	attempts map[string]int
@@ -27,22 +28,24 @@ type flakyRunner struct {
 	panics   bool
 }
 
-func (f *flakyRunner) run(ctx context.Context, job Job) (stats.Sim, error) {
-	f.mu.Lock()
-	if f.attempts == nil {
-		f.attempts = map[string]int{}
-	}
-	f.attempts[job.ID]++
-	n := f.attempts[job.ID]
-	victim := f.victims == nil || f.victims[job.ID]
-	f.mu.Unlock()
-	if victim && n <= f.failN {
-		if f.panics {
-			panic(fmt.Sprintf("flaky: attempt %d of job %s", n, job.ID))
+func (f *flakyRunner) run(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
+	for _, job := range jobs {
+		f.mu.Lock()
+		if f.attempts == nil {
+			f.attempts = map[string]int{}
 		}
-		return stats.Sim{}, fmt.Errorf("flaky: attempt %d of job %s", n, job.ID)
+		f.attempts[job.ID]++
+		n := f.attempts[job.ID]
+		victim := f.victims == nil || f.victims[job.ID]
+		f.mu.Unlock()
+		if victim && n <= f.failN {
+			if f.panics {
+				panic(fmt.Sprintf("flaky: attempt %d of job %s", n, job.ID))
+			}
+			return nil, fmt.Errorf("flaky: attempt %d of job %s", n, job.ID)
+		}
 	}
-	return SimulateJob(ctx, job)
+	return Simulate(ctx, jobs)
 }
 
 // runToFile executes m with the engine into path and returns the
@@ -102,7 +105,7 @@ func TestRetryDeterminism(t *testing.T) {
 // worker pool) survives the panic.
 func TestPanicIsolationFailFast(t *testing.T) {
 	m := testMatrix("panicisol")
-	boom := func(ctx context.Context, job Job) (stats.Sim, error) {
+	boom := func(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
 		panic("scheme exploded")
 	}
 	_, err := (Engine{Parallelism: 2, JobRunner: boom}).Run(context.Background(), m)
@@ -127,9 +130,9 @@ func TestPanicIsolationFailFast(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	m := testMatrix("timeout")
 	m.Workloads, m.Schemes, m.Points = m.Workloads[:1], m.Schemes[:1], m.Points[:1]
-	hang := func(ctx context.Context, job Job) (stats.Sim, error) {
+	hang := func(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
 		<-ctx.Done()
-		return stats.Sim{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	_, err := (Engine{JobRunner: hang, JobTimeout: 5 * time.Millisecond,
 		Retry: RetryPolicy{MaxAttempts: 2}}).Run(context.Background(), m)

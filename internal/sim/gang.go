@@ -440,10 +440,12 @@ type Gang struct {
 	done   bool
 }
 
-// NewGang assembles one lane per config. All configs must be
-// GangEligible, share one GangKey, and name the same scheme kind; a
-// multi-seed gang must therefore set WorkloadSeed so the lanes share a
-// stream (NewGangSeeds does this for you).
+// NewGang assembles one lane per config. A single config runs alone
+// over a stream of its own, whatever its scheme — that is how every
+// stand-alone run (Session, NewSystem) is built. Two or more configs
+// must all be GangEligible, share one GangKey, and name the same
+// scheme kind; a multi-seed gang must therefore set WorkloadSeed so
+// the lanes share a stream (NewGangSeeds does this for you).
 func NewGang(cfgs []Config) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one lane config")
@@ -452,7 +454,7 @@ func NewGang(cfgs []Config) (*Gang, error) {
 		if err := cfgs[i].validate(); err != nil {
 			return nil, err
 		}
-		if err := GangEligible(cfgs[i]); err != nil {
+		if err := GangEligible(cfgs[i]); err != nil && len(cfgs) > 1 {
 			return nil, fmt.Errorf("lane %d: %w", i, err)
 		}
 	}
@@ -473,8 +475,13 @@ func NewGang(cfgs []Config) (*Gang, error) {
 	}
 	for i := range cfgs {
 		if _, err := newGangLane(cfgs[i], gs); err != nil {
+			// The source may hold a trace file open; don't leak it on a
+			// failed assembly (success hands ownership to the lanes).
 			gs.close()
-			return nil, fmt.Errorf("sim: gang lane %d: %w", i, err)
+			if len(cfgs) > 1 {
+				err = fmt.Errorf("sim: gang lane %d: %w", i, err)
+			}
+			return nil, err
 		}
 	}
 	return &Gang{gs: gs}, nil
@@ -567,6 +574,10 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 // Width returns the number of lanes.
 func (g *Gang) Width() int { return len(g.gs.lanes) }
 
+// Lane returns lane i's system — where per-lane observers (OnEpoch
+// hooks, a Sampler) attach.
+func (g *Gang) Lane(i int) *System { return g.gs.lanes[i] }
+
 // Step advances every unfinished lane by at least n retired
 // instructions in lockstep. done reports all lanes complete. Errors (a
 // failed shared stream, a cancelled Run) are terminal for the whole
@@ -607,10 +618,12 @@ func (g *Gang) fail(err error) {
 }
 
 // Run drives all lanes to completion under ctx and returns one final
-// stats.Sim per lane, in lane order. Cancellation mirrors
-// Session.Run: the gang stops at the next step boundary, releases its
-// resources, and returns the partial per-lane windows together with
-// an error wrapping ctx.Err().
+// stats.Sim per lane, in lane order — the one cancel/step loop every
+// run goes through (a Session is a width-1 gang). On cancellation the
+// gang stops at the next step boundary, releases its resources, and
+// returns the partial per-lane windows together with an error wrapping
+// ctx.Err(); a terminal run error likewise comes with the partial
+// windows.
 func (g *Gang) Run(ctx context.Context) ([]stats.Sim, error) {
 	for {
 		if g.runErr != nil {
@@ -621,7 +634,7 @@ func (g *Gang) Run(ctx context.Context) ([]stats.Sim, error) {
 		}
 		if err := ctx.Err(); err != nil {
 			p := g.Progress()
-			werr := fmt.Errorf("sim: gang run cancelled after %d of %d instructions: %w",
+			werr := fmt.Errorf("sim: run cancelled after %d of %d instructions: %w",
 				p.Retired, p.Total, err)
 			g.fail(werr)
 			return g.Results(), werr

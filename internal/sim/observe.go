@@ -8,7 +8,7 @@ import (
 	"banshee/internal/stats"
 )
 
-// Sampler bridges one session's epoch stream into an obs.Registry: the
+// Sampler bridges one lane's epoch stream into an obs.Registry: the
 // per-epoch windows drive rate gauges (MPKI, IPC, DRAM-cache hit rate,
 // LLC accesses per wall-second), and each completed run folds its
 // measurement-window counters into monotone totals.
@@ -26,9 +26,9 @@ import (
 // Several Samplers may share one registry (one per concurrent job):
 // the registry hands every Sampler the same underlying metrics, and
 // each Sampler folds in only its own run. A Sampler is bound to a
-// single session; the mutex guards a late epoch racing Finish.
+// single lane; the mutex guards a late epoch racing Finish.
 type Sampler struct {
-	sess *Session
+	lane *System
 
 	instructions *obs.Counter
 	cycles       *obs.Counter
@@ -54,7 +54,7 @@ type Sampler struct {
 }
 
 // NewSampler registers the simulation metric families on r and returns
-// a sampler ready to bind to a session. Registration is idempotent, so
+// a sampler ready to bind to a lane. Registration is idempotent, so
 // every sampler built against the same registry shares the same series.
 func NewSampler(r *obs.Registry) *Sampler {
 	return &Sampler{
@@ -77,21 +77,14 @@ func NewSampler(r *obs.Registry) *Sampler {
 	}
 }
 
-// Attach binds the sampler to sess and registers its epoch hook.
-// OnEpoch holds a single hook, so Attach owns the session's epoch
-// stream; callers composing several consumers (printing + sampling)
-// should Bind instead and call Sample from their own hook.
-func (sp *Sampler) Attach(sess *Session, every uint64) {
-	sp.Bind(sess)
-	sess.OnEpoch(every, sp.Sample)
-}
-
-// Bind associates the sampler with sess without touching the session's
-// epoch hook, for callers running their own composite OnEpoch callback.
-func (sp *Sampler) Bind(sess *Session) {
+// Bind associates the sampler with one lane — a Session's System, or
+// one lane of a Gang — whose MSHR stall counters Finish folds. The
+// lane's epoch hook is the caller's to install: it calls Sample,
+// alongside any other consumer of the same epoch stream.
+func (sp *Sampler) Bind(lane *System) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.sess = sess
+	sp.lane = lane
 	sp.lastWall = time.Now()
 }
 
@@ -139,8 +132,8 @@ func (sp *Sampler) Finish(final stats.Sim) {
 	sp.dcMisses.Add(final.DCMisses)
 	sp.inPkgBytes.Add(final.InPkg.Total())
 	sp.offPkgBytes.Add(final.OffPkg.Total())
-	if sp.sess != nil {
-		stalls, cycles := sp.sess.MSHRStalls()
+	if sp.lane != nil {
+		stalls, cycles := sp.lane.MSHRStalls()
 		sp.mshrStalls.Add(stalls)
 		sp.mshrCycles.Add(cycles)
 	}

@@ -24,7 +24,8 @@ func TestSamplerExactConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := NewSampler(r)
-	sp.Attach(sess, 10_000)
+	sp.Bind(sess.System())
+	sess.OnEpoch(10_000, sp.Sample)
 	final, err := sess.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,8 @@ func TestSamplerSharedRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := NewSampler(r)
-		sp.Attach(sess, 10_000)
+		sp.Bind(sess.System())
+		sess.OnEpoch(10_000, sp.Sample)
 		final, err := sess.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +111,8 @@ func TestMSHRStallCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := NewSampler(r)
-	sp.Attach(sess, 10_000)
+	sp.Bind(sess.System())
+	sess.OnEpoch(10_000, sp.Sample)
 	final, err := sess.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -13,19 +13,20 @@ import (
 // lands within a fraction of a millisecond of simulated work.
 const stepQuantum = 1 << 16
 
-// Session is a stepwise simulation run: a System plus the lifecycle
-// around it. Where Run is fire-and-forget, a Session can advance in
-// increments (Step), report where it is (Progress), capture windowed
-// statistics mid-flight (Snapshot), sample a time series (OnEpoch),
-// and run to completion under a context (Run) — cancellation returns
-// the partial measurement window alongside ctx.Err().
+// Session is a stepwise simulation run: a width-1 Gang — one lane
+// over a front-end stream of its own — plus the lifecycle around it.
+// Where Run is fire-and-forget, a Session can advance in increments
+// (Step), report where it is (Progress), capture windowed statistics
+// mid-flight (Snapshot), sample a time series (OnEpoch), and run to
+// completion under a context (Run) — cancellation returns the partial
+// measurement window alongside ctx.Err().
 //
 // A stepped run is bit-identical to a one-shot run: stepping changes
 // when the caller observes the simulation, never what it computes.
 // Sessions are single-goroutine objects; run distinct Sessions in
 // parallel instead of sharing one.
 type Session struct {
-	sys *System
+	g *Gang
 }
 
 // NewSession assembles a run of the named workload under the named
@@ -44,16 +45,16 @@ func NewSession(cfg Config, workload, scheme string) (*Session, error) {
 // NewSessionConfig assembles a run of cfg exactly as given
 // (cfg.Workload and cfg.Scheme must be fully populated).
 func NewSessionConfig(cfg Config) (*Session, error) {
-	sys, err := NewSystem(cfg)
+	g, err := NewGang([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{sys: sys}, nil
+	return &Session{g: g}, nil
 }
 
-// System returns the underlying assembled system (diagnostics, tests,
-// direct access to the scheme under test).
-func (s *Session) System() *System { return s.sys }
+// System returns the session's lane: the underlying assembled system
+// (diagnostics, tests, direct access to the scheme under test).
+func (s *Session) System() *System { return s.g.Lane(0) }
 
 // Step advances the run until at least n more instructions have
 // retired across all cores, returning done=true once the instruction
@@ -61,85 +62,66 @@ func (s *Session) System() *System { return s.sys }
 // Errors (trace-replay corruption or wrap-around, a cancelled Run) are
 // terminal: the run stops, resources are released, and every later
 // call returns the same error.
-func (s *Session) Step(n uint64) (done bool, err error) {
-	return s.sys.Step(n)
-}
+func (s *Session) Step(n uint64) (done bool, err error) { return s.g.Step(n) }
 
-// Run drives the session to completion under ctx. On cancellation it
-// stops at the next step boundary, releases the run's resources, and
-// returns the partial measurement window captured at that instant
-// together with an error wrapping ctx.Err() — so errors.Is(err,
-// context.Canceled) (or DeadlineExceeded) identifies interruption, and
-// the returned stats remain internally consistent for reporting.
+// Run drives the session to completion under ctx; see Gang.Run. On
+// cancellation it stops at the next step boundary, releases the run's
+// resources, and returns the partial measurement window captured at
+// that instant together with an error wrapping ctx.Err() — so
+// errors.Is(err, context.Canceled) (or DeadlineExceeded) identifies
+// interruption, and the returned stats remain internally consistent
+// for reporting.
 //
 // Run on a session that already reached a terminal state reports that
 // state (the final stats, or the terminal error) without consulting
 // ctx — a cancelled context cannot retroactively fail a finished run.
 func (s *Session) Run(ctx context.Context) (stats.Sim, error) {
-	for {
-		if err := s.sys.Err(); err != nil {
-			return stats.Sim{}, err
-		}
-		if s.sys.Done() {
-			return s.sys.final, nil
-		}
-		if err := ctx.Err(); err != nil {
-			snap := s.Snapshot()
-			werr := fmt.Errorf("sim: run cancelled after %d of %d instructions: %w",
-				snap.Retired, s.sys.totalBudget, err)
-			s.sys.fail(werr)
-			return snap.Window, werr
-		}
-		if _, err := s.sys.Step(stepQuantum); err != nil {
-			return stats.Sim{}, err
-		}
-	}
+	sts, err := s.g.Run(ctx)
+	return sts[0], err
 }
 
 // Result returns the final statistics of a completed run. Calling it
 // before completion (or after a failed run) returns an error.
 func (s *Session) Result() (stats.Sim, error) {
-	if err := s.sys.Err(); err != nil {
+	sys := s.System()
+	if err := sys.Err(); err != nil {
 		return stats.Sim{}, err
 	}
-	if !s.sys.Done() {
-		p := s.sys.Progress()
+	if !sys.Done() {
+		p := sys.Progress()
 		return stats.Sim{}, fmt.Errorf("sim: session still running (%d of %d instructions)",
 			p.Retired, p.Total)
 	}
-	return s.sys.final, nil
+	return sys.final, nil
 }
 
 // Progress reports where the run is: instructions retired against the
 // budget, the simulated clock, and the lifecycle phase.
-func (s *Session) Progress() Progress { return s.sys.Progress() }
+func (s *Session) Progress() Progress { return s.System().Progress() }
 
 // Snapshot captures the current measurement window without disturbing
 // the run; see System.Snapshot for windowing semantics.
-func (s *Session) Snapshot() stats.Snapshot { return s.sys.Snapshot() }
+func (s *Session) Snapshot() stats.Snapshot { return s.System().Snapshot() }
 
 // OnEpoch registers fn to receive a windowed snapshot every `every`
 // retired instructions; see System.OnEpoch for exact boundary
 // semantics. Use it to sample a time series (MPKI, bandwidth) while
 // the run progresses.
 func (s *Session) OnEpoch(every uint64, fn func(stats.Snapshot)) {
-	s.sys.OnEpoch(every, fn)
+	s.System().OnEpoch(every, fn)
 }
 
 // MSHRStalls reports MSHR-full stall events and the core cycles lost
 // to them; see System.MSHRStalls.
-func (s *Session) MSHRStalls() (stalls, cycles uint64) { return s.sys.MSHRStalls() }
+func (s *Session) MSHRStalls() (stalls, cycles uint64) { return s.System().MSHRStalls() }
 
 // Err returns the session's terminal error, if any.
-func (s *Session) Err() error { return s.sys.Err() }
+func (s *Session) Err() error { return s.g.Err() }
 
 // Close releases the session's resources (replayed trace files hold an
 // open file). Completed and cancelled runs release themselves; Close
 // is for abandoning a session early. Idempotent.
-func (s *Session) Close() error {
-	s.sys.closeSource()
-	return nil
-}
+func (s *Session) Close() error { return s.g.Close() }
 
 // Progress reports where a run is, for progress bars and logs.
 type Progress struct {

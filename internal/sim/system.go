@@ -104,21 +104,11 @@ type mark struct {
 // front-end stream of its own, which owns the page table and the
 // per-core L1/L2/TLB the scheme is built against.
 func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	gs, err := openStream(cfg)
+	g, err := NewGang([]Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	s, err := newGangLane(cfg, gs)
-	if err != nil {
-		// The source may hold a trace file open; don't leak it on a
-		// failed assembly (success hands ownership to the lane).
-		gs.close()
-		return nil, err
-	}
-	return s, nil
+	return g.Lane(0), nil
 }
 
 // Scheme returns the scheme under test (diagnostics, tests).
@@ -328,20 +318,6 @@ func (s *System) MSHRStalls() (stalls, cycles uint64) {
 
 // Done reports whether the run has completed (or failed terminally).
 func (s *System) Done() bool { return s.finished }
-
-// Run replays the workload to the instruction budget and returns the
-// measured statistics (post-warmup window). It is Step driven to
-// completion; sources holding external resources (replayed trace
-// files) are released when the run ends. Latched trace-replay errors
-// are available from Err (Session and RunConfig surface them).
-func (s *System) Run() stats.Sim {
-	for {
-		done, err := s.Step(stepQuantum)
-		if done || err != nil {
-			return s.final
-		}
-	}
-}
 
 // Err returns the terminal run error, if any.
 func (s *System) Err() error { return s.runErr }

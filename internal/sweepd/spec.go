@@ -41,8 +41,7 @@ type PointSpec struct {
 // output bytes, so they are excluded from the sweep ID.
 type RunOptions struct {
 	// GangWidth ≥ 2 lets the engine run that many gang-eligible jobs
-	// as one lockstep gang (ignored when EpochEvery is set — epoch
-	// capture needs per-job sessions).
+	// as one lockstep gang.
 	GangWidth int `json:"gang_width,omitempty"`
 	// Retries is the total attempts per job (0 and 1 both mean one).
 	Retries int `json:"retries,omitempty"`

@@ -12,7 +12,6 @@ import (
 	"banshee/internal/errs"
 	"banshee/internal/obs"
 	"banshee/internal/runner"
-	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
@@ -169,21 +168,19 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 		Metrics:     reg,
 		Progress:    d.opts.Log,
 	}
-	var epochs *epochSink
 	if opts.EpochEvery > 0 {
-		// Epoch capture needs a per-job session hook, so it rides a
-		// custom JobRunner — which also disables ganging for this sweep
-		// (lockstep lanes share one front end and cannot be sampled per
-		// job). Locally executed attempts stream epoch lines; remote
-		// attempts don't (the worker has no epoch channel), so the
-		// epochs stream is observability, not part of the byte-identity
-		// contract the results stream carries.
-		epochs, err = openEpochSink(d.store.EpochsPath(sw.id))
+		// Epoch capture is a per-lane hook composed onto the default
+		// runner, so singles and gang lanes alike stream epoch lines
+		// while the sampler keeps the scoped metric series moving.
+		// Remote attempts don't stream (the worker has no epoch
+		// channel), so the epochs stream is observability, not part of
+		// the byte-identity contract the results stream carries.
+		epochs, err := openEpochSink(d.store.EpochsPath(sw.id))
 		if err != nil {
 			return nil, err
 		}
 		defer epochs.Close()
-		eng.JobRunner = epochs.jobRunner(reg, opts.EpochEvery)
+		eng.JobRunner = runner.Observed(reg, opts.EpochEvery, epochs.append)
 	}
 	return eng.RunJobs(ctx, sw.spec.Name, sw.baseSeed, sw.jobs)
 }
@@ -276,8 +273,13 @@ func openEpochSink(path string) (*epochSink, error) {
 	return &epochSink{f: f}, nil
 }
 
-func (es *epochSink) append(l epochLine) {
-	b, err := json.Marshal(l)
+// append streams one lane's epoch snapshot as a line of its job.
+func (es *epochSink) append(job runner.Job, snap stats.Snapshot) {
+	b, err := json.Marshal(epochLine{
+		Job: job.ID, Workload: job.Workload, Scheme: job.Scheme, Seed: job.Seed,
+		Retired: snap.Retired, Cycles: snap.Cycles,
+		IPC: snap.Window.IPC(), MPKI: snap.Window.MPKI(),
+	})
 	if err != nil {
 		return
 	}
@@ -290,34 +292,4 @@ func (es *epochSink) Close() error {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	return es.f.Close()
-}
-
-// jobRunner builds the sweep's JobRunner: the default simulation with
-// a per-epoch hook streaming windowed snapshots to the epoch sink,
-// plus the same sampler wiring the instrumented default runner has,
-// so the scoped metric series keep moving.
-func (es *epochSink) jobRunner(reg *obs.Registry, every uint64) runner.JobRunner {
-	return func(ctx context.Context, job runner.Job) (stats.Sim, error) {
-		sess, err := sim.NewSessionConfig(job.Config)
-		if err != nil {
-			return stats.Sim{}, err
-		}
-		// A session holds one epoch hook, so the sampler and the epoch
-		// sink share one.
-		sp := sim.NewSampler(reg)
-		sp.Bind(sess)
-		sess.OnEpoch(every, func(snap stats.Snapshot) {
-			sp.Sample(snap)
-			es.append(epochLine{
-				Job: job.ID, Workload: job.Workload, Scheme: job.Scheme, Seed: job.Seed,
-				Retired: snap.Retired, Cycles: snap.Cycles,
-				IPC: snap.Window.IPC(), MPKI: snap.Window.MPKI(),
-			})
-		})
-		st, err := sess.Run(ctx)
-		if err == nil {
-			sp.Finish(st)
-		}
-		return st, err
-	}
 }

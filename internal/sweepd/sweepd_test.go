@@ -8,6 +8,7 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -392,6 +393,65 @@ func TestEpochSweepSamplesMetrics(t *testing.T) {
 	series := `banshee_epochs_total{sweep="` + st.ID + `"}`
 	if got := d.Registry().Snapshot()[series]; got != float64(lines) {
 		t.Fatalf("%s = %v, want %d (one per epoch line)", series, got, lines)
+	}
+}
+
+// TestEpochSweepGangs: epoch capture is a hook composed onto the
+// engine's default runner, so an EpochEvery sweep still gangs, every
+// job — gang lane or single — writes epoch lines, and the results stay
+// byte-identical to a local run.
+func TestEpochSweepGangs(t *testing.T) {
+	spec := testSpec("svc-epochs-gang")
+	spec.Base.WorkloadSeed = 7 // the seeds share one stream, so they gang
+	spec.Options.EpochEvery = 5_000
+	spec.Options.GangWidth = 4
+	want := localBytes(t, spec)
+
+	d := newDaemon(t, t.TempDir())
+	c, _ := dialTest(t, d)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("sweep ended %s (%s)", final.State, final.Error)
+	}
+	var got bytes.Buffer
+	if _, err := c.StreamResults(ctx, st.ID, 0, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("ganged epoch sweep diverged from local run: %d vs %d bytes", got.Len(), len(want))
+	}
+	if lanes := d.Registry().Snapshot()[`banshee_gang_lanes_total{sweep="`+st.ID+`"}`]; lanes == 0 {
+		t.Fatal("EpochEvery sweep at GangWidth 4 ran no gang lanes")
+	}
+
+	var epochs bytes.Buffer
+	if _, err := c.StreamEpochs(ctx, st.ID, 0, &epochs); err != nil {
+		t.Fatal(err)
+	}
+	sampled := map[string]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(epochs.Bytes()), []byte("\n")) {
+		var l epochLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("bad epoch line %q: %v", line, err)
+		}
+		sampled[l.Job] = true
+	}
+	jobs, _, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if !sampled[j.ID] {
+			t.Errorf("job %s (%s/%s seed %d) wrote no epoch lines", j.ID, j.Workload, j.Scheme, j.Seed)
+		}
 	}
 }
 

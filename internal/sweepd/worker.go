@@ -209,7 +209,11 @@ func runLeased(ctx context.Context, job runner.Job) (st stats.Sim, err error) {
 			err = fmt.Errorf("worker panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return runner.SimulateJob(ctx, job)
+	sts, err := runner.Simulate(ctx, []runner.Job{job})
+	if err != nil {
+		return stats.Sim{}, err
+	}
+	return sts[0], nil
 }
 
 // decode reconstructs the runner.Job from its wire form.
