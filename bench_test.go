@@ -1,5 +1,8 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (§5), plus micro-benchmarks of the core data structures.
+// evaluation (§5), plus whole-simulation, gang-sweep and trace-file
+// throughput. Per-layer costs on real streams are perfbench's job
+// (perfbench/README.md); allocation gates live in zeroalloc_test.go and
+// allocbudget_test.go.
 //
 // The experiment benchmarks run reduced-size simulations per iteration
 // and report the paper's metric via b.ReportMetric (speedup-x, B/i,
@@ -15,13 +18,9 @@ import (
 	"testing"
 
 	"banshee"
-	bcore "banshee/internal/banshee"
-	"banshee/internal/cache"
-	"banshee/internal/dram"
 	"banshee/internal/mem"
 	"banshee/internal/trace"
 	"banshee/internal/tracefile"
-	"banshee/internal/vm"
 )
 
 // benchConfig is the reduced-size system used by experiment benchmarks.
@@ -222,152 +221,107 @@ func BenchmarkBatman(b *testing.B) {
 	}
 }
 
-// ---- Micro-benchmarks of the core structures ----
-
-// BenchmarkTagBuffer measures the tag buffer's lookup/insert path — the
-// structure on every LLC miss's way through a Banshee MC.
-func BenchmarkTagBuffer(b *testing.B) {
-	tb := bcore.NewTagBuffer(1024, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		page := uint64(i) % 4096
-		if _, hit := tb.Lookup(page); !hit {
-			if !tb.InsertClean(page, true, uint8(i%4)) {
-				tb.DrainRemaps()
-			}
-		}
-	}
-}
-
-// BenchmarkBansheeAccess measures the full scheme access path
-// (mapping resolution + sampled FBR).
-func BenchmarkBansheeAccess(b *testing.B) {
-	pt := vm.NewPageTable()
-	cfg := bcore.DefaultConfig(64 << 20)
-	cfg.Seed = 1
-	s := bcore.New(cfg, pt, nil, vm.DefaultCostModel(2700))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := mem.Addr(uint64(i*2654435761) % (256 << 20))
-		pte := pt.Translate(addr)
-		s.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
-	}
-}
-
-// BenchmarkDRAMAccess measures the channel timing model.
-func BenchmarkDRAMAccess(b *testing.B) {
-	d := dram.New(dram.InPackageConfig(2700))
-	b.ResetTimer()
-	now := uint64(0)
-	for i := 0; i < b.N; i++ {
-		a := mem.Addr(uint64(i*2654435761) % (1 << 30))
-		d.Access(now, a, 64, i%4 == 0, i%2 == 0)
-		now += 10
-	}
-}
-
-// BenchmarkSRAMCache measures the L-level cache lookup path.
-func BenchmarkSRAMCache(b *testing.B) {
-	c := cache.New(cache.Config{
-		Name: "bench", SizeBytes: 512 << 10, Ways: 16, LineBytes: 64, Policy: cache.LRU,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := mem.Addr(uint64(i*2654435761) % (4 << 20))
-		c.Access(a, i%4 == 0, 0)
-	}
-}
-
-// BenchmarkTraceGen measures workload event generation.
-func BenchmarkTraceGen(b *testing.B) {
-	w, err := trace.New("pagerank", 16, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Next(i % 16)
-	}
+// endToEndRun is one BenchmarkEndToEnd iteration: a 4-core mix1 run
+// of Banshee under seed i+1.
+func endToEndRun(i int) error {
+	cfg := banshee.DefaultConfig()
+	cfg.Cores = 4
+	cfg.InstrPerCore = 100_000
+	cfg.Seed = uint64(i + 1)
+	_, err := banshee.Run(cfg, "mix1", "Banshee")
+	return err
 }
 
 // BenchmarkEndToEnd measures whole-simulation throughput
 // (instructions simulated per wall-second is 1/ns-per-op × instr).
 func BenchmarkEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := banshee.DefaultConfig()
-		cfg.Cores = 4
-		cfg.InstrPerCore = 100_000
-		cfg.Seed = uint64(i + 1)
-		if _, err := banshee.Run(cfg, "mix1", "Banshee"); err != nil {
+		if err := endToEndRun(i); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// gangSweepWorkload and gangSweepScheme are BenchmarkGangSweep's
+// workload: the triangle-counting kernel (its sequential edge scans
+// give the long L1/L2-hit runs the lane batcher replays in bulk) under
+// TDC.
+const gangSweepWorkload, gangSweepScheme = "tri_count_kernel", "TDC"
+
+// gangSweepConfig is the base config of both BenchmarkGangSweep arms.
+// WarmupFrac is 0 — the benchmark measures engine throughput over the
+// whole run, not a warmed measurement window — and both arms share one
+// WorkloadSeed so they simulate the identical event streams.
+func gangSweepConfig() banshee.Config {
+	cfg := benchConfig()
+	cfg.WorkloadSeed = 42
+	cfg.WarmupFrac = 0
+	return cfg
+}
+
+var gangSweepSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+
+// gangSweepArms are BenchmarkGangSweep's two ways to run the 8-seed
+// sweep; each returns the sweep's total simulated memory accesses.
+var gangSweepArms = []struct {
+	name string
+	run  func() (accesses uint64, err error)
+}{
+	{"independent", func() (uint64, error) {
+		var accesses uint64
+		for _, sd := range gangSweepSeeds {
+			cfg := gangSweepConfig()
+			cfg.Seed = sd
+			res, err := banshee.Run(cfg, gangSweepWorkload, gangSweepScheme)
+			if err != nil {
+				return 0, err
+			}
+			accesses += res.L1Accesses
+		}
+		return accesses, nil
+	}},
+	{"gang8", func() (uint64, error) {
+		g, err := banshee.NewGangSession(gangSweepConfig(), gangSweepWorkload, gangSweepScheme, gangSweepSeeds)
+		if err != nil {
+			return 0, err
+		}
+		res, err := g.Run(context.Background())
+		if err != nil {
+			return 0, err
+		}
+		var accesses uint64
+		for _, r := range res {
+			accesses += r.L1Accesses
+		}
+		return accesses, nil
+	}},
+}
+
 // BenchmarkGangSweep measures the gang execution engine (DESIGN.md
 // §12): the same 8-seed sweep run as 8 independent simulations versus
 // one width-8 gang, reporting aggregate simulated memory accesses per
-// wall-second. The workload is the triangle-counting kernel (its
-// sequential edge scans give the long L1/L2-hit runs the lane batcher
-// replays in bulk) under TDC. WarmupFrac is 0 in both arms — the
-// benchmark measures engine throughput over the whole run, not a
-// warmed measurement window — and both arms share one WorkloadSeed so
-// they simulate the identical event streams. The gang arm is the
-// headline number: it must sustain ≥2× the independent arm's
-// aggregate accesses/sec.
+// wall-second. The gang arm is the headline number: it must sustain
+// ≥2× the independent arm's aggregate accesses/sec.
 func BenchmarkGangSweep(b *testing.B) {
-	const workload, scheme = "tri_count_kernel", "TDC"
-	gangCfg := func() banshee.Config {
-		cfg := benchConfig()
-		cfg.WorkloadSeed = 42
-		cfg.WarmupFrac = 0
-		return cfg
-	}
-	seeds := make([]uint64, 8)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
 	// Build the graph substrate outside the timed regions (it is cached
 	// and shared by both arms; a short run forces construction).
-	warm := gangCfg()
+	warm := gangSweepConfig()
 	warm.InstrPerCore = 1_000
-	if _, err := banshee.Run(warm, workload, scheme); err != nil {
+	if _, err := banshee.Run(warm, gangSweepWorkload, gangSweepScheme); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("independent", func(b *testing.B) {
-		var accesses uint64
-		for i := 0; i < b.N; i++ {
-			accesses = 0
-			for _, sd := range seeds {
-				cfg := gangCfg()
-				cfg.Seed = sd
-				res, err := banshee.Run(cfg, workload, scheme)
-				if err != nil {
+	for _, arm := range gangSweepArms {
+		b.Run(arm.name, func(b *testing.B) {
+			var accesses uint64
+			for i := 0; i < b.N; i++ {
+				var err error
+				if accesses, err = arm.run(); err != nil {
 					b.Fatal(err)
 				}
-				accesses += res.L1Accesses
 			}
-		}
-		b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
-	})
-	b.Run("gang8", func(b *testing.B) {
-		var accesses uint64
-		for i := 0; i < b.N; i++ {
-			g, err := banshee.NewGangSession(gangCfg(), workload, scheme, seeds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := g.Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			accesses = 0
-			for _, r := range res {
-				accesses += r.L1Accesses
-			}
-		}
-		b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
-	})
+			b.ReportMetric(float64(accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+		})
+	}
 }
 
 // countWriter measures encoded bytes without storing them.

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"banshee/internal/mem"
 )
 
 // tiny returns Options small enough for unit testing the experiment
@@ -102,6 +104,15 @@ func TestFig9SamplingShape(t *testing.T) {
 	}
 	if !strings.Contains(r.Table().String(), "coefficient") {
 		t.Fatal("Fig.9 table malformed")
+	}
+	// Fig. 9b: sampling exists to cut counter traffic, so counter
+	// bytes per instruction must strictly fall as the coefficient does.
+	for i := 1; i < len(r.Coeffs); i++ {
+		hi, lo := r.Coeffs[i-1], r.Coeffs[i]
+		if r.BPI[lo][mem.ClassCounter] >= r.BPI[hi][mem.ClassCounter] {
+			t.Errorf("counter B/instr %.3f at coefficient %g, want below %.3f at %g",
+				r.BPI[lo][mem.ClassCounter], lo, r.BPI[hi][mem.ClassCounter], hi)
+		}
 	}
 }
 
