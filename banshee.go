@@ -447,10 +447,6 @@ type BatchOptions struct {
 	// progress lines with one rate-limited sweep summary line per
 	// interval (position, throughput, ETA).
 	ProgressEvery time.Duration
-	// EpochEvery sets the metric time-series sampling interval in
-	// retired instructions (0 = a sensible default). Only meaningful
-	// with MetricsAddr set.
-	EpochEvery uint64
 }
 
 // RunBatch executes a matrix of simulations on the batch engine with
@@ -466,7 +462,7 @@ type BatchOptions struct {
 func RunBatch(ctx context.Context, m Matrix, o BatchOptions) (rs *BatchResult, err error) {
 	eng := runner.Engine{Parallelism: o.Parallelism, Progress: o.Progress,
 		Retry: o.Retry, JobTimeout: o.JobTimeout, KeepGoing: o.KeepGoing,
-		GangWidth: o.GangWidth, ProgressEvery: o.ProgressEvery, EpochEvery: o.EpochEvery}
+		GangWidth: o.GangWidth, ProgressEvery: o.ProgressEvery}
 	if o.MetricsAddr != "" {
 		reg := obs.NewRegistry()
 		reg.RegisterRuntime()

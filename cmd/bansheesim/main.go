@@ -194,53 +194,31 @@ func run() int {
 		return 1
 	}
 
-	// A lane has one epoch hook, so every consumer — human stderr line,
-	// -epoch-json stream, metric sampler, trace instants — joins one
-	// composite callback per lane at a shared interval.
-	every := *epoch
-	if every == 0 {
-		every = 1 << 21 // -metrics/-tracefile without -epoch: sample at a sane default
+	// Every epoch consumer — human stderr line, -epoch-json stream,
+	// trace instants — and the -metrics series share the lanes' one
+	// observer, at -epoch's interval (sim.DefaultEpochEvery without it).
+	var onEpoch []func(int, stats.Snapshot)
+	if *epoch > 0 && !*epochJSON {
+		onEpoch = append(onEpoch, func(lane int, s stats.Snapshot) {
+			fmt.Fprintf(os.Stderr, "[%s] %5.1f%%  MPKI %6.2f  in-pkg B/i %6.3f  off-pkg B/i %6.3f\n",
+				s.Phase, 100*float64(s.Retired)/float64(g.Lane(lane).Progress().Total),
+				s.Window.MPKI(), s.Window.InPkgBPI(), s.Window.OffPkgBPI())
+		})
 	}
-	enc := json.NewEncoder(os.Stdout)
-	samplers := make([]*sim.Sampler, g.Width())
-	for i := range samplers {
-		lane := g.Lane(i)
-		var onEpoch []func(stats.Snapshot)
-		if *epoch > 0 && !*epochJSON {
-			onEpoch = append(onEpoch, func(s stats.Snapshot) {
-				fmt.Fprintf(os.Stderr, "[%s] %5.1f%%  MPKI %6.2f  in-pkg B/i %6.3f  off-pkg B/i %6.3f\n",
-					s.Phase, 100*float64(s.Retired)/float64(lane.Progress().Total),
-					s.Window.MPKI(), s.Window.InPkgBPI(), s.Window.OffPkgBPI())
-			})
-		}
-		if *epochJSON {
-			onEpoch = append(onEpoch, func(s stats.Snapshot) {
-				rec := epochRecord{Retired: s.Retired, Cycles: s.Cycles, Phase: s.Phase.String(),
-					MPKI: s.Window.MPKI(), IPC: s.Window.IPC(), DCHitRate: 1 - s.Window.MissRate(),
-					InPkgBPI: s.Window.InPkgBPI(), OffPkgBPI: s.Window.OffPkgBPI()}
-				if err := enc.Encode(rec); err != nil {
-					fmt.Fprintln(os.Stderr, "bansheesim: -epoch-json:", err)
-				}
-			})
-		}
-		if reg != nil {
-			samplers[i] = sim.NewSampler(reg)
-			samplers[i].Bind(lane)
-			onEpoch = append(onEpoch, samplers[i].Sample)
-		}
-		if tracer != nil {
-			onEpoch = append(onEpoch, func(s stats.Snapshot) {
-				tracer.Instant(fmt.Sprintf("epoch @%d", s.Retired), 0, "phase", s.Phase.String())
-			})
-		}
-		if len(onEpoch) > 0 {
-			lane.OnEpoch(every, func(s stats.Snapshot) {
-				for _, f := range onEpoch {
-					f(s)
-				}
-			})
-		}
+	if *epochJSON {
+		enc := json.NewEncoder(os.Stdout)
+		onEpoch = append(onEpoch, func(_ int, s stats.Snapshot) {
+			if err := enc.Encode(s.Epoch()); err != nil {
+				fmt.Fprintln(os.Stderr, "bansheesim: -epoch-json:", err)
+			}
+		})
 	}
+	if tracer != nil {
+		onEpoch = append(onEpoch, func(_ int, s stats.Snapshot) {
+			tracer.Instant(fmt.Sprintf("epoch @%d", s.Retired), 0, "phase", s.Phase.String())
+		})
+	}
+	fold := g.Observe(*epoch, reg, onEpoch...)
 
 	runStart := time.Duration(0)
 	if tracer != nil {
@@ -258,14 +236,9 @@ func run() int {
 		}
 		tracer.Span(name, 0, runStart, "state", state)
 	}
-	for i, sp := range samplers {
-		if sp != nil {
-			// Fold exactly the stats the report below prints, so the
-			// exposed totals match the CLI's own output even for a
-			// partial run.
-			sp.Finish(results[i])
-		}
-	}
+	// Fold exactly the stats the report below prints, so the exposed
+	// totals match the CLI's own output even for a partial run.
+	fold(results)
 	code := 0
 	switch p := g.Progress(); {
 	case err == nil:
@@ -297,19 +270,6 @@ func run() int {
 	return code
 }
 
-// epochRecord is one -epoch-json line: the sample's position plus the
-// measure-window rates of the epoch that ended at it.
-type epochRecord struct {
-	Retired   uint64  `json:"retired"`
-	Cycles    uint64  `json:"cycles"`
-	Phase     string  `json:"phase"`
-	MPKI      float64 `json:"mpki"`
-	IPC       float64 `json:"ipc"`
-	DCHitRate float64 `json:"dc_hit_rate"`
-	InPkgBPI  float64 `json:"in_pkg_bpi"`
-	OffPkgBPI float64 `json:"off_pkg_bpi"`
-}
-
 func report(w io.Writer, st stats.Sim, partial bool) {
 	note := ""
 	if partial {
@@ -322,7 +282,7 @@ func report(w io.Writer, st stats.Sim, partial bool) {
 	fmt.Fprintf(w, "IPC           %.3f\n", st.IPC())
 	fmt.Fprintf(w, "LLC misses    %d (evictions %d)\n", st.LLCMisses, st.LLCEvictions)
 	fmt.Fprintf(w, "avg miss lat  %.0f cycles\n", st.AvgMissLat())
-	fmt.Fprintf(w, "DC hit rate   %.1f%%  (MPKI %.2f)\n", 100*(1-st.MissRate()), st.MPKI())
+	fmt.Fprintf(w, "DC hit rate   %.1f%%  (MPKI %.2f)\n", 100*st.DCHitRate(), st.MPKI())
 	fmt.Fprintf(w, "in-pkg  B/i   %.3f\n", st.InPkgBPI())
 	for _, c := range mem.Classes() {
 		if st.InPkg.Bytes[c] > 0 {

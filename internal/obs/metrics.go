@@ -127,7 +127,7 @@ type metric struct {
 // Registration methods are idempotent: asking for an existing name
 // returns the already-registered metric, so instrumented layers can
 // share one registry without coordinating ownership (the batch engine
-// registers its set once per run; every job's sampler then resolves
+// registers its set once per run; every job's observer then resolves
 // the same counters). Mismatched re-registration (same name, different
 // kind) panics — metric names are code, not input.
 //

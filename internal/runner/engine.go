@@ -90,8 +90,8 @@ type Engine struct {
 	// Metrics, when non-nil, receives the engine's instrument panel
 	// (job states, attempts/retries, worker occupancy, gang shape,
 	// checkpoint flush lag) and — under the default JobRunner — the
-	// per-epoch simulation series from one sim.Sampler per lane, gang
-	// lanes included.
+	// per-epoch simulation series of every lane, gang lanes included
+	// (sim.Gang.Observe at sim.DefaultEpochEvery).
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records the sweep timeline: one span per
 	// job and per attempt on the executing worker's lane, gang spans,
@@ -103,10 +103,6 @@ type Engine struct {
 	// progress line per interval. Failure notes and the final matrix
 	// summary still print.
 	ProgressEvery time.Duration
-	// EpochEvery sets the sampling interval, in retired instructions,
-	// for the per-epoch metric series (0 = a sensible default). Only
-	// meaningful with Metrics set.
-	EpochEvery uint64
 }
 
 // jobRunner resolves the runner every group attempt goes through.
@@ -115,7 +111,7 @@ func (e Engine) jobRunner() JobRunner {
 	case e.JobRunner != nil:
 		return e.JobRunner
 	case e.Metrics != nil:
-		return Observed(e.Metrics, e.EpochEvery, nil)
+		return Observed(e.Metrics, 0, nil)
 	}
 	return Simulate
 }

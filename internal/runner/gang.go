@@ -16,19 +16,15 @@ func Simulate(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
 }
 
 // Observed is Simulate with per-lane observation, the default
-// JobRunner when metrics are on. Every lane gets its own epoch hook
-// every `every` retired instructions (0 = a sensible default): with r
-// non-nil, a sim.Sampler bound to the lane updates r's live epoch
-// gauges, and a successful run folds each lane's final window and
-// MSHR stalls into r's totals — failed or cancelled attempts leave no
-// residue, keeping the totals equal to the sums over emitted results.
-// onEpoch, when non-nil, also receives each lane's snapshots with the
-// lane's job. An epoch hook disables batched replay on its lane
-// (sim.System.OnEpoch), the same cost a sampled single run pays.
+// JobRunner when metrics are on: the gang's lanes are observed through
+// sim.Gang.Observe every `every` retired instructions (0 =
+// sim.DefaultEpochEvery). With r non-nil the lanes drive r's live
+// epoch gauges, and a successful run folds each lane's final window
+// and MSHR stalls into r's totals — failed or cancelled attempts leave
+// no residue, keeping the totals equal to the sums over emitted
+// results. onEpoch, when non-nil, also receives each lane's snapshots
+// with the lane's job.
 func Observed(r *obs.Registry, every uint64, onEpoch func(Job, stats.Snapshot)) JobRunner {
-	if every == 0 {
-		every = defaultEpochEvery
-	}
 	return laneObserver{reg: r, every: every, onEpoch: onEpoch}.run
 }
 
@@ -48,33 +44,16 @@ func (o laneObserver) run(ctx context.Context, jobs []Job) ([]stats.Sim, error) 
 	if err != nil {
 		return nil, err
 	}
-	var samplers []*sim.Sampler
-	if o.reg != nil || o.onEpoch != nil {
-		for i, job := range jobs {
-			lane := g.Lane(i)
-			var sp *sim.Sampler
-			if o.reg != nil {
-				sp = sim.NewSampler(o.reg)
-				sp.Bind(lane)
-				samplers = append(samplers, sp)
-			}
-			lane.OnEpoch(o.every, func(snap stats.Snapshot) {
-				if sp != nil {
-					sp.Sample(snap)
-				}
-				if o.onEpoch != nil {
-					o.onEpoch(job, snap)
-				}
-			})
-		}
+	var fns []func(int, stats.Snapshot)
+	if o.onEpoch != nil {
+		fns = append(fns, func(lane int, s stats.Snapshot) { o.onEpoch(jobs[lane], s) })
 	}
+	fold := g.Observe(o.every, o.reg, fns...)
 	sts, err := g.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	for i, sp := range samplers {
-		sp.Finish(sts[i])
-	}
+	fold(sts)
 	return sts, nil
 }
 

@@ -193,8 +193,8 @@ func TestGangGrouping(t *testing.T) {
 	}
 }
 
-// TestGangMSHRStallsMatchSessions: every gang lane carries its own
-// sampler, so a metered ganged sweep reports the same MSHR stall total
+// TestGangMSHRStallsMatchSessions: Observe's fold adds every gang
+// lane's own stalls, so a metered ganged sweep reports the same MSHR stall total
 // as the unganged sweep — the sum of each job's stand-alone
 // MSHRStalls().
 func TestGangMSHRStallsMatchSessions(t *testing.T) {

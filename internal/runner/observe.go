@@ -2,12 +2,6 @@ package runner
 
 import "banshee/internal/obs"
 
-// defaultEpochEvery is the epoch sampling interval, in retired
-// instructions, used for metric time series when Engine.EpochEvery is
-// unset: fine enough that the gauges move during a single job, coarse
-// enough that sampling cost is noise.
-const defaultEpochEvery = 1 << 21
-
 // engineMetrics is the engine's instrument panel, built once per Run
 // against the engine's registry. All updates happen under the run's
 // mutex or on a single worker, but the metrics themselves are atomic —

@@ -21,7 +21,7 @@ import (
 func TestMetricsSumConsistentWithResults(t *testing.T) {
 	m := testMatrix("metered")
 	r := obs.NewRegistry()
-	e := Engine{Parallelism: 3, Metrics: r, EpochEvery: 10_000}
+	e := Engine{Parallelism: 3, Metrics: r, JobRunner: Observed(r, 10_000, nil)}
 	rs, err := e.Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestMetricsCountRetriesAndFailures(t *testing.T) {
 
 // TestGangMetricsAndSimTotals: a ganged sweep's group/lane counters
 // reconcile with the gang completions the progress log shows, and the
-// sim totals equal the sums over the emitted results, gang lanes
-// folded by their own samplers.
+// sim totals equal the sums over the emitted results, every gang lane
+// folded once.
 func TestGangMetricsAndSimTotals(t *testing.T) {
 	m := gangMatrix("gangmetrics")
 	r := obs.NewRegistry()

@@ -124,12 +124,10 @@ func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w 
 			if err != nil {
 				return nil, err
 			}
-			if e.Metrics != nil {
-				// Remote attempts bypass the in-process samplers; fold
-				// their finals so the sim totals still equal the sums
-				// over emitted results.
-				sim.NewSampler(e.Metrics).Finish(st)
-			}
+			// Remote attempts bypass the in-process lanes; fold their
+			// finals so the sim totals still equal the sums over
+			// emitted results.
+			sim.FoldRemote(e.Metrics, st)
 			return []stats.Sim{st}, nil
 		}
 	}
@@ -173,7 +171,7 @@ func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w 
 			return nil, ctx.Err()
 		}
 		if attempt < max {
-			if !sleepCtx(ctx, e.Retry.Delay(job.ID, attempt)) {
+			if !util.SleepCtx(ctx, e.Retry.Delay(job.ID, attempt)) {
 				return nil, ctx.Err()
 			}
 		}
@@ -204,22 +202,6 @@ func (e Engine) attempt(ctx context.Context, jobs []Job, run JobRunner) (sts []s
 		sts, err = nil, fmt.Errorf("runner returned %d results for %d jobs", len(sts), len(jobs))
 	}
 	return sts, err
-}
-
-// sleepCtx sleeps for d unless ctx ends first; reports whether the
-// full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // failureRecord renders a permanently failed job as the Record the

@@ -574,8 +574,8 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 // Width returns the number of lanes.
 func (g *Gang) Width() int { return len(g.gs.lanes) }
 
-// Lane returns lane i's system — where per-lane observers (OnEpoch
-// hooks, a Sampler) attach.
+// Lane returns lane i's system: its progress, snapshot and MSHR
+// stalls. Per-lane observers attach through Observe.
 func (g *Gang) Lane(i int) *System { return g.gs.lanes[i] }
 
 // Step advances every unfinished lane by at least n retired
@@ -678,10 +678,6 @@ func (g *Gang) Progress() Progress {
 	}
 	return p
 }
-
-// LaneSnapshot captures lane i's current measurement window; see
-// System.Snapshot for windowing semantics.
-func (g *Gang) LaneSnapshot(i int) stats.Snapshot { return g.gs.lanes[i].Snapshot() }
 
 // Err returns the gang's terminal error, if any.
 func (g *Gang) Err() error { return g.runErr }

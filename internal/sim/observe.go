@@ -1,35 +1,85 @@
 package sim
 
 import (
-	"sync"
 	"time"
 
 	"banshee/internal/obs"
 	"banshee/internal/stats"
 )
 
-// Sampler bridges one lane's epoch stream into an obs.Registry: the
-// per-epoch windows drive rate gauges (MPKI, IPC, DRAM-cache hit rate,
-// LLC accesses per wall-second), and each completed run folds its
-// measurement-window counters into monotone totals.
-//
-// The totals carry an exactness contract: Finish(final) absorbs
-// exactly `final` — the same measurement window the run reports — and
-// is only called for runs whose results are actually emitted. Failed
-// or cancelled attempts never touch the totals (their partial windows
-// are discarded along with their partial results), so across a sweep
-// the `banshee_sim_*_total` series equal the field sums of the
-// executed results, retries and faults included. Mid-run the totals
-// therefore trail the live window by at most one job; the epoch
-// gauges are live.
-//
-// Several Samplers may share one registry (one per concurrent job):
-// the registry hands every Sampler the same underlying metrics, and
-// each Sampler folds in only its own run. A Sampler is bound to a
-// single lane; the mutex guards a late epoch racing Finish.
-type Sampler struct {
-	lane *System
+// DefaultEpochEvery is the epoch sampling interval, in retired
+// instructions, Observe uses when given 0: fine enough that the
+// gauges move during a single job, coarse enough that sampling cost
+// is noise.
+const DefaultEpochEvery = 1 << 21
 
+// Observe is how a run's lanes are observed — the one place every
+// caller (the batch engine, sweepd's epoch capture, bansheesim) wires
+// epoch sampling. It installs one epoch hook per lane, firing every
+// `every` retired instructions (0 = DefaultEpochEvery), which passes
+// each snapshot to every fn with the lane's index and, with reg
+// non-nil, drives reg's live epoch gauges (MPKI, IPC, DRAM-cache hit
+// rate, LLC accesses per wall-second, miss latency).
+//
+// The returned fold adds the given per-lane results, plus each lane's
+// MSHR stalls, to reg's monotone totals — once: later calls, and epoch
+// samples arriving after it, leave the registry alone. Call it only
+// for results that are actually emitted, with exactly those results,
+// so across a sweep the `banshee_sim_*_total` series equal the field
+// sums of the executed results, retries and faults included; a failed
+// or cancelled attempt that never folds leaves no residue. Mid-run
+// the totals therefore trail the live window by at most one job; the
+// epoch gauges are live. Many gangs may share one registry: it hands
+// every one the same series, and each folds in only its own lanes.
+//
+// With reg nil and no fns Observe installs nothing, so the lanes keep
+// batched replay; any hook disables it on its lane (System.OnEpoch).
+// Call Observe before the gang runs, on the goroutine that runs it.
+func (g *Gang) Observe(every uint64, reg *obs.Registry, fns ...func(lane int, s stats.Snapshot)) (fold func([]stats.Sim)) {
+	if reg == nil && len(fns) == 0 {
+		return func([]stats.Sim) {}
+	}
+	if every == 0 {
+		every = DefaultEpochEvery
+	}
+	var m *simMetrics
+	if reg != nil {
+		m = newSimMetrics(reg)
+	}
+	folded := false
+	for i, lane := range g.gs.lanes {
+		lastWall := time.Now()
+		lane.OnEpoch(every, func(s stats.Snapshot) {
+			if m != nil && !folded {
+				lastWall = m.sample(s, lastWall)
+			}
+			for _, fn := range fns {
+				fn(i, s)
+			}
+		})
+	}
+	return func(sts []stats.Sim) {
+		if m == nil || folded {
+			return
+		}
+		folded = true
+		for i, lane := range g.gs.lanes {
+			m.fold(sts[i], lane)
+		}
+	}
+}
+
+// FoldRemote adds one lane-less result — a job attempt executed
+// elsewhere, outside any in-process gang — to reg's totals, so they
+// still equal the sums over emitted results. A nil reg is a no-op.
+func FoldRemote(reg *obs.Registry, st stats.Sim) {
+	if reg != nil {
+		newSimMetrics(reg).fold(st, nil)
+	}
+}
+
+// simMetrics is the simulation metric families on one registry.
+type simMetrics struct {
 	instructions *obs.Counter
 	cycles       *obs.Counter
 	llcAccesses  *obs.Counter
@@ -47,17 +97,13 @@ type Sampler struct {
 	dcHitRate  *obs.Gauge
 	accPerSec  *obs.Gauge
 	avgMissLat *obs.Gauge
-
-	mu       sync.Mutex
-	lastWall time.Time
-	done     bool
 }
 
-// NewSampler registers the simulation metric families on r and returns
-// a sampler ready to bind to a lane. Registration is idempotent, so
-// every sampler built against the same registry shares the same series.
-func NewSampler(r *obs.Registry) *Sampler {
-	return &Sampler{
+// newSimMetrics registers the simulation metric families on r.
+// Registration is idempotent, so every caller built against the same
+// registry shares the same series.
+func newSimMetrics(r *obs.Registry) *simMetrics {
+	return &simMetrics{
 		instructions: r.Counter("banshee_sim_instructions_total", "instructions retired inside measurement windows of executed runs"),
 		cycles:       r.Counter("banshee_sim_cycles_total", "simulated cycles inside measurement windows of executed runs"),
 		llcAccesses:  r.Counter("banshee_sim_llc_accesses_total", "LLC accesses inside measurement windows of executed runs"),
@@ -77,64 +123,38 @@ func NewSampler(r *obs.Registry) *Sampler {
 	}
 }
 
-// Bind associates the sampler with one lane — a Session's System, or
-// one lane of a Gang — whose MSHR stall counters Finish folds. The
-// lane's epoch hook is the caller's to install: it calls Sample,
-// alongside any other consumer of the same epoch stream.
-func (sp *Sampler) Bind(lane *System) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.lane = lane
-	sp.lastWall = time.Now()
-}
-
-// Sample folds one epoch snapshot into the registry's rate gauges.
-// Totals are untouched until Finish — an epoch window may straddle the
-// warmup boundary, and a run that later fails must leave no residue.
-func (sp *Sampler) Sample(snap stats.Snapshot) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.done {
-		return
-	}
-	sp.epochs.Inc()
-
+// sample folds one epoch snapshot into the rate gauges and returns the
+// wall time it was taken, the start of the next window's wall span.
+// Totals are untouched — an epoch window may straddle the warmup
+// boundary, and a run that later fails must leave no residue.
+func (m *simMetrics) sample(snap stats.Snapshot, lastWall time.Time) time.Time {
+	m.epochs.Inc()
 	w := &snap.Window
-	sp.mpki.Set(w.MPKI())
-	sp.ipc.Set(w.IPC())
-	if tot := w.DCHits + w.DCMisses; tot > 0 {
-		sp.dcHitRate.Set(float64(w.DCHits) / float64(tot))
-	}
-	sp.avgMissLat.Set(w.AvgMissLat())
+	m.mpki.Set(w.MPKI())
+	m.ipc.Set(w.IPC())
+	m.dcHitRate.Set(w.DCHitRate())
+	m.avgMissLat.Set(w.AvgMissLat())
 	now := time.Now()
-	if dt := now.Sub(sp.lastWall).Seconds(); dt > 0 {
-		sp.accPerSec.Set(float64(w.LLCAccesses) / dt)
+	if dt := now.Sub(lastWall).Seconds(); dt > 0 {
+		m.accPerSec.Set(float64(w.LLCAccesses) / dt)
 	}
-	sp.lastWall = now
+	return now
 }
 
-// Finish folds the run's final measurement window into the totals.
-// Call it once, with the statistics the run returned, and only for
-// runs whose results are kept; later calls and late epoch samples are
-// no-ops.
-func (sp *Sampler) Finish(final stats.Sim) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.done {
-		return
-	}
-	sp.done = true
-	sp.instructions.Add(final.Instructions)
-	sp.cycles.Add(final.Cycles)
-	sp.llcAccesses.Add(final.LLCAccesses)
-	sp.llcMisses.Add(final.LLCMisses)
-	sp.dcHits.Add(final.DCHits)
-	sp.dcMisses.Add(final.DCMisses)
-	sp.inPkgBytes.Add(final.InPkg.Total())
-	sp.offPkgBytes.Add(final.OffPkg.Total())
-	if sp.lane != nil {
-		stalls, cycles := sp.lane.MSHRStalls()
-		sp.mshrStalls.Add(stalls)
-		sp.mshrCycles.Add(cycles)
+// fold adds one run's final measurement window, and lane's MSHR stalls
+// when the run had an in-process lane, to the totals.
+func (m *simMetrics) fold(final stats.Sim, lane *System) {
+	m.instructions.Add(final.Instructions)
+	m.cycles.Add(final.Cycles)
+	m.llcAccesses.Add(final.LLCAccesses)
+	m.llcMisses.Add(final.LLCMisses)
+	m.dcHits.Add(final.DCHits)
+	m.dcMisses.Add(final.DCMisses)
+	m.inPkgBytes.Add(final.InPkg.Total())
+	m.offPkgBytes.Add(final.OffPkg.Total())
+	if lane != nil {
+		stalls, cycles := lane.MSHRStalls()
+		m.mshrStalls.Add(stalls)
+		m.mshrCycles.Add(cycles)
 	}
 }

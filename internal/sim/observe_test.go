@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"banshee/internal/obs"
+	"banshee/internal/stats"
 )
 
-// TestSamplerExactConsistency pins the Sampler's totals contract:
-// after Finish, every banshee_sim_*_total counter equals the
-// corresponding field of the statistics the run returned — sampling
-// observes the run, it never re-measures it.
+// TestSamplerExactConsistency pins Observe's totals contract: after
+// fold, every banshee_sim_*_total counter equals the corresponding
+// field of the statistics the run returned — sampling observes the
+// run, it never re-measures it.
 func TestSamplerExactConsistency(t *testing.T) {
 	cfg := sessionTestConfig("pagerank")
 	plain, err := Run(cfg, cfg.Workload, "Banshee")
@@ -23,17 +24,15 @@ func TestSamplerExactConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewSampler(r)
-	sp.Bind(sess.System())
-	sess.OnEpoch(10_000, sp.Sample)
+	fold := sess.g.Observe(10_000, r)
 	final, err := sess.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Finish(final)
+	fold([]stats.Sim{final})
 
 	if final != plain {
-		t.Fatalf("sampler perturbed the run:\nplain:   %+v\nsampled: %+v", plain, final)
+		t.Fatalf("observation perturbed the run:\nplain:   %+v\nsampled: %+v", plain, final)
 	}
 	snap := r.Snapshot()
 	for name, want := range map[string]uint64{
@@ -56,16 +55,21 @@ func TestSamplerExactConsistency(t *testing.T) {
 	if snap["banshee_epoch_ipc"] <= 0 {
 		t.Errorf("epoch IPC gauge = %g, want > 0", snap["banshee_epoch_ipc"])
 	}
-	// Finish is idempotent and late samples are dropped: totals frozen.
-	sp.Finish(final)
-	sp.Sample(sess.Snapshot())
-	if got := uint64(r.Snapshot()["banshee_sim_instructions_total"]); got != final.Instructions {
-		t.Errorf("totals moved after Finish: %d, want %d", got, final.Instructions)
+	// fold happens once and late samples are dropped: totals frozen.
+	fold([]stats.Sim{final})
+	sess.System().fireEpoch()
+	after := r.Snapshot()
+	if got := uint64(after["banshee_sim_instructions_total"]); got != final.Instructions {
+		t.Errorf("totals moved after fold: %d, want %d", got, final.Instructions)
+	}
+	if after["banshee_epochs_total"] != snap["banshee_epochs_total"] {
+		t.Errorf("late epoch sampled after fold: %g epochs, want %g",
+			after["banshee_epochs_total"], snap["banshee_epochs_total"])
 	}
 }
 
-// TestSamplerSharedRegistry pins the sweep-level contract: samplers
-// for several jobs sharing one registry sum their runs' measurement
+// TestSamplerSharedRegistry pins the sweep-level contract: observers
+// of several jobs sharing one registry sum their runs' measurement
 // windows, so sweep counters equal the field sums of the emitted
 // per-job results.
 func TestSamplerSharedRegistry(t *testing.T) {
@@ -77,14 +81,12 @@ func TestSamplerSharedRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := NewSampler(r)
-		sp.Bind(sess.System())
-		sess.OnEpoch(10_000, sp.Sample)
+		fold := sess.g.Observe(10_000, r)
 		final, err := sess.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp.Finish(final)
+		fold([]stats.Sim{final})
 		wantInstr += final.Instructions
 		wantDCM += final.DCMisses
 	}
@@ -100,7 +102,7 @@ func TestSamplerSharedRegistry(t *testing.T) {
 // TestMSHRStallCounters pins the MSHR back-pressure surface: with a
 // single MSHR and no dependence stalls, every overlapping miss beyond
 // the first must stall the core, and the lost cycles are visible
-// through the accessor and the sampler counters.
+// through the accessor and the counters fold adds.
 func TestMSHRStallCounters(t *testing.T) {
 	cfg := sessionTestConfig("mcf")
 	cfg.MSHRs = 1
@@ -110,14 +112,12 @@ func TestMSHRStallCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewSampler(r)
-	sp.Bind(sess.System())
-	sess.OnEpoch(10_000, sp.Sample)
+	fold := sess.g.Observe(10_000, r)
 	final, err := sess.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Finish(final)
+	fold([]stats.Sim{final})
 
 	stalls, cycles := sess.MSHRStalls()
 	if stalls == 0 || cycles == 0 {
@@ -148,5 +148,31 @@ func TestMSHRStallsDoNotChangeStats(t *testing.T) {
 	}
 	if stalls, cycles := sess.MSHRStalls(); stalls != 0 || cycles != 0 {
 		t.Fatalf("unlimited MSHR window still stalled: %d events, %d cycles", stalls, cycles)
+	}
+}
+
+// TestObserveUnobservedInstallsNoHook guards the batched-replay fast
+// path: Observe with no registry and no consumers leaves every lane's
+// epoch hook unset, while a registry alone hooks every lane at the
+// default interval.
+func TestObserveUnobservedInstallsNoHook(t *testing.T) {
+	cfg := sessionTestConfig("pagerank")
+	g, err := NewGangSeeds(cfg, cfg.Workload, "Alloy 1", []uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.Observe(0, nil)
+	for i := 0; i < g.Width(); i++ {
+		if l := g.Lane(i); l.epochFn != nil || l.epochEvery != 0 {
+			t.Fatalf("lane %d: unobserved Observe installed an epoch hook (every %d)", i, l.epochEvery)
+		}
+	}
+	g.Observe(0, obs.NewRegistry())
+	for i := 0; i < g.Width(); i++ {
+		if l := g.Lane(i); l.epochFn == nil || l.epochEvery != DefaultEpochEvery {
+			t.Fatalf("lane %d: observed lane hook = %v every %d, want set every %d",
+				i, l.epochFn != nil, l.epochEvery, DefaultEpochEvery)
+		}
 	}
 }

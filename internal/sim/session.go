@@ -53,7 +53,7 @@ func NewSessionConfig(cfg Config) (*Session, error) {
 }
 
 // System returns the session's lane: the underlying assembled system
-// (diagnostics, tests, direct access to the scheme under test).
+// (diagnostics, tests).
 func (s *Session) System() *System { return s.g.Lane(0) }
 
 // Step advances the run until at least n more instructions have

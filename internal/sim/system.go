@@ -12,7 +12,6 @@ import (
 	"banshee/internal/stats"
 	"banshee/internal/util"
 	"banshee/internal/vm"
-	"banshee/internal/workload"
 )
 
 // core is one simulated CPU's replay state.
@@ -111,9 +110,6 @@ func NewSystem(cfg Config) (*System, error) {
 	return g.Lane(0), nil
 }
 
-// Scheme returns the scheme under test (diagnostics, tests).
-func (s *System) Scheme() mc.Scheme { return s.scheme }
-
 // coreQueue is the per-event scheduler: a specialized binary min-heap
 // over *core ordered by (local time, id). It replaces the previous
 // container/heap implementation, whose interface{} Push/Pop boxed a
@@ -183,9 +179,6 @@ func (q coreQueue) heapify() {
 		q.siftDown(i)
 	}
 }
-
-// Workload returns the source driving the system (diagnostics, tests).
-func (s *System) Workload() workload.Source { return s.stream.src }
 
 // start initializes the scheduling heap; the first Step calls it.
 func (s *System) start() {

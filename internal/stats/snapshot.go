@@ -48,6 +48,32 @@ type Snapshot struct {
 	Window Sim
 }
 
+// Epoch is one epoch sample as every epoch stream writes it — the
+// sample's position plus the per-window rates of the epoch that ended
+// at it. bansheesim -epoch-json prints one per line, and a sweepd
+// sweep's epochs.jsonl embeds one in each line beside the job's
+// identity.
+type Epoch struct {
+	Retired   uint64  `json:"retired"`
+	Cycles    uint64  `json:"cycles"`
+	Phase     string  `json:"phase"`
+	MPKI      float64 `json:"mpki"`
+	IPC       float64 `json:"ipc"`
+	DCHitRate float64 `json:"dc_hit_rate"`
+	InPkgBPI  float64 `json:"in_pkg_bpi"`
+	OffPkgBPI float64 `json:"off_pkg_bpi"`
+}
+
+// Epoch renders the snapshot as its epoch record.
+func (s Snapshot) Epoch() Epoch {
+	w := &s.Window
+	return Epoch{
+		Retired: s.Retired, Cycles: s.Cycles, Phase: s.Phase.String(),
+		MPKI: w.MPKI(), IPC: w.IPC(), DCHitRate: w.DCHitRate(),
+		InPkgBPI: w.InPkgBPI(), OffPkgBPI: w.OffPkgBPI(),
+	}
+}
+
 // Series is an ordered sequence of snapshots — the time series an
 // OnEpoch hook accumulates over a run.
 type Series []Snapshot

@@ -110,6 +110,16 @@ func (s *Sim) MissRate() float64 {
 	return float64(s.DCMisses) / float64(tot)
 }
 
+// DCHitRate returns the DRAM-cache hit rate among LLC misses,
+// hits/(hits+misses); 0 when the window saw no DRAM-cache accesses.
+func (s *Sim) DCHitRate() float64 {
+	tot := s.DCHits + s.DCMisses
+	if tot == 0 {
+		return 0
+	}
+	return float64(s.DCHits) / float64(tot)
+}
+
 // InPkgBPI returns in-package DRAM bytes per instruction (Fig. 5 y-axis).
 func (s *Sim) InPkgBPI() float64 {
 	if s.Instructions == 0 {

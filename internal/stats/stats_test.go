@@ -52,6 +52,9 @@ func TestDerivedMetrics(t *testing.T) {
 	if got := s.MissRate(); got != 0.25 {
 		t.Errorf("MissRate = %v", got)
 	}
+	if got := s.DCHitRate(); got != 0.75 {
+		t.Errorf("DCHitRate = %v", got)
+	}
 	if got := s.InPkgBPI(); got != 2 {
 		t.Errorf("InPkgBPI = %v", got)
 	}
@@ -65,7 +68,7 @@ func TestDerivedMetrics(t *testing.T) {
 
 func TestZeroDenominators(t *testing.T) {
 	var s Sim
-	if s.IPC() != 0 || s.MPKI() != 0 || s.MissRate() != 0 || s.InPkgBPI() != 0 || s.OffPkgBPI() != 0 {
+	if s.IPC() != 0 || s.MPKI() != 0 || s.MissRate() != 0 || s.DCHitRate() != 0 || s.InPkgBPI() != 0 || s.OffPkgBPI() != 0 {
 		t.Fatal("zero-value Sim must yield zero metrics, not NaN")
 	}
 }

@@ -324,8 +324,7 @@ func (b *Broker) Renew(id string) error {
 	return nil
 }
 
-// Resolve delivers lease id's attempt outcome for job jobID
-// (jobID "" skips the key check, for legacy callers). Exactly-once
+// Resolve delivers lease id's attempt outcome for job jobID. Exactly-once
 // under redelivery: the first accepted outcome tombstones the lease,
 // and a redelivered report for the same (lease, job key) — the wire
 // duplicated it, or the worker retried after a lost ACK — returns nil
@@ -336,7 +335,7 @@ func (b *Broker) Renew(id string) error {
 func (b *Broker) Resolve(id, jobID string, st stats.Sim, attemptErr error) error {
 	b.mu.Lock()
 	l, ok := b.leases[id]
-	if ok && jobID != "" && l.job.ID != jobID {
+	if ok && l.job.ID != jobID {
 		// A report for a job this lease never held: refuse it rather
 		// than record a result under the wrong key.
 		b.mu.Unlock()
@@ -348,7 +347,7 @@ func (b *Broker) Resolve(id, jobID string, st stats.Sim, attemptErr error) error
 	tomb, dead := b.tombs[id]
 	b.mu.Unlock()
 	if !ok {
-		if dead && tomb.resolved && (jobID == "" || jobID == tomb.jobID) {
+		if dead && tomb.resolved && jobID == tomb.jobID {
 			return nil // duplicate delivery of an accepted outcome
 		}
 		return ErrLeaseGone

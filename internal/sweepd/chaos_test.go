@@ -7,8 +7,10 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"syscall"
 	"testing"
@@ -150,6 +152,45 @@ func TestBrokerWrongJobKeyLiveLease(t *testing.T) {
 	}
 	r := <-done
 	if !r.handled || r.st.Cycles != 7 {
+		t.Fatalf("dispatch outcome = %+v", r)
+	}
+}
+
+// TestReportWithoutJobKeyRejected: a lease report POSTed without its
+// job key is refused with 400 and leaves the lease live; the same
+// report with the right key then resolves it.
+func TestReportWithoutJobKeyRejected(t *testing.T) {
+	d := newDaemon(t, t.TempDir())
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(srv.Close)
+	b := d.Broker()
+	b.Lease(context.Background(), "w", time.Millisecond)
+	id, done := dispatchOne(t, b, runner.Job{ID: "job-keyed"})
+
+	post := func(upd LeaseUpdate) int {
+		t.Helper()
+		body, err := json.Marshal(upd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/workers/result", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	res := &stats.Sim{Cycles: 9}
+	if code := post(LeaseUpdate{Lease: id, Result: res}); code != http.StatusBadRequest {
+		t.Fatalf("keyless report: status %d, want 400", code)
+	}
+	if err := b.Renew(id); err != nil {
+		t.Fatalf("lease killed by keyless report: %v", err)
+	}
+	if code := post(LeaseUpdate{Lease: id, Job: "job-keyed", Result: res}); code != http.StatusNoContent {
+		t.Fatalf("keyed report: status %d, want 204", code)
+	}
+	if r := <-done; !r.handled || r.err != nil || r.st.Cycles != res.Cycles {
 		t.Fatalf("dispatch outcome = %+v", r)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"banshee/internal/runner"
+	"banshee/internal/util"
 )
 
 // Client talks to a sweepd daemon over HTTP/JSON. Every unary call
@@ -145,7 +146,7 @@ func (c *Client) doCall(ctx context.Context, call string, timeout time.Duration,
 		if ra := retryAfter(lastErr); ra > d {
 			d = ra
 		}
-		if !sleepCtxDone(ctx, d) {
+		if !util.SleepCtx(ctx, d) {
 			return lastErr
 		}
 	}
@@ -208,21 +209,6 @@ func retryAfter(err error) time.Duration {
 		return ae.RetryAfter
 	}
 	return 0
-}
-
-// sleepCtxDone sleeps d, returning false if ctx ended first.
-func sleepCtxDone(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // APIError is a non-2xx daemon response.
@@ -370,7 +356,7 @@ func (c *Client) stream(ctx context.Context, id, kind string, offset int64, foll
 		if ra := retryAfter(err); ra > d {
 			d = ra
 		}
-		if !sleepCtxDone(ctx, d) {
+		if !util.SleepCtx(ctx, d) {
 			return total, err
 		}
 	}

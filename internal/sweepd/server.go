@@ -316,8 +316,9 @@ type leaseJob struct {
 // LeaseUpdate renews or resolves a lease.
 type LeaseUpdate struct {
 	Lease string `json:"lease"`
-	// Job is the reported job's content key (result endpoint): the
-	// idempotency key the daemon dedupes redelivered reports by.
+	// Job is the reported job's content key, required on the result
+	// endpoint: the idempotency key the daemon dedupes redelivered
+	// reports by.
 	Job string `json:"job,omitempty"`
 	// Result/Error report the attempt outcome (result endpoint only).
 	Result *stats.Sim `json:"result,omitempty"`
@@ -377,6 +378,12 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req LeaseUpdate
 	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("sweepd: bad result: %w", err))
+		return
+	}
+	if req.Job == "" {
+		// The job key is what makes a report land on the right job and
+		// match only its own tombstone as a duplicate.
+		writeError(w, http.StatusBadRequest, fmt.Errorf("sweepd: result needs its job key"))
 		return
 	}
 	var st stats.Sim

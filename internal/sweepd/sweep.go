@@ -169,9 +169,10 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 		Progress:    d.opts.Log,
 	}
 	if opts.EpochEvery > 0 {
-		// Epoch capture is a per-lane hook composed onto the default
-		// runner, so singles and gang lanes alike stream epoch lines
-		// while the sampler keeps the scoped metric series moving.
+		// Epoch capture is a consumer composed onto the default
+		// runner's sim.Gang.Observe, so singles and gang lanes alike
+		// stream epoch lines while the same hook keeps the scoped
+		// metric series moving.
 		// Remote attempts don't stream (the worker has no epoch
 		// channel), so the epochs stream is observability, not part of
 		// the byte-identity contract the results stream carries.
@@ -253,16 +254,14 @@ type epochSink struct {
 	f  *os.File
 }
 
-// epochLine is one epoch sample on the wire.
+// epochLine is one epoch sample on the wire: the job's identity plus
+// the stats.Epoch record every epoch stream writes.
 type epochLine struct {
-	Job      string  `json:"job"`
-	Workload string  `json:"workload"`
-	Scheme   string  `json:"scheme"`
-	Seed     uint64  `json:"seed"`
-	Retired  uint64  `json:"retired"`
-	Cycles   uint64  `json:"cycles"`
-	IPC      float64 `json:"ipc"`
-	MPKI     float64 `json:"mpki"`
+	Job      string `json:"job"`
+	Workload string `json:"workload"`
+	Scheme   string `json:"scheme"`
+	Seed     uint64 `json:"seed"`
+	stats.Epoch
 }
 
 func openEpochSink(path string) (*epochSink, error) {
@@ -277,8 +276,7 @@ func openEpochSink(path string) (*epochSink, error) {
 func (es *epochSink) append(job runner.Job, snap stats.Snapshot) {
 	b, err := json.Marshal(epochLine{
 		Job: job.ID, Workload: job.Workload, Scheme: job.Scheme, Seed: job.Seed,
-		Retired: snap.Retired, Cycles: snap.Cycles,
-		IPC: snap.Window.IPC(), MPKI: snap.Window.MPKI(),
+		Epoch: snap.Epoch(),
 	})
 	if err != nil {
 		return

@@ -436,11 +436,18 @@ func TestEpochSweepGangs(t *testing.T) {
 	if _, err := c.StreamEpochs(ctx, st.ID, 0, &epochs); err != nil {
 		t.Fatal(err)
 	}
+	// Every line is exactly the job's identity plus one stats.Epoch —
+	// the record bansheesim -epoch-json prints — and nothing else.
 	sampled := map[string]bool{}
 	for _, line := range bytes.Split(bytes.TrimSpace(epochs.Bytes()), []byte("\n")) {
 		var l epochLine
-		if err := json.Unmarshal(line, &l); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&l); err != nil {
 			t.Fatalf("bad epoch line %q: %v", line, err)
+		}
+		if l.Phase == "" {
+			t.Fatalf("epoch line %q has no phase", line)
 		}
 		sampled[l.Job] = true
 	}

@@ -15,6 +15,7 @@ import (
 	"banshee/internal/runner"
 	"banshee/internal/sim"
 	"banshee/internal/stats"
+	"banshee/internal/util"
 )
 
 // Worker is an attached worker process's pull loop: it long-polls the
@@ -97,7 +98,7 @@ func (wk *Worker) Run(ctx context.Context) error {
 					if wk.Log != nil {
 						fmt.Fprintf(wk.Log, "worker %s: %v (retrying in %v)\n", slotName, err, d.Round(time.Millisecond))
 					}
-					sleepCtx(ctx, d)
+					util.SleepCtx(ctx, d)
 				} else {
 					failures = 0
 				}
@@ -108,16 +109,6 @@ func (wk *Worker) Run(ctx context.Context) error {
 		<-done
 	}
 	return ctx.Err()
-}
-
-// sleepCtx sleeps for d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // pullOne performs one lease round: poll, simulate, report. A lease
