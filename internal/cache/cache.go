@@ -5,17 +5,15 @@
 // and Banshee's tag buffer embed the replacement machinery via their own
 // structures, but the L-level caches all use Cache directly).
 //
-// Beyond plain lookup the package supports the operations DRAM-cache
-// schemes need from the on-chip hierarchy: flushing all lines of a
-// physical page (HMA's address-consistency scrub, large-page
-// reconfiguration) and tagging lines with metadata bits (the per-line
-// page-size bit of §4.3 used to route LLC dirty evictions).
+// Beyond plain lookup, lines carry caller metadata bits (the per-line
+// page-size bit of §4.3 used to route LLC dirty evictions). There is no
+// page flush: HMA charges its cache scrub as a cost (mc.SWCost), and
+// Banshee's large-page handling never flushes these caches.
 //
-// Storage is struct-of-arrays over one flat backing allocation (tags,
-// stamps, and packed flag/meta bytes in parallel slices indexed by
-// set×ways+way), so the way scan on every access walks contiguous
-// memory instead of hopping across per-set slice headers — see
-// DESIGN.md §10 for the layout contract.
+// Each set keeps its valid lines as a prefix of its slots in
+// replacement order, most recently used (LRU) or most recently
+// inserted (FIFO) first, so the victim of a full set is its last slot
+// and no replacement state is stored — see DESIGN.md §10.
 package cache
 
 import (
@@ -79,10 +77,10 @@ func (c Config) validate() error {
 }
 
 // Eviction describes a line displaced by a fill. Pointers returned by
-// Access, Fill, and Invalidate reference a per-cache scratch value that
-// the next call overwrites — consume (or copy) an eviction before
-// touching the same cache again. The simulator's per-event loop runs
-// billions of evictions per sweep; reusing the scratch keeps the loop
+// Access and Fill reference a per-cache scratch value that the next
+// call overwrites — consume (or copy) an eviction before touching the
+// same cache again. The simulator's per-event loop runs billions of
+// evictions per sweep; reusing the scratch keeps the loop
 // allocation-free.
 type Eviction struct {
 	Addr  mem.Addr
@@ -90,44 +88,33 @@ type Eviction struct {
 	Meta  uint8
 }
 
-// Line state bits in the flags array.
-const (
-	fValid uint8 = 1 << iota
-	fDirty
-)
-
 // Stats counts cache events.
 type Stats struct {
-	Accesses   uint64
-	Misses     uint64
-	Evictions  uint64 // dirty evictions (write-backs)
-	Fills      uint64
-	Flushes    uint64 // lines removed by explicit flush operations
-	WriteHits  uint64
-	WriteMiss  uint64
-	Invalidate uint64
+	Accesses  uint64
+	Misses    uint64
+	Evictions uint64 // dirty evictions (write-backs)
+	Fills     uint64
+	WriteHits uint64
+	WriteMiss uint64
 }
 
 // Cache is a single set-associative cache. Not safe for concurrent use.
 //
-// Line state is struct-of-arrays: slot s = set×Ways+way holds its tag
-// in tags[s], its replacement stamp in stamps[s], and valid/dirty bits
-// plus caller metadata in flags[s]/meta[s].
+// Set s owns slots [s×Ways, s×Ways+n[s]) of the parallel tags and
+// state arrays, in replacement order; a state word is meta<<1 | dirty.
 type Cache struct {
 	cfg      Config
 	tags     []uint64
-	stamps   []uint64 // LRU: last-touch tick; FIFO: insertion tick
-	flags    []uint8
-	meta     []uint8
+	state    []uint16
+	n        []int32 // valid lines per set
 	ways     int
 	nsets    int
 	setMask  uint64
 	setBits  uint // precomputed popcount(setMask): the tag shift
 	lineBits uint
-	tick     uint64
 	rng      *util.RNG
 	stats    Stats
-	ev       Eviction // scratch returned by Access/Fill/Invalidate
+	ev       Eviction // scratch returned by Access/Fill
 }
 
 // New builds a cache; it panics on invalid configuration (a setup bug).
@@ -136,13 +123,11 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	n := nsets * cfg.Ways
 	c := &Cache{
 		cfg:     cfg,
-		tags:    make([]uint64, n),
-		stamps:  make([]uint64, n),
-		flags:   make([]uint8, n),
-		meta:    make([]uint8, n),
+		tags:    make([]uint64, nsets*cfg.Ways),
+		state:   make([]uint16, nsets*cfg.Ways),
+		n:       make([]int32, nsets),
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
@@ -162,199 +147,117 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Sets returns the number of sets (diagnostic).
 func (c *Cache) Sets() int { return c.nsets }
 
-func (c *Cache) index(a mem.Addr) (set uint64, tag uint64) {
+// find locates a's line: its set, its tag, the set's first slot, and
+// the line's recency position in the set (-1 when absent).
+func (c *Cache) find(a mem.Addr) (set, tag uint64, base, pos int) {
 	l := uint64(a) >> c.lineBits
-	return l & c.setMask, l >> c.setBits
-}
-
-func (c *Cache) addrOf(set uint64, tag uint64) mem.Addr {
-	return mem.Addr((tag<<c.setBits | set) << c.lineBits)
+	set, tag = l&c.setMask, l>>c.setBits
+	base = int(set) * c.ways
+	for i, tg := range c.tags[base : base+int(c.n[set])] {
+		if tg == tag {
+			return set, tag, base, i
+		}
+	}
+	return set, tag, base, -1
 }
 
 // Lookup reports whether a's line is present without changing any state.
 func (c *Cache) Lookup(a mem.Addr) bool {
-	set, tag := c.index(a)
-	base := int(set) * c.ways
-	for s := base; s < base+c.ways; s++ {
-		if c.flags[s]&fValid != 0 && c.tags[s] == tag {
-			return true
-		}
-	}
-	return false
+	_, _, _, pos := c.find(a)
+	return pos >= 0
 }
 
 // Access performs a demand read or write with allocate-on-miss. It
 // returns whether the access hit, and (on a miss that displaced a dirty
 // line) the eviction the caller must write back. meta is stored on the
 // line on fill and on write (carrying e.g. the page-size bit downstream).
-//
-// The way scan doubles as the victim pre-selection: by the time a miss
-// is known, every way's valid bit has been read, so the first invalid
-// way (the victim preferred by all policies) falls out of the same pass
-// instead of a second scan in fill.
+// Under LRU a hit moves the line to the front of its set.
 func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Eviction) {
 	c.stats.Accesses++
-	c.tick++
-	set, tag := c.index(a)
-	base := int(set) * c.ways
-	tags := c.tags[base : base+c.ways]
-	flags := c.flags[base : base+c.ways]
-	invalid := -1
-	for i, tg := range tags {
-		if flags[i]&fValid == 0 {
-			if invalid < 0 {
-				invalid = i
-			}
-			continue
+	set, tag, base, pos := c.find(a)
+	if pos < 0 {
+		c.stats.Misses++
+		if write {
+			c.stats.WriteMiss++
 		}
-		if tg == tag {
-			s := base + i
-			if c.cfg.Policy == LRU {
-				c.stamps[s] = c.tick
-			}
-			if write {
-				c.flags[s] |= fDirty
-				c.meta[s] = meta
-				c.stats.WriteHits++
-			}
-			return true, nil
-		}
+		return false, c.insert(set, tag, base, write, meta)
 	}
-	c.stats.Misses++
+	st := c.state[base+pos]
 	if write {
-		c.stats.WriteMiss++
+		st = uint16(meta)<<1 | 1
+		c.stats.WriteHits++
 	}
-	ev = c.fill(set, invalid, tag, write, meta)
-	return false, ev
+	if c.cfg.Policy == LRU {
+		c.rotate(base, pos)
+		c.tags[base] = tag
+		pos = 0
+	}
+	c.state[base+pos] = st
+	return true, nil
 }
 
-// Fill inserts a's line without counting a demand access (used when an
-// outer level pushes data in, e.g. prefetch-like flows in tests).
+// Fill inserts a's line without counting a demand access: the path of
+// every L2 victim into the L3. A present line keeps its position, ORs
+// in dirty and takes the new meta.
 func (c *Cache) Fill(a mem.Addr, dirty bool, meta uint8) *Eviction {
-	c.tick++
-	set, tag := c.index(a)
-	base := int(set) * c.ways
-	tags := c.tags[base : base+c.ways]
-	flags := c.flags[base : base+c.ways]
-	invalid := -1
-	for i, tg := range tags {
-		if flags[i]&fValid == 0 {
-			if invalid < 0 {
-				invalid = i
-			}
-			continue
-		}
-		if tg == tag {
-			s := base + i
-			if dirty {
-				c.flags[s] |= fDirty
-			}
-			c.meta[s] = meta
-			return nil
-		}
+	set, tag, base, pos := c.find(a)
+	if pos < 0 {
+		return c.insert(set, tag, base, dirty, meta)
 	}
-	return c.fill(set, invalid, tag, dirty, meta)
+	st := &c.state[base+pos]
+	*st = *st&1 | uint16(meta)<<1
+	if dirty {
+		*st |= 1
+	}
+	return nil
 }
 
-// fill inserts into set, evicting per policy. invalid is the first
-// invalid way found by the caller's scan (-1 when the set is full) —
-// every policy prefers it, and when the set is full the LRU/FIFO
-// victim is the minimal stamp over the (all-valid) ways.
-func (c *Cache) fill(set uint64, invalid int, tag uint64, dirty bool, meta uint8) *Eviction {
-	base := int(set) * c.ways
-	var victim int
-	switch {
-	case invalid >= 0:
-		victim = base + invalid
-	case c.cfg.Policy == Random:
-		victim = base + c.rng.Intn(c.ways)
-	default: // LRU and FIFO both evict the smallest stamp
-		stamps := c.stamps[base : base+c.ways]
-		v, min := 0, stamps[0]
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < min {
-				v, min = i, stamps[i]
-			}
-		}
-		victim = base + v
-	}
+// insert puts tag at the front of set (first slot base), displacing the
+// last line of a full set — or, under Random, a uniformly drawn one —
+// and returns the displaced line if it was dirty.
+func (c *Cache) insert(set, tag uint64, base int, dirty bool, meta uint8) *Eviction {
 	var ev *Eviction
-	if c.flags[victim]&(fValid|fDirty) == fValid|fDirty {
-		c.stats.Evictions++
-		c.ev = Eviction{Addr: c.addrOf(set, c.tags[victim]), Dirty: true, Meta: c.meta[victim]}
-		ev = &c.ev
-	}
-	c.tags[victim] = tag
-	c.stamps[victim] = c.tick
-	c.meta[victim] = meta
-	if dirty {
-		c.flags[victim] = fValid | fDirty
+	pos := int(c.n[set])
+	if pos < c.ways {
+		c.n[set]++
 	} else {
-		c.flags[victim] = fValid
+		pos--
+		if c.cfg.Policy == Random {
+			pos = c.rng.Intn(c.ways)
+		}
+		if v := base + pos; c.state[v]&1 != 0 {
+			c.stats.Evictions++
+			c.ev = Eviction{Addr: c.addrOf(set, c.tags[v]), Dirty: true, Meta: uint8(c.state[v] >> 1)}
+			ev = &c.ev
+		}
+	}
+	c.rotate(base, pos)
+	c.tags[base] = tag
+	c.state[base] = uint16(meta) << 1
+	if dirty {
+		c.state[base] |= 1
 	}
 	c.stats.Fills++
 	return ev
 }
 
-// Invalidate drops a's line if present, returning a write-back if it was
-// dirty.
-func (c *Cache) Invalidate(a mem.Addr) *Eviction {
-	set, tag := c.index(a)
-	base := int(set) * c.ways
-	for s := base; s < base+c.ways; s++ {
-		if c.flags[s]&fValid != 0 && c.tags[s] == tag {
-			c.stats.Invalidate++
-			var ev *Eviction
-			if c.flags[s]&fDirty != 0 {
-				c.ev = Eviction{Addr: c.addrOf(set, c.tags[s]), Dirty: true, Meta: c.meta[s]}
-				ev = &c.ev
-			}
-			c.clearSlot(s)
-			return ev
-		}
-	}
-	return nil
+// rotate shifts the lines at recency positions [0, pos) of the set
+// starting at base one slot back, overwriting position pos and
+// freeing the front slot.
+func (c *Cache) rotate(base, pos int) {
+	copy(c.tags[base+1:base+pos+1], c.tags[base:base+pos])
+	copy(c.state[base+1:base+pos+1], c.state[base:base+pos])
 }
 
-// clearSlot resets one line slot to the invalid state.
-func (c *Cache) clearSlot(s int) {
-	c.tags[s] = 0
-	c.stamps[s] = 0
-	c.flags[s] = 0
-	c.meta[s] = 0
-}
-
-// FlushPage removes every line belonging to the 4 KB page containing a,
-// returning dirty lines that must be written back. This is the cache
-// scrub HMA-style remapping requires for address consistency, and the
-// flush Banshee needs on large-page reconfiguration.
-func (c *Cache) FlushPage(a mem.Addr) []Eviction {
-	var evs []Eviction
-	base := mem.PageAddr(a)
-	for off := 0; off < mem.PageBytes; off += c.cfg.LineBytes {
-		la := base + mem.Addr(off)
-		set, tag := c.index(la)
-		sb := int(set) * c.ways
-		for s := sb; s < sb+c.ways; s++ {
-			if c.flags[s]&fValid != 0 && c.tags[s] == tag {
-				c.stats.Flushes++
-				if c.flags[s]&fDirty != 0 {
-					evs = append(evs, Eviction{Addr: la, Dirty: true, Meta: c.meta[s]})
-				}
-				c.clearSlot(s)
-			}
-		}
-	}
-	return evs
+func (c *Cache) addrOf(set uint64, tag uint64) mem.Addr {
+	return mem.Addr((tag<<c.setBits | set) << c.lineBits)
 }
 
 // Occupancy returns the number of valid lines (diagnostic, tests).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, f := range c.flags {
-		if f&fValid != 0 {
-			n++
-		}
+	for _, k := range c.n {
+		n += int(k)
 	}
 	return n
 }

@@ -124,13 +124,26 @@ func TestCleanEvictionSilent(t *testing.T) {
 	}
 }
 
+// evictSet forces every line out of a's set with clean fills of other
+// lines and returns the write-backs reported on the way.
+func evictSet(c *Cache, a mem.Addr) []Eviction {
+	stride := mem.Addr(c.Sets() * 64)
+	var evs []Eviction
+	for i := 1; i <= c.Config().Ways; i++ {
+		if ev := c.Fill(a+mem.Addr(i)*stride, false, 0); ev != nil {
+			evs = append(evs, *ev)
+		}
+	}
+	return evs
+}
+
 func TestWriteMarksDirty(t *testing.T) {
 	c := New(small(LRU))
 	c.Access(0x40, false, 0)
 	c.Access(0x40, true, 0) // write hit dirties the line
-	ev := c.Invalidate(0x40)
-	if ev == nil || !ev.Dirty {
-		t.Fatal("write hit did not dirty the line")
+	evs := evictSet(c, 0x40)
+	if len(evs) != 1 || evs[0].Addr != 0x40 || !evs[0].Dirty {
+		t.Fatalf("write hit did not dirty the line: write-backs %+v", evs)
 	}
 }
 
@@ -144,38 +157,12 @@ func TestFill(t *testing.T) {
 	}
 	// Fill of a present line only upgrades dirtiness.
 	c.Fill(0x80, false, 3)
-	ev := c.Invalidate(0x80)
-	if ev == nil || !ev.Dirty {
-		t.Fatal("fill cleared dirty bit")
+	evs := evictSet(c, 0x80)
+	if len(evs) != 1 || evs[0].Addr != 0x80 || !evs[0].Dirty || evs[0].Meta != 3 {
+		t.Fatalf("fill cleared dirty bit: write-backs %+v", evs)
 	}
 	if c.Stats().Accesses != 0 {
 		t.Fatal("Fill counted as demand access")
-	}
-}
-
-func TestInvalidateMissing(t *testing.T) {
-	c := New(small(LRU))
-	if ev := c.Invalidate(0xdead000); ev != nil {
-		t.Fatal("invalidate of absent line returned eviction")
-	}
-}
-
-func TestFlushPage(t *testing.T) {
-	cfg := Config{Name: "big", SizeBytes: 1 << 20, Ways: 8, LineBytes: 64, Policy: LRU}
-	c := New(cfg)
-	// Touch every line of one page, some dirty.
-	page := mem.Addr(0x7000000)
-	for i := 0; i < mem.LinesPerPage; i++ {
-		c.Access(page+mem.Addr(i*64), i%2 == 0, 0)
-	}
-	evs := c.FlushPage(page + 128) // any address within the page
-	if len(evs) != mem.LinesPerPage/2 {
-		t.Fatalf("flushed %d dirty lines, want %d", len(evs), mem.LinesPerPage/2)
-	}
-	for i := 0; i < mem.LinesPerPage; i++ {
-		if c.Lookup(page + mem.Addr(i*64)) {
-			t.Fatal("line survived page flush")
-		}
 	}
 }
 

@@ -116,6 +116,23 @@ func TestCacheAccessZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestCacheFillZeroAlloc drives a 64 KB 8-way LRU cache — the L1/L2
+// shape — with demand accesses interleaved with Fill, the path every
+// L2 victim takes into the L3.
+func TestCacheFillZeroAlloc(t *testing.T) {
+	c := cache.New(cache.Config{
+		Name: "alloc-fill", SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, Policy: cache.LRU,
+	})
+	zeroAlloc(t, "cache.Fill", func(i int) {
+		a := mem.Addr(uint64(i*2654435761) % (1 << 20))
+		if i%3 == 0 {
+			c.Fill(a, i%2 == 0, uint8(i))
+		} else {
+			c.Access(a, i%4 == 0, 0)
+		}
+	})
+}
+
 // TestDRAMAccessZeroAlloc drives the in-package channel timing model
 // with a uniform stream over 1 GB, 10 cycles apart.
 func TestDRAMAccessZeroAlloc(t *testing.T) {
