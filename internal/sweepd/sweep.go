@@ -232,10 +232,12 @@ func (d *Daemon) finish(sw *sweep, rs *runner.ResultSet, err error) {
 	if done, ok, _ := d.store.LoadDone(sw.id); ok {
 		st = done // pick up FinishedAt
 	}
-	sw.setFinal(st)
+	// Count before publishing: a client that sees the terminal state
+	// must also see it counted.
 	if d.sweepsFinished != nil {
 		d.sweepsFinished.Inc()
 	}
+	sw.setFinal(st)
 }
 
 // errorsIsCancel reports whether err wraps context cancellation at any

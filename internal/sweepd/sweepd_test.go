@@ -134,6 +134,33 @@ func TestSubmitConvergesToLocalBytes(t *testing.T) {
 	}
 }
 
+// TestSweepsFinishedCountedBeforeDone runs sweeps one after another:
+// as soon as Wait reports a sweep done, sweepd_sweeps_finished_total
+// must already count it.
+func TestSweepsFinishedCountedBeforeDone(t *testing.T) {
+	d := newDaemon(t, t.TempDir())
+	c, _ := dialTest(t, d)
+	ctx := context.Background()
+	for i := uint64(0); i < 4; i++ {
+		spec := testSpec(fmt.Sprintf("svc-count-%d", i))
+		spec.Workloads, spec.Schemes, spec.Seeds = []string{"mcf"}, []string{"NoCache"}, []uint64{i}
+		st, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.Wait(ctx, st.ID, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone {
+			t.Fatalf("sweep %d ended %s (%s)", i, final.State, final.Error)
+		}
+		if got := d.sweepsFinished.Value(); got < i+1 {
+			t.Fatalf("after %d sweeps done, sweepd_sweeps_finished_total = %d", i+1, got)
+		}
+	}
+}
+
 func mustJobs(t *testing.T, spec Spec) (string, []runner.Job) {
 	t.Helper()
 	jobs, _, err := spec.Resolve()

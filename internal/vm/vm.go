@@ -7,9 +7,9 @@
 // accounting for TLB shootdowns and page-table update routines.
 //
 // Address-space convention: workload traces emit virtual addresses.
-// Frames are allocated on first touch; the default allocator maps a
-// virtual page to an equal-numbered physical frame, which keeps traces
-// interpretable, while still exercising the full translate path. Aliases
+// Frames are allocated on first touch; the allocator maps a virtual page
+// to an equal-numbered physical frame, which keeps traces interpretable
+// and lets the page table store per-page state alone, by value. Aliases
 // can be created explicitly (Alias) to exercise the reverse map.
 package vm
 
@@ -20,7 +20,9 @@ import (
 	"banshee/internal/util"
 )
 
-// PTE is a page-table entry with Banshee's 3-bit extension.
+// PTE is a page-table entry with Banshee's 3-bit extension. The page
+// table hands out PTEs by value: a returned PTE is a snapshot, and
+// SetCached changes the table, not the copies already handed out.
 type PTE struct {
 	VPage uint64 // virtual page number (index in the table)
 	Frame uint64 // physical frame number
@@ -31,16 +33,10 @@ type PTE struct {
 	// describes.
 	Cached bool
 	Way    uint8
-
-	// next threads the OS reverse map: all PTEs mapping the same frame
-	// form an intrusive singly-linked list in insertion order (head and
-	// tail live in the page table's reverse index). TLB snapshots copy
-	// the field but never follow it.
-	next *PTE
 }
 
 // Mapping converts the PTE extension to the request-carried form.
-func (p *PTE) Mapping() mem.Mapping {
+func (p PTE) Mapping() mem.Mapping {
 	return mem.Mapping{Known: true, Cached: p.Cached, Way: p.Way}
 }
 
@@ -48,28 +44,35 @@ func (p *PTE) Mapping() mem.Mapping {
 // map (frame → all PTEs), which Banshee's PTE-update routine uses to
 // find every alias of a physical page (§3.4).
 //
-// Both directions are open-addressed flat tables (util.Flat64): the
-// translate path probes contiguous key arrays instead of chasing the
-// runtime map's buckets, and the reverse map threads aliases through
-// the PTEs themselves (PTE.next) so a flush's SetCached walk touches no
-// auxiliary slices. PTEs are individually allocated, so *PTE handles
-// stay stable as the tables grow.
+// The frame allocator is the identity, so a page's frame is its own
+// vpage unless the page is an alias. The table therefore stores only
+// each page's state, by value and without pointers, in one flat table
+// keyed by vpage: a translation probes that table alone, and the GC
+// never scans it. Aliases, the only pages whose frame differs, live in
+// a side index that stays nil until the first Alias call.
 type PageTable struct {
-	entries util.Flat64[*PTE]     // vpage → PTE
-	reverse util.Flat64[revList]  // frame → intrusive PTE list
-	large   util.Flat64[struct{}] // 2 MB-aligned vpages backed by large pages
+	entries util.Flat64[pageState] // vpage → state
+	large   util.Flat64[struct{}]  // 2 MB-aligned vpages backed by large pages
 
-	revScratch []*PTE // reused by ReverseLookup
+	// The alias index, both nil until the first Alias call.
+	aliasFrame map[uint64]uint64   // alias vpage → frame
+	aliasesOf  map[uint64][]uint64 // frame → alias vpages, in mapping order
+
+	revScratch []PTE // reused by ReverseLookup
 
 	// DefaultLarge makes every translation allocate 2 MB pages (the
 	// §5.4.1 "all data resides on large pages" experiment).
 	DefaultLarge bool
 }
 
-// revList is one frame's reverse-map bucket: the ends of the intrusive
-// insertion-order list threaded through PTE.next.
-type revList struct {
-	head, tail *PTE
+// pageState is one page's entry: its size and DRAM-cache extension
+// bits. An alias's frame is in aliasFrame; every other page is its own
+// frame.
+type pageState struct {
+	size   mem.PageSize
+	cached bool
+	way    uint8
+	alias  bool
 }
 
 // NewPageTable returns an empty page table.
@@ -98,68 +101,64 @@ func (pt *PageTable) IsLarge(vaddr mem.Addr) bool {
 	return ok
 }
 
-// link appends e to its frame's reverse-map list.
-func (pt *PageTable) link(e *PTE) {
-	l := pt.reverse.Ptr(e.Frame)
-	if l.tail == nil {
-		l.head, l.tail = e, e
-		return
+// pte assembles the PTE of vpage from its state.
+func (pt *PageTable) pte(vpage uint64, s pageState) PTE {
+	frame := vpage
+	if s.alias {
+		frame = pt.aliasFrame[vpage]
 	}
-	l.tail.next = e
-	l.tail = e
+	return PTE{VPage: vpage, Frame: frame, Size: s.size, Cached: s.cached, Way: s.way}
 }
 
 // Translate returns the PTE for vaddr, allocating a frame on first
 // touch. Large regions translate at 2 MB granularity: the PTE's VPage
 // and Frame are then large-page numbers scaled to 4 KB frame units.
-func (pt *PageTable) Translate(vaddr mem.Addr) *PTE {
+func (pt *PageTable) Translate(vaddr mem.Addr) PTE {
+	key, size := mem.PageNum(vaddr), mem.Page4K
 	if pt.IsLarge(vaddr) {
-		lp := mem.LargePageNum(vaddr)
-		key := lp * mem.PagesPerLargePage // canonical 4 KB-unit index
-		if e, ok := pt.entries.Get(key); ok {
-			return e
-		}
-		e := &PTE{VPage: key, Frame: key, Size: mem.Page2M}
-		pt.entries.Put(key, e)
-		pt.link(e)
-		return e
+		key, size = mem.LargePageNum(vaddr)*mem.PagesPerLargePage, mem.Page2M // canonical 4 KB-unit index
 	}
-	vp := mem.PageNum(vaddr)
-	if e, ok := pt.entries.Get(vp); ok {
-		return e
+	s, ok := pt.entries.Get(key)
+	if !ok {
+		s = pageState{size: size}
+		pt.entries.Put(key, s)
 	}
-	e := &PTE{VPage: vp, Frame: vp, Size: mem.Page4K}
-	pt.entries.Put(vp, e)
-	pt.link(e)
-	return e
+	return pt.pte(key, s)
 }
 
 // Alias maps an additional virtual page onto an existing frame,
 // modelling shared memory. It returns the new PTE. The frame must have
 // been allocated already.
-func (pt *PageTable) Alias(vpage, frame uint64) (*PTE, error) {
+func (pt *PageTable) Alias(vpage, frame uint64) (PTE, error) {
 	if _, ok := pt.entries.Get(vpage); ok {
-		return nil, fmt.Errorf("vm: vpage %#x already mapped", vpage)
+		return PTE{}, fmt.Errorf("vm: vpage %#x already mapped", vpage)
 	}
-	l, ok := pt.reverse.Get(frame)
-	if !ok || l.head == nil {
-		return nil, fmt.Errorf("vm: frame %#x not allocated", frame)
+	src, ok := pt.entries.Get(frame)
+	if !ok || src.alias {
+		return PTE{}, fmt.Errorf("vm: frame %#x not allocated", frame)
 	}
-	src := l.head
-	e := &PTE{VPage: vpage, Frame: frame, Size: src.Size, Cached: src.Cached, Way: src.Way}
-	pt.entries.Put(vpage, e)
-	pt.link(e)
-	return e, nil
+	if pt.aliasFrame == nil {
+		pt.aliasFrame, pt.aliasesOf = map[uint64]uint64{}, map[uint64][]uint64{}
+	}
+	src.alias = true
+	pt.entries.Put(vpage, src)
+	pt.aliasFrame[vpage] = frame
+	pt.aliasesOf[frame] = append(pt.aliasesOf[frame], vpage)
+	return pt.pte(vpage, src), nil
 }
 
 // ReverseLookup returns all PTEs mapping the given frame, in mapping
-// order — the OS reverse-mapping mechanism of §3.4. The returned slice
-// is scratch reused by the next call; copy it to keep it.
-func (pt *PageTable) ReverseLookup(frame uint64) []*PTE {
+// order — the OS reverse-mapping mechanism of §3.4: the frame's own
+// page, then its aliases. The returned slice is scratch reused by the
+// next call; copy it to keep it.
+func (pt *PageTable) ReverseLookup(frame uint64) []PTE {
 	out := pt.revScratch[:0]
-	l, _ := pt.reverse.Get(frame)
-	for e := l.head; e != nil; e = e.next {
-		out = append(out, e)
+	if s, ok := pt.entries.Get(frame); ok && !s.alias {
+		out = append(out, pt.pte(frame, s))
+		for _, vp := range pt.aliasesOf[frame] {
+			s, _ := pt.entries.Get(vp)
+			out = append(out, pt.pte(vp, s))
+		}
 	}
 	pt.revScratch = out
 	return out
@@ -169,36 +168,33 @@ func (pt *PageTable) ReverseLookup(frame uint64) []*PTE {
 // frame, returning how many PTEs were touched. This is the core of the
 // software PTE-update routine triggered by a tag-buffer flush.
 func (pt *PageTable) SetCached(frame uint64, cached bool, way uint8) int {
-	l, _ := pt.reverse.Get(frame)
-	n := 0
-	for e := l.head; e != nil; e = e.next {
-		e.Cached = cached
-		e.Way = way
-		n++
+	s := pt.entries.GetPtr(frame)
+	if s == nil || s.alias {
+		return 0
 	}
-	return n
+	s.cached, s.way = cached, way
+	aliases := pt.aliasesOf[frame]
+	for _, vp := range aliases {
+		a := pt.entries.GetPtr(vp)
+		a.cached, a.way = cached, way
+	}
+	return 1 + len(aliases)
 }
 
 // Len returns the number of PTEs (diagnostic).
 func (pt *PageTable) Len() int { return pt.entries.Len() }
 
 // TLB is one core's translation lookaside buffer (fully associative,
-// LRU). Sized generously by default; TLB miss *timing* is modeled by the
-// simulator via WalkCycles. An index map makes the (hot) hit path O(1)
-// instead of a scan over all entries; the LRU victim scan only runs on
-// misses.
+// exact LRU). TLB miss *timing* is modeled by the simulator via
+// WalkCycles.
 //
-// Entry state is struct-of-arrays: the PTE snapshots (which model stale
-// TLB contents — copies, not pointers into the page table) and the
-// vpage keys live in parallel slices, and recency is an intrusive
-// doubly-linked MRU list (next/prev slot indices) instead of the old
-// per-entry stamps — the same total order, so the evicted entry is
-// always the exact LRU one, but the miss path pops the list tail in
-// O(1) instead of scanning every entry for the minimal stamp. Entries
-// are only invalidated wholesale (Flush), so the valid entries always
-// form the prefix [0, filled) and no per-entry valid bit exists: while
-// the TLB is not yet full the victim is simply the fill frontier,
-// exactly the first-invalid slot the old scan found.
+// Entries are PTE snapshots, not references into the page table, so
+// they model stale TLB contents; like the page table, the TLB holds no
+// pointers. An index table makes the hit path O(1), and recency is a
+// doubly-linked MRU list of slot indices, so a miss evicts the list
+// tail in O(1). Entries are only invalidated wholesale (Flush), so the
+// valid entries always form the prefix [0, filled): until the TLB is
+// full, the victim is the fill frontier.
 type TLB struct {
 	vpages     []uint64
 	ptes       []PTE // snapshots, not pointers: model stale TLB contents
@@ -277,14 +273,14 @@ func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) (PTE, bool) {
 		return t.ptes[i], true
 	}
 	t.Misses++
-	pte := *pt.Translate(vaddr) // snapshot the current PTE content
+	pte := pt.Translate(vaddr) // snapshot the current PTE content
 	var victim int32
 	if t.filled < len(t.vpages) {
-		victim = int32(t.filled) // the first free slot, as the old scan found
+		victim = int32(t.filled) // the first free slot
 		t.filled++
 		t.pushFront(victim)
 	} else {
-		victim = t.tail // exact LRU, as the old stamp scan found
+		victim = t.tail // exact LRU
 		t.index.Delete(t.vpages[victim])
 		t.touch(victim)
 	}

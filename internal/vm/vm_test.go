@@ -10,7 +10,7 @@ import (
 func TestTranslateAllocatesOnFirstTouch(t *testing.T) {
 	pt := NewPageTable()
 	e := pt.Translate(0x123456789)
-	if e == nil || e.Size != mem.Page4K {
+	if e.Size != mem.Page4K {
 		t.Fatalf("bad PTE %+v", e)
 	}
 	if e.Frame != mem.PageNum(0x123456789) {
@@ -85,6 +85,11 @@ func TestAliasing(t *testing.T) {
 	// SetCached must update both PTEs.
 	if n := pt.SetCached(e.Frame, true, 3); n != 2 {
 		t.Fatalf("SetCached touched %d PTEs, want 2", n)
+	}
+	// Returned PTEs are snapshots: re-read both through the table.
+	e, alias = pt.Translate(0x7000), pt.Translate(mem.Addr(0xABC)<<mem.PageOffsetBits)
+	if alias.Frame != e.Frame {
+		t.Fatal("alias lost its frame after SetCached")
 	}
 	if !e.Cached || e.Way != 3 || !alias.Cached || alias.Way != 3 {
 		t.Fatal("extension bits not propagated to all aliases")

@@ -1,10 +1,11 @@
 // Zero-allocation regression tests for the simulator's hot paths: after
 // warmup, one demand access through each scheme's Access — and one call
-// into the SRAM cache, the DRAM timing model, the tag buffer and the
-// workload generator — must not allocate. The schemes reuse scratch Op
-// buffers handed back through mc.Result (see the ownership note there);
-// these tests pin that property so a future refactor can't silently
-// reintroduce per-access garbage into the simulator's innermost loop.
+// into the SRAM cache, the TLB, the page table's PTE update, the DRAM
+// timing model, the tag buffer and the workload generator — must not
+// allocate. The schemes reuse scratch Op buffers handed back through
+// mc.Result (see the ownership note there); these tests pin that
+// property so a future refactor can't silently reintroduce per-access
+// garbage into the simulator's innermost loop.
 package banshee_test
 
 import (
@@ -139,6 +140,35 @@ func TestDRAMAccessZeroAlloc(t *testing.T) {
 	d := dram.New(dram.InPackageConfig(2700))
 	zeroAlloc(t, "dram.Access", func(i int) {
 		d.Access(uint64(i)*10, mem.Addr(uint64(i*2654435761)%(1<<30)), 64, i%4 == 0, i%2 == 0)
+	})
+}
+
+// TestTLBLookupZeroAlloc drives a 64-entry TLB over 1024 mapped pages:
+// every other lookup goes to a 32-page hot set that hits, the rest miss
+// into the page table, and a shootdown flushes the TLB every 1000 steps.
+func TestTLBLookupZeroAlloc(t *testing.T) {
+	pt, tlb := vm.NewPageTable(), vm.NewTLB(64)
+	zeroAlloc(t, "TLB.Lookup", func(i int) {
+		if i%1000 == 0 {
+			tlb.Flush()
+		}
+		page := (uint64(i) * 2654435761) % 1024
+		if i%2 == 0 {
+			page %= 32
+		}
+		tlb.Lookup(mem.Addr(page<<12|uint64(i%64)<<6), pt)
+	})
+}
+
+// TestSetCachedZeroAlloc pins the PTE update a tag-buffer flush makes
+// for each remapped frame.
+func TestSetCachedZeroAlloc(t *testing.T) {
+	pt := vm.NewPageTable()
+	for page := uint64(0); page < 4096; page++ {
+		pt.Translate(mem.Addr(page << 12))
+	}
+	zeroAlloc(t, "PageTable.SetCached", func(i int) {
+		pt.SetCached(uint64(i)%4096, i%2 == 0, uint8(i%4))
 	})
 }
 
