@@ -277,7 +277,7 @@ func Workloads() []string { return trace.Names() }
 func GraphWorkloads() []string { return trace.GraphNames() }
 
 // Schemes returns the scheme names of the paper's main comparison.
-func Schemes() []string { return sim.SchemeNames() }
+func Schemes() []string { return registry.Comparison() }
 
 // RegisteredSchemes returns every display name the registry currently
 // answers to, including registered out-of-tree schemes.
@@ -491,10 +491,7 @@ func RunBatch(ctx context.Context, m Matrix, o BatchOptions) (rs *BatchResult, e
 		eng.Sink = sink
 	}
 	if o.KeepGoing {
-		if path := failedOutPath(o); path != "" {
-			eng.Ledger = runner.NewLedger(path)
-			defer eng.Ledger.Close()
-		}
+		eng.FailedOut = failedOutPath(o)
 	}
 	rs, err = eng.Run(ctx, m)
 	if eng.Tracer != nil {

@@ -1,19 +1,19 @@
 // Command tracegen is the workload tooling of the capture/replay
 // subsystem: it samples or summarizes any registered workload stream
 // (synthetic profiles, graph kernels, or recorded traces), records
-// workloads into durable .btrc trace files, replays trace files'
-// event streams, and dumps a trace file's header and chunk index.
+// workloads into durable .btrc trace files, and dumps a trace file's
+// header and chunk index.
 //
 // Usage:
 //
 //	tracegen -workload pagerank -n 20              # dump 20 events
 //	tracegen -workload lbm -n 200000 -summary      # aggregate statistics
 //	tracegen record -workload mcf -o mcf.btrc -events 500000
-//	tracegen replay -file mcf.btrc -summary
+//	tracegen -workload file:mcf.btrc -summary      # replay a recording
 //	tracegen inspect -file mcf.btrc
 //
 // Workload names accepted anywhere include "file:<path>", so recorded
-// traces can be sampled and summarized like any synthetic stream. To
+// traces are sampled and summarized like any synthetic stream. To
 // simulate a recording, run it through bansheesim like any workload:
 //
 //	bansheesim -workload file:mcf.btrc -scheme Banshee
@@ -36,9 +36,6 @@ func main() {
 		switch os.Args[1] {
 		case "record":
 			record(os.Args[2:])
-			return
-		case "replay":
-			replay(os.Args[2:])
 			return
 		case "inspect":
 			inspect(os.Args[2:])
@@ -125,29 +122,6 @@ func record(args []string) {
 	defer r.Close()
 	fmt.Printf("recorded %s: %d events × %d cores → %s (%d bytes, %.2f B/event)\n",
 		r.Name(), *events, r.Cores(), *out, st.Size(), float64(st.Size())/float64(r.TotalEvents()))
-}
-
-// replay reads a trace file's event stream back: raw events or an
-// aggregate summary.
-func replay(args []string) {
-	fs := flag.NewFlagSet("tracegen replay", flag.ExitOnError)
-	var (
-		file    = fs.String("file", "", "trace file to replay")
-		summary = fs.Bool("summary", false, "print aggregate stream statistics")
-		n       = fs.Int("n", 20, "events to replay (dump or summary)")
-		core    = fs.Int("core", 0, "core whose stream to replay")
-	)
-	fs.Parse(args)
-	if *file == "" {
-		fatal(fmt.Errorf("replay needs -file"))
-	}
-
-	src := openSource(workload.FilePrefix+*file, 0, 0, 0, 0)
-	if *summary {
-		summarize(src, *file, *core, *n)
-		return
-	}
-	dump(src, *core, *n)
 }
 
 // dump prints n raw events of one core's stream.

@@ -206,23 +206,18 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 	return b
 }
 
-// Name implements mc.Scheme.
+// Name implements mc.Scheme: the policy variant's name, with the
+// large-page and footprint variants of the default policy named apart.
 func (b *Banshee) Name() string {
-	switch b.cfg.Policy {
-	case FBRNoSample:
-		return "Banshee FBR no-sample"
-	case LRUReplaceOnMiss:
-		return "Banshee LRU"
-	case SetDueling:
-		return "Banshee Duel"
+	if b.cfg.Policy == FBRSampled {
+		switch {
+		case b.cfg.PageBytes == mem.LargeBytes:
+			return "Banshee 2M"
+		case b.cfg.Footprint:
+			return "Banshee FP"
+		}
 	}
-	if b.cfg.PageBytes == mem.LargeBytes {
-		return "Banshee 2M"
-	}
-	if b.cfg.Footprint {
-		return "Banshee FP"
-	}
-	return "Banshee"
+	return b.cfg.Policy.String()
 }
 
 // pageOf maps an address to this instance's page number.
@@ -576,20 +571,9 @@ func (b *Banshee) FillStats(s *stats.Sim) {
 	s.CounterSamples += b.samples
 }
 
-// Flushes returns how many PTE/TLB sync rounds have run (tests, and the
-// ~14 ms inter-flush interval check of §5.5.2).
-func (b *Banshee) Flushes() uint64 { return b.flushes }
-
 // Resident reports whether page (a configured-granularity page number)
 // is currently cached, and in which way (tests).
 func (b *Banshee) Resident(page uint64) (bool, int) {
 	w := b.md.set(page).findCached(b.md.tagOf(page))
 	return w >= 0, w
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -171,8 +171,7 @@ func run(o Options, m runner.Matrix) *runner.ResultSet {
 		eng.Sink = sink
 		if o.KeepGoing {
 			ledger = filepath.Join(o.Out, m.Name+".failed.jsonl")
-			eng.Ledger = runner.NewLedger(ledger)
-			defer eng.Ledger.Close()
+			eng.FailedOut = ledger
 		}
 	}
 	rs, err := eng.Run(ctx, m)

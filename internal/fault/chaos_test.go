@@ -114,12 +114,12 @@ func chaosConverges(t *testing.T, name string, gangWidth int) map[string]float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := runner.NewLedger(filepath.Join(dir, "chaos.failed.jsonl"))
+	ledger := filepath.Join(dir, "chaos.failed.jsonl")
 	reg := obs.NewRegistry()
 	rs, err := (runner.Engine{
 		Parallelism: 4,
 		Sink:        csink,
-		Ledger:      ledger,
+		FailedOut:   ledger,
 		KeepGoing:   true,
 		GangWidth:   gangWidth,
 		Metrics:     reg,
@@ -151,10 +151,13 @@ func chaosConverges(t *testing.T, name string, gangWidth int) map[string]float64
 			t.Fatalf("planned victim %s did not fail", id)
 		}
 	}
-	if ledger.Count() != len(failed) {
-		t.Fatalf("ledger holds %d failures, Failed() reports %d", ledger.Count(), len(failed))
+	lb, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ledger.Close()
+	if recs, err := runner.ParseRecords(lb); err != nil || len(recs) != len(failed) {
+		t.Fatalf("ledger holds %d failures (err %v), Failed() reports %d", len(recs), err, len(failed))
+	}
 
 	// Success stream: golden minus the victims' lines, byte-for-byte —
 	// survivors are bit-identical to a fault-free run (stall victims
@@ -185,7 +188,7 @@ func chaosConverges(t *testing.T, name string, gangWidth int) map[string]float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := (runner.Engine{Parallelism: 4, Sink: rsink, Ledger: ledger, KeepGoing: true}).Run(context.Background(), m)
+	rs2, err := (runner.Engine{Parallelism: 4, Sink: rsink, FailedOut: ledger, KeepGoing: true}).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +203,7 @@ func chaosConverges(t *testing.T, name string, gangWidth int) map[string]float64
 	if !bytes.Equal(resumed, golden) {
 		t.Fatal("resume after chaos did not converge to the golden file")
 	}
-	if _, err := os.Stat(ledger.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(ledger); !os.IsNotExist(err) {
 		t.Fatal("converged resume left a stale failure ledger")
 	}
 	return reg.Snapshot()

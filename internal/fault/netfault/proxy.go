@@ -65,7 +65,6 @@ type Proxy struct {
 	closed     bool
 	connIndex  uint64
 	cuts       atomic.Uint64
-	stalls     atomic.Uint64
 	partitions atomic.Uint64
 	refused    atomic.Uint64
 }
@@ -101,9 +100,6 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // CutCount reports how many connections the proxy has severed
 // mid-stream.
 func (p *Proxy) CutCount() uint64 { return p.cuts.Load() }
-
-// StallCount reports how many connections the proxy has stalled.
-func (p *Proxy) StallCount() uint64 { return p.stalls.Load() }
 
 // RefusedCount reports how many connections died to partition windows
 // (both refused-new and killed-established).
@@ -222,9 +218,6 @@ func (p *Proxy) serve(client net.Conn, idx uint64) {
 	if cut {
 		budget = &atomic.Int64{}
 		budget.Store(p.plan.cutAfter())
-	}
-	if stall {
-		p.stalls.Add(1)
 	}
 
 	done := make(chan struct{}, 2)

@@ -214,19 +214,8 @@ func Names() []string {
 	return out
 }
 
-// Kinds returns every registered kind in registration order.
-func Kinds() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, len(entries))
-	for i, s := range entries {
-		out[i] = s.Kind
-	}
-	return out
-}
-
 // Comparison returns the display names of the paper's main comparison
-// (Fig. 4 bars) in rank order — the list sim.SchemeNames serves.
+// (Fig. 4 bars) in rank order — the list banshee.Schemes serves.
 func Comparison() []string {
 	mu.RLock()
 	defer mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -44,15 +45,18 @@ type Engine struct {
 	// wrapping context.DeadlineExceeded.
 	JobTimeout time.Duration
 	// KeepGoing selects graceful degradation: a permanently failed job
-	// is recorded (Ledger, ResultSet.Failed) and the sweep completes
+	// is recorded (FailedOut, ResultSet.Failed) and the sweep completes
 	// the remaining jobs. False preserves fail-fast: the first
 	// permanent failure aborts the run with a *errs.JobError.
 	KeepGoing bool
-	// Ledger, when non-nil with KeepGoing, streams permanently failed
-	// jobs to its JSONL file. Reset at the start of every run: failed
-	// jobs are retryable-on-resume, so only the latest run's failures
-	// are current.
-	Ledger *Ledger
+	// FailedOut, when set, is the failure ledger: the file permanently
+	// failed jobs stream to under KeepGoing, as checksummed sink
+	// records that ParseRecords reads back. The engine owns it: every
+	// run first removes the old file (failed jobs are
+	// retryable-on-resume, so only the latest run's failures are
+	// current), opens it on the first failure, so a clean run leaves
+	// no file, and closes it before returning.
+	FailedOut string
 	// JobRunner overrides how a job group executes (nil = the default:
 	// Simulate, or Observed when Metrics is set). Every group — one
 	// job, or the lanes of a gang — goes through it, so an override
@@ -149,9 +153,9 @@ func (e Engine) Run(ctx context.Context, m Matrix) (*ResultSet, error) {
 func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs []Job) (*ResultSet, error) {
 	rs := &ResultSet{matrix: name, baseSeed: baseSeed,
 		byCoord: make(map[string]Record, len(jobs)), failedBy: map[string]Record{}}
-	if e.Ledger != nil {
-		if err := e.Ledger.Reset(); err != nil {
-			return nil, err
+	if e.FailedOut != "" {
+		if err := os.Remove(e.FailedOut); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("runner: ledger reset: %w", err)
 		}
 	}
 
@@ -172,6 +176,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		next     = 0                          // flush frontier (enumeration order)
 		doneN    = 0                          // filled slots (successes + failures)
 		failedN  = 0                          // permanently failed slots
+		ledger   *Sink                        // FailedOut, opened on the first failure
 	)
 	if e.Sink != nil {
 		for _, r := range e.Sink.Loaded() {
@@ -228,9 +233,12 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		failures[i] = &rec
 		doneN++
 		failedN++
-		if e.Ledger != nil && firstErr == nil {
-			if err := e.Ledger.Append(rec); err != nil {
-				firstErr = err
+		if e.FailedOut != "" && firstErr == nil {
+			if ledger == nil {
+				ledger, firstErr = OpenSink(e.FailedOut, false)
+			}
+			if ledger != nil {
+				firstErr = ledger.Append(rec)
 			}
 		}
 		flushLocked()
@@ -473,6 +481,11 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		}(w)
 	}
 	wg.Wait()
+	if ledger != nil {
+		if err := ledger.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}

@@ -177,12 +177,15 @@ func (m Matrix) JobKey(label, workload, scheme string, seed uint64) (string, err
 	return jobID(cfg), nil
 }
 
-// Record is one job as stored in the JSONL sink (successes) or the
-// failure ledger (permanent failures). Success records carry a Result
-// and leave the failure fields zero — their JSON encoding is exactly
-// what it was before supervision existed, which is what keeps the
-// success stream's byte-identical resume guarantee intact. Ledger
-// records carry an empty Result plus the failure context.
+// Record is one job as stored in a checkpoint JSONL stream: the
+// success stream (Engine.Sink) or the failure ledger
+// (Engine.FailedOut). Both are written by Sink.Append, one
+// CRC-checked line per record, and read back by the same decoder
+// (resume and ParseRecords). Success records carry a Result and leave
+// the failure fields zero — their JSON encoding is exactly what it was
+// before supervision existed, which is what keeps the success stream's
+// byte-identical resume guarantee intact. Ledger records carry an
+// empty Result plus the failure context.
 type Record struct {
 	ID       string    `json:"id"`
 	Matrix   string    `json:"matrix"`

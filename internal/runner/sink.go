@@ -22,7 +22,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // `,"crc":"xxxxxxxx"}` spliced over the record's closing brace.
 const crcSuffixLen = len(`,"crc":"00000000"}`)
 
-// Sink streams completed records to a JSONL file, one record per line,
+// Sink streams records to a JSONL file — a success stream or a failure
+// ledger (Engine.Sink, Engine.FailedOut) — one record per line,
 // flushed per line so an interrupted sweep loses at most a partial
 // trailing line. Every line carries a CRC-32C of the record's
 // canonical JSON as a trailing "crc" field, so damage anywhere in a
@@ -150,23 +151,6 @@ func ParseRecords(data []byte) ([]Record, error) {
 		}
 		recs = append(recs, r)
 		off += nl + 1
-	}
-	return recs, nil
-}
-
-// ParseLedger decodes a failure-ledger JSONL stream (plain JSON lines,
-// no CRC suffix — matching what Ledger.Append writes).
-func ParseLedger(data []byte) ([]Record, error) {
-	var recs []Record
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, fmt.Errorf("runner: ledger stream: %w", err)
-		}
-		recs = append(recs, r)
 	}
 	return recs, nil
 }

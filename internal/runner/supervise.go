@@ -2,11 +2,8 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"banshee/internal/errs"
@@ -214,84 +211,4 @@ func failureRecord(j Job, jerr *errs.JobError) Record {
 		Workload: j.Workload, Scheme: j.Scheme, Seed: j.Seed,
 		Attempts: jerr.Attempts, Error: jerr.Err.Error(), Panicked: jerr.Panicked,
 	}
-}
-
-// Ledger streams permanently failed jobs to a JSONL file — the
-// failure side-channel of a sink's success stream. The file is
-// created lazily on the first failure (a clean sweep leaves no ledger
-// behind) and reset at the start of each engine run, because failed
-// jobs are retryable-on-resume: a resumed sweep re-attempts them, and
-// only the failures of the latest run are current.
-type Ledger struct {
-	mu    sync.Mutex
-	path  string
-	f     *os.File
-	count int
-}
-
-// NewLedger returns a ledger that will write to path on the first
-// recorded failure. No file is touched until then.
-func NewLedger(path string) *Ledger { return &Ledger{path: path} }
-
-// Path returns the ledger's file path.
-func (l *Ledger) Path() string { return l.path }
-
-// Count returns how many failures have been recorded since the last
-// Reset.
-func (l *Ledger) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
-}
-
-// Reset discards any previous run's ledger file so the ledger only
-// ever reflects the latest run. The engine calls it at Run start.
-func (l *Ledger) Reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
-	}
-	l.count = 0
-	if err := os.Remove(l.path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("runner: ledger reset: %w", err)
-	}
-	return nil
-}
-
-// Append records one failed job, creating the file if needed and
-// flushing the line to disk immediately — a crashed sweep keeps the
-// failures it had already diagnosed.
-func (l *Ledger) Append(r Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("runner: ledger: %w", err)
-		}
-		l.f = f
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("runner: ledger encode: %w", err)
-	}
-	if _, err := l.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("runner: ledger write: %w", err)
-	}
-	l.count++
-	return nil
-}
-
-// Close closes the ledger file if one was created.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
 }

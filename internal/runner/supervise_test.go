@@ -166,14 +166,14 @@ func TestKeepGoingLedgerAndResume(t *testing.T) {
 	clean := runToFile(t, Engine{Parallelism: 2}, m, filepath.Join(dir, "clean.jsonl"))
 
 	chaosPath := filepath.Join(dir, "chaos.jsonl")
-	ledger := NewLedger(filepath.Join(dir, "chaos.failed.jsonl"))
+	ledger := filepath.Join(dir, "chaos.failed.jsonl")
 	flaky := &flakyRunner{failN: 1 << 30, victims: victims}
 	sink, err := OpenSink(chaosPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var progress bytes.Buffer
-	rs, err := (Engine{Parallelism: 2, Sink: sink, Ledger: ledger, KeepGoing: true,
+	rs, err := (Engine{Parallelism: 2, Sink: sink, FailedOut: ledger, KeepGoing: true,
 		JobRunner: flaky.run, Retry: RetryPolicy{MaxAttempts: 2}, Progress: &progress}).Run(context.Background(), m)
 	if err != nil {
 		t.Fatalf("keep-going sweep aborted: %v", err)
@@ -189,14 +189,13 @@ func TestKeepGoingLedgerAndResume(t *testing.T) {
 			t.Fatalf("bad failure record: %+v", f)
 		}
 	}
-	if ledger.Count() != 2 {
-		t.Fatalf("ledger recorded %d failures, want 2", ledger.Count())
-	}
-	ledger.Close()
 	// Ledger file holds both failures with context.
-	lb, err := os.ReadFile(ledger.Path())
+	lb, err := os.ReadFile(ledger)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if recs, err := ParseRecords(lb); err != nil || len(recs) != 2 {
+		t.Fatalf("ledger recorded %d failures (err %v), want 2", len(recs), err)
 	}
 	if got := bytes.Count(lb, []byte{'\n'}); got != 2 {
 		t.Fatalf("ledger holds %d lines, want 2", got)
@@ -243,7 +242,7 @@ func TestKeepGoingLedgerAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := (Engine{Parallelism: 2, Sink: sink2, Ledger: ledger, KeepGoing: true}).Run(context.Background(), m)
+	rs2, err := (Engine{Parallelism: 2, Sink: sink2, FailedOut: ledger, KeepGoing: true}).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestKeepGoingLedgerAndResume(t *testing.T) {
 	if !bytes.Equal(resumed, clean) {
 		t.Fatal("resume after failures did not converge to the never-failing run's bytes")
 	}
-	if _, err := os.Stat(ledger.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(ledger); !os.IsNotExist(err) {
 		t.Fatal("clean resume left a stale ledger file behind")
 	}
 }
@@ -420,29 +419,48 @@ func TestSinkCRCTruncatesAtBadRecord(t *testing.T) {
 	}
 }
 
-// TestLedgerLifecycle: lazy creation, reset semantics.
+// TestLedgerLifecycle: the engine owns the FailedOut file. A run
+// removes the previous run's ledger at start, creates no file before
+// its first failure, and writes each failure as a checksummed record.
 func TestLedgerLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	l := NewLedger(filepath.Join(dir, "x.failed.jsonl"))
-	if err := l.Reset(); err != nil {
+	jobs, err := testMatrix("lifecycle").Jobs()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(l.Path()); !os.IsNotExist(err) {
-		t.Fatal("ledger file created before any failure")
-	}
-	if err := l.Append(Record{ID: "a", Error: "boom"}); err != nil {
+	path := filepath.Join(t.TempDir(), "x.failed.jsonl")
+	if err := os.WriteFile(path, []byte("stale\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if l.Count() != 1 {
-		t.Fatalf("count %d, want 1", l.Count())
+	victim := jobs[len(jobs)-1].ID
+	failing := true
+	run := func(ctx context.Context, group []Job) ([]stats.Sim, error) {
+		for _, j := range group {
+			if failing && j.ID == victim {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Error("ledger file exists before the first failure")
+				}
+				return nil, fmt.Errorf("boom")
+			}
+		}
+		return make([]stats.Sim, len(group)), nil
 	}
-	if err := l.Reset(); err != nil {
+	eng := Engine{Parallelism: 1, FailedOut: path, KeepGoing: true, JobRunner: run}
+	if _, err := eng.RunJobs(context.Background(), "lifecycle", 0, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(l.Path()); !os.IsNotExist(err) {
-		t.Fatal("reset left the ledger file")
-	}
-	if err := l.Close(); err != nil {
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	recs, err := ParseRecords(b)
+	if err != nil || len(recs) != 1 || recs[0].ID != victim || recs[0].Error != "boom" {
+		t.Fatalf("ledger = %+v (err %v), want one %s failure", recs, err, victim)
+	}
+	failing = false
+	if _, err := eng.RunJobs(context.Background(), "lifecycle", 0, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("a clean run left the previous run's ledger file")
 	}
 }

@@ -193,13 +193,6 @@ func dramConfigs(cfg Config) (inPkg, offPkg dram.Config) {
 	return inPkg, offPkg
 }
 
-// SchemeNames lists the display names understood by ParseScheme that
-// the paper's main comparison uses (Fig. 4 bars), in rank order as
-// declared by the registered schemes.
-func SchemeNames() []string {
-	return registry.Comparison()
-}
-
 // lineMeta encodes the page-size bit carried on cached lines (§4.3) so
 // LLC dirty evictions can be routed at the right granularity.
 func lineMeta(size mem.PageSize) uint8 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"banshee/internal/mem"
+	"banshee/internal/registry"
 )
 
 // quickConfig returns a config small enough for unit tests.
@@ -213,9 +214,9 @@ func TestHitRateOrdering(t *testing.T) {
 }
 
 func TestSchemeNamesRun(t *testing.T) {
-	for _, n := range SchemeNames() {
+	for _, n := range registry.Comparison() {
 		if _, err := ParseScheme(n); err != nil {
-			t.Errorf("SchemeNames entry %q unparseable", n)
+			t.Errorf("comparison scheme %q unparseable", n)
 		}
 	}
 }

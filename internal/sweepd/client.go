@@ -246,12 +246,6 @@ func decodeAPIError(resp *http.Response) error {
 	return out
 }
 
-// IsNotFound reports whether err is the daemon saying "no such sweep".
-func IsNotFound(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
-}
-
 // Submit sends a sweep spec and returns its status. Idempotent: the
 // same spec always resolves to the same sweep.
 func (c *Client) Submit(ctx context.Context, spec Spec) (Status, error) {
@@ -420,7 +414,7 @@ func (c *Client) Ledger(ctx context.Context, id string) ([]runner.Record, error)
 	if _, err := c.stream(ctx, id, "ledger", 0, false, &buf); err != nil {
 		return nil, err
 	}
-	return runner.ParseLedger(buf.Bytes())
+	return runner.ParseRecords(buf.Bytes())
 }
 
 // RunMatrix is the remote counterpart of Engine.Run: submit the

@@ -41,15 +41,6 @@ func recordRetry(call string) {
 	}
 }
 
-// NetRetryCount returns how many times the named call has been
-// retried in this process (0 for unknown names).
-func NetRetryCount(call string) uint64 {
-	if c, ok := netRetries[call]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
 // NetRetryTotal returns the total retried calls in this process.
 func NetRetryTotal() uint64 {
 	var n uint64

@@ -29,9 +29,6 @@ func NewStore(root string) (*Store, error) {
 	return &Store{root: root}, nil
 }
 
-// Root returns the state directory path.
-func (s *Store) Root() string { return s.root }
-
 // Dir returns sweep id's directory, creating it if needed.
 func (s *Store) Dir(id string) (string, error) {
 	dir := filepath.Join(s.root, "sweeps", id)

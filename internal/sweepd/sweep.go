@@ -162,7 +162,7 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 		Retry:       opts.retry(),
 		JobTimeout:  opts.jobTimeout(),
 		KeepGoing:   opts.KeepGoing,
-		Ledger:      runner.NewLedger(d.store.LedgerPath(sw.id)),
+		FailedOut:   d.store.LedgerPath(sw.id),
 		GangWidth:   opts.GangWidth,
 		Dispatch:    d.broker,
 		Metrics:     reg,

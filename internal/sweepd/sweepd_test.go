@@ -703,3 +703,75 @@ func TestRegistryScopedView(t *testing.T) {
 		t.Fatalf("scoped series wrong: %v", snap)
 	}
 }
+
+// TestRemoteLedgerMatchesLocal covers the remote failure ledger: a
+// sweep with a permanently failing point (MSHRs 0 fails validation on
+// every attempt) returns through Client.RunMatrix the same failures a
+// local engine run reports, and a ledger whose bytes were altered on
+// disk is an error on the client, not a different failure.
+func TestRemoteLedgerMatchesLocal(t *testing.T) {
+	m := runner.Matrix{
+		Name:      "svc-ledger",
+		Base:      testBase(),
+		Workloads: []string{"mcf", "lbm"},
+		Schemes:   []string{"NoCache"},
+		Points: []runner.Point{
+			{Label: "base"},
+			{Label: "nomshr", Mutate: func(c *sim.Config) { c.MSHRs = 0 }},
+		},
+	}
+	opts := RunOptions{KeepGoing: true, Retries: 2}
+	local, err := (runner.Engine{Parallelism: 2, KeepGoing: true, Retry: opts.retry()}).Run(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Failed()) != 2 {
+		t.Fatalf("local run failed %d jobs, want 2", len(local.Failed()))
+	}
+
+	d := newDaemon(t, t.TempDir())
+	c, _ := dialTest(t, d)
+	ctx := context.Background()
+	remote, err := c.RunMatrix(ctx, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]runner.Record{}
+	for _, f := range remote.Failed() {
+		byID[f.ID] = f
+	}
+	if len(byID) != len(local.Failed()) {
+		t.Fatalf("remote reports %d failures, local %d", len(byID), len(local.Failed()))
+	}
+	for _, want := range local.Failed() {
+		got, ok := byID[want.ID]
+		if !ok || got.Attempts != want.Attempts || got.Panicked != want.Panicked || got.Error != want.Error {
+			t.Fatalf("remote failure %+v, local %+v", got, want)
+		}
+		if want.Attempts != 2 {
+			t.Fatalf("failure made %d attempts, want 2", want.Attempts)
+		}
+	}
+
+	spec, err := SpecFromMatrix(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := SweepID(mustJobs(t, spec))
+	path := d.store.LedgerPath(id)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(b, []byte(`"attempts":2`))
+	if i < 0 {
+		t.Fatalf("ledger lacks an attempts field: %s", b)
+	}
+	b[i+len(`"attempts":`)] = '3'
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := c.Ledger(ctx, id); err == nil {
+		t.Fatalf("altered ledger parsed without error: %+v", recs)
+	}
+}

@@ -118,9 +118,6 @@ func newZipfTable(n int, s float64) *ZipfTable {
 // N returns the support size.
 func (t *ZipfTable) N() int { return t.n }
 
-// S returns the exponent.
-func (t *ZipfTable) S() float64 { return t.s }
-
 // Prob returns the exact probability mass of rank k.
 func (t *ZipfTable) Prob(k int) float64 {
 	if k < 0 || k >= t.n {
