@@ -32,12 +32,12 @@ func TestAllocBudget(t *testing.T) {
 	}
 
 	var i int
-	check("EndToEnd", 287, func() error {
+	check("EndToEnd", 278, func() error {
 		err := endToEndRun(i)
 		i++
 		return err
 	})
-	want := map[string]float64{"independent": 4833, "gang8": 1280}
+	want := map[string]float64{"independent": 4697, "gang8": 1256}
 	for _, arm := range gangSweepArms {
 		check("GangSweep/"+arm.name, want[arm.name], func() error {
 			_, err := arm.run()

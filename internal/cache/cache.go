@@ -10,10 +10,10 @@
 // page flush: HMA charges its cache scrub as a cost (mc.SWCost), and
 // Banshee's large-page handling never flushes these caches.
 //
-// Each set keeps its valid lines as a prefix of its slots in
-// replacement order, most recently used (LRU) or most recently
-// inserted (FIFO) first, so the victim of a full set is its last slot
-// and no replacement state is stored — see DESIGN.md §10.
+// Replacement is LRU. Each set keeps its valid lines as a prefix of
+// its slots in recency order, most recently used first, so the victim
+// of a full set is its last slot and no replacement state is stored —
+// see DESIGN.md §10.
 package cache
 
 import (
@@ -21,30 +21,13 @@ import (
 	"math/bits"
 
 	"banshee/internal/mem"
-	"banshee/internal/util"
 )
 
-// Policy selects the victim-choice algorithm.
+// Policy names the replacement policy. LRU is its only value.
 type Policy uint8
 
-const (
-	LRU Policy = iota
-	FIFO
-	Random
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "Random"
-	}
-	return fmt.Sprintf("Policy(%d)", uint8(p))
-}
+// LRU evicts the least recently used line of a full set.
+const LRU Policy = 0
 
 // Config sizes a cache.
 type Config struct {
@@ -52,8 +35,8 @@ type Config struct {
 	SizeBytes int
 	Ways      int
 	LineBytes int
-	Policy    Policy
-	Seed      uint64 // for Random policy
+	Policy    Policy // must be LRU
+	Seed      uint64 // unread: the cache holds no random state
 }
 
 func (c Config) validate() error {
@@ -64,6 +47,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("cache %q: ways must be positive, got %d", c.Name, c.Ways)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache %q: line bytes must be a positive power of two, got %d", c.Name, c.LineBytes)
+	case c.Policy != LRU:
+		return fmt.Errorf("cache %q: policy %d is not LRU", c.Name, c.Policy)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines%c.Ways != 0 {
@@ -112,7 +97,6 @@ type Cache struct {
 	setMask  uint64
 	setBits  uint // precomputed popcount(setMask): the tag shift
 	lineBits uint
-	rng      *util.RNG
 	stats    Stats
 	ev       Eviction // scratch returned by Access/Fill
 }
@@ -131,7 +115,6 @@ func New(cfg Config) *Cache {
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
-		rng:     util.NewRNG(cfg.Seed ^ 0xCAC4E),
 	}
 	c.setBits = uint(bits.OnesCount64(c.setMask))
 	c.lineBits = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
@@ -171,7 +154,7 @@ func (c *Cache) Lookup(a mem.Addr) bool {
 // returns whether the access hit, and (on a miss that displaced a dirty
 // line) the eviction the caller must write back. meta is stored on the
 // line on fill and on write (carrying e.g. the page-size bit downstream).
-// Under LRU a hit moves the line to the front of its set.
+// A hit moves the line to the front of its set.
 func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Eviction) {
 	c.stats.Accesses++
 	set, tag, base, pos := c.find(a)
@@ -187,12 +170,9 @@ func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Evicti
 		st = uint16(meta)<<1 | 1
 		c.stats.WriteHits++
 	}
-	if c.cfg.Policy == LRU {
-		c.rotate(base, pos)
-		c.tags[base] = tag
-		pos = 0
-	}
-	c.state[base+pos] = st
+	c.rotate(base, pos)
+	c.tags[base] = tag
+	c.state[base] = st
 	return true, nil
 }
 
@@ -213,8 +193,8 @@ func (c *Cache) Fill(a mem.Addr, dirty bool, meta uint8) *Eviction {
 }
 
 // insert puts tag at the front of set (first slot base), displacing the
-// last line of a full set — or, under Random, a uniformly drawn one —
-// and returns the displaced line if it was dirty.
+// last line of a full set, and returns the displaced line if it was
+// dirty.
 func (c *Cache) insert(set, tag uint64, base int, dirty bool, meta uint8) *Eviction {
 	var ev *Eviction
 	pos := int(c.n[set])
@@ -222,9 +202,6 @@ func (c *Cache) insert(set, tag uint64, base int, dirty bool, meta uint8) *Evict
 		c.n[set]++
 	} else {
 		pos--
-		if c.cfg.Policy == Random {
-			pos = c.rng.Intn(c.ways)
-		}
 		if v := base + pos; c.state[v]&1 != 0 {
 			c.stats.Evictions++
 			c.ev = Eviction{Addr: c.addrOf(set, c.tags[v]), Dirty: true, Meta: uint8(c.state[v] >> 1)}

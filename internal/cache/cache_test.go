@@ -7,10 +7,8 @@ import (
 	"banshee/internal/mem"
 )
 
-func small(policy Policy) Config {
-	return Config{
-		Name: "t", SizeBytes: 4096, Ways: 4, LineBytes: 64, Policy: policy,
-	}
+func small() Config {
+	return Config{Name: "t", SizeBytes: 4096, Ways: 4, LineBytes: 64}
 }
 
 func TestValidation(t *testing.T) {
@@ -20,6 +18,7 @@ func TestValidation(t *testing.T) {
 		{SizeBytes: 4096, Ways: 4, LineBytes: 48},       // not power of two
 		{SizeBytes: 4096 + 64, Ways: 4, LineBytes: 64},  // lines % ways != 0
 		{SizeBytes: 3 * 64 * 4, Ways: 4, LineBytes: 64}, // 3 sets: not pow2
+		{SizeBytes: 4096, Ways: 4, LineBytes: 64, Policy: LRU + 1},
 	}
 	for i, cfg := range bad {
 		func() {
@@ -34,7 +33,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestHitAfterMiss(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	hit, _ := c.Access(0x1000, false, 0)
 	if hit {
 		t.Fatal("cold access hit")
@@ -49,7 +48,7 @@ func TestHitAfterMiss(t *testing.T) {
 }
 
 func TestSameLineDifferentOffsets(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	c.Access(0x1000, false, 0)
 	if hit, _ := c.Access(0x1020, false, 0); !hit {
 		t.Fatal("offset within same line missed")
@@ -57,7 +56,7 @@ func TestSameLineDifferentOffsets(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(small(LRU)) // 16 sets, 4 ways
+	c := New(small()) // 16 sets, 4 ways
 	sets := uint64(c.Sets())
 	// Fill one set with 4 distinct tags, touch the first again, then
 	// insert a 5th: the victim must be the 2nd (LRU), not the 1st.
@@ -76,23 +75,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOEviction(t *testing.T) {
-	c := New(small(FIFO))
-	sets := uint64(c.Sets())
-	stride := mem.Addr(sets * 64)
-	for i := 0; i < 4; i++ {
-		c.Access(mem.Addr(i)*stride, false, 0)
-	}
-	// Touching tag 0 must NOT refresh it under FIFO.
-	c.Access(0, false, 0)
-	c.Access(4*stride, false, 0) // evicts tag 0 (oldest insertion)
-	if hit, _ := c.Access(0, false, 0); hit {
-		t.Fatal("FIFO did not evict oldest insertion")
-	}
-}
-
 func TestDirtyEvictionReported(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	sets := uint64(c.Sets())
 	stride := mem.Addr(sets * 64)
 	c.Access(0, true, 7) // dirty with meta 7
@@ -114,7 +98,7 @@ func TestDirtyEvictionReported(t *testing.T) {
 }
 
 func TestCleanEvictionSilent(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	sets := uint64(c.Sets())
 	stride := mem.Addr(sets * 64)
 	for i := 0; i <= 4; i++ {
@@ -138,7 +122,7 @@ func evictSet(c *Cache, a mem.Addr) []Eviction {
 }
 
 func TestWriteMarksDirty(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	c.Access(0x40, false, 0)
 	c.Access(0x40, true, 0) // write hit dirties the line
 	evs := evictSet(c, 0x40)
@@ -148,7 +132,7 @@ func TestWriteMarksDirty(t *testing.T) {
 }
 
 func TestFill(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	if ev := c.Fill(0x80, true, 3); ev != nil {
 		t.Fatal("fill into empty cache evicted")
 	}
@@ -167,7 +151,7 @@ func TestFill(t *testing.T) {
 }
 
 func TestOccupancyBounded(t *testing.T) {
-	c := New(small(Random))
+	c := New(small())
 	for i := 0; i < 10000; i++ {
 		c.Access(mem.Addr(i)*64, false, 0)
 	}
@@ -178,7 +162,7 @@ func TestOccupancyBounded(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	c := New(small(LRU))
+	c := New(small())
 	c.Access(0, false, 0)
 	c.Access(0, false, 0)
 	c.Access(0, true, 0)
@@ -192,7 +176,7 @@ func TestAddrRoundTripProperty(t *testing.T) {
 	// Property: after accessing any address, the cache holds exactly
 	// that line (Lookup true for every offset in the line).
 	f := func(raw uint64) bool {
-		c := New(small(LRU))
+		c := New(small())
 		a := mem.Addr(raw % (1 << 40))
 		c.Access(a, false, 0)
 		return c.Lookup(a) && c.Lookup(mem.LineAddr(a)) && c.Lookup(mem.LineAddr(a)+63)
@@ -206,7 +190,7 @@ func TestEvictionAddressInSameSetProperty(t *testing.T) {
 	// Property: a reported eviction's address maps to the same set as
 	// the access that displaced it.
 	f := func(raw uint64, n uint8) bool {
-		c := New(small(LRU))
+		c := New(small())
 		base := mem.Addr(raw % (1 << 40))
 		sets := uint64(c.Sets())
 		stride := mem.Addr(sets * 64)
@@ -223,11 +207,5 @@ func TestEvictionAddressInSameSetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || Random.String() != "Random" {
-		t.Fatal("policy names wrong")
 	}
 }

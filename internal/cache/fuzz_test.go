@@ -14,19 +14,18 @@ type refLine struct {
 }
 
 // refCache is the differential reference for FuzzCacheLRU: one slice
-// per set, kept in replacement order with the next victim last. LRU
-// moves a line to the front on every hit and on insertion; FIFO only
-// on insertion. It mirrors the Access/Fill/write/meta semantics of
-// Cache and nothing of its storage.
+// per set, kept in recency order with the LRU victim last. A line
+// moves to the front on every demand hit and on insertion. It mirrors
+// the Access/Fill/write/meta semantics of Cache and nothing of its
+// storage.
 type refCache struct {
-	policy Policy
-	ways   int
-	sets   [][]refLine
-	stats  Stats
+	ways  int
+	sets  [][]refLine
+	stats Stats
 }
 
-func newRefCache(sets, ways int, policy Policy) *refCache {
-	return &refCache{policy: policy, ways: ways, sets: make([][]refLine, sets)}
+func newRefCache(sets, ways int) *refCache {
+	return &refCache{ways: ways, sets: make([][]refLine, sets)}
 }
 
 func (r *refCache) find(a mem.Addr) (set []refLine, si, i int) {
@@ -68,11 +67,8 @@ func (r *refCache) Access(a mem.Addr, write bool, meta uint8) (bool, *Eviction) 
 			l.dirty, l.meta = true, meta
 			r.stats.WriteHits++
 		}
-		set[i] = l
-		if r.policy == LRU {
-			copy(set[1:i+1], set[:i])
-			set[0] = l
-		}
+		copy(set[1:i+1], set[:i])
+		set[0] = l
 		return true, nil
 	}
 	r.stats.Misses++
@@ -102,19 +98,20 @@ func (r *refCache) occupancy() int {
 
 // FuzzCacheLRU checks Cache against refCache on arbitrary operation
 // streams. The input decodes as a 6-byte header — ways from {1, 2, 4,
-// 8, 16}, 1–64 sets, LRU or FIFO, and high address bits so tags reach
-// past the set index — followed by 2-byte operations: an op byte (bit
-// 0 Access/Fill, bit 1 write/dirty, bits 2–7 meta) and a line number.
-// After every operation the hit bit, the eviction and the full Stats
-// must agree.
+// 8, 16}, 1–64 sets, a byte that once chose the replacement policy and
+// is now ignored (so saved corpus entries keep their meaning), and high
+// address bits so tags reach past the set index — followed by 2-byte
+// operations: an op byte (bit 0 Access/Fill, bit 1 write/dirty, bits
+// 2–7 meta) and a line number. After every operation the hit bit, the
+// eviction and the full Stats must agree.
 func FuzzCacheLRU(f *testing.F) {
 	f.Add([]byte{3, 3, 0, 0, 0, 0, 0, 0, 2, 8, 1, 16, 3, 24, 0, 32, 0, 0, 6, 40})
 	f.Add([]byte{3, 3, 1, 0, 0, 0, 0, 0, 2, 8, 1, 16, 3, 24, 0, 32, 0, 0, 6, 40})
 	f.Add([]byte{0, 0, 0, 9, 9, 9, 2, 1, 3, 2, 0, 1, 1, 1, 6, 3})
 	f.Add([]byte{4, 6, 0, 0xff, 0xff, 0x7f, 7, 0, 7, 64, 7, 128, 7, 192, 2, 0, 3, 1})
-	// One long stream per geometry and policy, over a line range about
-	// three times the capacity of a 2-set cache, so hits, write-backs
-	// and LRU refreshes all occur in every way count.
+	// Two long streams per geometry, over a line range about three
+	// times the capacity of a 2-set cache, so hits, write-backs and LRU
+	// refreshes all occur in every way count.
 	for w := byte(0); w < 5; w++ {
 		for p := byte(0); p < 2; p++ {
 			stream := []byte{w, 1, p, 1, 2, 3}
@@ -133,13 +130,9 @@ func FuzzCacheLRU(f *testing.F) {
 		}
 		ways := [...]int{1, 2, 4, 8, 16}[int(data[0])%5]
 		sets := 1 << (int(data[1]) % 7)
-		policy := LRU
-		if data[2]&1 != 0 {
-			policy = FIFO
-		}
 		high := mem.Addr(uint64(data[3])|uint64(data[4])<<8|uint64(data[5])<<16) << 24
-		c := New(Config{Name: "fuzz", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, Policy: policy})
-		ref := newRefCache(sets, ways, policy)
+		c := New(Config{Name: "fuzz", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64})
+		ref := newRefCache(sets, ways)
 		ops := data[6:]
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, line := ops[i], ops[i+1]

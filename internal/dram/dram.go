@@ -2,7 +2,8 @@
 // in-package (HBM-class) and off-package (DDR) DRAMs of the paper's
 // system (Table 2) are instances of the same model with different channel
 // counts: 128-bit channels at 667 MHz DDR, 10-10-10-24 timing, banked with
-// open-row (row-buffer) state.
+// open-row (row-buffer) state. tRAS (the 24) is not modelled: a row
+// stays open until an access to another row of its bank closes it.
 //
 // The model is a busy-until queueing model in CPU cycles: each bank and
 // each channel data bus tracks when it next becomes free. An access waits
@@ -29,7 +30,6 @@ type Config struct {
 	TCas            int     // DRAM cycles
 	TRcd            int
 	TRp             int
-	TRas            int
 	RowBytes        int // row-buffer size per bank
 
 	// LatencyScale scales the access-time components (tCAS/tRCD/tRP)
@@ -54,7 +54,7 @@ func OffPackageConfig(cpuMHz float64) Config {
 		BusBytes:        16,
 		BusMHz:          667,
 		CPUMHz:          cpuMHz,
-		TCas:            10, TRcd: 10, TRp: 10, TRas: 24,
+		TCas:            10, TRcd: 10, TRp: 10,
 		RowBytes:     8192,
 		LatencyScale: 1.0,
 	}

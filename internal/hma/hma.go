@@ -28,7 +28,9 @@ type Config struct {
 	// EpochAccesses is the number of MC accesses between remap epochs.
 	EpochAccesses uint64
 	// PerPageMoveCycles is the software cost per migrated page (copy +
-	// PTE rewrite), charged to every core while the world is stopped.
+	// PTE rewrite), charged as mc.SWCost.AllCoresCycles: it stalls every
+	// other unfinished core, but not the core whose access ended the
+	// epoch.
 	PerPageMoveCycles uint64
 	// FixedEpochCycles is the fixed routine overhead per epoch.
 	FixedEpochCycles uint64

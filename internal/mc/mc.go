@@ -17,11 +17,13 @@ import (
 
 // SWCost is a software routine charged by the timing model.
 type SWCost struct {
-	// InitiatorCycles stall one (randomly chosen) core: e.g. Banshee's
-	// PTE-update routine plus shootdown initiation.
+	// InitiatorCycles stall the core whose request triggered the
+	// routine: e.g. Banshee's PTE-update routine plus shootdown
+	// initiation.
 	InitiatorCycles uint64
-	// AllCoresCycles stall every core: e.g. shootdown slave cost, or an
-	// HMA stop-the-world remap epoch.
+	// AllCoresCycles stall every other core that has not finished, each
+	// at its next scheduling point; the requesting core is not charged
+	// them. E.g. the shootdown slave cost, or an HMA remap epoch.
 	AllCoresCycles uint64
 }
 
@@ -53,7 +55,12 @@ type Scheme interface {
 	// construction seed. The returned Result is valid only until the
 	// next Access call (see Result's ownership note).
 	Access(req mem.Request) Result
-	// FillStats merges scheme-internal counters into s at end of run.
+	// FillStats adds the scheme's internal running totals (remaps,
+	// flushes, ...) into s, a copy of the simulator's cumulative
+	// counters. It runs at every mark — warmup end, each epoch sample,
+	// each snapshot and the final window — and a window is the
+	// difference of two marks, so it may only add running totals and
+	// must never reset them.
 	FillStats(s *stats.Sim)
 }
 
@@ -98,17 +105,16 @@ func (t *MissRateTracker) Rate() float64 { return t.rate }
 // simulator records the touched-line count of each evicted page; the
 // predictor exposes the running average rounded up to a multiple of 4.
 type FootprintTracker struct {
-	avg   float64
-	seen  bool
-	Decay float64 // EWMA decay; 0 defaults to 0.05
+	avg  float64
+	seen bool
 }
+
+// footprintDecay is the predictor's EWMA weight on each new page.
+const footprintDecay = 0.05
 
 // Record notes that an evicted page had `lines` touched lines.
 func (f *FootprintTracker) Record(lines int) {
-	d := f.Decay
-	if d == 0 {
-		d = 0.05
-	}
+	d := float64(footprintDecay) // a variable, so 1-d rounds in float64
 	if !f.seen {
 		f.avg = float64(lines)
 		f.seen = true

@@ -151,8 +151,6 @@ func (e Engine) Run(ctx context.Context, m Matrix) (*ResultSet, error) {
 // order is the enumeration order the sink contract is defined over,
 // so the same list always converges to the same bytes.
 func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs []Job) (*ResultSet, error) {
-	rs := &ResultSet{matrix: name, baseSeed: baseSeed,
-		byCoord: make(map[string]Record, len(jobs)), failedBy: map[string]Record{}}
 	if e.FailedOut != "" {
 		if err := os.Remove(e.FailedOut); err != nil && !os.IsNotExist(err) {
 			return nil, fmt.Errorf("runner: ledger reset: %w", err)
@@ -176,6 +174,8 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		next     = 0                          // flush frontier (enumeration order)
 		doneN    = 0                          // filled slots (successes + failures)
 		failedN  = 0                          // permanently failed slots
+		executed = 0                          // jobs simulated
+		cached   = 0                          // jobs served from the sink or deduplicated
 		ledger   *Sink                        // FailedOut, opened on the first failure
 	)
 	if e.Sink != nil {
@@ -221,7 +221,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 			}
 		}
 		if prog != nil {
-			prog.Maybe(doneN, len(jobs), rs.Executed, rs.Cached, failedN)
+			prog.Maybe(doneN, len(jobs), executed, cached, failedN)
 		} else if e.Progress != nil {
 			fmt.Fprintf(e.Progress, "%-6s %-40s cycles=%d\n", how, j.Coord(), st.Cycles)
 		}
@@ -275,7 +275,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 			r := loaded[i]
 			results[i] = &r
 			onDisk[i] = true
-			rs.Cached++
+			cached++
 			doneN++
 			if em != nil {
 				em.jobsReused.Inc()
@@ -339,7 +339,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 					resolved := false
 					for {
 						if st, ok := byID[id]; ok {
-							rs.Cached++
+							cached++
 							completeLocked(i, st, "reuse")
 							resolved = true
 							break
@@ -430,7 +430,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 					}
 					for k, i := range todo {
 						byID[jobs[i].ID] = sts[k]
-						rs.Executed++
+						executed++
 						completeLocked(i, sts[k], how)
 					}
 					mu.Unlock()
@@ -490,18 +490,18 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		return nil, firstErr
 	}
 
+	var records, failed []Record
 	for i, r := range results {
 		if r == nil {
-			f := failures[i]
-			rs.failed = append(rs.failed, *f)
-			rs.failedBy[coordKey(f.Matrix, f.Label, f.Workload, f.Scheme, f.Seed)] = *f
+			failed = append(failed, *failures[i])
 			continue
 		}
-		rs.records = append(rs.records, *r)
-		rs.byCoord[coordKey(r.Matrix, r.Label, r.Workload, r.Scheme, r.Seed)] = *r
+		records = append(records, *r)
 	}
+	rs := AssembleResultSet(name, baseSeed, records, failed)
+	rs.Executed, rs.Cached = executed, cached
 	if prog != nil {
-		prog.Force(doneN, len(jobs), rs.Executed, rs.Cached, failedN)
+		prog.Force(doneN, len(jobs), executed, cached, failedN)
 	}
 	if e.Progress != nil {
 		fmt.Fprintf(e.Progress, "matrix %s: %d jobs, %d cached, %d executed, %d failed\n",

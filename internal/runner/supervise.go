@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"banshee/internal/errs"
@@ -79,10 +78,9 @@ func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
 
 // panicError is a recovered panic converted into an error so the
 // retry/ledger machinery can treat panics and returned errors
-// uniformly. The stack is captured at recovery for the ledger.
+// uniformly.
 type panicError struct {
-	val   interface{}
-	stack []byte
+	val interface{}
 }
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
@@ -191,7 +189,7 @@ func (e Engine) attempt(ctx context.Context, jobs []Job, run JobRunner) (sts []s
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			sts, err = nil, &panicError{val: r, stack: debug.Stack()}
+			sts, err = nil, &panicError{val: r}
 		}
 	}()
 	sts, err = run(ctx, jobs)

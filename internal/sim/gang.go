@@ -24,7 +24,7 @@ import (
 // produce, the demand address, and its PTE's DRAM-cache mapping bits.
 // A lane is a System: it replays the residue through its own back end
 // (L3, prefetcher, scheme, DRAM timing, MSHR/dependence stalls, and
-// the event-ordered core scheduler). NewSystem builds one lane over a
+// the event-ordered core scheduler). A width-1 Gang is one lane over a
 // stream of its own; a Gang runs N differently-seeded lanes of a
 // gang-safe scheme over one shared stream, paying the front end once.
 // Every lane's statistics are byte-identical to the same config run
@@ -442,7 +442,7 @@ type Gang struct {
 
 // NewGang assembles one lane per config. A single config runs alone
 // over a stream of its own, whatever its scheme — that is how every
-// stand-alone run (Session, NewSystem) is built. Two or more configs
+// stand-alone run (Session, the engine's singles) is built. Two or more configs
 // must all be GangEligible, share one GangKey, and name the same
 // scheme kind; a multi-seed gang must therefore set WorkloadSeed so
 // the lanes share a stream (NewGangSeeds does this for you).

@@ -1,16 +1,27 @@
 package sim
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"banshee/internal/mem"
+	"banshee/internal/stats"
 	"banshee/internal/workload"
 )
 
 // Integration tests: whole-system properties that only emerge from the
 // interaction of cores, caches, VM, scheme, and DRAM timing.
+
+// runConfig runs cfg exactly as given to completion.
+func runConfig(cfg Config) (stats.Sim, error) {
+	sess, err := NewSessionConfig(cfg)
+	if err != nil {
+		return stats.Sim{}, err
+	}
+	return sess.Run(context.Background())
+}
 
 func TestWorkloadSchemeMatrixRuns(t *testing.T) {
 	// Every (workload, scheme) pair must run without panicking and
@@ -239,13 +250,13 @@ func TestRecordReplayIdenticalStats(t *testing.T) {
 			cfg.InstrPerCore = base.InstrPerCore
 			cfg.Scale = base.Scale
 
-			direct, err := RunConfig(cfg)
+			direct, err := runConfig(cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: direct: %v", wl, scheme, err)
 			}
 			rcfg := cfg
 			rcfg.Workload = workload.FilePrefix + path
-			replayed, err := RunConfig(rcfg)
+			replayed, err := runConfig(rcfg)
 			if err != nil {
 				t.Fatalf("%s/%s: replay: %v", wl, scheme, err)
 			}
@@ -269,7 +280,7 @@ func TestReplayCoreMismatchRejected(t *testing.T) {
 	}
 	cfg := quickConfig("gcc", "NoCache")
 	cfg.Workload = workload.FilePrefix + path // cfg.Cores is 4
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSessionConfig(cfg); err == nil {
 		t.Fatal("core-count mismatch between recording and config accepted")
 	}
 }
@@ -298,7 +309,7 @@ func TestReplayCorruptTraceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workload = workload.FilePrefix + path
-	if _, err := RunConfig(cfg); err == nil {
+	if _, err := runConfig(cfg); err == nil {
 		t.Fatal("corrupt trace replayed without error")
 	}
 }
@@ -317,7 +328,7 @@ func TestReplayShorterThanRunFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workload = workload.FilePrefix + path
-	if _, err := RunConfig(cfg); err == nil {
+	if _, err := runConfig(cfg); err == nil {
 		t.Fatal("wrapped replay returned stats instead of an error")
 	}
 }
@@ -333,13 +344,13 @@ func TestReplayAdoptsRecordedCores(t *testing.T) {
 	if err := workload.Record(path, "gcc", rec, 30_000); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunConfig(cfg)
+	direct, err := runConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workload = workload.FilePrefix + path
 	cfg.Cores = 0 // adopt
-	adopted, err := RunConfig(cfg)
+	adopted, err := runConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +360,7 @@ func TestReplayAdoptsRecordedCores(t *testing.T) {
 	}
 	// Synthetic workloads have no recorded shape; 0 must still error.
 	cfg.Workload = "gcc"
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSessionConfig(cfg); err == nil {
 		t.Fatal("cores=0 accepted for a synthetic workload")
 	}
 }

@@ -44,16 +44,16 @@ func TestParseScheme(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cfg := quickConfig("pagerank", "Banshee")
 	cfg.Cores = 0
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSessionConfig(cfg); err == nil {
 		t.Fatal("zero cores accepted")
 	}
 	cfg = quickConfig("pagerank", "Banshee")
 	cfg.WarmupFrac = 1.0
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSessionConfig(cfg); err == nil {
 		t.Fatal("warmup 1.0 accepted")
 	}
 	cfg = quickConfig("nosuchworkload", "Banshee")
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewSessionConfig(cfg); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -34,10 +34,10 @@ type core struct {
 }
 
 // System is a fully assembled simulation: one lane — the back end from
-// the L3 down — over a front-end stream (gang.go). NewSystem gives the
-// lane a stream of its own; a Gang runs several lanes over one. Build
-// with NewSystem, drive incrementally with Step (or to completion with
-// Run); Session is the managed handle most callers want. Not safe for
+// the L3 down — over a front-end stream (gang.go). A width-1 Gang gives
+// its lane a stream of its own; a wider Gang runs several lanes over
+// one. Gang.Lane exposes a lane, driven incrementally with Step;
+// Session is the managed handle most callers want. Not safe for
 // concurrent use; run distinct Systems in parallel instead.
 type System struct {
 	cfg    Config
@@ -99,17 +99,6 @@ type mark struct {
 	cycles  uint64
 }
 
-// NewSystem assembles a system from cfg: a width-1 lane over a
-// front-end stream of its own, which owns the page table and the
-// per-core L1/L2/TLB the scheme is built against.
-func NewSystem(cfg Config) (*System, error) {
-	g, err := NewGang([]Config{cfg})
-	if err != nil {
-		return nil, err
-	}
-	return g.Lane(0), nil
-}
-
 // coreQueue is the per-event scheduler: a specialized binary min-heap
 // over *core ordered by (local time, id). It replaces the previous
 // container/heap implementation, whose interface{} Push/Pop boxed a
@@ -125,20 +114,6 @@ func (q coreQueue) less(i, j int) bool {
 		return q[i].time < q[j].time
 	}
 	return q[i].id < q[j].id
-}
-
-// push inserts c and restores the heap order.
-func (q *coreQueue) push(c *core) {
-	*q = append(*q, c)
-	h := *q
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
 }
 
 // pop removes and returns the earliest core.
@@ -592,22 +567,10 @@ func (s *System) executeOps(c *core, res mc.Result, now uint64) uint64 {
 // scheme-tuning fields already set on cfg.Scheme (sampling coefficient,
 // ways, thresholds, buffer sizes, PTE-update cost, epoch length) are
 // preserved — so sweeps can tune a scheme and still select it by name.
-// Use RunConfig to run a fully hand-built Config verbatim, and
+// Use NewSessionConfig to run a fully hand-built Config verbatim, and
 // NewSession for incremental or cancellable runs.
 func Run(cfg Config, workload, scheme string) (stats.Sim, error) {
 	sess, err := NewSession(cfg, workload, scheme)
-	if err != nil {
-		return stats.Sim{}, err
-	}
-	return sess.Run(context.Background())
-}
-
-// RunConfig runs cfg exactly as given (cfg.Workload and cfg.Scheme must
-// be fully populated). It is NewSessionConfig + Run to completion:
-// latched trace-replay failures (corruption, wrap-around) fail the run
-// with typed errors instead of returning skewed statistics.
-func RunConfig(cfg Config) (stats.Sim, error) {
-	sess, err := NewSessionConfig(cfg)
 	if err != nil {
 		return stats.Sim{}, err
 	}

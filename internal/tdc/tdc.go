@@ -30,9 +30,6 @@ type Config struct {
 type entry struct {
 	touched mc.Touched
 	dirty   mc.Touched
-	// fifoPos is the insertion index, for diagnostics; eviction order is
-	// maintained by the queue itself.
-	fifoPos uint64
 }
 
 // TDC is the scheme instance. Not safe for concurrent use.
@@ -45,7 +42,6 @@ type TDC struct {
 	pages     util.Flat64[entry]
 	fifo      []uint64 // ring buffer of resident pages in insertion order
 	head      int
-	count     uint64
 	footprint mc.FootprintTracker
 
 	// memo short-circuits the residency probe for back-to-back accesses
@@ -142,9 +138,8 @@ func (t *TDC) insert(page uint64, demand mem.Addr) {
 		t.ops = append(t.ops, mem.Op{Target: mem.OffPackage, Addr: demand, Bytes: fill, Class: mem.ClassReplacement, Stage: 1})
 	}
 	t.ops = append(t.ops, mem.Op{Target: mem.InPackage, Addr: demand, Bytes: fp * mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1})
-	t.count++
 	t.fills++
-	e := entry{fifoPos: t.count}
+	var e entry
 	e.touched.Set(mem.LineInPage(demand))
 	t.pages.Put(page, e)
 	t.memoE = nil // Put/Delete may have moved or retired the memo slot

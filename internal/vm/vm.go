@@ -304,13 +304,11 @@ func (t *TLB) Occupancy() int { return t.filled }
 // CostModel holds the software-cost parameters of §5.1 (Table 3),
 // already converted to CPU cycles by the caller.
 type CostModel struct {
-	PTEUpdateCycles      uint64 // whole tag-buffer flush routine (20 µs default)
-	ShootdownInitiator   uint64 // 4 µs default
-	ShootdownSlave       uint64 // 1 µs default
-	PageWalkCycles       uint64 // TLB miss penalty
-	LargePageWalkCycles  uint64 // usually smaller (fewer levels); 0 = same as 4 KB
-	PerPTETouchCycles    uint64 // incremental cost per PTE updated in a flush
-	SoftwareEpochOverlap bool   // if true, routine overlaps with execution (idealization)
+	PTEUpdateCycles    uint64 // whole tag-buffer flush routine (20 µs default)
+	ShootdownInitiator uint64 // 4 µs default
+	ShootdownSlave     uint64 // 1 µs default
+	PageWalkCycles     uint64 // TLB miss penalty, for 4 KB and 2 MB pages alike
+	PerPTETouchCycles  uint64 // incremental cost per PTE updated in a flush
 }
 
 // DefaultCostModel returns the paper's Table 3 costs at the given clock.
