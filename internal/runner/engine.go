@@ -126,9 +126,11 @@ func (e Engine) jobRunner() JobRunner {
 // first mismatch — an edited sweep — are pruned from the file, with
 // their still-valid results reused by content key instead of
 // re-simulated. Identical configs reached under different coordinates
-// also simulate once. Results stream to the sink in matrix enumeration
-// order, so a killed run's file is a clean prefix and a resumed run
-// completes it byte-identically.
+// also simulate once: every job is settled before any worker starts,
+// and a later copy of a pending config is its twin, completing or
+// failing with it without ever occupying a worker. Results stream to
+// the sink in matrix enumeration order, so a killed run's file is a
+// clean prefix and a resumed run completes it byte-identically.
 //
 // Cancelling ctx stops the sweep promptly: workers abandon their
 // in-flight simulations at the next step boundary, no partial result
@@ -149,7 +151,10 @@ func (e Engine) Run(ctx context.Context, m Matrix) (*ResultSet, error) {
 // process boundary (a sweep service accepting wire specs) instead of
 // re-enumerating a Matrix. Semantics are exactly Run's: the jobs'
 // order is the enumeration order the sink contract is defined over,
-// so the same list always converges to the same bytes.
+// so the same list always converges to the same bytes. One pass over
+// the list settles each job as part of the sink's on-disk prefix,
+// reused by content key from the sink, a twin of an earlier pending
+// job, or pending; only pending jobs reach the worker queues.
 func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs []Job) (*ResultSet, error) {
 	if e.FailedOut != "" {
 		if err := os.Remove(e.FailedOut); err != nil && !os.IsNotExist(err) {
@@ -165,9 +170,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 	var (
 		mu       sync.Mutex
 		firstErr error
-		byID     = map[string]stats.Sim{}      // known results, content-keyed
-		failedID = map[string]*errs.JobError{} // permanent failures, content-keyed
-		inflight = map[string]chan struct{}{}  // IDs being simulated now
+		twins    = map[int][]int{} // first pending index → its later identical jobs
 		results  = make([]*Record, len(jobs))
 		failures = make([]*Record, len(jobs)) // ledger records (KeepGoing)
 		onDisk   = make([]bool, len(jobs))    // already in the sink file
@@ -178,15 +181,6 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		cached   = 0                          // jobs served from the sink or deduplicated
 		ledger   *Sink                        // FailedOut, opened on the first failure
 	)
-	if e.Sink != nil {
-		for _, r := range e.Sink.Loaded() {
-			byID[r.ID] = r.Result
-		}
-		if d := e.Sink.Dropped(); d > 0 && e.Progress != nil {
-			fmt.Fprintf(e.Progress, "sink: dropped %d corrupt checkpoint record(s) on resume\n", d)
-		}
-	}
-
 	// flushLocked streams the completed prefix to the sink in order. A
 	// permanently failed job occupies its slot without a record: the
 	// frontier steps over it so later successes still reach the disk,
@@ -207,7 +201,10 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 			em.flushLag.Set(float64(doneN - next))
 		}
 	}
-	completeLocked := func(i int, st stats.Sim, how string) {
+	// completeLocked records job i's result, then completes its twins
+	// with the same result as reuse.
+	var completeLocked func(i int, st stats.Sim, how string)
+	completeLocked = func(i int, st stats.Sim, how string) {
 		j := jobs[i]
 		results[i] = &Record{ID: j.ID, Matrix: j.Matrix, Label: j.Label,
 			Workload: j.Workload, Scheme: j.Scheme, Seed: j.Seed, Result: st}
@@ -225,10 +222,17 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		} else if e.Progress != nil {
 			fmt.Fprintf(e.Progress, "%-6s %-40s cycles=%d\n", how, j.Coord(), st.Cycles)
 		}
+		for _, t := range twins[i] {
+			cached++
+			completeLocked(t, st, "reuse")
+		}
 	}
 	// failLocked records job i's permanent failure (KeepGoing mode):
 	// ledger line, failure slot for the flush frontier, progress note.
-	failLocked := func(i int, jerr *errs.JobError) {
+	// Its twins fail with it: the injected faults are keyed by the same
+	// content ID, so an identical config would only fail identically.
+	var failLocked func(i int, jerr *errs.JobError)
+	failLocked = func(i int, jerr *errs.JobError) {
 		rec := failureRecord(jobs[i], jerr)
 		failures[i] = &rec
 		doneN++
@@ -248,19 +252,27 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		if e.Progress != nil {
 			fmt.Fprintf(e.Progress, "%-6s %-40s %v\n", "FAIL", jobs[i].Coord(), jerr.Err)
 		}
+		for _, t := range twins[i] {
+			failLocked(t, jerr)
+		}
 	}
 
-	// The file must stay an enumeration-order prefix of this matrix, so
-	// only the leading records that line up with the jobs count as done
-	// on disk; anything after the first mismatch (an edited sweep, or a
-	// file from a different matrix) is pruned. Pruned-but-still-valid
-	// results are not lost — they were indexed into byID above, so their
-	// jobs complete by content-key reuse and are re-appended in order
-	// rather than re-simulated.
-	var pending []int
+	// Settle every job before any worker starts. The file must stay an
+	// enumeration-order prefix of this matrix, so only the leading
+	// records that line up with the jobs count as done on disk; anything
+	// after the first mismatch (an edited sweep, or a file from a
+	// different matrix) is pruned. Every later job is then reused by
+	// content key from the loaded records (so pruned-but-still-valid
+	// results are re-appended in order rather than re-simulated),
+	// attached as a twin to an earlier pending job with the same content
+	// ID, or queued.
+	k := 0
+	known := map[string]stats.Sim{}
 	if e.Sink != nil {
+		if d := e.Sink.Dropped(); d > 0 && e.Progress != nil {
+			fmt.Fprintf(e.Progress, "sink: dropped %d corrupt checkpoint record(s) on resume\n", d)
+		}
 		loaded := e.Sink.Loaded()
-		k := 0
 		for k < len(loaded) && k < len(jobs) &&
 			loaded[k].ID == jobs[k].ID &&
 			coordKey(loaded[k].Matrix, loaded[k].Label, loaded[k].Workload, loaded[k].Scheme, loaded[k].Seed) == jobs[k].Coord() {
@@ -271,27 +283,36 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 				return nil, err
 			}
 		}
-		for i := 0; i < k; i++ {
-			r := loaded[i]
-			results[i] = &r
-			onDisk[i] = true
-			cached++
-			doneN++
-			if em != nil {
-				em.jobsReused.Inc()
+		for i, r := range loaded {
+			known[r.ID] = r.Result
+			if i < k {
+				results[i] = &r
+				onDisk[i] = true
+				cached++
+				doneN++
+				if em != nil {
+					em.jobsReused.Inc()
+				}
 			}
 		}
-		for i := k; i < len(jobs); i++ {
-			pending = append(pending, i)
-		}
-		mu.Lock()
-		flushLocked()
-		mu.Unlock()
-	} else {
-		for i := range jobs {
+	}
+	var pending []int
+	first := map[string]int{} // content ID → its first pending index
+	mu.Lock()
+	flushLocked()
+	for i := k; i < len(jobs); i++ {
+		id := jobs[i].ID
+		if st, ok := known[id]; ok {
+			cached++
+			completeLocked(i, st, "reuse")
+		} else if f, ok := first[id]; ok {
+			twins[f] = append(twins[f], i)
+		} else {
+			first[id] = i
 			pending = append(pending, i)
 		}
 	}
+	mu.Unlock()
 
 	q := newJobQueue(jobs, pending, e.GangWidth)
 	run := e.jobRunner()
@@ -326,64 +347,17 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 					return
 				}
 				own = wl
-				// Resolve each member against known results first: reuse
-				// an identical completed config instead of simulating it
-				// twice, share a permanent failure (a content key that
-				// already failed permanently fails this job too — the
-				// injected faults are keyed by the same ID, so an
-				// identical config would only fail identically), or wait
-				// out an in-flight twin. What remains actually runs.
-				var todo []int
-				for _, i := range group {
-					id := jobs[i].ID
-					resolved := false
-					for {
-						if st, ok := byID[id]; ok {
-							cached++
-							completeLocked(i, st, "reuse")
-							resolved = true
-							break
-						}
-						if jerr, ok := failedID[id]; ok {
-							shared := &errs.JobError{Coord: jobs[i].Coord(), ID: id,
-								Attempts: jerr.Attempts, Panicked: jerr.Panicked, Err: jerr.Err}
-							failLocked(i, shared)
-							resolved = true
-							break
-						}
-						ch, busy := inflight[id]
-						if !busy {
-							break
-						}
-						mu.Unlock()
-						<-ch
-						mu.Lock()
-						if firstErr != nil {
-							mu.Unlock()
-							return
-						}
-					}
-					if !resolved {
-						todo = append(todo, i)
-					}
-				}
-				if len(todo) == 0 {
-					mu.Unlock()
-					continue
-				}
-				// Run what remains as one group — a single job, or the
-				// lanes of one gang — supervised and under ctx, so
-				// cancellation lands mid-run, not only between groups: the
-				// simulation stops at its next step boundary and its
-				// partial stats are discarded here — only complete results
-				// ever reach the sink.
-				members := make([]Job, len(todo))
-				for k, i := range todo {
-					inflight[jobs[i].ID] = make(chan struct{})
+				members := make([]Job, len(group))
+				for k, i := range group {
 					members[k] = jobs[i]
 				}
 				mu.Unlock()
 
+				// Run the group — a single job, or the lanes of one gang —
+				// supervised and under ctx, so cancellation lands mid-run,
+				// not only between groups: the simulation stops at its next
+				// step boundary and its partial stats are discarded here —
+				// only complete results ever reach the sink.
 				gang := len(members) > 1
 				if em != nil {
 					em.workersBusy.Add(1)
@@ -417,19 +391,12 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 				}
 
 				mu.Lock()
-				// Release waiters; they wake into mu, so they see whatever
-				// this block settles before it unlocks.
-				for _, i := range todo {
-					close(inflight[jobs[i].ID])
-					delete(inflight, jobs[i].ID)
-				}
 				if err == nil {
 					how := "done"
 					if gang {
 						how = "gang"
 					}
-					for k, i := range todo {
-						byID[jobs[i].ID] = sts[k]
+					for k, i := range group {
 						executed++
 						completeLocked(i, sts[k], how)
 					}
@@ -453,13 +420,13 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 						em.gangFallbacks.Inc()
 					}
 					if e.Tracer != nil {
-						e.Tracer.Instant("gang fallback", w, "lanes", len(todo))
+						e.Tracer.Instant("gang fallback", w, "lanes", len(group))
 					}
 					if e.Progress != nil {
 						fmt.Fprintf(e.Progress, "%-6s %d-lane gang at %s: %v; retrying as independent jobs\n",
-							"gang!", len(todo), jobs[todo[0]].Coord(), err)
+							"gang!", len(group), jobs[group[0]].Coord(), err)
 					}
-					q.pushFrontSingles(wl, todo)
+					q.pushFrontSingles(wl, group)
 					mu.Unlock()
 					continue
 				}
@@ -467,8 +434,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 				if errors.As(err, &jerr) && e.KeepGoing {
 					// Graceful degradation: ledger the failure and let the
 					// sweep finish everything else.
-					failedID[jobs[todo[0]].ID] = jerr
-					failLocked(todo[0], jerr)
+					failLocked(group[0], jerr)
 					mu.Unlock()
 					continue
 				}
@@ -517,23 +483,21 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 // enumeration so groupmates stay enumeration-adjacent and the flush
 // frontier advances smoothly. Guarded by the engine's mutex.
 type jobQueue struct {
-	jobs    []Job
 	queues  map[string][][]int
 	order   []string
 	claimed map[string]bool
 }
 
 func newJobQueue(jobs []Job, pending []int, width int) *jobQueue {
-	q := &jobQueue{jobs: jobs, queues: map[string][][]int{}, claimed: map[string]bool{}}
-	// One open group per gang key; a full group, or a duplicate
-	// content ID (which must resolve through the inflight machinery,
-	// never sit twice in one gang), rolls the key over to a new group.
+	q := &jobQueue{queues: map[string][][]int{}, claimed: map[string]bool{}}
+	// One open group per gang key; a full group rolls the key over to a
+	// new group. Pending jobs have distinct content IDs (twins were
+	// settled before queueing), so no gang runs one config twice.
 	type openGroup struct {
 		w   string
 		idx int // index into q.queues[w]
-		ids map[string]bool
 	}
-	open := map[string]*openGroup{}
+	open := map[string]openGroup{}
 	for _, i := range pending {
 		w := jobs[i].Workload
 		if _, seen := q.queues[w]; !seen {
@@ -542,14 +506,12 @@ func newJobQueue(jobs []Job, pending []int, width int) *jobQueue {
 		}
 		if width >= 2 {
 			if key, ok := gangKey(jobs[i]); ok {
-				id := jobs[i].ID
-				if g := open[key]; g != nil && len(q.queues[g.w][g.idx]) < width && !g.ids[id] {
+				if g, ok := open[key]; ok && len(q.queues[g.w][g.idx]) < width {
 					q.queues[g.w][g.idx] = append(q.queues[g.w][g.idx], i)
-					g.ids[id] = true
 					continue
 				}
 				q.queues[w] = append(q.queues[w], []int{i})
-				open[key] = &openGroup{w: w, idx: len(q.queues[w]) - 1, ids: map[string]bool{id: true}}
+				open[key] = openGroup{w: w, idx: len(q.queues[w]) - 1}
 				continue
 			}
 		}

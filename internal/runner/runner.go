@@ -71,6 +71,8 @@ func coordKey(matrix, label, workload, scheme string, seed uint64) string {
 
 // Jobs enumerates the matrix in deterministic order (points, then
 // workloads, then schemes, then seeds), fully resolving each config.
+// An axis that repeats a value would put two jobs at one coordinate,
+// where a ResultSet sees only one of them, so it is an error.
 func (m Matrix) Jobs() ([]Job, error) {
 	if len(m.Workloads) == 0 || len(m.Schemes) == 0 {
 		return nil, fmt.Errorf("runner: matrix %q needs at least one workload and one scheme", m.Name)
@@ -84,10 +86,16 @@ func (m Matrix) Jobs() ([]Job, error) {
 		seeds = []uint64{m.Base.Seed}
 	}
 	jobs := make([]Job, 0, len(points)*len(m.Workloads)*len(m.Schemes)*len(seeds))
+	seen := make(map[string]bool, cap(jobs))
 	for _, p := range points {
 		for _, w := range m.Workloads {
 			for _, s := range m.Schemes {
 				for _, seed := range seeds {
+					coord := coordKey(m.Name, p.Label, w, s, seed)
+					if seen[coord] {
+						return nil, fmt.Errorf("runner: matrix %q repeats coordinate %s", m.Name, coord)
+					}
+					seen[coord] = true
 					cfg := m.Base
 					cfg.Workload = w
 					cfg.Seed = seed
@@ -141,41 +149,6 @@ func jobID(cfg sim.Config) string {
 // those streams by recomputing the key instead of reimplementing the
 // hash.
 func JobKey(cfg sim.Config) string { return jobID(cfg) }
-
-// JobKey resolves the job at one coordinate of the matrix — (point
-// label, workload, scheme, seed) — exactly as Jobs would, and returns
-// its content key. The label must name one of the matrix's points
-// ("" when the matrix declares none); workload and scheme resolve the
-// same way enumeration resolves them, so the returned key matches the
-// enumerated job's ID whenever the coordinate is in the matrix.
-func (m Matrix) JobKey(label, workload, scheme string, seed uint64) (string, error) {
-	points := m.Points
-	if len(points) == 0 {
-		points = []Point{{}}
-	}
-	var point *Point
-	for i := range points {
-		if points[i].Label == label {
-			point = &points[i]
-			break
-		}
-	}
-	if point == nil {
-		return "", fmt.Errorf("runner: matrix %q has no point labelled %q", m.Name, label)
-	}
-	cfg := m.Base
-	cfg.Workload = workload
-	cfg.Seed = seed
-	spec, err := sim.ResolveScheme(scheme, cfg.Scheme)
-	if err != nil {
-		return "", fmt.Errorf("runner: matrix %q: %w", m.Name, err)
-	}
-	cfg.Scheme = spec
-	if point.Mutate != nil {
-		point.Mutate(&cfg)
-	}
-	return jobID(cfg), nil
-}
 
 // Record is one job as stored in a checkpoint JSONL stream: the
 // success stream (Engine.Sink) or the failure ledger

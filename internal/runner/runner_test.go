@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"banshee/internal/sim"
+	"banshee/internal/stats"
 	"banshee/internal/workload"
 )
 
@@ -314,6 +316,49 @@ func TestIdenticalConfigsSimulateOnce(t *testing.T) {
 	}
 }
 
+// TestTwinNeverHoldsAWorker runs [a, b, a2] on two workers, where a2
+// is a's twin and a's runner cannot finish until b has started. A twin
+// that occupied a worker while waiting on its first copy would leave
+// no worker for b, and the sweep would stall.
+func TestTwinNeverHoldsAWorker(t *testing.T) {
+	m := testMatrix("twinslot")
+	m.Workloads = m.Workloads[:1]
+	m.Schemes = m.Schemes[:1]
+	m.Points = []Point{
+		{Label: "a"},
+		{Label: "b", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.5 }},
+		{Label: "a2"}, // same config as a
+	}
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs[0].ID != jobs[2].ID || jobs[0].ID == jobs[1].ID {
+		t.Fatal("test premise broken: want a and a2 twins, b distinct")
+	}
+	bStarted := make(chan struct{})
+	run := func(ctx context.Context, group []Job) ([]stats.Sim, error) {
+		switch group[0].Label {
+		case "b":
+			close(bStarted)
+		case "a":
+			select {
+			case <-bStarted:
+			case <-time.After(3 * time.Second):
+				return nil, errors.New("a worker is stuck: b never started")
+			}
+		}
+		return make([]stats.Sim, len(group)), nil
+	}
+	rs, err := Engine{Parallelism: 2, JobRunner: run}.Run(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Executed != 2 || rs.Cached != 1 || len(rs.Records()) != 3 {
+		t.Fatalf("executed %d / cached %d / records %d, want 2/1/3", rs.Executed, rs.Cached, len(rs.Records()))
+	}
+}
+
 func TestEngineErrorSurfaces(t *testing.T) {
 	m := testMatrix("err")
 	m.Schemes = []string{"NoCache"}
@@ -331,6 +376,11 @@ func TestMatrixValidation(t *testing.T) {
 	m.Schemes = []string{"NotAScheme"}
 	if _, err := m.Jobs(); err == nil {
 		t.Fatal("unknown scheme enumerated")
+	}
+	m = testMatrix("repeat")
+	m.Seeds = []uint64{3, 3} // two jobs at one coordinate
+	if _, err := m.Jobs(); err == nil || !strings.Contains(err.Error(), "repeats coordinate") {
+		t.Fatalf("repeated seed: got %v, want a repeats-coordinate error", err)
 	}
 }
 

@@ -76,18 +76,18 @@ func (p RetryPolicy) Delay(jobID string, attempt int) time.Duration {
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 
-// panicError is a recovered panic converted into an error so the
+// PanicError is a recovered panic converted into an error so the
 // retry/ledger machinery can treat panics and returned errors
-// uniformly.
-type panicError struct {
-	val interface{}
-}
+// uniformly. Its text is "panic: <value>"; a sweep service carries the
+// text and the panic flag across the wire and rebuilds the same error,
+// so a remote panic is ledgered exactly like a local one.
+type PanicError string
 
-func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
+func (e PanicError) Error() string { return string(e) }
 
 // runSupervised executes one job group under the engine's
 // supervision; every attempt gets panic isolation and the optional
-// per-attempt deadline (attempt). A single job is offered to Dispatch
+// per-attempt deadline (Attempt). A single job is offered to Dispatch
 // and retried per the RetryPolicy with deterministic jitter: a nil
 // error means it succeeded, and a non-nil error is always a
 // *errs.JobError carrying the job context and attempt count — except
@@ -100,7 +100,7 @@ func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 // metrics are off).
 func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w int, em *engineMetrics) ([]stats.Sim, error) {
 	if len(jobs) > 1 {
-		return e.attempt(ctx, jobs, run)
+		return e.Attempt(ctx, jobs, run)
 	}
 	job := jobs[0]
 	if e.Dispatch != nil {
@@ -145,7 +145,7 @@ func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w 
 			t0 = e.Tracer.Clock()
 		}
 		attemptStart := time.Now()
-		sts, err := e.attempt(ctx, jobs, run)
+		sts, err := e.Attempt(ctx, jobs, run)
 		if em != nil {
 			em.attemptDur.Observe(uint64(time.Since(attemptStart).Microseconds()))
 		}
@@ -171,17 +171,19 @@ func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w 
 			}
 		}
 	}
-	_, panicked := lastErr.(*panicError)
+	_, panicked := lastErr.(PanicError)
 	return nil, &errs.JobError{
 		Coord: job.Coord(), ID: job.ID, Attempts: attempts, Panicked: panicked, Err: lastErr,
 	}
 }
 
-// attempt runs one try of a job group: per-attempt deadline, panic
+// Attempt runs one try of a job group: per-attempt deadline, panic
 // isolation, one result per job. A panicking scheme (or workload
 // source) unwinds only this attempt's stack — the worker, its queue,
-// and every other in-flight group are untouched.
-func (e Engine) attempt(ctx context.Context, jobs []Job, run JobRunner) (sts []stats.Sim, err error) {
+// and every other in-flight group are untouched. A sweep service's
+// attached worker runs each leased job through it too, so a remote
+// attempt fails exactly as a local one would.
+func (e Engine) Attempt(ctx context.Context, jobs []Job, run JobRunner) (sts []stats.Sim, err error) {
 	if e.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.JobTimeout)
@@ -189,7 +191,7 @@ func (e Engine) attempt(ctx context.Context, jobs []Job, run JobRunner) (sts []s
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			sts, err = nil, &panicError{val: r}
+			sts, err = nil, PanicError(fmt.Sprintf("panic: %v", r))
 		}
 	}()
 	sts, err = run(ctx, jobs)

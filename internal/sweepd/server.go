@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"banshee/internal/obs"
+	"banshee/internal/runner"
 	"banshee/internal/stats"
 )
 
@@ -323,6 +324,9 @@ type LeaseUpdate struct {
 	// Result/Error report the attempt outcome (result endpoint only).
 	Result *stats.Sim `json:"result,omitempty"`
 	Error  string     `json:"error,omitempty"`
+	// Panic marks an Error that is a recovered panic, so the daemon
+	// ledgers it as one (runner.PanicError), exactly as a local panic.
+	Panic bool `json:"panic,omitempty"`
 }
 
 // maxLeaseWait caps a worker's long-poll window server-side.
@@ -390,6 +394,9 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	var attemptErr error
 	if req.Error != "" {
 		attemptErr = errors.New(req.Error)
+		if req.Panic {
+			attemptErr = runner.PanicError(req.Error)
+		}
 	} else if req.Result != nil {
 		st = *req.Result
 	} else {

@@ -151,7 +151,7 @@ func (s Spec) Resolve() (jobs []runner.Job, baseSeed uint64, err error) {
 	}
 	jobs, err = m.Jobs()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("sweepd: spec %q: %w", s.Name, err)
 	}
 	baseSeed = s.Base.Seed
 	if len(s.Seeds) > 0 {

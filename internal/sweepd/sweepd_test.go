@@ -10,6 +10,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -773,5 +775,71 @@ func TestRemoteLedgerMatchesLocal(t *testing.T) {
 	}
 	if recs, err := c.Ledger(ctx, id); err == nil {
 		t.Fatalf("altered ledger parsed without error: %+v", recs)
+	}
+}
+
+// TestRemotePanicLedgeredLikeLocal: a job that panics on an attached
+// worker is ledgered exactly as a local engine ledgers it — panic:true
+// with the panic's own text — not as an ordinary error. The sweep has
+// one job and one attempt, so a remote result proves the attempt ran on
+// the worker.
+func TestRemotePanicLedgeredLikeLocal(t *testing.T) {
+	m := runner.Matrix{
+		Name:      "svc-panic",
+		Base:      testBase(),
+		Workloads: []string{"fault:panic=1,after=10:mcf"},
+		Schemes:   []string{"NoCache"},
+	}
+	local, err := (runner.Engine{KeepGoing: true}).Run(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Failed()) != 1 || !local.Failed()[0].Panicked {
+		t.Fatalf("test premise broken: local failures %+v, want one panic", local.Failed())
+	}
+	want := local.Failed()[0]
+
+	d := newDaemon(t, t.TempDir())
+	c, _ := dialTest(t, d)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wk := &Worker{Client: c, Name: "w-panic", Parallel: 1}
+	workerDone := make(chan struct{})
+	go func() { defer close(workerDone); wk.Run(ctx) }()
+	waitFor(t, func() bool { return d.Broker().Workers() > 0 })
+
+	remote, err := c.RunMatrix(ctx, m, RunOptions{KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Registry().Snapshot()["sweepd_remote_results_total"]; n < 1 {
+		t.Fatalf("sweepd_remote_results_total = %v, want >= 1", n)
+	}
+	if len(remote.Failed()) != 1 {
+		t.Fatalf("remote run failed %d jobs, want 1", len(remote.Failed()))
+	}
+	got := remote.Failed()[0]
+	if got.Panicked != want.Panicked || got.Error != want.Error || got.Attempts != want.Attempts {
+		t.Fatalf("remote failure %+v, local %+v", got, want)
+	}
+	cancel()
+	<-workerDone
+}
+
+// TestSubmitRejectsRepeatedCoordinate: an axes spec that repeats a
+// workload resolves to two jobs at one coordinate; the daemon refuses
+// it with 400, as it refuses the same jobs in pre-resolved form.
+func TestSubmitRejectsRepeatedCoordinate(t *testing.T) {
+	d := newDaemon(t, t.TempDir())
+	_, srv := dialTest(t, d)
+	body := `{"name":"x","workloads":["pagerank","pagerank"],"schemes":["NoCache"]}`
+	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "repeats coordinate") {
+		t.Fatalf("repeated workload: status %d %s, want 400 repeats coordinate", resp.StatusCode, msg)
 	}
 }

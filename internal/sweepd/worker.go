@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	"banshee/internal/runner"
@@ -166,7 +165,7 @@ func (wk *Worker) pullOne(ctx context.Context, slotName string, wait time.Durati
 		}
 	}()
 
-	st, simErr := runLeased(runCtx, job)
+	sts, simErr := runner.Engine{}.Attempt(runCtx, []runner.Job{job}, runner.Simulate)
 	cancel()
 	<-renewDone
 
@@ -182,29 +181,17 @@ func (wk *Worker) pullOne(ctx context.Context, slotName string, wait time.Durati
 		}
 		fmt.Fprintf(wk.Log, "worker %s: finished %s: %s\n", slotName, job.ID, outcome)
 	}
-	return wk.report(ctx, grant.Lease, job.ID, &st, simErr)
+	var st *stats.Sim
+	if simErr == nil {
+		st = &sts[0]
+	}
+	return wk.report(ctx, grant.Lease, job.ID, st, simErr)
 }
 
 // isGone reports whether err is the daemon's 410: the lease is dead.
 func isGone(err error) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.Status == http.StatusGone
-}
-
-// runLeased simulates one leased job with the same panic isolation the
-// engine's local attempts get: a panicking scheme fails the attempt,
-// not the worker process.
-func runLeased(ctx context.Context, job runner.Job) (st stats.Sim, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("worker panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	sts, err := runner.Simulate(ctx, []runner.Job{job})
-	if err != nil {
-		return stats.Sim{}, err
-	}
-	return sts[0], nil
 }
 
 // decode reconstructs the runner.Job from its wire form.
@@ -249,11 +236,10 @@ func (wk *Worker) renew(ctx context.Context, lease string) error {
 // — is not an error: the outcome is simply discarded, preserving the
 // one-attempt-outcome-per-dispatch rule.
 func (wk *Worker) report(ctx context.Context, lease, jobID string, st *stats.Sim, simErr error) error {
-	upd := LeaseUpdate{Lease: lease, Job: jobID}
+	upd := LeaseUpdate{Lease: lease, Job: jobID, Result: st}
 	if simErr != nil {
 		upd.Error = simErr.Error()
-	} else {
-		upd.Result = st
+		_, upd.Panic = simErr.(runner.PanicError)
 	}
 	err := wk.Client.do(ctx, callReport, http.MethodPost, "/v1/workers/result", upd, nil)
 	if isGone(err) {
