@@ -490,8 +490,9 @@ func (b *Banshee) noteRemap(page uint64, cached bool, way uint8, res *mc.Result)
 }
 
 // flush is the software routine: drain every MC's tag buffer, apply the
-// mappings to the page table via the OS reverse map, and shoot down all
-// TLBs. The caller's cores pay the cost through mc.SWCost.
+// mappings to each frame's PTE (the frame allocator is the identity, so
+// the OS reverse map yields exactly that one), and shoot down all TLBs.
+// The caller's cores pay the cost through mc.SWCost.
 func (b *Banshee) flush(res *mc.Result) {
 	b.flushes++
 	var ptes int

@@ -83,7 +83,8 @@ func TestParsePlan(t *testing.T) {
 	if p, err := fault.ParsePlan(""); err != nil || p != (fault.Plan{}) {
 		t.Fatalf("empty spec: %+v, %v", p, err)
 	}
-	for _, bad := range []string{"panic", "panic=2", "panic=x", "stallms=-1", "after=0", "attempts=-1", "seed=x", "bogus=1"} {
+	for _, bad := range []string{"panic", "panic=2", "panic=x", "stallms=-1", "after=0", "attempts=-1", "seed=x", "bogus=1",
+		"panic=NaN", "stall=NaN", "stallms=NaN", "stallms=Inf", "stallms=1e300"} {
 		if _, err := fault.ParsePlan(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}

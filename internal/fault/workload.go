@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -71,7 +72,7 @@ func ParsePlan(spec string) (Plan, error) {
 		f, ferr := strconv.ParseFloat(v, 64)
 		switch k {
 		case "panic", "err", "stall", "short":
-			if ferr != nil || f < 0 || f > 1 {
+			if ferr != nil || !(f >= 0 && f <= 1) { // rejects NaN too
 				return p, errs.Configf("FaultSpec", "%s wants a rate in [0,1], got %q", k, v)
 			}
 			switch k {
@@ -85,10 +86,11 @@ func ParsePlan(spec string) (Plan, error) {
 				p.ShortRate = f
 			}
 		case "stallms":
-			if ferr != nil || f < 0 {
-				return p, errs.Configf("FaultSpec", "stallms wants a non-negative duration, got %q", v)
+			ns := f * float64(time.Millisecond)
+			if ferr != nil || !(ns >= 0 && ns < math.MaxInt64) { // rejects NaN, Inf and overflow
+				return p, errs.Configf("FaultSpec", "stallms wants a non-negative duration that fits time.Duration, got %q", v)
 			}
-			p.Stall = time.Duration(f * float64(time.Millisecond))
+			p.Stall = time.Duration(ns)
 		case "after":
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil || n == 0 {

@@ -19,7 +19,6 @@ import (
 	"banshee/internal/dram"
 	"banshee/internal/errs"
 	"banshee/internal/mc"
-	"banshee/internal/mem"
 	"banshee/internal/registry"
 	"banshee/internal/vm"
 )
@@ -191,21 +190,4 @@ func dramConfigs(cfg Config) (inPkg, offPkg dram.Config) {
 		inPkg.LatencyScale = cfg.InPkgLatScale
 	}
 	return inPkg, offPkg
-}
-
-// lineMeta encodes the page-size bit carried on cached lines (§4.3) so
-// LLC dirty evictions can be routed at the right granularity.
-func lineMeta(size mem.PageSize) uint8 {
-	if size == mem.Page2M {
-		return 1
-	}
-	return 0
-}
-
-// metaSize decodes lineMeta.
-func metaSize(meta uint8) mem.PageSize {
-	if meta&1 != 0 {
-		return mem.Page2M
-	}
-	return mem.Page4K
 }

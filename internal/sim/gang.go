@@ -36,7 +36,6 @@ const (
 	feTLBMiss = 1 << iota // translation missed the TLB (page-walk cost)
 	feL1Miss              // missed L1 → L2 accessed
 	feL2Miss              // missed L2 → LLC accessed
-	feLarge               // the access resolves on a 2 MB page
 	feWrite               // the demand access is a write
 	feFill0               // L1-evict cascade produced an L3 fill (fill[0])
 	feFill1               // the L2 victim produced an L3 fill (fill[1])
@@ -45,23 +44,15 @@ const (
 	feHasRes = feFill0 | feFill1 | feL2Miss | feObserve
 )
 
-// fillRec is one dirty line the front end pushed out of L2; each lane
-// fills it into its own L3.
-type fillRec struct {
-	addr mem.Addr
-	meta uint8
-}
-
-// resRec is the sparse per-event residue: the demand address, the
-// Cached/Way bits of its PTE at translation time, and up to two L3
-// fills, in the order the lane applies them (fill[0] from the L1-evict
-// cascade through l2.Fill, then — only on an L2 miss — fill[1] from
-// the L2 victim).
+// resRec is the sparse per-event residue: the demand address, its PTE
+// at translation time, and the addresses of up to two dirty lines the
+// front end pushed out of L2, which the lane fills into its own L3 in
+// order (fill[0] from the L1-evict cascade through l2.Fill, then — only
+// on an L2 miss — fill[1] from the L2 victim).
 type resRec struct {
-	addr   mem.Addr
-	fill   [2]fillRec
-	cached bool
-	way    uint8
+	addr mem.Addr
+	fill [2]mem.Addr
+	pte  vm.PTE
 }
 
 // feCore is one core's front end: its private L1/L2/TLB plus the
@@ -92,6 +83,7 @@ type feCore struct {
 type gangStream struct {
 	src   workload.Source
 	pt    *vm.PageTable
+	size  mem.PageSize // the run's page size (Config.LargePages; Page4K is the zero value)
 	fe    []feCore
 	lanes []*System
 	// budget is the per-core instruction budget (identical across lanes
@@ -139,6 +131,9 @@ func openStream(base Config) (*gangStream, error) {
 		src: src, pt: pt, fe: make([]feCore, cores), budget: base.InstrPerCore,
 		ahead: registry.GangSafe(base.Scheme), observe: base.PrefetchDegree > 0,
 	}
+	if base.LargePages {
+		g.size = mem.Page2M
+	}
 	for i := 0; i < cores; i++ {
 		f := &g.fe[i]
 		f.l1 = cache.New(cache.Config{
@@ -156,9 +151,10 @@ func openStream(base Config) (*gangStream, error) {
 
 // gen simulates one more front-end event for core f, appending its
 // residue to the stream: translation, then the L1 access, the L1
-// victim's fill into L2, and the L2 access. The scratch-eviction
-// contract holds: l2.Fill's eviction is copied out before l2.Access
-// reuses the scratch slot.
+// victim's fill into L2, and the L2 access. Every line carries the
+// run's page size as its meta (§4.3). The scratch-eviction contract
+// holds: l2.Fill's eviction is copied out before l2.Access reuses the
+// scratch slot.
 func (g *gangStream) gen(f *feCore, coreID int) {
 	ev := g.src.Next(coreID)
 	if uint64(ev.Gap) > math.MaxUint32 {
@@ -169,14 +165,11 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 	if !tlbHit {
 		flags |= feTLBMiss
 	}
-	meta := lineMeta(pte.Size)
-	if pte.Size == mem.Page2M {
-		flags |= feLarge
-	}
+	meta := uint8(g.size)
 	if ev.Write {
 		flags |= feWrite
 	}
-	r := resRec{addr: ev.Addr, cached: pte.Cached, way: pte.Way}
+	r := resRec{addr: ev.Addr, pte: pte}
 	if hit, ev1 := f.l1.Access(ev.Addr, ev.Write, meta); !hit {
 		flags |= feL1Miss
 		if g.observe {
@@ -185,14 +178,14 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 		if ev1 != nil {
 			if evf := f.l2.Fill(ev1.Addr, true, ev1.Meta); evf != nil {
 				flags |= feFill0
-				r.fill[0] = fillRec{addr: evf.Addr, meta: evf.Meta}
+				r.fill[0] = evf.Addr
 			}
 		}
 		if hit2, ev2 := f.l2.Access(ev.Addr, false, meta); !hit2 {
 			flags |= feL2Miss
 			if ev2 != nil {
 				flags |= feFill1
-				r.fill[1] = fillRec{addr: ev2.Addr, meta: ev2.Meta}
+				r.fill[1] = ev2.Addr
 			}
 		}
 	}
@@ -314,16 +307,12 @@ func (s *System) stepShared(c *core) {
 		return
 	}
 	c.resIdx++
-	pte := vm.PTE{Size: mem.Page4K, Cached: r.cached, Way: r.way}
-	if flags&feLarge != 0 {
-		pte.Size = mem.Page2M
-	}
 	if flags&feFill0 != 0 {
-		s.fillL3(c, r.fill[0].addr, true, r.fill[0].meta)
+		s.fillL3(c, r.fill[0])
 	}
 	if flags&feObserve != 0 {
 		if pf := c.prefetch.Observe(r.addr, c.time); len(pf) > 0 {
-			s.issuePrefetches(c, pf, pte)
+			s.issuePrefetches(c, pf, r.pte)
 		}
 	}
 	if flags&feL2Miss == 0 {
@@ -331,14 +320,14 @@ func (s *System) stepShared(c *core) {
 	}
 	s.st.L2Misses++
 	if flags&feFill1 != 0 {
-		s.fillL3(c, r.fill[1].addr, true, r.fill[1].meta)
+		s.fillL3(c, r.fill[1])
 	}
 	s.st.LLCAccesses++
-	if hit3, ev3 := s.l3.Access(r.addr, false, lineMeta(pte.Size)); !hit3 {
+	if hit3, ev3 := s.l3.Access(r.addr, false, uint8(s.pageSize)); !hit3 {
 		if ev3 != nil {
 			s.evictToMC(c, ev3)
 		}
-		s.llcMiss(c, r.addr, flags&feWrite != 0, pte)
+		s.llcMiss(c, r.addr, flags&feWrite != 0, r.pte)
 	}
 }
 
@@ -526,10 +515,11 @@ func NewGangSeeds(cfg Config, workloadName, scheme string, seeds []uint64) (*Gan
 func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 	cfg.Cores = len(gs.fe)
 	s := &System{
-		cfg:    cfg,
-		stream: gs,
-		rng:    util.NewRNG(cfg.Seed ^ 0x51A1),
-		cost:   vm.DefaultCostModel(cfg.CPUMHz),
+		cfg:      cfg,
+		stream:   gs,
+		pageSize: gs.size,
+		rng:      util.NewRNG(cfg.Seed ^ 0x51A1),
+		cost:     vm.DefaultCostModel(cfg.CPUMHz),
 	}
 	s.l3 = cache.New(cache.Config{
 		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,

@@ -19,7 +19,8 @@ import (
 // with the schemes.
 type Prefetcher struct {
 	degree  int
-	streams []stream // per detected stream
+	streams []stream   // per detected stream
+	out     []mem.Addr // Observe's result, reused across calls
 }
 
 type stream struct {
@@ -45,7 +46,8 @@ func NewPrefetcher(degree int) *Prefetcher {
 // Observe feeds one demand access and returns the prefetch addresses to
 // issue: up to `degree` next lines, truncated at the page boundary
 // (§3.2). The returned addresses carry the triggering access's mapping
-// — the caller attaches pte.Mapping() to each.
+// — the caller attaches pte.Mapping() to each. The slice is scratch
+// reused by the next call.
 func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 	line := mem.LineNum(addr)
 	// Match an existing stream.
@@ -79,7 +81,7 @@ func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 		return nil
 	}
 	// Armed: prefetch ahead, stopping at the 4 KB page boundary.
-	var out []mem.Addr
+	out := p.out[:0]
 	pageEnd := mem.PageAddr(addr) + mem.PageBytes
 	for i := 1; i <= p.degree; i++ {
 		next := mem.LineBase(line + uint64(i))
@@ -88,6 +90,7 @@ func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 		}
 		out = append(out, next)
 	}
+	p.out = out
 	return out
 }
 
@@ -96,9 +99,8 @@ func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 // triggering PTE's mapping. Prefetches never count toward DRAM-cache
 // hit/miss statistics (they are not demand).
 func (s *System) issuePrefetches(c *core, addrs []mem.Addr, pte vm.PTE) {
-	meta := lineMeta(pte.Size)
 	for _, a := range addrs {
-		if hit, ev := s.l3.Access(a, false, meta); hit {
+		if hit, ev := s.l3.Access(a, false, uint8(s.pageSize)); hit {
 			continue
 		} else if ev != nil {
 			s.evictToMC(c, ev)
@@ -107,7 +109,7 @@ func (s *System) issuePrefetches(c *core, addrs []mem.Addr, pte vm.PTE) {
 		req := mem.Request{
 			Addr:    a,
 			Core:    c.id,
-			Size:    pte.Size,
+			Size:    s.pageSize,
 			Mapping: pte.Mapping(), // §3.2: copy the trigger's mapping
 		}
 		res := s.scheme.Access(req)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -287,27 +288,41 @@ func TestSessionResultBeforeDone(t *testing.T) {
 
 // TestStepZeroAlloc pins the steady-state Step path allocation-free:
 // once warm, advancing the simulation must not produce garbage — the
-// stepper refactor must not tax the innermost loop.
+// stepper refactor must not tax the innermost loop. The prefetching
+// cases cover a stream prefetcher arming on lbm's sequential sweeps.
 func TestStepZeroAlloc(t *testing.T) {
-	cfg := sessionTestConfig("pagerank")
-	cfg.InstrPerCore = 200_000_000 // never finishes during the test
-	cfg.Scale = 1.0 / 256          // small footprint: the warmup touches every page
-	sess, err := NewSession(cfg, cfg.Workload, "Banshee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	// Warm to steady state: caches, MSHR slices, page table, TLBs, and
-	// scheme scratch buffers all reach their working-set size.
-	if _, err := sess.Step(3_000_000); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := sess.Step(2_000); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state Step allocates %v per call, want 0", avg)
+	for _, c := range []struct {
+		workload, scheme string
+		prefetch         int
+	}{
+		{"pagerank", "Banshee", 0},
+		{"lbm", "Banshee", 4},
+		{"lbm", "Alloy 1", 4},
+	} {
+		t.Run(fmt.Sprintf("%s/%s/pf%d", c.workload, c.scheme, c.prefetch), func(t *testing.T) {
+			cfg := sessionTestConfig(c.workload)
+			cfg.InstrPerCore = 200_000_000 // never finishes during the test
+			cfg.Scale = 1.0 / 256          // small footprint: the warmup touches every page
+			cfg.PrefetchDegree = c.prefetch
+			sess, err := NewSession(cfg, cfg.Workload, c.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			// Warm to steady state: caches, MSHR slices, page table, TLBs,
+			// prefetch and scheme scratch buffers all reach their
+			// working-set size.
+			if _, err := sess.Step(3_000_000); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				if _, err := sess.Step(2_000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("steady-state Step allocates %v per call, want 0", avg)
+			}
+		})
 	}
 }

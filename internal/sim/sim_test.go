@@ -220,12 +220,3 @@ func TestSchemeNamesRun(t *testing.T) {
 		}
 	}
 }
-
-func TestLineMetaRoundTrip(t *testing.T) {
-	if metaSize(lineMeta(mem.Page2M)) != mem.Page2M {
-		t.Fatal("2M meta bit lost")
-	}
-	if metaSize(lineMeta(mem.Page4K)) != mem.Page4K {
-		t.Fatal("4K meta bit lost")
-	}
-}

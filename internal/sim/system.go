@@ -40,15 +40,16 @@ type core struct {
 // Session is the managed handle most callers want. Not safe for
 // concurrent use; run distinct Systems in parallel instead.
 type System struct {
-	cfg    Config
-	stream *gangStream
-	cores  []*core
-	l3     *cache.Cache
-	scheme mc.Scheme
-	inPkg  *dram.DRAM
-	offPkg *dram.DRAM
-	rng    *util.RNG
-	cost   vm.CostModel
+	cfg      Config
+	stream   *gangStream
+	pageSize mem.PageSize // the run's page size: every L3 line's meta and request's Size
+	cores    []*core
+	l3       *cache.Cache
+	scheme   mc.Scheme
+	inPkg    *dram.DRAM
+	offPkg   *dram.DRAM
+	rng      *util.RNG
+	cost     vm.CostModel
 
 	st       stats.Sim
 	warmed   bool
@@ -403,22 +404,22 @@ func (s *System) fireEpoch() {
 }
 
 // fillL3 pushes an L2 dirty eviction into the shared L3.
-func (s *System) fillL3(c *core, a mem.Addr, dirty bool, meta uint8) {
-	if ev := s.l3.Fill(a, dirty, meta); ev != nil {
+func (s *System) fillL3(c *core, a mem.Addr) {
+	if ev := s.l3.Fill(a, true, uint8(s.pageSize)); ev != nil {
 		s.evictToMC(c, ev)
 	}
 }
 
 // evictToMC sends an LLC dirty write-back to the memory controller. It
 // carries no TLB mapping (mem.Mapping zero value) — the page-size bit
-// on the line (§4.3) routes it.
+// on the line (§4.3), which is the run's page size, routes it.
 func (s *System) evictToMC(c *core, ev *cache.Eviction) {
 	s.st.LLCEvictions++
 	req := mem.Request{
 		Addr:     ev.Addr,
 		Write:    true,
 		Core:     c.id,
-		Size:     metaSize(ev.Meta),
+		Size:     s.pageSize,
 		Eviction: true,
 	}
 	s.execute(c, req, c.time)
@@ -448,7 +449,7 @@ func (s *System) llcMiss(c *core, a mem.Addr, write bool, pte vm.PTE) {
 		Addr:    a,
 		Write:   write,
 		Core:    c.id,
-		Size:    pte.Size,
+		Size:    s.pageSize,
 		Mapping: pte.Mapping(),
 	}
 	start := c.time

@@ -2,15 +2,15 @@
 // software/hardware co-design relies on: page tables whose PTEs carry the
 // DRAM-cache mapping extension (cached bit + way bits, §3.2), per-core
 // TLBs that may hold stale copies of those bits (the whole point of the
-// lazy coherence protocol, §3.4), the OS reverse-mapping mechanism that
-// locates all PTEs for a physical frame (including aliases), and the cost
-// accounting for TLB shootdowns and page-table update routines.
+// lazy coherence protocol, §3.4), and the cost accounting for TLB
+// shootdowns and page-table update routines.
 //
 // Address-space convention: workload traces emit virtual addresses.
 // Frames are allocated on first touch; the allocator maps a virtual page
-// to an equal-numbered physical frame, which keeps traces interpretable
-// and lets the page table store per-page state alone, by value. Aliases
-// can be created explicitly (Alias) to exercise the reverse map.
+// to an equal-numbered physical frame, so every frame has exactly one
+// PTE — the frame's own — and the reverse map of §3.4 is the identity.
+// The page size is a property of the run (DefaultLarge, the §5.4.1
+// "all data on 2 MB pages" experiment), not of each page.
 package vm
 
 import (
@@ -20,17 +20,12 @@ import (
 	"banshee/internal/util"
 )
 
-// PTE is a page-table entry with Banshee's 3-bit extension. The page
-// table hands out PTEs by value: a returned PTE is a snapshot, and
-// SetCached changes the table, not the copies already handed out.
+// PTE is a page-table entry's Banshee extension (§3.2). For a 4-way
+// cache, Way needs 2 bits; together with Cached this is the 3-bit
+// PTE/TLB extension the paper describes. The page table hands out PTEs
+// by value: a returned PTE is a snapshot, and SetCached changes the
+// table, not the copies already handed out.
 type PTE struct {
-	VPage uint64 // virtual page number (index in the table)
-	Frame uint64 // physical frame number
-	Size  mem.PageSize
-
-	// Banshee extension (§3.2). For a 4-way cache, Way needs 2 bits;
-	// together with Cached this is the 3-bit PTE/TLB extension the paper
-	// describes.
 	Cached bool
 	Way    uint8
 }
@@ -40,39 +35,17 @@ func (p PTE) Mapping() mem.Mapping {
 	return mem.Mapping{Known: true, Cached: p.Cached, Way: p.Way}
 }
 
-// PageTable maps virtual pages to frames and maintains the OS reverse
-// map (frame → all PTEs), which Banshee's PTE-update routine uses to
-// find every alias of a physical page (§3.4).
-//
-// The frame allocator is the identity, so a page's frame is its own
-// vpage unless the page is an alias. The table therefore stores only
-// each page's state, by value and without pointers, in one flat table
-// keyed by vpage: a translation probes that table alone, and the GC
-// never scans it. Aliases, the only pages whose frame differs, live in
-// a side index that stays nil until the first Alias call.
+// PageTable maps virtual pages to frames. The frame allocator is the
+// identity, so a page's frame is its own page number, and the table
+// stores only each page's PTE, by value and without pointers, in one
+// flat table keyed by page number: a translation probes that table
+// alone, and the GC never scans it.
 type PageTable struct {
-	entries util.Flat64[pageState] // vpage → state
-	large   util.Flat64[struct{}]  // 2 MB-aligned vpages backed by large pages
-
-	// The alias index, both nil until the first Alias call.
-	aliasFrame map[uint64]uint64   // alias vpage → frame
-	aliasesOf  map[uint64][]uint64 // frame → alias vpages, in mapping order
-
-	revScratch []PTE // reused by ReverseLookup
+	entries util.Flat64[PTE] // page key → PTE
 
 	// DefaultLarge makes every translation allocate 2 MB pages (the
 	// §5.4.1 "all data resides on large pages" experiment).
 	DefaultLarge bool
-}
-
-// pageState is one page's entry: its size and DRAM-cache extension
-// bits. An alias's frame is in aliasFrame; every other page is its own
-// frame.
-type pageState struct {
-	size   mem.PageSize
-	cached bool
-	way    uint8
-	alias  bool
 }
 
 // NewPageTable returns an empty page table.
@@ -80,105 +53,41 @@ func NewPageTable() *PageTable {
 	return &PageTable{}
 }
 
-// DeclareLargeRegion marks the 2 MB-aligned virtual region containing
-// vaddr as backed by a large page; subsequent translations of any page
-// in the region return a single 2 MB PTE.
-func (pt *PageTable) DeclareLargeRegion(vaddr mem.Addr) {
-	pt.large.Put(mem.LargePageNum(vaddr), struct{}{})
-}
-
-// IsLarge reports whether vaddr falls in a large-page region. It sits
-// on the TLB lookup path, so the common all-4KB case exits on the
-// region count alone without hashing.
-func (pt *PageTable) IsLarge(vaddr mem.Addr) bool {
+// key returns the page key vaddr translates under: its 4 KB page
+// number, or under DefaultLarge the 4 KB-unit number of its 2 MB
+// page's first 4 KB page — the frame key SetCached takes.
+func (pt *PageTable) key(vaddr mem.Addr) uint64 {
 	if pt.DefaultLarge {
-		return true
+		return mem.LargePageNum(vaddr) * mem.PagesPerLargePage
 	}
-	if pt.large.Len() == 0 {
-		return false
-	}
-	_, ok := pt.large.Get(mem.LargePageNum(vaddr))
-	return ok
-}
-
-// pte assembles the PTE of vpage from its state.
-func (pt *PageTable) pte(vpage uint64, s pageState) PTE {
-	frame := vpage
-	if s.alias {
-		frame = pt.aliasFrame[vpage]
-	}
-	return PTE{VPage: vpage, Frame: frame, Size: s.size, Cached: s.cached, Way: s.way}
+	return mem.PageNum(vaddr)
 }
 
 // Translate returns the PTE for vaddr, allocating a frame on first
-// touch. Large regions translate at 2 MB granularity: the PTE's VPage
-// and Frame are then large-page numbers scaled to 4 KB frame units.
+// touch.
 func (pt *PageTable) Translate(vaddr mem.Addr) PTE {
-	key, size := mem.PageNum(vaddr), mem.Page4K
-	if pt.IsLarge(vaddr) {
-		key, size = mem.LargePageNum(vaddr)*mem.PagesPerLargePage, mem.Page2M // canonical 4 KB-unit index
-	}
-	s, ok := pt.entries.Get(key)
+	return pt.translate(pt.key(vaddr))
+}
+
+func (pt *PageTable) translate(key uint64) PTE {
+	e, ok := pt.entries.Get(key)
 	if !ok {
-		s = pageState{size: size}
-		pt.entries.Put(key, s)
+		pt.entries.Put(key, e)
 	}
-	return pt.pte(key, s)
+	return e
 }
 
-// Alias maps an additional virtual page onto an existing frame,
-// modelling shared memory. It returns the new PTE. The frame must have
-// been allocated already.
-func (pt *PageTable) Alias(vpage, frame uint64) (PTE, error) {
-	if _, ok := pt.entries.Get(vpage); ok {
-		return PTE{}, fmt.Errorf("vm: vpage %#x already mapped", vpage)
-	}
-	src, ok := pt.entries.Get(frame)
-	if !ok || src.alias {
-		return PTE{}, fmt.Errorf("vm: frame %#x not allocated", frame)
-	}
-	if pt.aliasFrame == nil {
-		pt.aliasFrame, pt.aliasesOf = map[uint64]uint64{}, map[uint64][]uint64{}
-	}
-	src.alias = true
-	pt.entries.Put(vpage, src)
-	pt.aliasFrame[vpage] = frame
-	pt.aliasesOf[frame] = append(pt.aliasesOf[frame], vpage)
-	return pt.pte(vpage, src), nil
-}
-
-// ReverseLookup returns all PTEs mapping the given frame, in mapping
-// order — the OS reverse-mapping mechanism of §3.4: the frame's own
-// page, then its aliases. The returned slice is scratch reused by the
-// next call; copy it to keep it.
-func (pt *PageTable) ReverseLookup(frame uint64) []PTE {
-	out := pt.revScratch[:0]
-	if s, ok := pt.entries.Get(frame); ok && !s.alias {
-		out = append(out, pt.pte(frame, s))
-		for _, vp := range pt.aliasesOf[frame] {
-			s, _ := pt.entries.Get(vp)
-			out = append(out, pt.pte(vp, s))
-		}
-	}
-	pt.revScratch = out
-	return out
-}
-
-// SetCached updates the DRAM-cache extension bits of every PTE mapping
-// frame, returning how many PTEs were touched. This is the core of the
-// software PTE-update routine triggered by a tag-buffer flush.
+// SetCached updates the DRAM-cache extension bits of the PTE mapping
+// frame, returning how many PTEs were touched: 1, or 0 for a frame
+// that was never allocated. This is the core of the software
+// PTE-update routine triggered by a tag-buffer flush.
 func (pt *PageTable) SetCached(frame uint64, cached bool, way uint8) int {
-	s := pt.entries.GetPtr(frame)
-	if s == nil || s.alias {
+	e := pt.entries.GetPtr(frame)
+	if e == nil {
 		return 0
 	}
-	s.cached, s.way = cached, way
-	aliases := pt.aliasesOf[frame]
-	for _, vp := range aliases {
-		a := pt.entries.GetPtr(vp)
-		a.cached, a.way = cached, way
-	}
-	return 1 + len(aliases)
+	e.Cached, e.Way = cached, way
+	return 1
 }
 
 // Len returns the number of PTEs (diagnostic).
@@ -255,25 +164,18 @@ func (t *TLB) pushFront(i int32) {
 	t.head = i
 }
 
-func (t *TLB) keyFor(vaddr mem.Addr, pt *PageTable) uint64 {
-	if pt.IsLarge(vaddr) {
-		return mem.LargePageNum(vaddr)*mem.PagesPerLargePage | 1<<63 // disambiguate sizes
-	}
-	return mem.PageNum(vaddr)
-}
-
 // Lookup translates vaddr through the TLB, filling from the page table
 // on a miss. It returns the (possibly stale) PTE snapshot and whether
 // the translation hit in the TLB.
 func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) (PTE, bool) {
-	key := t.keyFor(vaddr, pt)
+	key := pt.key(vaddr)
 	if i, ok := t.index.Get(key); ok {
 		t.touch(i)
 		t.Hits++
 		return t.ptes[i], true
 	}
 	t.Misses++
-	pte := pt.Translate(vaddr) // snapshot the current PTE content
+	pte := pt.translate(key) // snapshot the current PTE content
 	var victim int32
 	if t.filled < len(t.vpages) {
 		victim = int32(t.filled) // the first free slot

@@ -10,12 +10,6 @@ import (
 func TestTranslateAllocatesOnFirstTouch(t *testing.T) {
 	pt := NewPageTable()
 	e := pt.Translate(0x123456789)
-	if e.Size != mem.Page4K {
-		t.Fatalf("bad PTE %+v", e)
-	}
-	if e.Frame != mem.PageNum(0x123456789) {
-		t.Fatalf("identity frame expected, got %#x", e.Frame)
-	}
 	// Second translation returns the same PTE.
 	if pt.Translate(0x123456789) != e {
 		t.Fatal("translate not idempotent")
@@ -28,82 +22,26 @@ func TestTranslateAllocatesOnFirstTouch(t *testing.T) {
 	}
 }
 
-func TestLargeRegionTranslation(t *testing.T) {
-	pt := NewPageTable()
-	a := mem.Addr(0x40000000) // 2 MB aligned
-	pt.DeclareLargeRegion(a)
-	e1 := pt.Translate(a)
-	e2 := pt.Translate(a + mem.PageBytes*100) // different 4 KB page, same 2 MB region
-	if e1 != e2 {
-		t.Fatal("large region gave distinct PTEs within one 2 MB page")
-	}
-	if e1.Size != mem.Page2M {
-		t.Fatal("large PTE has wrong size")
-	}
-	// Outside the region: regular 4 KB.
-	e3 := pt.Translate(a + mem.LargeBytes)
-	if e3.Size != mem.Page4K {
-		t.Fatal("neighboring region inherited large size")
-	}
-}
-
+// TestDefaultLarge: under DefaultLarge one PTE covers a whole 2 MB
+// region, keyed by the frame of the region's first 4 KB page.
 func TestDefaultLarge(t *testing.T) {
 	pt := NewPageTable()
 	pt.DefaultLarge = true
-	if pt.Translate(0x1234).Size != mem.Page2M {
-		t.Fatal("DefaultLarge not applied")
+	a := mem.Addr(0x40000000) // 2 MB aligned
+	pt.Translate(a + mem.PageBytes*100)
+	if n := pt.SetCached(mem.PageNum(a), true, 2); n != 1 {
+		t.Fatalf("SetCached on the region's frame touched %d PTEs, want 1", n)
 	}
-	if !pt.IsLarge(0x999999999) {
-		t.Fatal("IsLarge false under DefaultLarge")
+	for _, off := range []mem.Addr{0, mem.PageBytes * 17, mem.LargeBytes - 1} {
+		if e := pt.Translate(a + off); !e.Cached || e.Way != 2 {
+			t.Fatalf("offset %#x: PTE %+v, want the region's cached way 2", uint64(off), e)
+		}
 	}
-}
-
-func TestReverseMapping(t *testing.T) {
-	pt := NewPageTable()
-	e := pt.Translate(0x5000)
-	ptes := pt.ReverseLookup(e.Frame)
-	if len(ptes) != 1 || ptes[0] != e {
-		t.Fatalf("reverse lookup = %v", ptes)
+	if e := pt.Translate(a + mem.LargeBytes); e.Cached {
+		t.Fatal("neighboring region shares the PTE")
 	}
-}
-
-func TestAliasing(t *testing.T) {
-	pt := NewPageTable()
-	e := pt.Translate(0x7000)
-	alias, err := pt.Alias(0xABC, e.Frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alias.Frame != e.Frame {
-		t.Fatal("alias maps to wrong frame")
-	}
-	// Reverse map must see both (the §3.4 aliasing case TDC cannot
-	// handle but reverse mapping can).
-	if len(pt.ReverseLookup(e.Frame)) != 2 {
-		t.Fatal("reverse map missed alias")
-	}
-	// SetCached must update both PTEs.
-	if n := pt.SetCached(e.Frame, true, 3); n != 2 {
-		t.Fatalf("SetCached touched %d PTEs, want 2", n)
-	}
-	// Returned PTEs are snapshots: re-read both through the table.
-	e, alias = pt.Translate(0x7000), pt.Translate(mem.Addr(0xABC)<<mem.PageOffsetBits)
-	if alias.Frame != e.Frame {
-		t.Fatal("alias lost its frame after SetCached")
-	}
-	if !e.Cached || e.Way != 3 || !alias.Cached || alias.Way != 3 {
-		t.Fatal("extension bits not propagated to all aliases")
-	}
-}
-
-func TestAliasErrors(t *testing.T) {
-	pt := NewPageTable()
-	e := pt.Translate(0x1000)
-	if _, err := pt.Alias(mem.PageNum(0x1000), e.Frame); err == nil {
-		t.Fatal("aliasing an existing vpage must fail")
-	}
-	if _, err := pt.Alias(0xFFF, 0xDEAD); err == nil {
-		t.Fatal("aliasing an unallocated frame must fail")
+	if pt.Len() != 2 {
+		t.Fatalf("len = %d, want one PTE per region", pt.Len())
 	}
 }
 
@@ -186,12 +124,17 @@ func TestTLBStaleness(t *testing.T) {
 
 func TestTLBLargePageKey(t *testing.T) {
 	pt := NewPageTable()
-	pt.DeclareLargeRegion(0x40000000)
+	pt.DefaultLarge = true
 	tlb := NewTLB(4)
 	tlb.Lookup(0x40000000, pt)
 	// Any 4 KB page in the same 2 MB region must hit the same entry.
-	if _, hit := tlb.Lookup(0x40000000+mem.PageBytes*17, pt); !hit {
-		t.Fatal("large-page TLB entry not shared across the region")
+	for _, off := range []mem.Addr{mem.PageBytes * 17, mem.LargeBytes - 1} {
+		if _, hit := tlb.Lookup(0x40000000+off, pt); !hit {
+			t.Fatalf("offset %#x: large-page TLB entry not shared across the region", uint64(off))
+		}
+	}
+	if _, hit := tlb.Lookup(0x40000000+mem.LargeBytes, pt); hit {
+		t.Fatal("neighboring region hit the large-page TLB entry")
 	}
 }
 
@@ -234,16 +177,19 @@ func TestDefaultCostModel(t *testing.T) {
 
 func TestTranslationIdentityProperty(t *testing.T) {
 	// Property: translating any two addresses on the same 4 KB page
-	// yields the same PTE; on different pages, different PTEs.
+	// allocates one PTE; on different pages, two, and marking one page
+	// cached leaves the other alone.
 	f := func(a, b uint64) bool {
 		pt := NewPageTable()
 		aa := mem.Addr(a % (1 << 44))
 		bb := mem.Addr(b % (1 << 44))
-		ea, eb := pt.Translate(aa), pt.Translate(bb)
+		pt.Translate(aa)
+		pt.SetCached(mem.PageNum(aa), true, 1)
+		eb := pt.Translate(bb)
 		if mem.PageNum(aa) == mem.PageNum(bb) {
-			return ea == eb
+			return pt.Len() == 1 && eb.Cached
 		}
-		return ea != eb
+		return pt.Len() == 2 && !eb.Cached
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
