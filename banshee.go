@@ -231,7 +231,8 @@ func NewGangSession(cfg Config, workload, scheme string, seeds []uint64) (*GangS
 // completion (a one-shot Session). Scheme names follow the paper's
 // labels: "NoCache", "CacheOnly", "Alloy 1", "Alloy 0.1", "Unison",
 // "TDC", "HMA", "Banshee", "Banshee LRU", "Banshee NoSample",
-// "Banshee 2M"; append "+BATMAN" for bandwidth balancing (§5.4.2).
+// "Banshee 2M" (which needs cfg.LargePages); append "+BATMAN" for
+// bandwidth balancing (§5.4.2).
 func Run(cfg Config, workload, scheme string) (Result, error) {
 	return sim.Run(cfg, workload, scheme)
 }

@@ -139,6 +139,10 @@ func TestConfigErrorFields(t *testing.T) {
 			_, err := banshee.Run(cfg, "pagerank", "Banshee")
 			return err
 		}, "InstrPerCore"},
+		{"Banshee 2M without large pages", func() error {
+			_, err := banshee.Run(errCfg(), "pagerank", "Banshee 2M")
+			return err
+		}, "LargePages"},
 		{"trace core-count mismatch", func() error {
 			path := filepath.Join(t.TempDir(), "c.btrc")
 			if err := banshee.RecordTrace(path, "mcf", banshee.RecordOptions{

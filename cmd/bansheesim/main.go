@@ -50,6 +50,7 @@ import (
 	"banshee/internal/fault" // also registers the "fault:" chaos workload kind
 	"banshee/internal/mem"
 	"banshee/internal/obs"
+	"banshee/internal/registry"
 	"banshee/internal/sim"
 	"banshee/internal/stats"
 	wl "banshee/internal/workload"
@@ -62,9 +63,13 @@ func main() {
 }
 
 func run() int {
+	schemes := registry.Names()
+	for i, n := range schemes {
+		schemes[i] = strconv.Quote(n)
+	}
 	var (
 		workload  = flag.String("workload", "pagerank", "workload name (see -list)")
-		scheme    = flag.String("scheme", "Banshee", `scheme display name ("NoCache", "Unison", "TDC", "Alloy 1", "Alloy 0.1", "HMA", "Banshee", "Banshee LRU", "Banshee NoSample", "Banshee 2M", "CacheOnly"; append "+BATMAN" to balance bandwidth)`)
+		scheme    = flag.String("scheme", "Banshee", "scheme display name ("+strings.Join(schemes, ", ")+`; append "+BATMAN" to balance bandwidth; "Banshee 2M" needs -largepages)`)
 		instr     = flag.Uint64("instr", 0, "instructions per core (0 = default)")
 		cores     = flag.Int("cores", 0, "core count (0 = default 16)")
 		seed      = flag.Uint64("seed", 42, "simulation seed")

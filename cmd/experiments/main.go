@@ -226,8 +226,11 @@ func run() (code int) {
 		"fig4": func(o exp.Options) {
 			r := exp.Fig4(o)
 			fmt.Println(r.Table())
-			for base, gain := range r.BansheeGains() {
-				fmt.Printf("Banshee vs %-10s %+.1f%%\n", base+":", 100*gain)
+			gains := r.BansheeGains()
+			for _, base := range r.Schemes { // the table's order, not map order
+				if gain, ok := gains[base]; ok {
+					fmt.Printf("Banshee vs %-10s %+.1f%%\n", base+":", 100*gain)
+				}
 			}
 			fmt.Println()
 		},

@@ -75,7 +75,9 @@ func TestGoldenStats(t *testing.T) {
 	got := make(map[string]banshee.Result)
 	for _, scheme := range goldenSchemes() {
 		for _, w := range goldenWorkloads {
-			res, err := banshee.Run(goldenConfig(), w, scheme)
+			cfg := goldenConfig()
+			cfg.LargePages = scheme == "Banshee 2M" // the only page size it runs on
+			res, err := banshee.Run(cfg, w, scheme)
 			if err != nil {
 				t.Fatalf("%s × %s: %v", scheme, w, err)
 			}

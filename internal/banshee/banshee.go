@@ -47,12 +47,25 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
 
+// The memory-controller side of Table 3 that no experiment varies:
+// four MCs, each with an 8-way tag buffer that triggers the software
+// flush once 70% of its slots hold un-flushed remaps.
+const (
+	numMCs         = 4
+	tagBufferWays  = 8
+	flushThreshold = 0.7
+
+	// perPTETouchCycles is the flush routine's incremental cost per PTE
+	// it updates, on top of the whole routine's PTEUpdateCycles.
+	perPTETouchCycles = 30
+)
+
 // Config parameterizes a Banshee instance (defaults follow Table 3).
+// Each set tracks Ways+1 candidate pages (Fig. 3).
 type Config struct {
 	CapacityBytes int
 	Ways          int     // 4
 	PageBytes     int     // 4096, or mem.LargeBytes for §4.3 large pages
-	Candidates    int     // candidate entries per set; 0 → Ways+1
 	CounterBits   int     // 5
 	SamplingCoeff float64 // 0.1 (0.001 for large pages)
 	// Threshold overrides the replacement threshold; 0 → the paper's
@@ -63,10 +76,7 @@ type Config struct {
 	// the page's predicted footprint (idealized predictor, 4-line
 	// granularity, as granted to Unison/TDC) instead of the whole page.
 	Footprint        bool
-	TagBufferEntries int     // 1024 per MC
-	TagBufferWays    int     // 8
-	FlushThreshold   float64 // 0.7
-	MCs              int     // 4
+	TagBufferEntries int // 1024 per MC
 	Policy           Policy
 	Seed             uint64
 }
@@ -80,9 +90,6 @@ func DefaultConfig(capacityBytes int) Config {
 		CounterBits:      5,
 		SamplingCoeff:    0.1,
 		TagBufferEntries: 1024,
-		TagBufferWays:    8,
-		FlushThreshold:   0.7,
-		MCs:              4,
 	}
 }
 
@@ -98,15 +105,13 @@ func LargePageConfig(capacityBytes int) Config {
 type Banshee struct {
 	cfg       Config
 	md        *metadata
-	tbs       []*TagBuffer
+	tbs       [numMCs]*TagBuffer
 	rng       *util.RNG
 	missRate  *mc.MissRateTracker
 	pt        *vm.PageTable
 	tlbs      []*vm.TLB
 	cost      vm.CostModel
 	pageShift uint
-	mcMask    uint64 // len(tbs)-1 when a power of two (the common case)
-	mcPow2    bool
 	lines     int // lines per (configured) page
 	threshold float64
 	lruTick   uint32
@@ -140,20 +145,11 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 	if cfg.PageBytes != mem.PageBytes && cfg.PageBytes != mem.LargeBytes {
 		panic(fmt.Sprintf("banshee: page size %d not supported (4 KB or 2 MB)", cfg.PageBytes))
 	}
-	if cfg.Candidates == 0 {
-		cfg.Candidates = cfg.Ways + 1
-	}
 	if cfg.CounterBits == 0 {
 		cfg.CounterBits = 5
 	}
 	if cfg.SamplingCoeff <= 0 || cfg.SamplingCoeff > 1 {
 		panic(fmt.Sprintf("banshee: sampling coefficient %v out of (0,1]", cfg.SamplingCoeff))
-	}
-	if cfg.MCs <= 0 {
-		cfg.MCs = 1
-	}
-	if cfg.FlushThreshold <= 0 || cfg.FlushThreshold > 1 {
-		cfg.FlushThreshold = 0.7
 	}
 	nsets := cfg.CapacityBytes / cfg.PageBytes / cfg.Ways
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
@@ -163,9 +159,9 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 	lines := cfg.PageBytes / mem.LineBytes
 	b := &Banshee{
 		cfg:      cfg,
-		md:       newMetadata(nsets, cfg.Ways, cfg.Candidates, cfg.CounterBits),
+		md:       newMetadata(nsets, cfg.Ways, cfg.Ways+1, cfg.CounterBits),
 		rng:      util.NewRNG(cfg.Seed ^ 0xBA45EE),
-		missRate: mc.NewMissRateTracker(0),
+		missRate: mc.NewMissRateTracker(),
 		pt:       pt,
 		tlbs:     tlbs,
 		cost:     cost,
@@ -195,13 +191,10 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 		bits := cfg.CounterBits
 		for ; bits < 31 && b.threshold >= float64(uint32(1)<<uint(bits)-1); bits++ {
 		}
-		b.md = newMetadata(nsets, cfg.Ways, cfg.Candidates, bits)
+		b.md = newMetadata(nsets, cfg.Ways, cfg.Ways+1, bits)
 	}
-	for i := 0; i < cfg.MCs; i++ {
-		b.tbs = append(b.tbs, NewTagBuffer(cfg.TagBufferEntries, cfg.TagBufferWays))
-	}
-	if n := uint64(len(b.tbs)); n&(n-1) == 0 {
-		b.mcPow2, b.mcMask = true, n-1
+	for i := range b.tbs {
+		b.tbs[i] = NewTagBuffer(cfg.TagBufferEntries, tagBufferWays)
 	}
 	return b
 }
@@ -223,18 +216,8 @@ func (b *Banshee) Name() string {
 // pageOf maps an address to this instance's page number.
 func (b *Banshee) pageOf(a mem.Addr) uint64 { return uint64(a) >> b.pageShift }
 
-// frameKey converts a Banshee page number to the page-table frame key
-// (4 KB frame units).
-func (b *Banshee) frameKey(page uint64) uint64 {
-	return page * uint64(b.cfg.PageBytes/mem.PageBytes)
-}
-
-func (b *Banshee) bufferFor(page uint64) *TagBuffer {
-	if b.mcPow2 {
-		return b.tbs[page&b.mcMask]
-	}
-	return b.tbs[page%uint64(len(b.tbs))]
-}
+// bufferFor returns the tag buffer of the MC that owns page.
+func (b *Banshee) bufferFor(page uint64) *TagBuffer { return b.tbs[page%numMCs] }
 
 // Access implements mc.Scheme.
 func (b *Banshee) Access(req mem.Request) mc.Result {
@@ -484,21 +467,22 @@ func (b *Banshee) noteRemap(page uint64, cached bool, way uint8, res *mc.Result)
 		}
 		return
 	}
-	if tb.RemapFill() >= b.cfg.FlushThreshold {
+	if tb.RemapFill() >= flushThreshold {
 		b.flush(res)
 	}
 }
 
 // flush is the software routine: drain every MC's tag buffer, apply the
-// mappings to each frame's PTE (the frame allocator is the identity, so
-// the OS reverse map yields exactly that one), and shoot down all TLBs.
-// The caller's cores pay the cost through mc.SWCost.
+// mappings to each page's PTE (the frame allocator is the identity, so
+// the OS reverse map yields exactly that one, and a Banshee page is a
+// page-table page: the run's page size is Banshee's), and shoot down
+// all TLBs. The caller's cores pay the cost through mc.SWCost.
 func (b *Banshee) flush(res *mc.Result) {
 	b.flushes++
 	var ptes int
 	for _, tb := range b.tbs {
 		for _, r := range tb.DrainRemaps() {
-			ptes += b.pt.SetCached(b.frameKey(r.Page), r.Cached, r.Way)
+			ptes += b.pt.SetCached(r.Page, r.Cached, r.Way)
 		}
 	}
 	for _, t := range b.tlbs {
@@ -508,7 +492,7 @@ func (b *Banshee) flush(res *mc.Result) {
 	b.ptesSynced += uint64(ptes)
 	res.SW = append(res.SW, mc.SWCost{
 		InitiatorCycles: b.cost.PTEUpdateCycles +
-			uint64(ptes)*b.cost.PerPTETouchCycles +
+			uint64(ptes)*perPTETouchCycles +
 			b.cost.ShootdownInitiator,
 		AllCoresCycles: b.cost.ShootdownSlave,
 	})

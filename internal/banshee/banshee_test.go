@@ -13,9 +13,7 @@ func testSystem(mutate func(*Config)) (*Banshee, *vm.PageTable, []*vm.TLB) {
 	pt := vm.NewPageTable()
 	tlbs := []*vm.TLB{vm.NewTLB(64), vm.NewTLB(64)}
 	cfg := DefaultConfig(1 << 20) // 64 sets × 4 ways × 4 KB
-	cfg.MCs = 2
 	cfg.TagBufferEntries = 64
-	cfg.TagBufferWays = 8
 	cfg.Seed = 7
 	if mutate != nil {
 		mutate(&cfg)
@@ -265,8 +263,6 @@ func TestLazyPTESync(t *testing.T) {
 	b, pt, tlbs := testSystem(func(c *Config) {
 		c.SamplingCoeff = 1.0
 		c.TagBufferEntries = 16
-		c.TagBufferWays = 2
-		c.MCs = 1
 	})
 	// Generate many remaps to overflow the 70% threshold of the tiny
 	// buffer, forcing a flush.
@@ -348,7 +344,7 @@ func TestMappingAlwaysCurrent(t *testing.T) {
 }
 
 func TestDirtyVictimWriteback(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1; c.Candidates = 2 })
+	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1 })
 	sets := uint64(len(b.md.sets))
 	hot1 := mem.Addr(0)
 	hot2 := mem.Addr(sets << 12) // same set

@@ -134,9 +134,7 @@ func TestExtensionsComposeWithVM(t *testing.T) {
 		pt := vm.NewPageTable()
 		tlbs := []*vm.TLB{vm.NewTLB(64)}
 		cfg := DefaultConfig(1 << 20)
-		cfg.MCs = 1
 		cfg.TagBufferEntries = 64
-		cfg.TagBufferWays = 8
 		cfg.Seed = 5
 		mutate(&cfg)
 		b := New(cfg, pt, tlbs, vm.DefaultCostModel(2700))

@@ -19,22 +19,24 @@ import (
 	"banshee/internal/util"
 )
 
-// Config tunes the balancer.
+// The balancer's fixed tuning: redirection ramps up while the
+// in-package DRAM carries more than targetRatio (the paper's 80%) of
+// the traffic, the probability adapts once per windowBytes of traffic,
+// and maxRedirect caps it.
+const (
+	targetRatio = 0.8
+	windowBytes = 4 << 20
+	maxRedirect = 0.5
+)
+
+// Config seeds the balancer.
 type Config struct {
-	// TargetRatio is the in-package traffic share above which redirection
-	// ramps up (0 → 0.8, the paper's setting).
-	TargetRatio float64
-	// WindowBytes is the traffic window between adaptation steps.
-	WindowBytes uint64
-	// MaxRedirect caps the redirect probability.
-	MaxRedirect float64
-	Seed        uint64
+	Seed uint64
 }
 
 // Balancer wraps a scheme with BATMAN-style access steering.
 type Balancer struct {
 	inner  mc.Scheme
-	cfg    Config
 	rng    *util.RNG
 	inB    uint64
 	offB   uint64
@@ -44,16 +46,7 @@ type Balancer struct {
 
 // New wraps inner with a balancer.
 func New(inner mc.Scheme, cfg Config) *Balancer {
-	if cfg.TargetRatio <= 0 || cfg.TargetRatio >= 1 {
-		cfg.TargetRatio = 0.8
-	}
-	if cfg.WindowBytes == 0 {
-		cfg.WindowBytes = 4 << 20
-	}
-	if cfg.MaxRedirect <= 0 || cfg.MaxRedirect > 1 {
-		cfg.MaxRedirect = 0.5
-	}
-	return &Balancer{inner: inner, cfg: cfg, rng: util.NewRNG(cfg.Seed ^ 0xBA7)}
+	return &Balancer{inner: inner, rng: util.NewRNG(cfg.Seed ^ 0xBA7)}
 }
 
 // Name implements mc.Scheme.
@@ -80,7 +73,7 @@ func (b *Balancer) Access(req mem.Request) mc.Result {
 			b.offB += uint64(op.Bytes)
 		}
 	}
-	if b.inB+b.offB >= b.cfg.WindowBytes {
+	if b.inB+b.offB >= windowBytes {
 		b.adapt()
 	}
 	return res
@@ -93,7 +86,7 @@ func (b *Balancer) adapt() {
 	}
 	ratio := float64(b.inB) / float64(total)
 	const step = 0.05
-	if ratio > b.cfg.TargetRatio {
+	if ratio > targetRatio {
 		b.prob += step
 	} else {
 		b.prob -= step
@@ -101,8 +94,8 @@ func (b *Balancer) adapt() {
 	if b.prob < 0 {
 		b.prob = 0
 	}
-	if b.prob > b.cfg.MaxRedirect {
-		b.prob = b.cfg.MaxRedirect
+	if b.prob > maxRedirect {
+		b.prob = maxRedirect
 	}
 	b.inB, b.offB = 0, 0
 }

@@ -8,16 +8,31 @@ import (
 	"banshee/internal/stats"
 )
 
+// windowAccesses is how many line accesses fill one adaptation window.
+const windowAccesses = windowBytes / mem.LineBytes
+
 // hitScheme always hits in-package (CacheOnly-like), generating the
-// lopsided traffic BATMAN is meant to balance.
-type hitScheme struct{ evictions uint64 }
+// lopsided traffic BATMAN is meant to balance. Each access also moves
+// fillBytes of in-package write traffic BATMAN cannot steer. Like a
+// real scheme it reuses one Ops slice across accesses.
+type hitScheme struct {
+	fillBytes int
+	ops       []mem.Op
+}
 
 func (*hitScheme) Name() string { return "hit" }
 func (h *hitScheme) Access(req mem.Request) mc.Result {
-	return mc.Result{Hit: true, Ops: []mem.Op{{
+	h.ops = append(h.ops[:0], mem.Op{
 		Target: mem.InPackage, Addr: req.Addr, Bytes: 64,
 		Class: mem.ClassHitData, Critical: true,
-	}}}
+	})
+	if h.fillBytes > 0 {
+		h.ops = append(h.ops, mem.Op{
+			Target: mem.InPackage, Addr: req.Addr, Bytes: h.fillBytes,
+			Write: true, Class: mem.ClassReplacement,
+		})
+	}
+	return mc.Result{Hit: true, Ops: h.ops}
 }
 func (*hitScheme) FillStats(*stats.Sim) {}
 
@@ -29,8 +44,14 @@ func TestNameSuffix(t *testing.T) {
 }
 
 func TestRedirectionRampsUpUnderImbalance(t *testing.T) {
-	b := New(&hitScheme{}, Config{Seed: 1, WindowBytes: 1 << 16})
-	for i := 0; i < 50000; i++ {
+	b := New(&hitScheme{}, Config{Seed: 1})
+	for i := 0; i < windowAccesses-1; i++ {
+		b.Access(mem.Request{Addr: mem.Addr(i * 64)})
+	}
+	if b.RedirectProb() != 0 {
+		t.Fatalf("redirect probability %v before the first window closed", b.RedirectProb())
+	}
+	for i := 0; i < 2*windowAccesses; i++ {
 		b.Access(mem.Request{Addr: mem.Addr(i * 64)})
 	}
 	if b.RedirectProb() == 0 {
@@ -42,9 +63,9 @@ func TestRedirectionRampsUpUnderImbalance(t *testing.T) {
 }
 
 func TestRedirectedOpsTargetOffPackage(t *testing.T) {
-	b := New(&hitScheme{}, Config{Seed: 1, WindowBytes: 1 << 12})
+	b := New(&hitScheme{}, Config{Seed: 1})
 	var off int
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 2*windowAccesses; i++ {
 		res := b.Access(mem.Request{Addr: mem.Addr(i * 64)})
 		for _, op := range res.Ops {
 			if op.Target == mem.OffPackage {
@@ -64,8 +85,8 @@ func TestNoRedirectionWhenBalanced(t *testing.T) {
 	// A scheme already balanced below the target ratio: probability
 	// stays at zero.
 	balanced := &balancedScheme{}
-	b := New(balanced, Config{Seed: 2, WindowBytes: 1 << 14})
-	for i := 0; i < 20000; i++ {
+	b := New(balanced, Config{Seed: 2})
+	for i := 0; i < 3*windowAccesses; i++ {
 		b.Access(mem.Request{Addr: mem.Addr(i * 64)})
 	}
 	if b.RedirectProb() != 0 {
@@ -73,7 +94,10 @@ func TestNoRedirectionWhenBalanced(t *testing.T) {
 	}
 }
 
-type balancedScheme struct{ flip bool }
+type balancedScheme struct {
+	flip bool
+	ops  []mem.Op
+}
 
 func (*balancedScheme) Name() string { return "balanced" }
 func (s *balancedScheme) Access(req mem.Request) mc.Result {
@@ -82,18 +106,22 @@ func (s *balancedScheme) Access(req mem.Request) mc.Result {
 	if s.flip {
 		target = mem.OffPackage
 	}
-	return mc.Result{Hit: !s.flip, Ops: []mem.Op{{
+	s.ops = append(s.ops[:0], mem.Op{
 		Target: target, Addr: req.Addr, Bytes: 64,
 		Class: mem.ClassHitData, Critical: true,
-	}}}
+	})
+	return mc.Result{Hit: !s.flip, Ops: s.ops}
 }
 func (*balancedScheme) FillStats(*stats.Sim) {}
 
 func TestEvictionsNeverRedirected(t *testing.T) {
-	b := New(&hitScheme{}, Config{Seed: 3, WindowBytes: 1 << 12})
+	b := New(&hitScheme{}, Config{Seed: 3})
 	// Ramp up the probability first.
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 2*windowAccesses; i++ {
 		b.Access(mem.Request{Addr: mem.Addr(i * 64)})
+	}
+	if b.RedirectProb() == 0 {
+		t.Fatal("probability did not ramp up")
 	}
 	for i := 0; i < 5000; i++ {
 		res := b.Access(mem.Request{Addr: mem.Addr(i * 64), Write: true, Eviction: true})
@@ -106,18 +134,15 @@ func TestEvictionsNeverRedirected(t *testing.T) {
 }
 
 func TestProbabilityCapped(t *testing.T) {
-	b := New(&hitScheme{}, Config{Seed: 4, WindowBytes: 1 << 10, MaxRedirect: 0.3})
-	for i := 0; i < 100000; i++ {
+	// 1 KB of unsteerable in-package fill per access keeps the
+	// in-package share above the target however many hits are steered,
+	// so the probability climbs until the cap holds it.
+	const perAccess = 64 + 1024
+	b := New(&hitScheme{fillBytes: 1024}, Config{Seed: 4})
+	for i := 0; i < 15*windowBytes/perAccess; i++ {
 		b.Access(mem.Request{Addr: mem.Addr(i * 64)})
 	}
-	if p := b.RedirectProb(); p > 0.3 {
-		t.Fatalf("probability %v exceeds cap", p)
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	b := New(&hitScheme{}, Config{})
-	if b.cfg.TargetRatio != 0.8 || b.cfg.WindowBytes == 0 || b.cfg.MaxRedirect != 0.5 {
-		t.Fatalf("defaults not applied: %+v", b.cfg)
+	if p := b.RedirectProb(); p != maxRedirect {
+		t.Fatalf("probability %v, want the cap %v", p, maxRedirect)
 	}
 }

@@ -19,45 +19,42 @@ import (
 	"banshee/internal/mem"
 )
 
-// Config describes one DRAM (a set of identical channels).
+// The channel design every DRAM of the paper's system shares (Table 2).
+// Timings are in DRAM (bus) cycles.
+const (
+	banksPerChannel = 8
+	busBytes        = 16  // bus width in bytes per beat edge (128 bit)
+	busMHz          = 667 // I/O clock; DDR transfers on both edges
+	tCAS            = 10
+	tRCD            = 10
+	tRP             = 10
+	rowBytes        = 8192 // row-buffer size per bank
+
+	// maxWriteLead bounds (in CPU cycles of bus backlog) how far the
+	// background (write/fill) queue may run ahead of the demand stream.
+	// When the backlog exceeds this, demand accesses stall until it
+	// drains — the read-blocking write-drain of a full write queue.
+	// 1000 cycles is a few KB of queued bursts.
+	maxWriteLead = 1000
+)
+
+// Config describes one DRAM (a set of identical channels). The fields
+// are the ones some run varies: the Fig. 8c bandwidth sweep sets
+// Channels and the Fig. 8b latency sweep sets LatencyScale.
 type Config struct {
-	Name            string
-	Channels        int
-	BanksPerChannel int
-	BusBytes        int     // bus width in bytes per beat edge (16 = 128 bit)
-	BusMHz          float64 // I/O clock; DDR transfers on both edges
-	CPUMHz          float64 // core clock, for cycle conversion
-	TCas            int     // DRAM cycles
-	TRcd            int
-	TRp             int
-	RowBytes        int // row-buffer size per bank
+	Name     string
+	Channels int
+	CPUMHz   float64 // core clock, for cycle conversion
 
 	// LatencyScale scales the access-time components (tCAS/tRCD/tRP)
 	// without touching bandwidth; used by the Fig. 8b latency sweep.
 	LatencyScale float64
-
-	// MaxWriteLead bounds (in CPU cycles of bus backlog) how far the
-	// background (write/fill) queue may run ahead of the demand stream.
-	// When the backlog exceeds this, demand accesses stall until it
-	// drains — the read-blocking write-drain of a full write queue.
-	// 0 selects the default (1000 cycles ≈ a few KB of queued bursts).
-	MaxWriteLead uint64
 }
 
 // OffPackageConfig returns the paper's off-package DRAM: 1 channel,
 // 21.3 GB/s peak.
 func OffPackageConfig(cpuMHz float64) Config {
-	return Config{
-		Name:            "off-package",
-		Channels:        1,
-		BanksPerChannel: 8,
-		BusBytes:        16,
-		BusMHz:          667,
-		CPUMHz:          cpuMHz,
-		TCas:            10, TRcd: 10, TRp: 10,
-		RowBytes:     8192,
-		LatencyScale: 1.0,
-	}
+	return Config{Name: "off-package", Channels: 1, CPUMHz: cpuMHz, LatencyScale: 1.0}
 }
 
 // InPackageConfig returns the paper's in-package DRAM: 4 channels,
@@ -71,21 +68,15 @@ func InPackageConfig(cpuMHz float64) Config {
 
 // PeakBandwidthGBs returns the theoretical peak bandwidth in GB/s.
 func (c Config) PeakBandwidthGBs() float64 {
-	return float64(c.Channels) * float64(c.BusBytes) * 2 * c.BusMHz * 1e6 / 1e9
+	return float64(c.Channels) * busBytes * 2 * busMHz * 1e6 / 1e9
 }
 
 func (c Config) validate() error {
 	switch {
 	case c.Channels <= 0:
 		return fmt.Errorf("dram %q: channels must be positive, got %d", c.Name, c.Channels)
-	case c.BanksPerChannel <= 0:
-		return fmt.Errorf("dram %q: banks must be positive, got %d", c.Name, c.BanksPerChannel)
-	case c.BusBytes <= 0:
-		return fmt.Errorf("dram %q: bus bytes must be positive, got %d", c.Name, c.BusBytes)
-	case c.BusMHz <= 0 || c.CPUMHz <= 0:
-		return fmt.Errorf("dram %q: clocks must be positive", c.Name)
-	case c.RowBytes <= 0:
-		return fmt.Errorf("dram %q: row bytes must be positive, got %d", c.Name, c.RowBytes)
+	case c.CPUMHz <= 0:
+		return fmt.Errorf("dram %q: CPU clock must be positive", c.Name)
 	case c.LatencyScale <= 0:
 		return fmt.Errorf("dram %q: latency scale must be positive, got %v", c.Name, c.LatencyScale)
 	}
@@ -119,7 +110,7 @@ type bank struct {
 type channel struct {
 	busCrit uint64 // backlog seen by critical (demand) transfers
 	busAll  uint64 // total committed bus time (all transfers)
-	banks   []bank
+	banks   [banksPerChannel]bank
 }
 
 // DRAM is a timing model instance. It is not safe for concurrent use;
@@ -134,13 +125,11 @@ type DRAM struct {
 	rowMissLat uint64
 	ccdLat     uint64 // column-to-column command spacing per bank
 	gapLat     uint64 // inter-access bus gap for random (demand) accesses
-	maxLead    uint64 // write-queue lead bound in bus-backlog cycles
 	cpuPerBus  float64
 
-	// chanMask/bankMask replace the per-access modulo when the counts
-	// are powers of two (every shipped configuration); -1 disables.
+	// chanMask replaces the per-access modulo when the channel count is
+	// a power of two (every shipped configuration); -1 disables.
 	chanMask int64
-	bankMask int64
 }
 
 // New builds a DRAM from cfg. It panics on invalid configuration: a bad
@@ -152,27 +141,17 @@ func New(cfg Config) *DRAM {
 	}
 	d := &DRAM{cfg: cfg}
 	d.chans = make([]channel, cfg.Channels)
-	for i := range d.chans {
-		d.chans[i].banks = make([]bank, cfg.BanksPerChannel)
-	}
-	d.cpuPerBus = cfg.CPUMHz / cfg.BusMHz
+	d.cpuPerBus = cfg.CPUMHz / busMHz
 	toCPU := func(busCycles int) uint64 {
 		return uint64(float64(busCycles)*d.cpuPerBus*cfg.LatencyScale + 0.5)
 	}
-	d.casLat = toCPU(cfg.TCas)
-	d.rowMissLat = toCPU(cfg.TRp + cfg.TRcd + cfg.TCas)
+	d.casLat = toCPU(tCAS)
+	d.rowMissLat = toCPU(tRP + tRCD + tCAS)
 	d.ccdLat = toCPU(2)
 	d.gapLat = toCPU(1)
-	d.maxLead = cfg.MaxWriteLead
-	if d.maxLead == 0 {
-		d.maxLead = 1000
-	}
-	d.chanMask, d.bankMask = -1, -1
+	d.chanMask = -1
 	if n := cfg.Channels; n&(n-1) == 0 {
 		d.chanMask = int64(n - 1)
-	}
-	if n := cfg.BanksPerChannel; n&(n-1) == 0 {
-		d.bankMask = int64(n - 1)
 	}
 	return d
 }
@@ -186,7 +165,7 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // MinTransferBytes is the smallest data transfer (one burst): with a 16 B
 // bus and burst length 2 this is 32 B, matching the paper's observation
 // that a 64 B line plus tag moves at least 96 B.
-func (d *DRAM) MinTransferBytes() int { return d.cfg.BusBytes * 2 }
+func (d *DRAM) MinTransferBytes() int { return busBytes * 2 }
 
 // transferCycles returns the CPU cycles the data bus is occupied moving n
 // bytes (rounded up to whole 32 B bursts).
@@ -246,13 +225,8 @@ func (d *DRAM) Access(now uint64, a mem.Addr, n int, write, critical bool) uint6
 		return done
 	}
 
-	row := uint64(a) / uint64(d.cfg.RowBytes)
-	var bk *bank
-	if d.bankMask >= 0 {
-		bk = &ch.banks[row&uint64(d.bankMask)]
-	} else {
-		bk = &ch.banks[row%uint64(len(ch.banks))]
-	}
+	row := uint64(a) / rowBytes
+	bk := &ch.banks[row%banksPerChannel]
 
 	start := max64(now, bk.busyUntil)
 	var lat uint64
@@ -272,8 +246,8 @@ func (d *DRAM) Access(now uint64, a mem.Addr, n int, write, critical bool) uint6
 	// Back-pressure from the write/fill queue: when the background
 	// backlog exceeds the lead bound, the demand stream stalls while
 	// the controller drains writes.
-	if ch.busAll > dataStart+d.maxLead {
-		dataStart = ch.busAll - d.maxLead
+	if ch.busAll > dataStart+maxWriteLead {
+		dataStart = ch.busAll - maxWriteLead
 	}
 	done := dataStart + xfer
 	// Random demand accesses cannot keep the bus fully packed: command

@@ -35,10 +35,7 @@ func TestMinTransfer(t *testing.T) {
 func TestValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Channels = 0 },
-		func(c *Config) { c.BanksPerChannel = -1 },
-		func(c *Config) { c.BusBytes = 0 },
-		func(c *Config) { c.BusMHz = 0 },
-		func(c *Config) { c.RowBytes = 0 },
+		func(c *Config) { c.CPUMHz = 0 },
 		func(c *Config) { c.LatencyScale = 0 },
 	}
 	for i, mutate := range bad {
@@ -166,7 +163,7 @@ func TestBackgroundDoesNotDelayLightCriticalStream(t *testing.T) {
 		d2.Access(0, mem.Addr(i*mem.PageBytes), 64, true, false)
 	}
 	got := d2.Access(0, 0, 64, false, true)
-	if got > base+d2.maxLead {
+	if got > base+maxWriteLead {
 		t.Fatalf("critical access delayed to %d by background (zero-load %d)", got, base)
 	}
 }

@@ -143,8 +143,10 @@ type LargePageResult struct {
 }
 
 // LargePages reproduces §5.4.1: Banshee with all data on 2 MB pages vs
-// regular 4 KB pages, on the graph workloads (perfect TLBs in both, so
-// the difference is purely the DRAM subsystem — as the paper isolates).
+// regular 4 KB pages, on the graph workloads. Both runs charge the same
+// page walk on every TLB miss, and a 2 MB TLB entry covers 512× the
+// range of a 4 KB one, so the speedup includes the larger TLB reach as
+// well as the DRAM-cache effects of 2 MB pages.
 func LargePages(o Options) *LargePageResult {
 	workloads := o.Workloads
 	if len(workloads) == 0 {

@@ -22,28 +22,24 @@ import (
 	"banshee/internal/util"
 )
 
+// The remap routine's software cost, charged as mc.SWCost.AllCoresCycles:
+// it stalls every other unfinished core, but not the core whose access
+// ended the epoch.
+const (
+	fixedEpochCycles  = 50000 // fixed routine overhead per epoch
+	perPageMoveCycles = 1500  // per migrated page (copy + PTE rewrite)
+)
+
 // Config parameterizes HMA.
 type Config struct {
 	CapacityBytes int
 	// EpochAccesses is the number of MC accesses between remap epochs.
 	EpochAccesses uint64
-	// PerPageMoveCycles is the software cost per migrated page (copy +
-	// PTE rewrite), charged as mc.SWCost.AllCoresCycles: it stalls every
-	// other unfinished core, but not the core whose access ended the
-	// epoch.
-	PerPageMoveCycles uint64
-	// FixedEpochCycles is the fixed routine overhead per epoch.
-	FixedEpochCycles uint64
 }
 
 // DefaultConfig fills unset fields with reasonable defaults.
 func DefaultConfig(capacityBytes int) Config {
-	return Config{
-		CapacityBytes:     capacityBytes,
-		EpochAccesses:     1 << 18,
-		PerPageMoveCycles: 1500,
-		FixedEpochCycles:  50000,
-	}
+	return Config{CapacityBytes: capacityBytes, EpochAccesses: 1 << 18}
 }
 
 type resident struct {
@@ -214,7 +210,7 @@ func (h *HMA) epoch() mc.SWCost {
 	// Epoch counters reset: HMA only sees per-epoch history.
 	h.counts.Clear()
 	return mc.SWCost{
-		AllCoresCycles: h.cfg.FixedEpochCycles + moves*h.cfg.PerPageMoveCycles,
+		AllCoresCycles: fixedEpochCycles + moves*perPageMoveCycles,
 	}
 }
 

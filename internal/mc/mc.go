@@ -64,24 +64,24 @@ type Scheme interface {
 	FillStats(s *stats.Sim)
 }
 
+// missRateWindow is the number of accesses MissRateTracker observes
+// before its estimate snaps to the window's rate.
+const missRateWindow = 8192
+
 // MissRateTracker maintains the "recent miss rate" Banshee's adaptive
 // sampling multiplies into its sample rate (§4.2.1). It is a windowed
-// estimator: every Window accesses the rate snaps to the window's
-// observed rate. It starts at 1.0 so a cold cache samples aggressively.
+// estimator: every missRateWindow accesses the rate snaps to the
+// window's observed rate. It starts at 1.0 so a cold cache samples
+// aggressively.
 type MissRateTracker struct {
-	Window   uint64
 	accesses uint64
 	misses   uint64
 	rate     float64
 }
 
-// NewMissRateTracker returns a tracker with the given window (0 uses a
-// default of 8192 accesses).
-func NewMissRateTracker(window uint64) *MissRateTracker {
-	if window == 0 {
-		window = 8192
-	}
-	return &MissRateTracker{Window: window, rate: 1.0}
+// NewMissRateTracker returns a cold tracker.
+func NewMissRateTracker() *MissRateTracker {
+	return &MissRateTracker{rate: 1.0}
 }
 
 // Observe records one access outcome.
@@ -90,7 +90,7 @@ func (t *MissRateTracker) Observe(miss bool) {
 	if miss {
 		t.misses++
 	}
-	if t.accesses >= t.Window {
+	if t.accesses >= missRateWindow {
 		t.rate = float64(t.misses) / float64(t.accesses)
 		t.accesses, t.misses = 0, 0
 	}

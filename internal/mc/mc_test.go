@@ -8,22 +8,25 @@ import (
 )
 
 func TestMissRateTrackerColdStart(t *testing.T) {
-	tr := NewMissRateTracker(100)
+	tr := NewMissRateTracker()
 	if tr.Rate() != 1.0 {
 		t.Fatalf("cold rate %v, want 1.0 (sample aggressively while cold)", tr.Rate())
 	}
 }
 
 func TestMissRateTrackerWindow(t *testing.T) {
-	tr := NewMissRateTracker(100)
-	for i := 0; i < 100; i++ {
-		tr.Observe(i < 25) // 25% misses
+	tr := NewMissRateTracker()
+	for i := 0; i < missRateWindow; i++ {
+		if i == missRateWindow-1 && tr.Rate() != 1.0 {
+			t.Fatalf("rate %v before the window closed, want the cold 1.0", tr.Rate())
+		}
+		tr.Observe(i < missRateWindow/4) // 25% misses
 	}
 	if got := tr.Rate(); got != 0.25 {
 		t.Fatalf("rate %v, want 0.25", got)
 	}
 	// Next window all hits.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < missRateWindow; i++ {
 		tr.Observe(false)
 	}
 	if got := tr.Rate(); got != 0 {
@@ -31,18 +34,12 @@ func TestMissRateTrackerWindow(t *testing.T) {
 	}
 }
 
-func TestMissRateTrackerDefaultWindow(t *testing.T) {
-	tr := NewMissRateTracker(0)
-	if tr.Window != 8192 {
-		t.Fatalf("default window %d", tr.Window)
-	}
-}
-
 func TestMissRateBoundsProperty(t *testing.T) {
 	f := func(outcomes []bool) bool {
-		tr := NewMissRateTracker(16)
-		for _, m := range outcomes {
-			tr.Observe(m)
+		tr := NewMissRateTracker()
+		// Cycle the outcomes through two windows so the estimate snaps.
+		for i := 0; len(outcomes) > 0 && i < 2*missRateWindow; i++ {
+			tr.Observe(outcomes[i%len(outcomes)])
 		}
 		r := tr.Rate()
 		return r >= 0 && r <= 1

@@ -16,7 +16,7 @@ func init() {
 		Parse:    exact("unison", "Unison"),
 		GangSafe: true,
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
-			return unison.New(unison.Config{CapacityBytes: env.CapacityBytes, Ways: 4}), nil
+			return unison.New(unison.Config{CapacityBytes: env.CapacityBytes}), nil
 		},
 	})
 }

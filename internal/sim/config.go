@@ -148,6 +148,9 @@ func (c Config) validate() error {
 		ce = errs.Configf("Workload", "not set")
 	case c.Scheme.Kind == "":
 		ce = errs.Configf("Scheme", "not set")
+	case c.Scheme.BansheeLargePages && !c.LargePages:
+		// Banshee syncs one PTE per cached page: its page is the run's.
+		ce = errs.Configf("LargePages", "must be set for Banshee 2M, which caches 2 MB pages")
 	case c.InstrPerCore == 0:
 		ce = errs.Configf("InstrPerCore", "instruction budget not set")
 	case c.WarmupFrac < 0 || c.WarmupFrac >= 1:

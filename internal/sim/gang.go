@@ -44,6 +44,10 @@ const (
 	feHasRes = feFill0 | feFill1 | feL2Miss | feObserve
 )
 
+// pageWalkCycles is the core-clock penalty of a TLB miss, for 4 KB and
+// 2 MB pages alike.
+const pageWalkCycles = 100
+
 // resRec is the sparse per-event residue: the demand address, its PTE
 // at translation time, and the addresses of up to two dirty lines the
 // front end pushed out of L2, which the lane fills into its own L3 in
@@ -295,7 +299,7 @@ func (s *System) stepShared(c *core) {
 	c.retired += uint64(gap) + 1
 
 	if flags&feTLBMiss != 0 {
-		c.time += s.cost.PageWalkCycles
+		c.time += pageWalkCycles
 	}
 	s.st.L1Accesses++
 	if flags&feL1Miss == 0 {
@@ -339,7 +343,7 @@ func (s *System) stepShared(c *core) {
 //
 // Identity argument: for these events the per-event updates are
 // exactly associative — the clock advance over k events with gap sum G
-// is (fract+G) div/mod IssueWidth plus one PageWalkCycles charge per
+// is (fract+G) div/mod IssueWidth plus one pageWalkCycles charge per
 // TLB miss, retirement is G+k, and the counter bumps are sums — so the
 // aggregate equals the event-by-event replay bit for bit. Moving c
 // past other cores' events is unobservable only if nothing another
@@ -384,7 +388,7 @@ func (s *System) batchShared(c *core) {
 	c.evIdx += k
 	total := uint64(c.fract) + gapSum
 	iw := uint64(s.cfg.IssueWidth)
-	c.time += total/iw + walks*s.cost.PageWalkCycles
+	c.time += total/iw + walks*pageWalkCycles
 	c.fract = int(total % iw)
 	c.retired += gapSum + k
 	s.st.L1Accesses += k
@@ -519,7 +523,6 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 		stream:   gs,
 		pageSize: gs.size,
 		rng:      util.NewRNG(cfg.Seed ^ 0x51A1),
-		cost:     vm.DefaultCostModel(cfg.CPUMHz),
 	}
 	s.l3 = cache.New(cache.Config{
 		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,

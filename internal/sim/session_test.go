@@ -56,13 +56,15 @@ func runStepped(t *testing.T, cfg Config, scheme string, step uint64) stats.Sim 
 // TestStepEqualsRun pins the stepper's core contract: driving a session
 // in small (and deliberately odd-sized) steps, with snapshots taken
 // mid-flight, yields final statistics bit-identical to the one-shot Run
-// path — for every registered scheme display name.
+// path — for every registered scheme display name (Banshee 2M on the 2
+// MB pages it requires).
 func TestStepEqualsRun(t *testing.T) {
 	for _, scheme := range registry.Names() {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
 			cfg := sessionTestConfig("pagerank")
+			cfg.LargePages = scheme == "Banshee 2M"
 			oneShot, err := Run(cfg, cfg.Workload, scheme)
 			if err != nil {
 				t.Fatal(err)

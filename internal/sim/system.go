@@ -49,7 +49,6 @@ type System struct {
 	inPkg    *dram.DRAM
 	offPkg   *dram.DRAM
 	rng      *util.RNG
-	cost     vm.CostModel
 
 	st       stats.Sim
 	warmed   bool

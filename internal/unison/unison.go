@@ -24,10 +24,12 @@ import (
 // Config sizes the Unison cache.
 type Config struct {
 	CapacityBytes int
-	Ways          int
 }
 
-const tagBytes = 32
+const (
+	assoc    = 4 // ways per set
+	tagBytes = 32
+)
 
 type way struct {
 	tag     uint64
@@ -57,12 +59,9 @@ type Unison struct {
 // New builds a Unison cache; it panics on a non-power-of-two set count
 // (setup bug).
 func New(cfg Config) *Unison {
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("unison: ways must be positive, got %d", cfg.Ways))
-	}
-	nsets := cfg.CapacityBytes / mem.PageBytes / cfg.Ways
+	nsets := cfg.CapacityBytes / mem.PageBytes / assoc
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("unison: capacity %d with %d ways gives non-power-of-two set count %d", cfg.CapacityBytes, cfg.Ways, nsets))
+		panic(fmt.Sprintf("unison: capacity %d with %d ways gives non-power-of-two set count %d", cfg.CapacityBytes, assoc, nsets))
 	}
 	u := &Unison{
 		sets:     make([][]way, nsets),
@@ -70,7 +69,7 @@ func New(cfg Config) *Unison {
 		tagShift: uint(bits.OnesCount64(uint64(nsets - 1))),
 	}
 	for i := range u.sets {
-		u.sets[i] = make([]way, cfg.Ways)
+		u.sets[i] = make([]way, assoc)
 	}
 	return u
 }

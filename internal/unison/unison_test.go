@@ -7,7 +7,7 @@ import (
 )
 
 func newTest() *Unison {
-	return New(Config{CapacityBytes: 1 << 20, Ways: 4}) // 64 sets
+	return New(Config{CapacityBytes: 1 << 20}) // 64 sets
 }
 
 func bytesTo(ops []mem.Op, target mem.Kind) int {
@@ -22,8 +22,8 @@ func bytesTo(ops []mem.Op, target mem.Kind) int {
 
 func TestBadConfigPanics(t *testing.T) {
 	for _, cfg := range []Config{
-		{CapacityBytes: 1 << 20, Ways: 0},
-		{CapacityBytes: 3 * mem.PageBytes, Ways: 4},
+		{CapacityBytes: 3 * mem.PageBytes},
+		{CapacityBytes: 3 * assoc * mem.PageBytes},
 	} {
 		func() {
 			defer func() {

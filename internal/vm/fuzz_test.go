@@ -7,8 +7,8 @@ import (
 )
 
 // refTable is the differential reference for FuzzPageTable: a builtin
-// map from page key to PTE. It mirrors the semantics of PageTable and
-// nothing of its storage.
+// map from page number (at the table's page size) to PTE. It mirrors
+// the semantics of PageTable and nothing of its storage.
 type refTable struct {
 	defaultLarge bool
 	entries      map[uint64]PTE
@@ -17,9 +17,17 @@ type refTable struct {
 // key returns the page key vaddr translates under.
 func (r *refTable) key(vaddr mem.Addr) uint64 {
 	if r.defaultLarge {
-		return mem.LargePageNum(vaddr) * mem.PagesPerLargePage
+		return mem.LargePageNum(vaddr)
 	}
 	return mem.PageNum(vaddr)
+}
+
+// addr returns the base address of the page with the given key.
+func (r *refTable) addr(key uint64) mem.Addr {
+	if r.defaultLarge {
+		return mem.Addr(key << mem.LargeOffsetBits)
+	}
+	return mem.Addr(key << mem.PageOffsetBits)
 }
 
 func (r *refTable) translate(vaddr mem.Addr) PTE {
@@ -50,12 +58,11 @@ func (r *refTable) setCached(frame uint64, cached bool, way uint8) int {
 //   - 2: SetCached, with cached from bit 3 and way from bits 4–5;
 //   - 3: Translate of a page seen before.
 //
-// SetCached takes its frame from the page keys of earlier translations,
-// so it reaches allocated 4 KB and 2 MB frames alike; with bit 7 of the
-// op byte set it takes the page number instead, usually an unallocated
-// frame (or, under DefaultLarge, a 4 KB page inside a 2 MB one). Every
-// result and Len must agree after each operation, and at the end every
-// page must translate alike.
+// SetCached takes its page from the page keys of earlier translations,
+// so it reaches allocated 4 KB and 2 MB pages alike; with bit 7 of the
+// op byte set it takes the decoded page number instead, usually an
+// unallocated page (under DefaultLarge only page numbers 0–3 exist). Every result and Len must agree after each
+// operation, and at the end every page must translate alike.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 0, 0, 2, 0xBC, 0x0A, 0, 0x1a, 0, 0, 0, 3, 0, 0, 1})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 5, 2, 0, 0x3a, 9, 0, 0, 0x82, 0, 0, 0, 3, 0, 0, 1})
@@ -91,7 +98,7 @@ func FuzzPageTable(f *testing.F) {
 			switch op & 3 {
 			case 0, 1, 3:
 				if op&3 == 3 && len(seen) > 0 {
-					addr = mem.Addr(frame << mem.PageOffsetBits)
+					addr = ref.addr(frame)
 				}
 				got, want := pt.Translate(addr), ref.translate(addr)
 				if got != want {
@@ -109,8 +116,7 @@ func FuzzPageTable(f *testing.F) {
 			}
 		}
 		for key, e := range ref.entries {
-			addr := mem.Addr(key << mem.PageOffsetBits)
-			if got := pt.Translate(addr); got != e {
+			if got := pt.Translate(ref.addr(key)); got != e {
 				t.Fatalf("page key %#x: Translate %+v, reference %+v", key, got, e)
 			}
 		}

@@ -38,8 +38,8 @@ func (p PTE) Mapping() mem.Mapping {
 // PageTable maps virtual pages to frames. The frame allocator is the
 // identity, so a page's frame is its own page number, and the table
 // stores only each page's PTE, by value and without pointers, in one
-// flat table keyed by page number: a translation probes that table
-// alone, and the GC never scans it.
+// flat table keyed by page number at the run's page size: a
+// translation probes that table alone, and the GC never scans it.
 type PageTable struct {
 	entries util.Flat64[PTE] // page key → PTE
 
@@ -54,11 +54,11 @@ func NewPageTable() *PageTable {
 }
 
 // key returns the page key vaddr translates under: its 4 KB page
-// number, or under DefaultLarge the 4 KB-unit number of its 2 MB
-// page's first 4 KB page — the frame key SetCached takes.
+// number, or under DefaultLarge its 2 MB page number — the page number
+// SetCached takes.
 func (pt *PageTable) key(vaddr mem.Addr) uint64 {
 	if pt.DefaultLarge {
-		return mem.LargePageNum(vaddr) * mem.PagesPerLargePage
+		return mem.LargePageNum(vaddr)
 	}
 	return mem.PageNum(vaddr)
 }
@@ -77,12 +77,13 @@ func (pt *PageTable) translate(key uint64) PTE {
 	return e
 }
 
-// SetCached updates the DRAM-cache extension bits of the PTE mapping
-// frame, returning how many PTEs were touched: 1, or 0 for a frame
-// that was never allocated. This is the core of the software
-// PTE-update routine triggered by a tag-buffer flush.
-func (pt *PageTable) SetCached(frame uint64, cached bool, way uint8) int {
-	e := pt.entries.GetPtr(frame)
+// SetCached updates the DRAM-cache extension bits of the PTE of page (a
+// page number at the run's page size), returning how many PTEs were
+// touched: 1, or 0 for a page that was never allocated. This is the
+// core of the software PTE-update routine triggered by a tag-buffer
+// flush.
+func (pt *PageTable) SetCached(page uint64, cached bool, way uint8) int {
+	e := pt.entries.GetPtr(page)
 	if e == nil {
 		return 0
 	}
@@ -203,14 +204,12 @@ func (t *TLB) Flush() {
 // Occupancy returns the number of valid entries (diagnostic).
 func (t *TLB) Occupancy() int { return t.filled }
 
-// CostModel holds the software-cost parameters of §5.1 (Table 3),
-// already converted to CPU cycles by the caller.
+// CostModel holds the software-cost parameters of §5.1 (Table 3) that
+// are given in µs, already converted to CPU cycles by the caller.
 type CostModel struct {
 	PTEUpdateCycles    uint64 // whole tag-buffer flush routine (20 µs default)
 	ShootdownInitiator uint64 // 4 µs default
 	ShootdownSlave     uint64 // 1 µs default
-	PageWalkCycles     uint64 // TLB miss penalty, for 4 KB and 2 MB pages alike
-	PerPTETouchCycles  uint64 // incremental cost per PTE updated in a flush
 }
 
 // DefaultCostModel returns the paper's Table 3 costs at the given clock.
@@ -220,7 +219,5 @@ func DefaultCostModel(cpuMHz float64) CostModel {
 		PTEUpdateCycles:    us(20),
 		ShootdownInitiator: us(4),
 		ShootdownSlave:     us(1),
-		PageWalkCycles:     100,
-		PerPTETouchCycles:  30,
 	}
 }

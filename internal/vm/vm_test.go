@@ -23,14 +23,17 @@ func TestTranslateAllocatesOnFirstTouch(t *testing.T) {
 }
 
 // TestDefaultLarge: under DefaultLarge one PTE covers a whole 2 MB
-// region, keyed by the frame of the region's first 4 KB page.
+// region, keyed by the region's 2 MB page number.
 func TestDefaultLarge(t *testing.T) {
 	pt := NewPageTable()
 	pt.DefaultLarge = true
 	a := mem.Addr(0x40000000) // 2 MB aligned
 	pt.Translate(a + mem.PageBytes*100)
-	if n := pt.SetCached(mem.PageNum(a), true, 2); n != 1 {
-		t.Fatalf("SetCached on the region's frame touched %d PTEs, want 1", n)
+	if n := pt.SetCached(mem.PageNum(a), true, 1); n != 0 {
+		t.Fatalf("SetCached on the region's first 4 KB page number touched %d PTEs, want 0", n)
+	}
+	if n := pt.SetCached(mem.LargePageNum(a), true, 2); n != 1 {
+		t.Fatalf("SetCached on the region's 2 MB page touched %d PTEs, want 1", n)
 	}
 	for _, off := range []mem.Addr{0, mem.PageBytes * 17, mem.LargeBytes - 1} {
 		if e := pt.Translate(a + off); !e.Cached || e.Way != 2 {

@@ -90,7 +90,7 @@ func TestAlloyAccessZeroAlloc(t *testing.T) {
 }
 
 func TestUnisonAccessZeroAlloc(t *testing.T) {
-	testZeroAlloc(t, unison.New(unison.Config{CapacityBytes: allocCapacity, Ways: 4}), 32768)
+	testZeroAlloc(t, unison.New(unison.Config{CapacityBytes: allocCapacity}), 32768)
 }
 
 func TestCameoAccessZeroAlloc(t *testing.T) {
