@@ -138,9 +138,10 @@ func run() (code int) {
 	defer stop()
 
 	o := exp.Options{Ctx: ctx, Instr: *instr, Seed: *seed, Intensity: *intensity,
-		Out: *out, Resume: *resume, KeepGoing: *keepGoing, JobTimeout: *jobTimeout,
-		GangWidth: *gang, Remote: *remote,
-		Retry: runner.RetryPolicy{MaxAttempts: *retries, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second}}
+		Out: *out, Resume: *resume, Remote: *remote,
+		Engine: runner.Engine{KeepGoing: *keepGoing, JobTimeout: *jobTimeout, GangWidth: *gang,
+			Retry:         runner.RetryPolicy{MaxAttempts: *retries, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second},
+			ProgressEvery: *progEvery}}
 	if *resume && *out == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -resume requires -out")
 		return 1
@@ -156,17 +157,16 @@ func run() (code int) {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: serving telemetry on http://%s/metrics\n", srv.Addr())
-		o.Metrics = reg
+		o.Engine.Metrics = reg
 	}
 	if *traceFile != "" {
-		o.Tracer = obs.NewTracer()
+		o.Engine.Tracer = obs.NewTracer()
 		defer func() {
-			if err := o.Tracer.WriteFile(*traceFile); err != nil {
+			if err := o.Engine.Tracer.WriteFile(*traceFile); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 			}
 		}()
 	}
-	o.ProgressEvery = *progEvery
 
 	// Permanently failed jobs, collected across matrices so the suite
 	// can finish its figures before reporting the holes.
@@ -215,7 +215,7 @@ func run() (code int) {
 		}
 	}()
 	if *verbose {
-		o.Progress = os.Stderr
+		o.Engine.Progress = os.Stderr
 	}
 	if *workloads != "" {
 		o.Workloads = strings.Split(*workloads, ",")

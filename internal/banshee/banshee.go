@@ -145,8 +145,8 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 	if cfg.PageBytes != mem.PageBytes && cfg.PageBytes != mem.LargeBytes {
 		panic(fmt.Sprintf("banshee: page size %d not supported (4 KB or 2 MB)", cfg.PageBytes))
 	}
-	if cfg.CounterBits == 0 {
-		cfg.CounterBits = 5
+	if cfg.CounterBits <= 0 {
+		panic(fmt.Sprintf("banshee: counter bits must be positive, got %d", cfg.CounterBits))
 	}
 	if cfg.SamplingCoeff <= 0 || cfg.SamplingCoeff > 1 {
 		panic(fmt.Sprintf("banshee: sampling coefficient %v out of (0,1]", cfg.SamplingCoeff))

@@ -61,6 +61,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SamplingCoeff = 2 },
 		func(c *Config) { c.CapacityBytes = 3 * 4096 * 4 },
 		func(c *Config) { c.Threshold = 40 }, // unreachable with 5-bit counters
+		func(c *Config) { c.CounterBits = 0 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig(1 << 20)

@@ -12,11 +12,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
-	"time"
 
-	"banshee/internal/obs"
 	"banshee/internal/runner"
 	"banshee/internal/sim"
 	"banshee/internal/sweepd"
@@ -34,10 +31,15 @@ type Options struct {
 	Instr uint64
 	// Seed is the base simulation seed.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
-	// Progress, when non-nil, receives one line per completed run.
-	Progress io.Writer
+	// Engine is the batch engine template every matrix runs on: pool,
+	// progress, supervision, ganging and observability. Leave Sink and
+	// FailedOut unset; run sets them per matrix from Out. Under
+	// Engine.KeepGoing each matrix completes past permanently failed
+	// jobs instead of aborting the experiment: failures stream to a
+	// sibling "<matrix>.failed.jsonl" ledger in Out, the aggregators
+	// render zero-valued holes at the failed coordinates, and
+	// OnFailures (if set) is told about them.
+	Engine runner.Engine
 	// Workloads overrides the workload list (nil = the paper's 16).
 	Workloads []string
 	// Intensity multiplies every workload's memory intensity (1 = default).
@@ -48,45 +50,19 @@ type Options struct {
 	// Resume skips jobs whose results are already in Out (matched by
 	// content key, so edited sweeps re-simulate).
 	Resume bool
-	// KeepGoing completes each matrix past permanently failed jobs
-	// instead of aborting the experiment: failures stream to a sibling
-	// "<matrix>.failed.jsonl" ledger in Out, the aggregators render
-	// zero-valued holes at the failed coordinates, and OnFailures (if
-	// set) is told about them.
-	KeepGoing bool
-	// Retry bounds per-job retries (zero value = one attempt).
-	Retry runner.RetryPolicy
-	// JobTimeout, when positive, deadlines each job attempt.
-	JobTimeout time.Duration
-	// OnFailures, when non-nil with KeepGoing, receives each matrix's
-	// permanently failed jobs after it completes (skipped for clean
-	// matrices). ledger is the ledger file path, or "" without Out.
+	// OnFailures, when non-nil with Engine.KeepGoing, receives each
+	// matrix's permanently failed jobs after it completes (skipped for
+	// clean matrices). ledger is the ledger file path, or "" without Out.
 	OnFailures func(matrix string, failed []runner.Record, ledger string)
-	// GangWidth, when ≥ 2, lets the batch engine execute that many
-	// gang-eligible jobs of a matrix (same workload stream and scheme
-	// kind, differing only by seed or back-end knobs) as one lockstep
-	// gang; results and checkpoint files are byte-identical to
-	// independent execution. 0 disables ganging.
-	GangWidth int
-	// Metrics, when non-nil, receives live sweep telemetry from every
-	// matrix the experiment runs (job states, attempts, gang shape,
-	// per-epoch sim series). Serve it with obs.Serve to watch a run.
-	Metrics *obs.Registry
-	// Tracer, when non-nil, records the sweep timeline of every matrix
-	// for Chrome trace_event export.
-	Tracer *obs.Tracer
-	// ProgressEvery, when positive with Progress set, replaces per-job
-	// progress lines with one rate-limited summary line per interval.
-	ProgressEvery time.Duration
 	// Remote, when set, submits every matrix to the sweepd daemon at
 	// this address ("host:port" or URL) instead of executing locally:
 	// the daemon runs the jobs (sharded across its attached workers),
 	// streams back the checkpoint records — byte-identical to a local
 	// run — and the aggregators consume the assembled results as usual.
-	// Execution policy (Retry, JobTimeout, KeepGoing, GangWidth) rides
-	// along in the sweep spec; local-run machinery (Out, Resume,
-	// Metrics, Tracer, Parallelism) is unused, since the daemon owns
-	// durable state and telemetry for its sweeps.
+	// Engine's execution policy (Retry, JobTimeout, KeepGoing,
+	// GangWidth) rides along in the sweep spec; local-run machinery
+	// (Out, Resume and the rest of Engine) is unused, since the daemon
+	// owns durable state and telemetry for its sweeps.
 	Remote string
 }
 
@@ -147,7 +123,7 @@ var ErrCancelled = errors.New("experiment cancelled")
 // set. Errors panic: experiment configs are code, not input, so a
 // failure is a bug worth surfacing immediately — except cancellation
 // of o.Ctx, which panics with ErrCancelled for the caller to recover,
-// and per-job failures under o.KeepGoing, which the sweep outlives
+// and per-job failures under o.Engine.KeepGoing, which the sweep outlives
 // (the ledger and OnFailures report them).
 func run(o Options, m runner.Matrix) *runner.ResultSet {
 	ctx := o.Ctx
@@ -157,10 +133,7 @@ func run(o Options, m runner.Matrix) *runner.ResultSet {
 	if o.Remote != "" {
 		return runRemote(ctx, o, m)
 	}
-	eng := runner.Engine{Parallelism: o.Parallelism, Progress: o.Progress,
-		Retry: o.Retry, JobTimeout: o.JobTimeout, KeepGoing: o.KeepGoing,
-		GangWidth: o.GangWidth, Metrics: o.Metrics, Tracer: o.Tracer,
-		ProgressEvery: o.ProgressEvery}
+	eng := o.Engine
 	ledger := ""
 	if o.Out != "" {
 		sink, err := runner.OpenSink(filepath.Join(o.Out, m.Name+".jsonl"), o.Resume)
@@ -169,7 +142,7 @@ func run(o Options, m runner.Matrix) *runner.ResultSet {
 		}
 		defer sink.Close()
 		eng.Sink = sink
-		if o.KeepGoing {
+		if eng.KeepGoing {
 			ledger = filepath.Join(o.Out, m.Name+".failed.jsonl")
 			eng.FailedOut = ledger
 		}
@@ -198,11 +171,12 @@ func runRemote(ctx context.Context, o Options, m runner.Matrix) *runner.ResultSe
 	if err != nil {
 		panic(fmt.Errorf("exp: matrix %s: %w", m.Name, err))
 	}
+	e := o.Engine
 	rs, err := c.RunMatrix(ctx, m, sweepd.RunOptions{
-		GangWidth:    o.GangWidth,
-		Retries:      o.Retry.MaxAttempts,
-		JobTimeoutMs: o.JobTimeout.Milliseconds(),
-		KeepGoing:    o.KeepGoing,
+		GangWidth:    e.GangWidth,
+		Retries:      e.Retry.MaxAttempts,
+		JobTimeoutMs: e.JobTimeout.Milliseconds(),
+		KeepGoing:    e.KeepGoing,
 	})
 	if err != nil {
 		if ctx.Err() != nil {

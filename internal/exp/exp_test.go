@@ -157,7 +157,7 @@ func TestOutResume(t *testing.T) {
 
 	var progress bytes.Buffer
 	o.Resume = true
-	o.Progress = &progress
+	o.Engine.Progress = &progress
 	second := Table6(o)
 
 	if !strings.Contains(progress.String(), ", 0 executed") {

@@ -78,7 +78,7 @@ func New(cfg Config) *HMA {
 		panic(fmt.Sprintf("hma: capacity %d smaller than one page", cfg.CapacityBytes))
 	}
 	if cfg.EpochAccesses == 0 {
-		cfg.EpochAccesses = 1 << 18
+		panic("hma: EpochAccesses must be positive")
 	}
 	return &HMA{
 		cfg:      cfg,

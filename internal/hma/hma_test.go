@@ -13,12 +13,19 @@ func newTest(epoch uint64) *HMA {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("tiny capacity did not panic")
-		}
-	}()
-	New(Config{CapacityBytes: 10})
+	for _, cfg := range []Config{
+		{CapacityBytes: 10, EpochAccesses: 1 << 18}, // smaller than one page
+		{CapacityBytes: 16 * mem.PageBytes, EpochAccesses: 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestColdMissesGoOffPackage(t *testing.T) {

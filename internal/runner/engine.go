@@ -12,6 +12,7 @@ import (
 
 	"banshee/internal/errs"
 	"banshee/internal/obs"
+	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
@@ -60,21 +61,11 @@ type Engine struct {
 	// JobRunner overrides how a job group executes (nil = the default:
 	// Simulate, or Observed when Metrics is set). Every group — one
 	// job, or the lanes of a gang — goes through it, so an override
-	// sees every job and ganging stays on. Fault-injection seam: chaos
-	// harnesses wrap the default to inject panics, errors, and stalls
-	// around real simulations.
+	// sees every job and ganging stays on. It is the engine's one
+	// execution seam: chaos harnesses wrap the default to inject panics,
+	// errors, and stalls around real simulations, and a sweep service
+	// wraps it to lease single jobs to attached worker processes.
 	JobRunner JobRunner
-	// Dispatch, when non-nil, is offered every singleton job attempt
-	// before it executes locally — the job-leasing seam a sweep service
-	// uses to shard work across attached worker processes. A declined
-	// offer (ok=false: no worker attached, none picked the job up in
-	// time, or its lease expired) runs the attempt locally instead, so
-	// a fleet losing its last worker degrades to a local sweep rather
-	// than stalling. An accepted offer's result (or error) is the
-	// attempt's result: remote attempts retry, ledger, and count
-	// exactly like local ones. Gang groups never dispatch — lockstep
-	// lanes need the shared in-process front end.
-	Dispatch Dispatcher
 
 	// GangWidth, when ≥ 2, lets the engine execute up to that many
 	// adjacent gang-eligible jobs as one group: lanes of one lockstep
@@ -505,7 +496,7 @@ func newJobQueue(jobs []Job, pending []int, width int) *jobQueue {
 			q.queues[w] = nil
 		}
 		if width >= 2 {
-			if key, ok := gangKey(jobs[i]); ok {
+			if key, ok := sim.GangKey(jobs[i].Config); ok {
 				if g, ok := open[key]; ok && len(q.queues[g.w][g.idx]) < width {
 					q.queues[g.w][g.idx] = append(q.queues[g.w][g.idx], i)
 					continue

@@ -56,17 +56,3 @@ func (o laneObserver) run(ctx context.Context, jobs []Job) ([]stats.Sim, error) 
 	fold(sts)
 	return sts, nil
 }
-
-// gangKey returns the grouping key under which job may join a gang,
-// or ok=false when the job must run alone. Groupmates must agree on
-// the scheme kind (the gang stays within one scheme family, so a
-// failed gang's diagnosis stays legible) and on the shared front-end
-// shape sim.GangKey captures — jobs differing only by seed group iff
-// their configs pin WorkloadSeed, and same-seed sweep points group
-// whenever only back-end knobs vary.
-func gangKey(job Job) (string, bool) {
-	if sim.GangEligible(job.Config) != nil {
-		return "", false
-	}
-	return job.Config.Scheme.Kind + "\x00" + sim.GangKey(job.Config), true
-}

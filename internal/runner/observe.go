@@ -21,9 +21,6 @@ type engineMetrics struct {
 	gangWidth     *obs.Histogram
 	jobDur        *obs.Histogram
 	attemptDur    *obs.Histogram
-
-	remoteAttempts *obs.Counter
-	remoteFailures *obs.Counter
 }
 
 // newEngineMetrics registers the engine metric families on r (nil r =
@@ -48,8 +45,5 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		gangWidth:     r.Histogram("banshee_gang_width_lanes", "lanes per executed gang group"),
 		jobDur:        r.Histogram("banshee_job_duration_us", "wall time per executed job or gang group, retries included"),
 		attemptDur:    r.Histogram("banshee_attempt_duration_us", "wall time per job attempt"),
-
-		remoteAttempts: r.Counter("banshee_remote_attempts_total", "job attempts executed by attached workers via the dispatch seam"),
-		remoteFailures: r.Counter("banshee_remote_attempt_failures_total", "remote job attempts that returned an error"),
 	}
 }

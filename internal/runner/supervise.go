@@ -6,32 +6,17 @@ import (
 	"time"
 
 	"banshee/internal/errs"
-	"banshee/internal/sim"
 	"banshee/internal/stats"
 	"banshee/internal/util"
 )
 
-// JobRunner executes one job group — a single job, or gang-compatible
-// jobs (see gangKey) run as lanes of one lockstep gang — and returns
-// one result per job, in order. The engine's default runs the group as
-// one sim.Gang (Simulate, or Observed with metrics on); tests and
-// chaos harnesses substitute their own to inject faults around — or
-// instead of — the simulation.
+// JobRunner executes one job group — a single job, or jobs with equal
+// ok sim.GangKeys run as lanes of one lockstep gang — and returns one
+// result per job, in order. The engine's default runs the group as one
+// sim.Gang (Simulate, or Observed with metrics on); tests, chaos
+// harnesses and the sweep service substitute their own to inject
+// faults around — or run elsewhere instead of — the simulation.
 type JobRunner func(ctx context.Context, jobs []Job) ([]stats.Sim, error)
-
-// Dispatcher offers job attempts for out-of-process execution — the
-// leasing seam between the engine and a sweep service's attached
-// workers. Dispatch blocks until the attempt resolves one way or the
-// other: ok=true with a nil error is a completed remote attempt,
-// ok=true with an error a failed one (retried like any local
-// failure), and ok=false declines the offer (no worker attached, none
-// claimed the lease in time, or the lease expired) — the engine then
-// runs the attempt locally. Implementations must never return a
-// result for a lease they also re-issued: exactly one attempt outcome
-// per Dispatch call is what keeps the sink free of duplicates.
-type Dispatcher interface {
-	Dispatch(ctx context.Context, job Job) (stats.Sim, bool, error)
-}
 
 // RetryPolicy bounds how a supervised job is retried. The zero value
 // means a single attempt (no retries). Backoff is exponential from
@@ -87,45 +72,20 @@ func (e PanicError) Error() string { return string(e) }
 
 // runSupervised executes one job group under the engine's
 // supervision; every attempt gets panic isolation and the optional
-// per-attempt deadline (Attempt). A single job is offered to Dispatch
-// and retried per the RetryPolicy with deterministic jitter: a nil
-// error means it succeeded, and a non-nil error is always a
-// *errs.JobError carrying the job context and attempt count — except
-// when the parent ctx was cancelled, which is surfaced as-is
-// (cancellation is the sweep ending, not this job failing). A gang
-// gets one attempt and is never dispatched (its lanes need the shared
-// in-process front end): a failed gang falls back to independent
-// jobs, which own the retry policy. w is the executing worker's index
-// (the tracer lane); em is the run's instrument panel (nil when
-// metrics are off).
+// per-attempt deadline (Attempt). A single job is retried per the
+// RetryPolicy with deterministic jitter: a nil error means it
+// succeeded, and a non-nil error is always a *errs.JobError carrying
+// the job context and attempt count — except when the parent ctx was
+// cancelled, which is surfaced as-is (cancellation is the sweep ending,
+// not this job failing). A gang gets one attempt: a failed gang falls
+// back to independent jobs, which own the retry policy. w is the
+// executing worker's index (the tracer lane); em is the run's
+// instrument panel (nil when metrics are off).
 func (e Engine) runSupervised(ctx context.Context, run JobRunner, jobs []Job, w int, em *engineMetrics) ([]stats.Sim, error) {
 	if len(jobs) > 1 {
 		return e.Attempt(ctx, jobs, run)
 	}
 	job := jobs[0]
-	if e.Dispatch != nil {
-		local := run
-		run = func(ctx context.Context, jobs []Job) ([]stats.Sim, error) {
-			st, ok, err := e.Dispatch.Dispatch(ctx, job)
-			if !ok {
-				return local(ctx, jobs)
-			}
-			if em != nil {
-				em.remoteAttempts.Inc()
-				if err != nil {
-					em.remoteFailures.Inc()
-				}
-			}
-			if err != nil {
-				return nil, err
-			}
-			// Remote attempts bypass the in-process lanes; fold their
-			// finals so the sim totals still equal the sums over
-			// emitted results.
-			sim.FoldRemote(e.Metrics, st)
-			return []stats.Sim{st}, nil
-		}
-	}
 	max := e.Retry.Attempts()
 	var lastErr error
 	attempts := 0

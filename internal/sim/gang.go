@@ -396,31 +396,24 @@ func (s *System) batchShared(c *core) {
 	s.st.L2Accesses += l1m
 }
 
-// GangEligible reports whether cfg can run as a lane of a lockstep
-// gang, returning nil or the disqualifying reason: the scheme must be
-// registered gang-safe (see registry.Scheme.GangSafe).
-func GangEligible(cfg Config) error {
-	if !registry.GangSafe(cfg.Scheme) {
-		return fmt.Errorf("sim: gang: scheme kind %q is not registered gang-safe (it may write the VM substrate or stall every core)", cfg.Scheme.Kind)
-	}
-	return nil
-}
-
 // GangKey is the shared-front-end shape of cfg: two configs can run as
-// lanes of the same gang iff their keys are equal (and both are
-// GangEligible). The key covers everything the shared front end
-// depends on — the workload stream identity (name, cores, effective
-// workload seed, scale, intensity), the VM substrate (large pages),
-// the L1/L2/TLB geometry, the per-core instruction budget (which fixes
-// how many events each core consumes), and the prefetch degree (which
-// decides whether the stream records every L1 miss). Everything back-
-// end — Seed, scheme tuning, L3 geometry, DRAM knobs, CPUMHz,
-// IssueWidth, MSHRs, DepStallFrac, WarmupFrac — may vary per lane.
-func GangKey(cfg Config) string {
-	return fmt.Sprintf("%s|c%d|ws%d|sc%g|in%g|lp%t|l1:%d/%d|l2:%d/%d|tlb%d|n%d|pf%d",
-		cfg.Workload, cfg.Cores, cfg.workloadSeed(), cfg.Scale, cfg.Intensity,
+// lanes of the same gang iff both keys are ok and equal. ok=false means
+// the scheme is not registered gang-safe (see registry.Scheme.GangSafe).
+// The key names the scheme kind (a gang stays within one scheme family,
+// so a failed gang's diagnosis stays legible) and covers everything the
+// shared front end depends on — the workload stream identity (name,
+// cores, effective workload seed, scale, intensity), the VM substrate
+// (large pages), the L1/L2/TLB geometry, the per-core instruction
+// budget (which fixes how many events each core consumes), and the
+// prefetch degree (which decides whether the stream records every L1
+// miss). Everything back-end — Seed, scheme tuning within the kind, L3
+// geometry, DRAM knobs, CPUMHz, IssueWidth, MSHRs, DepStallFrac,
+// WarmupFrac — may vary per lane.
+func GangKey(cfg Config) (key string, ok bool) {
+	return fmt.Sprintf("%s|%s|c%d|ws%d|sc%g|in%g|lp%t|l1:%d/%d|l2:%d/%d|tlb%d|n%d|pf%d",
+		cfg.Scheme.Kind, cfg.Workload, cfg.Cores, cfg.workloadSeed(), cfg.Scale, cfg.Intensity,
 		cfg.LargePages, cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways,
-		cfg.TLBEntries, cfg.InstrPerCore, cfg.PrefetchDegree)
+		cfg.TLBEntries, cfg.InstrPerCore, cfg.PrefetchDegree), registry.GangSafe(cfg.Scheme)
 }
 
 // Gang is a set of simulations (lanes) advancing in lockstep over one
@@ -435,10 +428,10 @@ type Gang struct {
 
 // NewGang assembles one lane per config. A single config runs alone
 // over a stream of its own, whatever its scheme — that is how every
-// stand-alone run (Session, the engine's singles) is built. Two or more configs
-// must all be GangEligible, share one GangKey, and name the same
-// scheme kind; a multi-seed gang must therefore set WorkloadSeed so
-// the lanes share a stream (NewGangSeeds does this for you).
+// stand-alone run (Session, the engine's singles) is built. Two or more
+// configs must all have an ok GangKey equal to lane 0's; a multi-seed
+// gang must therefore set WorkloadSeed so the lanes share a stream
+// (NewGangSeeds does this for you).
 func NewGang(cfgs []Config) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one lane config")
@@ -447,19 +440,20 @@ func NewGang(cfgs []Config) (*Gang, error) {
 		if err := cfgs[i].validate(); err != nil {
 			return nil, err
 		}
-		if err := GangEligible(cfgs[i]); err != nil && len(cfgs) > 1 {
-			return nil, fmt.Errorf("lane %d: %w", i, err)
-		}
 	}
-	key, kind := GangKey(cfgs[0]), cfgs[0].Scheme.Kind
-	for i := 1; i < len(cfgs); i++ {
-		if cfgs[i].Scheme.Kind != kind {
-			return nil, fmt.Errorf("sim: gang lanes mix scheme kinds %q and %q", kind, cfgs[i].Scheme.Kind)
-		}
-		if GangKey(cfgs[i]) != key {
-			return nil, fmt.Errorf(
-				"sim: gang lane %d front-end shape %q differs from lane 0 %q (multi-seed gangs must share Config.WorkloadSeed)",
-				i, GangKey(cfgs[i]), key)
+	if len(cfgs) > 1 {
+		key, _ := GangKey(cfgs[0])
+		for i := range cfgs {
+			k, ok := GangKey(cfgs[i])
+			if !ok {
+				return nil, fmt.Errorf("sim: gang lane %d: scheme kind %q is not registered gang-safe (it may write the VM substrate or stall every core)",
+					i, cfgs[i].Scheme.Kind)
+			}
+			if k != key {
+				return nil, fmt.Errorf(
+					"sim: gang lane %d front-end shape %q differs from lane 0 %q (multi-seed gangs must share Config.WorkloadSeed)",
+					i, k, key)
+			}
 		}
 	}
 	gs, err := openStream(cfgs[0])

@@ -8,15 +8,16 @@ import (
 
 	"banshee/internal/obs"
 	"banshee/internal/runner"
+	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
 // Broker is the job-lease exchange between the daemon's engines and
-// attached worker processes. It implements runner.Dispatcher: every
-// singleton job attempt is offered here first; if a worker claims it
-// within the offer window the attempt runs remotely under a TTL'd
-// lease, otherwise the offer is withdrawn and the engine runs the
-// attempt locally. A lease that expires (worker SIGKILL'd, network
+// attached worker processes. It wraps each sweep's JobRunner (runner):
+// every one-job group is offered here first (Dispatch); if a worker
+// claims it within the offer window the attempt runs remotely under a
+// TTL'd lease, otherwise the offer is withdrawn and the job runs on the
+// sweep's own runner. A lease that expires (worker SIGKILL'd, network
 // gone) resolves its Dispatch as declined — the same local fallback —
 // and the dead lease is tombstoned so a late result for it is refused
 // with ErrLeaseGone rather than double-recording the job: exactly one
@@ -128,10 +129,44 @@ func (b *Broker) workersLocked() int {
 	return n
 }
 
-// Dispatch implements runner.Dispatcher. It declines immediately when
-// no worker has polled recently — an unattended daemon must not stall
-// every attempt for the offer window — and otherwise dangles the job
-// until a worker claims it, its lease resolves, or its lease expires.
+// runner wraps local, a sweep's own JobRunner, so every one-job group
+// is offered to attached workers before it runs in-process. A declined
+// offer runs the job on local, and a gang always does: its lanes need
+// the shared in-process front end. An accepted offer's result (or
+// error) is the attempt's outcome, retried, ledgered and counted by the
+// engine exactly like a local one. On reg, the sweep's scoped registry,
+// it counts remote attempts and their failures, and folds a remote
+// success's finals into the sim totals (the attempt bypassed the
+// in-process lanes), so those totals still equal the sums over emitted
+// results.
+func (b *Broker) runner(reg *obs.Registry, local runner.JobRunner) runner.JobRunner {
+	attempts := reg.Counter("banshee_remote_attempts_total", "job attempts executed by attached workers")
+	failures := reg.Counter("banshee_remote_attempt_failures_total", "remote job attempts that returned an error")
+	return func(ctx context.Context, jobs []runner.Job) ([]stats.Sim, error) {
+		if len(jobs) > 1 {
+			return local(ctx, jobs)
+		}
+		st, ok, err := b.Dispatch(ctx, jobs[0])
+		if !ok {
+			return local(ctx, jobs)
+		}
+		attempts.Inc()
+		if err != nil {
+			failures.Inc()
+			return nil, err
+		}
+		sim.FoldRemote(reg, st)
+		return []stats.Sim{st}, nil
+	}
+}
+
+// Dispatch offers one job attempt to the attached workers and blocks
+// until it resolves: ok=true with a nil error is a completed remote
+// attempt, ok=true with an error a failed one, and ok=false a declined
+// offer. It declines immediately when no worker has polled recently —
+// an unattended daemon must not stall every attempt for the offer
+// window — and otherwise dangles the job until a worker claims it, its
+// lease resolves, or its lease expires.
 func (b *Broker) Dispatch(ctx context.Context, job runner.Job) (stats.Sim, bool, error) {
 	b.mu.Lock()
 	if b.workersLocked() == 0 {

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -268,7 +269,7 @@ func (d *Daemon) start(id string, spec Spec, jobs []runner.Job, baseSeed uint64)
 func (d *Daemon) Submit(spec Spec) (Status, error) {
 	jobs, baseSeed, err := spec.Resolve()
 	if err != nil {
-		return Status{}, err
+		return Status{}, specError{err}
 	}
 	id := SweepID(spec.Name, jobs)
 
@@ -278,7 +279,7 @@ func (d *Daemon) Submit(spec Spec) (Status, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return Status{}, fmt.Errorf("sweepd: daemon is shut down")
+		return Status{}, errClosed
 	}
 	if sw, live := d.sweeps[id]; live {
 		st := sw.status()
@@ -428,6 +429,19 @@ func (d *Daemon) Close() error {
 	return nil
 }
 
+// The errors the HTTP layer maps to status codes. It matches them by
+// identity and type only, so no text a client controls (a sweep's
+// name) can change a status.
+var (
+	errNoSweep = errors.New("sweepd: no sweep")            // 404
+	errClosed  = errors.New("sweepd: daemon is shut down") // 503
+)
+
+// specError is a submitted spec that Resolve rejected (400).
+type specError struct{ error }
+
+func (e specError) Unwrap() error { return e.error }
+
 func errUnknownSweep(id string) error {
-	return fmt.Errorf("sweepd: no sweep %s", id)
+	return fmt.Errorf("%w %s", errNoSweep, id)
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"banshee/internal/obs"
@@ -77,16 +76,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // errorCode maps daemon errors to HTTP statuses.
 func errorCode(err error) int {
 	var oe *OverloadError
-	if errors.As(err, &oe) {
-		return http.StatusTooManyRequests
-	}
-	s := err.Error()
+	var se specError
 	switch {
-	case strings.Contains(s, "no sweep"):
+	case errors.As(err, &oe):
+		return http.StatusTooManyRequests
+	case errors.Is(err, errNoSweep):
 		return http.StatusNotFound
-	case strings.Contains(s, "shut down"):
+	case errors.Is(err, errClosed):
 		return http.StatusServiceUnavailable
-	case strings.HasPrefix(s, "sweepd: spec"), strings.Contains(s, "needs a name"):
+	case errors.As(err, &se):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -298,20 +296,9 @@ type LeaseRequest struct {
 // LeaseGrant is a successful lease: run Job and report under Lease
 // before TTLMs elapses (renewing as needed).
 type LeaseGrant struct {
-	Lease string   `json:"lease"`
-	TTLMs int64    `json:"ttl_ms"`
-	Job   leaseJob `json:"job"`
-}
-
-// leaseJob is runner.Job on the wire.
-type leaseJob struct {
-	ID       string          `json:"id"`
-	Matrix   string          `json:"matrix"`
-	Label    string          `json:"label,omitempty"`
-	Workload string          `json:"workload"`
-	Scheme   string          `json:"scheme"`
-	Seed     uint64          `json:"seed"`
-	Config   json.RawMessage `json:"config"`
+	Lease string     `json:"lease"`
+	TTLMs int64      `json:"ttl_ms"`
+	Job   runner.Job `json:"job"`
 }
 
 // LeaseUpdate renews or resolves a lease.
@@ -351,18 +338,7 @@ func (d *Daemon) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	cfg, err := json.Marshal(job.Config)
-	if err != nil {
-		// Undeliverable job: decline it back to local execution.
-		d.broker.Resolve(id, job.ID, stats.Sim{}, fmt.Errorf("sweepd: job config not encodable: %w", err))
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, LeaseGrant{
-		Lease: id, TTLMs: ttl.Milliseconds(),
-		Job: leaseJob{ID: job.ID, Matrix: job.Matrix, Label: job.Label,
-			Workload: job.Workload, Scheme: job.Scheme, Seed: job.Seed, Config: cfg},
-	})
+	writeJSON(w, http.StatusOK, LeaseGrant{Lease: id, TTLMs: ttl.Milliseconds(), Job: job})
 }
 
 func (d *Daemon) handleRenew(w http.ResponseWriter, r *http.Request) {

@@ -114,7 +114,7 @@ func (sw *sweep) setFinal(st Status) {
 // run executes the sweep to a terminal state (or daemon shutdown).
 // It is the body of the sweep's goroutine: acquire a run slot, open
 // the checkpoint sink in resume mode, run the engine with the broker
-// as its dispatcher, and persist the outcome. A daemon shutdown mid-
+// wrapping its runner, and persist the outcome. A daemon shutdown mid-
 // run leaves no done marker, which is exactly what makes the sweep
 // resume on the next daemon start.
 func (d *Daemon) run(sw *sweep) {
@@ -156,18 +156,7 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 
 	opts := sw.spec.Options
 	reg := d.reg.With("sweep", sw.id)
-	eng := runner.Engine{
-		Parallelism: d.opts.Parallelism,
-		Sink:        sink,
-		Retry:       opts.retry(),
-		JobTimeout:  opts.jobTimeout(),
-		KeepGoing:   opts.KeepGoing,
-		FailedOut:   d.store.LedgerPath(sw.id),
-		GangWidth:   opts.GangWidth,
-		Dispatch:    d.broker,
-		Metrics:     reg,
-		Progress:    d.opts.Log,
-	}
+	var onEpoch func(runner.Job, stats.Snapshot)
 	if opts.EpochEvery > 0 {
 		// Epoch capture is a consumer composed onto the default
 		// runner's sim.Gang.Observe, so singles and gang lanes alike
@@ -181,7 +170,19 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 			return nil, err
 		}
 		defer epochs.Close()
-		eng.JobRunner = runner.Observed(reg, opts.EpochEvery, epochs.append)
+		onEpoch = epochs.append
+	}
+	eng := runner.Engine{
+		Parallelism: d.opts.Parallelism,
+		Sink:        sink,
+		Retry:       opts.retry(),
+		JobTimeout:  opts.jobTimeout(),
+		KeepGoing:   opts.KeepGoing,
+		FailedOut:   d.store.LedgerPath(sw.id),
+		GangWidth:   opts.GangWidth,
+		JobRunner:   d.broker.runner(reg, runner.Observed(reg, opts.EpochEvery, onEpoch)),
+		Metrics:     reg,
+		Progress:    d.opts.Log,
 	}
 	return eng.RunJobs(ctx, sw.spec.Name, sw.baseSeed, sw.jobs)
 }

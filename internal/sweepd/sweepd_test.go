@@ -843,3 +843,24 @@ func TestSubmitRejectsRepeatedCoordinate(t *testing.T) {
 		t.Fatalf("repeated workload: status %d %s, want 400 repeats coordinate", resp.StatusCode, msg)
 	}
 }
+
+// TestDaemonBadSpecStatusIgnoresName: a spec with a bad point override
+// is a 400 whatever the sweep is called — even when its name reads like
+// another error's text ("no sweep" was a 404, "shut down" a 503 the
+// client retried).
+func TestDaemonBadSpecStatusIgnoresName(t *testing.T) {
+	d := newDaemon(t, t.TempDir())
+	_, srv := dialTest(t, d)
+	for _, name := range []string{"ok", "no sweep", "shut down"} {
+		body := fmt.Sprintf(`{"name":%q,"workloads":["mcf"],"schemes":["NoCache"],"points":[{"label":"p","set":{"Cores":"two"}}]}`, name)
+		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad override") {
+			t.Errorf("spec %q: status %d %s, want 400 bad override", name, resp.StatusCode, msg)
+		}
+	}
+}

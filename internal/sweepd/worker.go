@@ -2,7 +2,6 @@ package sweepd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"banshee/internal/runner"
-	"banshee/internal/sim"
 	"banshee/internal/stats"
 	"banshee/internal/util"
 )
@@ -117,11 +115,12 @@ func (wk *Worker) pullOne(ctx context.Context, slotName string, wait time.Durati
 	if err != nil || !ok {
 		return err
 	}
-	job, err := grant.Job.decode()
-	if err != nil {
-		// Undecodable job: report the failure so the daemon's Dispatch
-		// resolves instead of waiting out the TTL.
-		wk.report(ctx, grant.Lease, grant.Job.ID, nil, fmt.Errorf("worker: bad job: %w", err))
+	job := grant.Job
+	if want := runner.JobKey(job.Config); job.ID != want {
+		// A config that does not hash to its ID: report the failure so
+		// the daemon's Dispatch resolves instead of waiting out the TTL.
+		err := fmt.Errorf("worker: bad job: job %s config hashes to %s", job.ID, want)
+		wk.report(ctx, grant.Lease, job.ID, nil, err)
 		return err
 	}
 	if wk.Log != nil {
@@ -192,20 +191,6 @@ func (wk *Worker) pullOne(ctx context.Context, slotName string, wait time.Durati
 func isGone(err error) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.Status == http.StatusGone
-}
-
-// decode reconstructs the runner.Job from its wire form.
-func (j leaseJob) decode() (runner.Job, error) {
-	var cfg sim.Config
-	if err := json.Unmarshal(j.Config, &cfg); err != nil {
-		return runner.Job{}, err
-	}
-	job := runner.Job{ID: j.ID, Matrix: j.Matrix, Label: j.Label,
-		Workload: j.Workload, Scheme: j.Scheme, Seed: j.Seed, Config: cfg}
-	if want := runner.JobKey(cfg); job.ID != want {
-		return runner.Job{}, fmt.Errorf("job %s config hashes to %s", job.ID, want)
-	}
-	return job, nil
 }
 
 // lease long-polls for one grant. ok=false means the window closed
