@@ -466,7 +466,6 @@ func RunBatch(ctx context.Context, m Matrix, o BatchOptions) (rs *BatchResult, e
 		GangWidth: o.GangWidth, ProgressEvery: o.ProgressEvery}
 	if o.MetricsAddr != "" {
 		reg := obs.NewRegistry()
-		reg.RegisterRuntime()
 		srv, serr := obs.Serve(o.MetricsAddr, reg)
 		if serr != nil {
 			return nil, serr

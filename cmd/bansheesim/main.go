@@ -47,7 +47,7 @@ import (
 	"syscall"
 	"time"
 
-	"banshee/internal/fault" // also registers the "fault:" chaos workload kind
+	_ "banshee/internal/fault" // registers the "fault:" chaos workload kind
 	"banshee/internal/mem"
 	"banshee/internal/obs"
 	"banshee/internal/registry"
@@ -133,8 +133,6 @@ func run() int {
 	var reg *obs.Registry
 	if *metrics != "" {
 		reg = obs.NewRegistry()
-		reg.RegisterRuntime()
-		fault.Instrument(reg) // chaos workloads: how many failures were synthetic
 		srv, err := obs.Serve(*metrics, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bansheesim:", err)

@@ -66,7 +66,7 @@ import (
 	"time"
 
 	"banshee/internal/exp"
-	"banshee/internal/fault" // also registers the "fault:" chaos workload kind
+	_ "banshee/internal/fault" // registers the "fault:" chaos workload kind
 	"banshee/internal/obs"
 	"banshee/internal/runner"
 )
@@ -148,8 +148,6 @@ func run() (code int) {
 	}
 	if *metrics != "" {
 		reg := obs.NewRegistry()
-		reg.RegisterRuntime()
-		fault.Instrument(reg) // chaos runs: how many failures were synthetic
 		srv, err := obs.Serve(*metrics, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

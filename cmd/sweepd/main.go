@@ -38,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	_ "banshee/internal/fault" // registers the "fault:" chaos workload kind
 	"banshee/internal/obs"
 	"banshee/internal/sweepd"
 )

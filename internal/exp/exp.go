@@ -3,9 +3,9 @@
 // Each runner declares its simulation matrix (workloads × schemes ×
 // config points), hands it to the generic batch engine in
 // internal/runner, and aggregates the returned results into the same
-// metrics the paper plots. The runners are shared by cmd/experiments
-// and the benchmark harness in bench_test.go; with Options.Out set they
-// stream results to JSONL and resume interrupted sweeps.
+// metrics the paper plots. cmd/experiments drives the runners; with
+// Options.Out set they stream results to JSONL and resume interrupted
+// sweeps.
 package exp
 
 import (

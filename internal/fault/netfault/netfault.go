@@ -22,7 +22,8 @@
 //
 // Faults injected here are indistinguishable from organic network
 // trouble to the code under test — that is the point. The audit trail
-// lives in the process-wide tallies (InjectedCount, Instrument), so a
+// lives in the process-wide tallies (InjectedCount, and the
+// banshee_net_faults_injected_total series on obs.Process), so a
 // converged chaos run can prove faults actually fired.
 package netfault
 

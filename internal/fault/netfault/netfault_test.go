@@ -183,8 +183,9 @@ func TestTransportDuplicateSkipsNonReplayable(t *testing.T) {
 	}
 }
 
-// TestInstrument: the tallies surface through an obs registry as
-// banshee_net_faults_injected_total{mode=...}.
+// TestInstrument: the tallies surface through any obs registry's
+// exposition as banshee_net_faults_injected_total{mode=...}, with no
+// wiring call.
 func TestInstrument(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()
@@ -195,7 +196,6 @@ func TestInstrument(t *testing.T) {
 	}
 	resp.Body.Close()
 	r := obs.NewRegistry()
-	Instrument(r)
 	mux := http.NewServeMux()
 	obs.HandleMetrics(mux, r)
 	rec := httptest.NewRecorder()

@@ -2,7 +2,6 @@ package netfault
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"banshee/internal/obs"
 )
@@ -10,12 +9,21 @@ import (
 // injected counts network faults that actually fired, by mode, across
 // every Transport and Proxy in the process — mirrors fault.injected:
 // a chaos run is one experiment, so the audit trail is process-wide.
-var injected [nModes]atomic.Uint64
+// The counters live on obs.Process as
+// banshee_net_faults_injected_total{mode=...}.
+var injected = func() (c [nModes]*obs.Counter) {
+	for m := None + 1; m < nModes; m++ {
+		c[m] = obs.Process.Counter(
+			fmt.Sprintf("banshee_net_faults_injected_total{mode=%q}", m.String()),
+			"injected network faults fired, by mode")
+	}
+	return c
+}()
 
 // record tallies one fired network fault of mode m.
 func record(m Mode) {
 	if m > None && m < nModes {
-		injected[m].Add(1)
+		injected[m].Inc()
 	}
 }
 
@@ -25,7 +33,7 @@ func InjectedCount(m Mode) uint64 {
 	if m <= None || m >= nModes {
 		return 0
 	}
-	return injected[m].Load()
+	return injected[m].Value()
 }
 
 // InjectedTotal returns how many network faults of any mode have
@@ -33,20 +41,7 @@ func InjectedCount(m Mode) uint64 {
 func InjectedTotal() uint64 {
 	var n uint64
 	for m := None + 1; m < nModes; m++ {
-		n += injected[m].Load()
+		n += injected[m].Value()
 	}
 	return n
-}
-
-// Instrument exposes the injection tallies on r as
-// banshee_net_faults_injected_total{mode=...}. Idempotent, like all
-// registry registration.
-func Instrument(r *obs.Registry) {
-	for m := None + 1; m < nModes; m++ {
-		m := m
-		r.CounterFunc(
-			fmt.Sprintf("banshee_net_faults_injected_total{mode=%q}", m.String()),
-			"injected network faults fired, by mode",
-			func() float64 { return float64(injected[m].Load()) })
-	}
 }

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"banshee/internal/obs"
 )
@@ -11,34 +10,30 @@ import (
 // injector in the process — the audit trail that makes a chaos run's
 // metric stream interpretable (how many failures were synthetic).
 // Process-wide on purpose: injectors are created per wrap site, but a
-// chaos run is one experiment.
-var injected [Short + 1]atomic.Uint64
+// chaos run is one experiment. The counters live on obs.Process as
+// banshee_faults_injected_total{mode="panic"|"err"|"stall"|"short"},
+// so every exposition in a binary that links this package shows them.
+var injected = func() (c [Short + 1]*obs.Counter) {
+	for m := Panic; m <= Short; m++ {
+		c[m] = obs.Process.Counter(
+			fmt.Sprintf("banshee_faults_injected_total{mode=%q}", m.String()),
+			"injected faults fired, by mode")
+	}
+	return c
+}()
 
 // recordFault tallies one fired fault of mode m.
 func recordFault(m Mode) {
-	if m >= 0 && int(m) < len(injected) {
-		injected[m].Add(1)
+	if m > None && m <= Short {
+		injected[m].Inc()
 	}
 }
 
 // InjectedCount returns how many faults of mode m have fired in this
 // process.
 func InjectedCount(m Mode) uint64 {
-	if m < 0 || int(m) >= len(injected) {
+	if m <= None || m > Short {
 		return 0
 	}
-	return injected[m].Load()
-}
-
-// Instrument exposes the injection tallies on r as
-// banshee_faults_injected_total{mode="panic"|"err"|"stall"|"short"}.
-// Idempotent, like all registry registration.
-func Instrument(r *obs.Registry) {
-	for _, m := range []Mode{Panic, Err, Stall, Short} {
-		m := m
-		r.CounterFunc(
-			fmt.Sprintf("banshee_faults_injected_total{mode=%q}", m.String()),
-			"injected faults fired, by mode",
-			func() float64 { return float64(injected[m].Load()) })
-	}
+	return injected[m].Value()
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // TestInjectedCounts: each fired fault tallies exactly once under its
-// mode, and Instrument exposes the tallies as labeled counters. The
-// counters are process-global, so assertions are delta-based.
+// mode, and every registry's exposition carries the tallies as labeled
+// counters without any wiring. The counters are process-global, so
+// assertions are delta-based.
 func TestInjectedCounts(t *testing.T) {
 	in := New(Plan{ErrRate: 1})
 	run := in.Runner(func(ctx context.Context, jobs []runner.Job) ([]stats.Sim, error) {
@@ -29,7 +30,6 @@ func TestInjectedCounts(t *testing.T) {
 	}
 
 	r := obs.NewRegistry()
-	Instrument(r)
 	snap := r.Snapshot()
 	if got := uint64(snap[`banshee_faults_injected_total{mode="err"}`]); got != before+1 {
 		t.Errorf(`banshee_faults_injected_total{mode="err"} = %d, want %d`, got, before+1)

@@ -25,7 +25,6 @@ func get(t *testing.T, url string) (int, string) {
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("banshee_jobs_total", "").Add(3)
-	r.RegisterRuntime()
 	s, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)

@@ -7,12 +7,15 @@
 //
 // The design contract, pinned by the repo's zero-alloc and golden-stats
 // gates, is that telemetry is observationally free when disabled: every
-// instrumented layer (runner.Engine, sim sessions, internal/fault)
-// carries a nil registry by default and skips all of this package, so
-// an uninstrumented sweep's statistics, allocations, and checkpoint
-// bytes are exactly what they were before the layer existed. When
-// enabled, metric updates are single atomic operations — safe for the
-// engine's worker pool without extending any lock's critical section.
+// instrumented layer (runner.Engine, sim sessions) carries a nil
+// registry by default and skips all of this package, so an
+// uninstrumented sweep's statistics, allocations, and checkpoint bytes
+// are exactly what they were before the layer existed. When enabled,
+// metric updates are single atomic operations — safe for the engine's
+// worker pool without extending any lock's critical section. The few
+// process-wide series (runtime gauges, fault-injection and retry
+// tallies) live on the Process registry, which every exposition
+// includes.
 //
 // Series names follow Prometheus conventions ("banshee_jobs_total"),
 // optionally with a fixed label set baked into the name
@@ -120,7 +123,6 @@ type metric struct {
 	gauge              *Gauge
 	hist               *Histogram
 	fn                 func() float64
-	fnMonotone         bool // fn-backed series typed counter
 }
 
 // Registry holds named metrics and renders them for exposition.
@@ -145,15 +147,37 @@ type Registry struct {
 
 // regState is the storage every view of one registry shares.
 type regState struct {
-	mu      sync.Mutex
-	byName  map[string]*metric
-	start   time.Time
-	runtime bool
+	mu     sync.Mutex
+	byName map[string]*metric
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{s: &regState{byName: map[string]*metric{}, start: time.Now()}}
+	return &Registry{s: &regState{byName: map[string]*metric{}}}
+}
+
+// Process holds the series that belong to the process rather than to
+// a run: the runtime gauges, and the tallies a package keeps across
+// every run in the binary (fault injections, client retries). A
+// package registers its series here once, in a package var; every
+// registry's exposition then includes them, so no caller wires them.
+var Process = NewRegistry()
+
+// processStart is when the process started, for banshee_uptime_seconds.
+var processStart = time.Now()
+
+func init() {
+	Process.GaugeFunc("banshee_goroutines", "live goroutines", func() float64 {
+		return float64(runtime.NumGoroutine())
+	})
+	Process.GaugeFunc("banshee_heap_alloc_bytes", "live heap bytes (runtime.MemStats.HeapAlloc)", func() float64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	})
+	Process.GaugeFunc("banshee_uptime_seconds", "seconds since the process started", func() float64 {
+		return time.Since(processStart).Seconds()
+	})
 }
 
 // With returns a view of the registry that adds `key="value"` to every
@@ -244,47 +268,21 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.s.mu.Unlock()
 }
 
-// CounterFunc is GaugeFunc for monotone sources: the series is typed
-// counter in the exposition.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	m := r.register(name, help, "counter")
-	r.s.mu.Lock()
-	m.counter, m.fn, m.fnMonotone = nil, fn, true
-	r.s.mu.Unlock()
-}
-
-// RegisterRuntime adds process-level series (goroutines, heap bytes,
-// uptime) useful on any live exposition endpoint. Idempotent.
-func (r *Registry) RegisterRuntime() {
-	r.s.mu.Lock()
-	if r.s.runtime {
-		r.s.mu.Unlock()
-		return
-	}
-	r.s.runtime = true
-	r.s.mu.Unlock()
-	r.GaugeFunc("banshee_goroutines", "live goroutines", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	r.GaugeFunc("banshee_heap_alloc_bytes", "live heap bytes (runtime.MemStats.HeapAlloc)", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	})
-	r.GaugeFunc("banshee_uptime_seconds", "seconds since the registry was created", func() float64 {
-		return time.Since(r.s.start).Seconds()
-	})
-}
-
-// sorted returns the registered series sorted by name, families
-// contiguous.
+// sorted returns the registered series and Process's, sorted by name,
+// families contiguous. A name both hold renders once, from r.
 func (r *Registry) sorted() []*metric {
-	r.s.mu.Lock()
-	out := make([]*metric, 0, len(r.s.byName))
-	for _, m := range r.s.byName {
+	byName := map[string]*metric{}
+	for _, s := range []*regState{Process.s, r.s} {
+		s.mu.Lock()
+		for name, m := range s.byName {
+			byName[name] = m
+		}
+		s.mu.Unlock()
+	}
+	out := make([]*metric, 0, len(byName))
+	for _, m := range byName {
 		out = append(out, m)
 	}
-	r.s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

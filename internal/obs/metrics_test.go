@@ -165,3 +165,39 @@ func TestSnapshot(t *testing.T) {
 		t.Errorf("unexpected snapshot: %v", s)
 	}
 }
+
+// TestProcessSeriesRenderOnce: every registry's exposition includes
+// Process's series unwired, and a name both registries hold renders
+// once, from the local registry — in Process's own exposition too.
+func TestProcessSeriesRenderOnce(t *testing.T) {
+	Process.Counter("obs_test_shared_total", "process").Add(1)
+	r := NewRegistry()
+	r.Counter("obs_test_shared_total", "local").Add(5)
+
+	if s := r.Snapshot(); s["obs_test_shared_total"] != 5 || s["banshee_goroutines"] <= 0 {
+		t.Errorf("snapshot: shared = %g, goroutines = %g; want 5 and > 0",
+			s["obs_test_shared_total"], s["banshee_goroutines"])
+	}
+	for _, reg := range []*Registry{r, Process} {
+		var b bytes.Buffer
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, family := range []string{"obs_test_shared_total", "banshee_uptime_seconds"} {
+			if n := strings.Count(out, "\n"+family+" "); n != 1 {
+				t.Errorf("%s renders %d times, want 1:\n%s", family, n, out)
+			}
+			if n := strings.Count(out, "# TYPE "+family+" "); n != 1 {
+				t.Errorf("%s has %d TYPE headers, want 1", family, n)
+			}
+		}
+	}
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nobs_test_shared_total 5\n") {
+		t.Errorf("local registry's value did not win:\n%s", b.String())
+	}
+}

@@ -78,18 +78,6 @@ func (s Snapshot) Epoch() Epoch {
 // OnEpoch hook accumulates over a run.
 type Series []Snapshot
 
-// Column extracts one derived metric per snapshot window, aligned with
-// the series — convenient for plotting or tabulating a time series:
-//
-//	mpki := series.Column(func(s *Sim) float64 { return s.MPKI() })
-func (sr Series) Column(f func(*Sim) float64) []float64 {
-	out := make([]float64, len(sr))
-	for i := range sr {
-		out[i] = f(&sr[i].Window)
-	}
-	return out
-}
-
 // Sub returns a-b fieldwise over every monotonically accumulating
 // counter — the windowing primitive behind warmup exclusion, Snapshot,
 // and epoch series. Labels (Workload, Scheme) are kept from a.

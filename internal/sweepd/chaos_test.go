@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	berrs "banshee/internal/errs"
 	"banshee/internal/fault/netfault"
+	"banshee/internal/obs"
 	"banshee/internal/runner"
 	"banshee/internal/stats"
 )
@@ -400,6 +402,18 @@ func TestNetChaosConvergence(t *testing.T) {
 	}
 	if NetRetryTotal() == baseRetries {
 		t.Fatal("no call was retried — fault rates too low to matter")
+	}
+	// Any registry exposes the process-wide retry tallies unwired. The
+	// workers still poll, so the scrape is bracketed by two reads.
+	lo := NetRetryTotal()
+	var scraped float64
+	for name, v := range obs.NewRegistry().Snapshot() {
+		if strings.HasPrefix(name, "banshee_net_retries_total{") {
+			scraped += v
+		}
+	}
+	if hi := NetRetryTotal(); scraped < float64(lo) || scraped > float64(hi) {
+		t.Fatalf("banshee_net_retries_total series sum to %g, want NetRetryTotal() in [%d, %d]", scraped, lo, hi)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"banshee/internal/fault/netfault"
 	"banshee/internal/obs"
 	"banshee/internal/runner"
 )
@@ -102,7 +101,6 @@ func New(o Options) (*Daemon, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	reg.RegisterRuntime()
 	if o.MaxActive <= 0 {
 		o.MaxActive = 2
 	}
@@ -132,12 +130,6 @@ func New(o Options) (*Daemon, error) {
 	}
 	reg.GaugeFunc("sweepd_sweeps_queued", "sweeps waiting for a run slot",
 		func() float64 { return float64(d.queuedCount()) })
-	// The client/worker retry and fault-injection tallies are
-	// process-wide; exposing them on the daemon registry makes them
-	// scrapable in in-process chaos tests and in worker-attached
-	// daemons alike.
-	InstrumentNet(reg)
-	netfault.Instrument(reg)
 	if err := d.resume(); err != nil {
 		cancel()
 		return nil, err

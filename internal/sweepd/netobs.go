@@ -2,7 +2,6 @@ package sweepd
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"banshee/internal/obs"
 )
@@ -20,16 +19,16 @@ const (
 	callReport = "report"
 )
 
-var netCalls = []string{callSubmit, callList, callStatus, callCancel,
-	callStream, callLease, callRenew, callReport}
-
 // netRetries counts retried calls by name, process-wide — every
 // Client in the process feeds the same tallies, mirroring the fault
-// package's injection counters: a chaos run is one experiment.
-var netRetries = func() map[string]*atomic.Uint64 {
-	m := make(map[string]*atomic.Uint64, len(netCalls))
-	for _, c := range netCalls {
-		m[c] = &atomic.Uint64{}
+// package's injection counters: a chaos run is one experiment. The
+// counters live on obs.Process as banshee_net_retries_total{call=...}.
+var netRetries = func() map[string]*obs.Counter {
+	m := map[string]*obs.Counter{}
+	for _, c := range []string{callSubmit, callList, callStatus, callCancel,
+		callStream, callLease, callRenew, callReport} {
+		m[c] = obs.Process.Counter(fmt.Sprintf("banshee_net_retries_total{call=%q}", c),
+			"sweepd client calls retried after transient failures, by call")
 	}
 	return m
 }()
@@ -37,7 +36,7 @@ var netRetries = func() map[string]*atomic.Uint64 {
 // recordRetry tallies one retried call.
 func recordRetry(call string) {
 	if c, ok := netRetries[call]; ok {
-		c.Add(1)
+		c.Inc()
 	}
 }
 
@@ -45,20 +44,7 @@ func recordRetry(call string) {
 func NetRetryTotal() uint64 {
 	var n uint64
 	for _, c := range netRetries {
-		n += c.Load()
+		n += c.Value()
 	}
 	return n
-}
-
-// InstrumentNet exposes the retry tallies on r as
-// banshee_net_retries_total{call=...}. Idempotent, like all registry
-// registration.
-func InstrumentNet(r *obs.Registry) {
-	for _, call := range netCalls {
-		c := netRetries[call]
-		r.CounterFunc(
-			fmt.Sprintf("banshee_net_retries_total{call=%q}", call),
-			"sweepd client calls retried after transient failures, by call",
-			func() float64 { return float64(c.Load()) })
-	}
 }

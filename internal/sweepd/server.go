@@ -210,8 +210,12 @@ func (d *Daemon) streamFile(w http.ResponseWriter, r *http.Request, id, path str
 	buf := make([]byte, 64<<10)
 	wrote := false
 	for {
+		// Read the state before draining: execute closes the sink
+		// before finish publishes a terminal state, so a drain that
+		// starts after seeing "terminal" reaches the file's last byte.
+		st, err := d.Status(id)
+		terminal := err != nil || st.Terminal()
 		if f == nil {
-			var err error
 			f, err = os.Open(path)
 			if err != nil && !os.IsNotExist(err) {
 				if !wrote {
@@ -248,31 +252,7 @@ func (d *Daemon) streamFile(w http.ResponseWriter, r *http.Request, id, path str
 		if progressed && flusher != nil {
 			flusher.Flush()
 		}
-		st, err := d.Status(id)
-		terminal := err != nil || st.Terminal()
-		if !follow || (terminal && !progressed) {
-			// Drained: on the terminal path only stop after a pass that
-			// read nothing, so bytes flushed concurrently with the state
-			// transition are never cut off.
-			if terminal && f != nil {
-				// One final read to be safe against the race between the
-				// last Append and the terminal transition.
-				for {
-					n, rerr := f.Read(buf)
-					if n > 0 {
-						if _, werr := w.Write(buf[:n]); werr != nil {
-							return
-						}
-						wrote = true
-					}
-					if rerr != nil {
-						break
-					}
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
+		if !follow || terminal {
 			return
 		}
 		select {
