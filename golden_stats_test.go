@@ -40,9 +40,10 @@ func goldenConfig() banshee.Config {
 	return cfg
 }
 
-// goldenWorkloads covers one name per synthetic-source kind: a SPEC
-// profile, a multi-programmed mix, and a graph kernel. The tracefile
-// kind is covered by TestGoldenReplayIdentity below.
+// goldenWorkloads covers one name per parametric source kind: a SPEC
+// profile, a multi-programmed mix, and a graph-analytics profile. The
+// graph-kernel kind is pinned by goldenKernelWorkloads, the tracefile
+// kind by TestGoldenReplayIdentity below.
 var goldenWorkloads = []string{"mcf", "mix1", "pagerank"}
 
 // goldenPrefetchDegree, goldenPrefetchSchemes and
@@ -56,6 +57,22 @@ const goldenPrefetchDegree = 4
 var (
 	goldenPrefetchSchemes   = []string{"NoCache", "Alloy 1", "Banshee", "TDC"}
 	goldenPrefetchWorkloads = []string{"mcf", "lbm"}
+)
+
+// goldenKernelScale, goldenKernelSchemes and goldenKernelWorkloads pin
+// the graph-kernel tier: every "<name>_kernel" workload walks a
+// synthetic CSR substrate (internal/graph) under a no-cache baseline, a
+// tags-in-DRAM cache and Banshee. The reduced footprint scale keeps
+// each graph a few chunks of vertices, so chunk boundaries and a
+// partial last chunk are on the pinned path. Their keys carry a
+// "| scale S" suffix.
+const goldenKernelScale = 1e-3
+
+var (
+	goldenKernelSchemes   = []string{"NoCache", "Alloy 1", "Banshee"}
+	goldenKernelWorkloads = []string{
+		"pagerank_kernel", "tri_count_kernel", "graph500_kernel", "sgd_kernel", "lsh_kernel",
+	}
 )
 
 // goldenSchemes is the fixed built-in list (not RegisteredSchemes(),
@@ -93,6 +110,17 @@ func TestGoldenStats(t *testing.T) {
 				t.Fatalf("%s × %s × prefetch: %v", scheme, w, err)
 			}
 			got[fmt.Sprintf("%s | %s | prefetch %d", scheme, w, goldenPrefetchDegree)] = res
+		}
+	}
+	for _, scheme := range goldenKernelSchemes {
+		for _, w := range goldenKernelWorkloads {
+			cfg := goldenConfig()
+			cfg.Scale = goldenKernelScale
+			res, err := banshee.Run(cfg, w, scheme)
+			if err != nil {
+				t.Fatalf("%s × %s × scale: %v", scheme, w, err)
+			}
+			got[fmt.Sprintf("%s | %s | scale %g", scheme, w, goldenKernelScale)] = res
 		}
 	}
 	data, err := json.MarshalIndent(got, "", "  ")
