@@ -4,23 +4,24 @@
 // bipartite rating graph, and LSH bucket probing.
 //
 // Unlike the parametric generators in internal/trace (which model a
-// benchmark's *statistics*), these kernels walk real in-memory data
-// structures — a CSR adjacency laid out in a flat address space — and
-// emit the memory reference stream the actual algorithm would produce:
-// sequential index/edge scans interleaved with power-law random vertex
-// accesses. They exist as higher-fidelity alternatives ("<name>_kernel"
+// benchmark's *statistics*), these kernels walk a real graph — a CSR
+// adjacency laid out in a flat address space — and emit the memory
+// reference stream the actual algorithm would produce: sequential
+// index/edge scans interleaved with power-law random vertex accesses.
+// They exist as higher-fidelity alternatives ("<name>_kernel"
 // workloads) to cross-check the parametric calibration; DESIGN.md §5
 // discusses the substitution chain.
 //
 // Graphs are generated deterministically from a seed with a Zipfian
 // degree/popularity skew, the property that makes frequency-based
-// DRAM-cache replacement effective on these workloads.
+// DRAM-cache replacement effective on these workloads. The row
+// pointers are stored; every edge target is recomputed from its
+// chunk's RNG stream when a kernel reads it (DESIGN.md §10).
 package graph
 
 import (
 	"container/list"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -42,16 +43,42 @@ type Ref struct {
 //	[8V, 16V)         second vertex array (next ranks, parents)
 //	[16V, 16V+8(V+1)) row pointers
 //	[...,  +8E)       edge targets
+//
+// Only the row pointers are stored. Each edge target is a pure
+// function of its index: edge e of chunk ci (buildChunk vertices) is
+// draw e − chunkStart[ci] of that chunk's RNG stream, mapped to a
+// vertex. Kernels read targets through an edgeCursor, on which a
+// sequential read costs one draw and a jump one O(1) re-seek.
 type Graph struct {
 	Vertices int
-	rowPtr   []uint32 // index into edges, len V+1
-	edges    []uint32 // target vertex ids
+	rowPtr   []uint32 // index into the edge array, len V+1
+	// chunkStart[ci] is the first edge of build chunk ci (its first
+	// vertex's row pointer); the last entry is the edge count.
+	chunkStart []uint32
+	seed       uint64 // chunk ci's stream is NewRNG(seed ^ (ci+1)·γ)
+	// cells are the Zipf alias cells with both ranks already mapped to
+	// their vertices; nil when targets are uniform.
+	cells []cell
 
 	valuesBase  uint64
 	values2Base uint64
 	rowPtrBase  uint64
 	edgesBase   uint64
 	span        uint64
+}
+
+// cell is one alias-table cell of the target distribution: a draw that
+// lands in the cell yields keep when its fraction is below prob, and
+// alias otherwise (util.ZipfTable.Sample's rule, on vertex ids).
+type cell struct {
+	prob        float64
+	keep, alias uint32
+}
+
+// spread maps a popularity rank to its vertex, scattering the hot
+// ranks over the vertex range.
+func spread(rank int, vertices uint64) uint32 {
+	return uint32((uint64(rank) * 0x9E3779B97F4A7C15) % vertices)
 }
 
 const wordBytes = 8
@@ -72,10 +99,10 @@ type Config struct {
 // only read it — so sharing one instance across runs, cores, and
 // parallel experiment workers is safe. The cache is a bounded LRU:
 // long-running sweeps touch an unbounded stream of configs (scale,
-// seed, and footprint all key differently), and graphs are large, so
-// retention must be capped; within a batch the engine groups jobs by
-// workload, so the working set stays far below the cap and eviction
-// only trims substrates the sweep has moved past.
+// seed, and footprint all key differently), so retention must be
+// capped; within a batch the engine groups jobs by workload, so the
+// working set stays far below the cap and eviction only trims
+// substrates the sweep has moved past.
 //
 // Concurrent first builds of the same config are deduplicated: one
 // caller builds while the rest wait on the entry's ready channel.
@@ -166,9 +193,9 @@ func New(cfg Config) *Graph {
 	return e.g
 }
 
-// buildChunk is the vertex-range granule of parallel edge generation.
-// It is fixed (not derived from GOMAXPROCS) so the generated graph is
-// identical regardless of how many workers fill it.
+// buildChunk is the vertex-range granule of edge generation: each
+// chunk's targets come from their own seed-derived RNG stream. It is
+// fixed, so the edge targets of a given Config never change.
 const buildChunk = 1 << 15
 
 // builds counts substrate constructions since process start; tests use
@@ -187,22 +214,12 @@ func build(cfg Config) *Graph {
 	}
 	builds.Add(1)
 	rng := util.NewRNG(cfg.Seed ^ 0x6AF4)
-	g := &Graph{Vertices: cfg.Vertices}
+	g := &Graph{Vertices: cfg.Vertices, seed: cfg.Seed ^ 0x6AF4}
 	nEdges := cfg.Vertices * cfg.AvgDegree
 
 	// Degree sequence: mild skew on out-degrees, strong skew on targets
 	// (hubs receive many edges) — the R-MAT-like shape of real graphs.
-	support := cfg.Vertices
-	if support > 1<<16 {
-		support = 1 << 16
-	}
-	var table *util.ZipfTable
-	if cfg.Skew > 0 {
-		table = util.TableFor(support, cfg.Skew)
-	}
-
-	// Phase 1 (serial, cheap): draw the degree sequence and lay out the
-	// CSR row pointers.
+	// Draw the out-degrees and lay out the CSR row pointers.
 	g.rowPtr = make([]uint32, cfg.Vertices+1)
 	perVertex := cfg.AvgDegree
 	total := 0
@@ -216,59 +233,113 @@ func build(cfg Config) *Graph {
 	}
 	g.rowPtr[cfg.Vertices] = uint32(total)
 
-	// Phase 2 (parallel): fill each chunk's edge targets from its own
-	// seed-derived RNG stream. Chunks write disjoint slices of the edge
-	// array, and each chunk's stream depends only on (seed, chunk
-	// index), so the result is deterministic for any worker count.
-	g.edges = make([]uint32, total)
 	nChunks := (cfg.Vertices + buildChunk - 1) / buildChunk
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nChunks {
-		workers = nChunks
+	g.chunkStart = make([]uint32, nChunks+1)
+	for ci := range g.chunkStart {
+		g.chunkStart[ci] = g.rowPtr[min(ci*buildChunk, cfg.Vertices)]
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks {
-					return
-				}
-				crng := util.NewRNG(cfg.Seed ^ 0x6AF4 ^ (uint64(ci)+1)*0x9E3779B97F4A7C15)
-				lo, hi := ci*buildChunk, (ci+1)*buildChunk
-				if hi > cfg.Vertices {
-					hi = cfg.Vertices
-				}
-				for e := g.rowPtr[lo]; e < g.rowPtr[hi]; e++ {
-					var tgt uint64
-					if table != nil {
-						// Spread hot ranks over the vertex range.
-						rank := uint64(table.Sample(crng))
-						tgt = (rank * 0x9E3779B97F4A7C15) % uint64(cfg.Vertices)
-					} else {
-						tgt = crng.Uint64n(uint64(cfg.Vertices))
-					}
-					g.edges[e] = uint32(tgt)
-				}
-			}
-		}()
+
+	// Target popularity: Zipf over the first min(V, 2^16) ranks, each
+	// rank spread to its vertex once here rather than on every read.
+	if cfg.Skew > 0 {
+		table := util.TableFor(min(cfg.Vertices, 1<<16), cfg.Skew)
+		g.cells = make([]cell, table.N())
+		for i := range g.cells {
+			prob, alias := table.Cell(i)
+			g.cells[i] = cell{prob: prob, keep: spread(i, uint64(cfg.Vertices)), alias: spread(alias, uint64(cfg.Vertices))}
+		}
 	}
-	wg.Wait()
 
 	v := uint64(cfg.Vertices)
 	g.valuesBase = 0
 	g.values2Base = v * wordBytes
 	g.rowPtrBase = 2 * v * wordBytes
 	g.edgesBase = g.rowPtrBase + (v+1)*wordBytes
-	g.span = g.edgesBase + uint64(len(g.edges))*wordBytes
+	g.span = g.edgesBase + uint64(total)*wordBytes
 	return g
 }
 
+// target draws the next edge target from a chunk stream: a Zipf rank
+// through the fused alias cells (util.ZipfTable.Sample's arithmetic,
+// one draw), or a uniform vertex without skew.
+func (g *Graph) target(r *util.RNG) uint32 {
+	if g.cells == nil {
+		return uint32(r.Uint64n(uint64(g.Vertices)))
+	}
+	n := len(g.cells)
+	u := r.Float64() * float64(n)
+	i := int(u)
+	if i >= n { // guard u == ~1.0 after rounding
+		i = n - 1
+	}
+	c := &g.cells[i]
+	if u-float64(i) < c.prob {
+		return c.keep
+	}
+	return c.alias
+}
+
+// cursorBatch is how many targets a cursor draws at once. Each
+// target loads one random alias cell; drawing a batch in one loop keeps
+// those loads independent, so their cache misses overlap.
+const cursorBatch = 8
+
+// edgeCursor reads edge targets for one kernel thread. It holds the
+// targets of a short run of edges, drawn together; reading past the run
+// draws the next one from the same chunk stream. Any other index (or a
+// chunk boundary) re-seeks first: a binary search over chunkStart, then
+// a fresh chunk stream skipped forward in O(1). The zero cursor of a
+// graph seeks on its first read.
+type edgeCursor struct {
+	g      *Graph
+	lo, hi uint32   // buf holds the targets of edges [lo, hi)
+	end    uint32   // first edge past the stream's chunk
+	rng    util.RNG // its next draw yields edge hi
+	buf    [cursorBatch]uint32
+}
+
+// at returns the target of edge e.
+func (c *edgeCursor) at(e uint32) uint32 {
+	if e-c.lo >= c.hi-c.lo { // e outside [lo, hi)
+		c.fill(e)
+	}
+	return c.buf[e-c.lo]
+}
+
+// fill draws the targets of the run of edges starting at e, re-seeking
+// unless e is where the stream already stands.
+func (c *edgeCursor) fill(e uint32) {
+	if e != c.hi || e >= c.end {
+		c.seek(e)
+	}
+	n := min(c.end-e, cursorBatch)
+	for i := range n {
+		c.buf[i] = c.g.target(&c.rng)
+	}
+	c.lo, c.hi = e, e+n
+}
+
+// seek positions the stream so its next draw yields edge e.
+func (c *edgeCursor) seek(e uint32) {
+	g := c.g
+	// The chunk holding e is the first whose end lies past e (empty
+	// chunks end where they start, so they are skipped).
+	lo, hi := 0, len(g.chunkStart)-2
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.chunkStart[mid+1] > e {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	c.rng = *util.NewRNG(g.seed ^ (uint64(lo)+1)*0x9E3779B97F4A7C15)
+	c.rng.Skip(uint64(e - g.chunkStart[lo]))
+	c.end = g.chunkStart[lo+1]
+}
+
 // Edges returns the edge count.
-func (g *Graph) Edges() int { return len(g.edges) }
+func (g *Graph) Edges() int { return int(g.rowPtr[g.Vertices]) }
 
 // FootprintBytes returns the flat layout's span.
 func (g *Graph) FootprintBytes() uint64 { return g.span }
@@ -278,9 +349,14 @@ func (g *Graph) Degree(v int) int {
 	return int(g.rowPtr[v+1] - g.rowPtr[v])
 }
 
-// Neighbors returns v's adjacency slice (shared storage; do not mutate).
+// Neighbors returns a fresh copy of v's adjacency list.
 func (g *Graph) Neighbors(v int) []uint32 {
-	return g.edges[g.rowPtr[v]:g.rowPtr[v+1]]
+	c := edgeCursor{g: g}
+	out := make([]uint32, 0, g.Degree(v))
+	for e := g.rowPtr[v]; e < g.rowPtr[v+1]; e++ {
+		out = append(out, c.at(e))
+	}
+	return out
 }
 
 // Address helpers used by the kernels.

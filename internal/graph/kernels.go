@@ -34,6 +34,7 @@ func threadRange(vertices, thread, threads int) (lo, hi int) {
 // the Zipf-skewed traffic FBR exploits), then write the new rank.
 type PageRank struct {
 	g        *Graph
+	edges    edgeCursor
 	lo, hi   int
 	v        int
 	e        uint32
@@ -45,7 +46,7 @@ type PageRank struct {
 // NewPageRank builds thread `thread` of `threads`.
 func NewPageRank(g *Graph, thread, threads int) *PageRank {
 	lo, hi := threadRange(g.Vertices, thread, threads)
-	return &PageRank{g: g, lo: lo, hi: hi, v: lo, gapShort: 6}
+	return &PageRank{g: g, edges: edgeCursor{g: g}, lo: lo, hi: hi, v: lo, gapShort: 6}
 }
 
 // Name implements Kernel.
@@ -72,7 +73,7 @@ func (k *PageRank) Next() Ref {
 			k.state = 2
 			return Ref{Gap: 2, Addr: g.edgeAddr(k.e)}
 		case 2: // gather rank[target]
-			tgt := g.edges[k.e]
+			tgt := k.edges.at(k.e)
 			k.e++
 			k.state = 1
 			return Ref{Gap: 4, Addr: g.valueAddr(tgt)}
@@ -91,6 +92,7 @@ func (k *PageRank) Next() Ref {
 // exhausts, it restarts from a different root.
 type BFS struct {
 	g        *Graph
+	edges    edgeCursor
 	rng      *util.RNG
 	frontier []uint32
 	next     []uint32
@@ -98,6 +100,7 @@ type BFS struct {
 	fi       int
 	e        uint32
 	eEnd     uint32
+	tgt      uint32 // the edge target case 2 read, for case 3
 	state    int
 	restarts int
 }
@@ -106,13 +109,17 @@ type BFS struct {
 // roots (a simplification of frontier partitioning that preserves the
 // traffic pattern).
 func NewBFS(g *Graph, thread, threads int, seed uint64) *BFS {
-	b := &BFS{g: g, rng: util.NewRNG(seed ^ uint64(thread)<<32 ^ 0xBF5)}
+	b := &BFS{g: g, edges: edgeCursor{g: g}, rng: util.NewRNG(seed ^ uint64(thread)<<32 ^ 0xBF5)}
 	b.reset()
 	return b
 }
 
 func (b *BFS) reset() {
-	b.visited = make([]bool, b.g.Vertices)
+	if b.visited == nil {
+		b.visited = make([]bool, b.g.Vertices)
+	} else {
+		clear(b.visited)
+	}
 	root := uint32(b.rng.Uint64n(uint64(b.g.Vertices)))
 	b.frontier = b.frontier[:0]
 	b.frontier = append(b.frontier, root)
@@ -153,8 +160,9 @@ func (b *BFS) Next() Ref {
 			b.state = 2
 			return Ref{Gap: 1, Addr: g.edgeAddr(b.e)}
 		case 2: // check visited flag (random access)
-			tgt := g.edges[b.e]
+			tgt := b.edges.at(b.e)
 			b.e++
+			b.tgt = tgt
 			if !b.visited[tgt] {
 				b.visited[tgt] = true
 				b.next = append(b.next, tgt)
@@ -165,7 +173,7 @@ func (b *BFS) Next() Ref {
 			return Ref{Gap: 2, Addr: g.valueAddr(tgt)}
 		case 3: // write parent of newly discovered vertex
 			b.state = 1
-			return Ref{Gap: 2, Addr: g.value2Addr(g.edges[b.e-1]), Write: true}
+			return Ref{Gap: 2, Addr: g.value2Addr(b.tgt), Write: true}
 		}
 	}
 }
@@ -175,6 +183,7 @@ func (b *BFS) Next() Ref {
 // (sequential reads of two edge ranges).
 type TriCount struct {
 	g      *Graph
+	edges  edgeCursor
 	lo, hi int
 	v      int
 	e      uint32
@@ -187,7 +196,7 @@ type TriCount struct {
 // NewTriCount builds thread `thread` of `threads`.
 func NewTriCount(g *Graph, thread, threads int) *TriCount {
 	lo, hi := threadRange(g.Vertices, thread, threads)
-	return &TriCount{g: g, lo: lo, hi: hi, v: lo}
+	return &TriCount{g: g, edges: edgeCursor{g: g}, lo: lo, hi: hi, v: lo}
 }
 
 // Name implements Kernel.
@@ -212,7 +221,7 @@ func (k *TriCount) Next() Ref {
 				k.state = 0
 				continue
 			}
-			u := g.edges[k.e]
+			u := k.edges.at(k.e)
 			k.f = g.rowPtr[u]
 			k.fEnd = g.rowPtr[u+1]
 			k.e++
@@ -235,6 +244,7 @@ func (k *TriCount) Next() Ref {
 // moderate skew).
 type SGD struct {
 	g     *Graph
+	edges edgeCursor
 	lo    uint32
 	hi    uint32
 	e     uint32
@@ -249,13 +259,13 @@ const vecLen = 8
 
 // NewSGD builds thread `thread`'s shard of the rating list.
 func NewSGD(g *Graph, thread, threads int) *SGD {
-	per := uint32(len(g.edges) / threads)
+	per := uint32(g.Edges() / threads)
 	lo := uint32(thread) * per
 	hi := lo + per
 	if thread == threads-1 {
-		hi = uint32(len(g.edges))
+		hi = uint32(g.Edges())
 	}
-	return &SGD{g: g, lo: lo, hi: hi, e: lo}
+	return &SGD{g: g, edges: edgeCursor{g: g}, lo: lo, hi: hi, e: lo}
 }
 
 // Name implements Kernel.
@@ -270,7 +280,7 @@ func (k *SGD) Next() Ref {
 			if k.e >= k.hi {
 				k.e = k.lo
 			}
-			k.cur = g.edges[k.e]
+			k.cur = k.edges.at(k.e)
 			k.e++
 			k.vecEl = 0
 			k.state = 1

@@ -126,6 +126,14 @@ func (t *ZipfTable) Prob(k int) float64 {
 	return t.pmf[k]
 }
 
+// Cell returns alias-table cell i, 0 ≤ i < N(): Sample keeps rank i
+// when the fractional part of its scaled draw is below prob and
+// returns rank alias otherwise. Callers that remap ranks can fold the
+// remapping into a copy of the cells and sample from that copy.
+func (t *ZipfTable) Cell(i int) (prob float64, alias int) {
+	return t.prob[i], int(t.alias[i])
+}
+
 // Sample draws one rank from the table using r's stream: one uniform
 // double selects both the table cell (integer part of u·n) and the
 // biased coin (fractional part) — O(1), no search.

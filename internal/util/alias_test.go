@@ -141,3 +141,27 @@ func TestZipfAliasZeroAllocNext(t *testing.T) {
 		t.Fatalf("Zipf.Next allocates %v per op, want 0", avg)
 	}
 }
+
+// TestZipfTableCell rebuilds Sample from the table's cells: a caller
+// that copies the cells must draw exactly the ranks Sample draws.
+func TestZipfTableCell(t *testing.T) {
+	for _, n := range []int{1, 7, 1000} {
+		tbl := TableFor(n, 0.9)
+		a, b := NewRNG(3), NewRNG(3)
+		for i := 0; i < 20000; i++ {
+			u := b.Float64() * float64(n)
+			c := int(u)
+			if c >= n {
+				c = n - 1
+			}
+			prob, alias := tbl.Cell(c)
+			want := alias
+			if u-float64(c) < prob {
+				want = c
+			}
+			if got := tbl.Sample(a); got != want {
+				t.Fatalf("n=%d draw %d: Sample %d, cells %d", n, i, got, want)
+			}
+		}
+	}
+}

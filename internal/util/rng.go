@@ -13,6 +13,10 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is SplitMix64's state increment (2^64 divided by the golden
+// ratio, made odd).
+const gamma = 0x9E3779B97F4A7C15
+
 // NewRNG returns a generator whose stream is determined entirely by seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{state: seed}
@@ -24,12 +28,17 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// Skip advances the stream by n draws in O(1): a draw adds gamma to
+// the state before mixing it, so n draws add n·gamma. After Skip(n) the
+// next draw equals the (n+1)-th draw the stream would have made.
+func (r *RNG) Skip(n uint64) { r.state += n * gamma }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0, matching
 // math/rand semantics.

@@ -175,3 +175,28 @@ func TestRNGUint64nDistribution(t *testing.T) {
 		}
 	}
 }
+
+// TestRNGSkip checks that Skip(n) lands on the stream's (n+1)-th draw,
+// for skips within and far past the compared prefix.
+func TestRNGSkip(t *testing.T) {
+	ref := NewRNG(77)
+	draws := make([]uint64, 1000)
+	for i := range draws {
+		draws[i] = ref.Uint64()
+	}
+	for _, n := range []uint64{0, 1, 2, 37, 999} {
+		r := NewRNG(77)
+		r.Skip(n)
+		if got := r.Uint64(); got != draws[n] {
+			t.Fatalf("Skip(%d): got %#x, want draw %d = %#x", n, got, n, draws[n])
+		}
+	}
+	a, b := NewRNG(5), NewRNG(5)
+	a.Skip(1 << 40)
+	for i := 0; i < 3; i++ {
+		b.Skip(1 << 39)
+		if i == 1 && a.Uint64() != b.Uint64() {
+			t.Fatal("Skip(2^40) differs from two Skip(2^39)")
+		}
+	}
+}
