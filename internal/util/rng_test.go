@@ -193,10 +193,9 @@ func TestRNGSkip(t *testing.T) {
 	}
 	a, b := NewRNG(5), NewRNG(5)
 	a.Skip(1 << 40)
-	for i := 0; i < 3; i++ {
-		b.Skip(1 << 39)
-		if i == 1 && a.Uint64() != b.Uint64() {
-			t.Fatal("Skip(2^40) differs from two Skip(2^39)")
-		}
+	b.Skip(1 << 39)
+	b.Skip(1 << 39)
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Skip(2^40) differs from two Skip(2^39)")
 	}
 }
