@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"banshee/internal/mem"
-	"banshee/internal/vm"
 )
 
 func TestSetDuelingName(t *testing.T) {
@@ -122,35 +121,5 @@ func TestFootprintTouchedTracking(t *testing.T) {
 	}
 	if got := b.md.set(uint64(addr) >> 12).cached[w].touched.Count(); got < 3 {
 		t.Fatalf("touched lines %d, want >= 3", got)
-	}
-}
-
-func TestExtensionsComposeWithVM(t *testing.T) {
-	// Both extensions must keep the lazy-coherence invariant intact.
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Policy = SetDueling },
-		func(c *Config) { c.Footprint = true },
-	} {
-		pt := vm.NewPageTable()
-		tlbs := []*vm.TLB{vm.NewTLB(64)}
-		cfg := DefaultConfig(1 << 20)
-		cfg.TagBufferEntries = 64
-		cfg.Seed = 5
-		mutate(&cfg)
-		b := New(cfg, pt, tlbs, vm.DefaultCostModel(2700))
-		for i := 0; i < 30000; i++ {
-			addr := mem.Addr(uint64(i*2654435761)%1024) << 12
-			page := uint64(addr) >> 12
-			pte := pt.Translate(addr)
-			mapping := pte.Mapping()
-			if m, hit := b.bufferFor(page).Lookup(page); hit {
-				mapping = m
-			}
-			resident, _ := b.Resident(page)
-			if mapping.Cached != resident {
-				t.Fatalf("%s: mapping/metadata divergence at %d", b.Name(), i)
-			}
-			b.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
-		}
 	}
 }
