@@ -32,7 +32,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 
 	var i int
-	check("EndToEnd", 278, func() error {
+	check("EndToEnd", 175, func() error {
 		err := endToEndRun(i)
 		i++
 		return err

@@ -217,12 +217,13 @@ type GangSession = sim.Gang
 // setting the same Seed and WorkloadSeed.
 //
 // A gang of two or more lanes requires a gang-safe scheme — one that
-// never writes the shared VM substrate and never stalls every core at
-// once. Every built-in qualifies except Banshee, which rewrites PTEs,
-// and HMA, whose remap epochs stall all cores; other schemes return an
-// error. A single seed is a stand-alone run of any scheme. Prefetching
-// (PrefetchDegree > 0) is allowed: each lane's prefetcher observes the
-// shared stream's L1 misses against its own clock.
+// never flushes the shared TLBs and never stalls every core at once.
+// Every built-in qualifies except Banshee, whose tag-buffer flush shoots
+// down the TLBs, and HMA, whose remap epochs stall all cores; other
+// schemes return an error. A single seed is a stand-alone run of any
+// scheme. Prefetching (PrefetchDegree > 0) is allowed: each lane's
+// prefetcher observes the shared stream's L1 misses against its own
+// clock.
 func NewGangSession(cfg Config, workload, scheme string, seeds []uint64) (*GangSession, error) {
 	return sim.NewGangSeeds(cfg, workload, scheme, seeds)
 }

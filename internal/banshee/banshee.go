@@ -108,7 +108,6 @@ type Banshee struct {
 	tbs       [numMCs]*TagBuffer
 	rng       *util.RNG
 	missRate  *mc.MissRateTracker
-	pt        *vm.PageTable
 	tlbs      []*vm.TLB
 	cost      vm.CostModel
 	pageShift uint
@@ -132,13 +131,13 @@ type Banshee struct {
 	probes     uint64
 	samples    uint64
 	shootdowns uint64
-	ptesSynced uint64
 }
 
-// New builds a Banshee instance bound to the system's page table and
-// TLBs (the software half of the co-design). It panics on invalid
-// geometry — configuration is an experiment-setup concern.
-func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
+// New builds a Banshee instance bound to the system's TLBs, which its
+// software flush shoots down (the software half of the co-design). It
+// panics on invalid geometry — configuration is an experiment-setup
+// concern.
+func New(cfg Config, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("banshee: ways must be positive, got %d", cfg.Ways))
 	}
@@ -162,7 +161,6 @@ func New(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB, cost vm.CostModel) *Bansh
 		md:       newMetadata(nsets, cfg.Ways, cfg.Ways+1, cfg.CounterBits),
 		rng:      util.NewRNG(cfg.Seed ^ 0xBA45EE),
 		missRate: mc.NewMissRateTracker(),
-		pt:       pt,
 		tlbs:     tlbs,
 		cost:     cost,
 		lines:    lines,
@@ -234,39 +232,34 @@ func (b *Banshee) access(req mem.Request, res *mc.Result) {
 	page := b.pageOf(addr)
 	tb := b.bufferFor(page)
 
-	// Resolve the mapping: tag buffer overrides the request-carried
-	// PTE/TLB bits; dirty evictions may carry nothing and need a probe.
-	mapping, tbHit := tb.Lookup(page)
-	if !tbHit {
-		mapping = req.Mapping
-	}
-	if !mapping.Known {
-		// Tag probe in the DRAM cache's metadata rows (§3.3). Off the
-		// critical path: only evictions lack mappings.
+	// In hardware the mapping comes from the tag buffer, else from the
+	// PTE/TLB bits the request carries. A dirty eviction carries none,
+	// so on a buffer miss it pays a tag probe in the metadata rows
+	// (§3.3), off the critical path. The model reads the way from the
+	// metadata, which those copies always equal (package doc).
+	if !tb.Lookup(page) && req.Eviction {
 		b.probes++
 		res.Ops = append(res.Ops, mem.Op{
 			Target: mem.InPackage, Addr: addr, Bytes: metaBytes, Class: mem.ClassTag,
 		})
-		way := b.md.set(page).findCached(b.md.tagOf(page))
-		mapping = mem.Mapping{Known: true, Cached: way >= 0, Way: uint8(max(way, 0))}
-		// Park the clean mapping in the buffer to spare future probes.
-		tb.InsertClean(page, mapping.Cached, mapping.Way)
+		// Park the page in the buffer to spare future probes.
+		tb.InsertClean(page)
 	}
+	set := b.md.set(page)
+	way := set.findCached(b.md.tagOf(page))
 
 	if req.Eviction {
-		b.handleEviction(addr, page, mapping, res)
+		b.handleEviction(addr, set, way, res)
 		return
 	}
 
 	// Demand access: the mapping tells us where the data is — no tag
 	// access on the read path at all (Table 1: hit 64 B, miss 64 B).
-	hit := mapping.Cached
+	hit := way >= 0
 	b.missRate.Observe(!hit)
 	if hit {
 		if b.cfg.Footprint {
-			if w := b.md.set(page).findCached(b.md.tagOf(page)); w >= 0 {
-				b.md.set(page).cached[w].touched.Set(mem.LineInPage(addr))
-			}
+			set.cached[way].touched.Set(mem.LineInPage(addr))
 		}
 		res.Hit = true
 		res.Ops = append(res.Ops, mem.Op{
@@ -323,13 +316,12 @@ func (b *Banshee) duelPolicy(page uint64, hit bool, res *mc.Result) {
 	}
 }
 
-// handleEviction routes an LLC dirty write-back and marks the page
-// dirty in the (in-controller view of the) metadata.
-func (b *Banshee) handleEviction(addr mem.Addr, page uint64, mapping mem.Mapping, res *mc.Result) {
-	if mapping.Cached {
-		if w := b.md.set(page).findCached(b.md.tagOf(page)); w >= 0 {
-			b.md.set(page).cached[w].dirty = true
-		}
+// handleEviction routes an LLC dirty write-back to the page's way in
+// set (way < 0: not cached) and marks the page dirty in the (in-
+// controller view of the) metadata.
+func (b *Banshee) handleEviction(addr mem.Addr, set *metaSet, way int, res *mc.Result) {
+	if way >= 0 {
+		set.cached[way].dirty = true
 		res.Hit = true
 		res.Ops = append(res.Ops, mem.Op{
 			Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassHitData,
@@ -445,24 +437,24 @@ func (b *Banshee) replace(page uint64, set *metaSet, ci, victim int, res *mc.Res
 		// vacates, keeping its counter so it must out-score the new
 		// resident by the threshold to come back (anti-thrash, §4.2.2).
 		set.cand[ci] = candEntry{tag: v.tag, count: v.count, valid: true}
-		b.noteRemap(victimPage, false, 0, res)
+		b.noteRemap(victimPage, res)
 	} else {
 		set.cand[ci] = candEntry{}
 	}
 	set.cached[victim] = cachedEntry{tag: b.md.tagOf(page), count: incomingCount, valid: true}
-	b.noteRemap(page, true, uint8(victim), res)
+	b.noteRemap(page, res)
 }
 
 // noteRemap records a mapping change in the right tag buffer and, if a
 // buffer crossed its fill threshold, runs the software PTE/TLB
 // synchronization routine (§3.4).
-func (b *Banshee) noteRemap(page uint64, cached bool, way uint8, res *mc.Result) {
+func (b *Banshee) noteRemap(page uint64, res *mc.Result) {
 	tb := b.bufferFor(page)
-	if !tb.InsertRemap(page, cached, way) {
+	if !tb.InsertRemap(page) {
 		// Set exhausted by pinned remaps: flush immediately, then the
 		// insert must succeed.
 		b.flush(res)
-		if !tb.InsertRemap(page, cached, way) {
+		if !tb.InsertRemap(page) {
 			panic("banshee: tag buffer insert failed after flush")
 		}
 		return
@@ -472,24 +464,22 @@ func (b *Banshee) noteRemap(page uint64, cached bool, way uint8, res *mc.Result)
 	}
 }
 
-// flush is the software routine: drain every MC's tag buffer, apply the
-// mappings to each page's PTE (the frame allocator is the identity, so
-// the OS reverse map yields exactly that one, and a Banshee page is a
-// page-table page: the run's page size is Banshee's), and shoot down
-// all TLBs. The caller's cores pay the cost through mc.SWCost.
+// flush is the software routine: drain every MC's tag buffer, update
+// each remapped page's PTE, and shoot down all TLBs. The frame
+// allocator is the identity and a Banshee page is a page-table page
+// (the run's page size is Banshee's), so the routine touches one PTE
+// per drained remap. The model stores no PTE bits, so it charges the
+// cost alone; the caller's cores pay it through mc.SWCost.
 func (b *Banshee) flush(res *mc.Result) {
 	b.flushes++
 	var ptes int
 	for _, tb := range b.tbs {
-		for _, r := range tb.DrainRemaps() {
-			ptes += b.pt.SetCached(r.Page, r.Cached, r.Way)
-		}
+		ptes += tb.DrainRemaps()
 	}
 	for _, t := range b.tlbs {
 		t.Flush()
 	}
 	b.shootdowns++
-	b.ptesSynced += uint64(ptes)
 	res.SW = append(res.SW, mc.SWCost{
 		InitiatorCycles: b.cost.PTEUpdateCycles +
 			uint64(ptes)*perPTETouchCycles +
@@ -499,9 +489,9 @@ func (b *Banshee) flush(res *mc.Result) {
 }
 
 // lruPolicy is the Fig. 7 "Banshee LRU" ablation: page-granularity LRU
-// with replacement on every miss and whole-page fills. Mapping still
-// lives in PTEs/TLBs; LRU state updates cost one metadata read+write
-// per access, like Unison's tag update.
+// with replacement on every miss and whole-page fills. Remaps still go
+// through the tag buffers and the PTE-update flush; LRU state updates
+// cost one metadata read+write per access, like Unison's tag update.
 func (b *Banshee) lruPolicy(page uint64, hit bool, res *mc.Result) {
 	b.lruTick++
 	pageAddr := mem.Addr(page << b.pageShift)
@@ -541,10 +531,10 @@ func (b *Banshee) lruPolicy(page uint64, hit bool, res *mc.Result) {
 				mem.Op{Target: mem.OffPackage, Addr: victimAddr, Bytes: b.cfg.PageBytes, Write: true, Class: mem.ClassReplacement},
 			)
 		}
-		b.noteRemap(victimPage, false, 0, res)
+		b.noteRemap(victimPage, res)
 	}
 	set.cached[victim] = cachedEntry{tag: tag, count: b.lruTick, valid: true}
-	b.noteRemap(page, true, uint8(victim), res)
+	b.noteRemap(page, res)
 }
 
 // FillStats implements mc.Scheme.

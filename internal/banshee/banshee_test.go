@@ -3,14 +3,14 @@ package banshee
 import (
 	"testing"
 
+	"banshee/internal/mc"
 	"banshee/internal/mem"
 	"banshee/internal/stats"
 	"banshee/internal/vm"
 )
 
-// testSystem builds a small Banshee with its VM substrate.
-func testSystem(mutate func(*Config)) (*Banshee, *vm.PageTable, []*vm.TLB) {
-	pt := vm.NewPageTable()
+// testSystem builds a small Banshee with the TLBs it shoots down.
+func testSystem(mutate func(*Config)) (*Banshee, []*vm.TLB) {
 	tlbs := []*vm.TLB{vm.NewTLB(64), vm.NewTLB(64)}
 	cfg := DefaultConfig(1 << 20) // 64 sets × 4 ways × 4 KB
 	cfg.TagBufferEntries = 64
@@ -25,15 +25,13 @@ func testSystem(mutate func(*Config)) (*Banshee, *vm.PageTable, []*vm.TLB) {
 	if cfg.SamplingCoeff >= 0.5 && cfg.CounterBits <= 5 {
 		cfg.CounterBits = 8
 	}
-	b := New(cfg, pt, tlbs, vm.DefaultCostModel(2700))
-	return b, pt, tlbs
+	b := New(cfg, tlbs, vm.DefaultCostModel(2700))
+	return b, tlbs
 }
 
-// touch sends a demand read with the mapping the page table currently
-// holds (simulating a TLB-carried mapping).
-func touch(b *Banshee, pt *vm.PageTable, addr mem.Addr) mcResult {
-	pte := pt.Translate(addr)
-	res := b.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
+// touch sends a demand read.
+func touch(b *Banshee, addr mem.Addr) mcResult {
+	res := b.Access(mem.Request{Addr: addr})
 	return mcResult{res.Hit, res.Ops}
 }
 
@@ -53,7 +51,6 @@ func bytesTo(ops []mem.Op, target mem.Kind, class mem.Class) int {
 }
 
 func TestConfigValidation(t *testing.T) {
-	pt := vm.NewPageTable()
 	cases := []func(*Config){
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.PageBytes = 1024 },
@@ -72,21 +69,21 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("case %d did not panic", i)
 				}
 			}()
-			New(cfg, pt, nil, vm.DefaultCostModel(2700))
+			New(cfg, nil, vm.DefaultCostModel(2700))
 		}()
 	}
 }
 
 func TestNames(t *testing.T) {
-	b, _, _ := testSystem(nil)
+	b, _ := testSystem(nil)
 	if b.Name() != "Banshee" {
 		t.Fatalf("name %q", b.Name())
 	}
-	b2, _, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
+	b2, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
 	if b2.Name() != "Banshee LRU" {
 		t.Fatalf("name %q", b2.Name())
 	}
-	b3, _, _ := testSystem(func(c *Config) { c.Policy = FBRNoSample; c.CounterBits = 8 })
+	b3, _ := testSystem(func(c *Config) { c.Policy = FBRNoSample; c.CounterBits = 8 })
 	if b3.Name() != "Banshee FBR no-sample" {
 		t.Fatalf("name %q", b3.Name())
 	}
@@ -95,8 +92,8 @@ func TestNames(t *testing.T) {
 // Table 1: Banshee hit = 64 B, miss = 64 B + 0 B extra; no tag lookup on
 // the access path.
 func TestAccessPathTraffic(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 0.0001 }) // suppress sampling noise
-	res := touch(b, pt, 0x5000)
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 0.0001 }) // suppress sampling noise
+	res := touch(b, 0x5000)
 	if res.Hit {
 		t.Fatal("cold access hit")
 	}
@@ -110,34 +107,30 @@ func TestAccessPathTraffic(t *testing.T) {
 }
 
 func TestFBRPromotionToCache(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	addr := mem.Addr(0x9000)
 	// Hammer one page: with coeff 1 and cold miss rate 1, every access
 	// samples; the page becomes a candidate, accumulates counts, and is
 	// promoted into a free way.
 	var promoted bool
 	for i := 0; i < 50 && !promoted; i++ {
-		touch(b, pt, addr)
+		touch(b, addr)
 		promoted, _ = b.Resident(uint64(addr) >> 12)
 	}
 	if !promoted {
 		t.Fatal("hot page never promoted into the cache")
 	}
-	// After a PTE sync its mapping reaches the page table...
-	// (replacement inserted a remap entry; force a flush by hammering
-	// more pages in the same MC until threshold).
 	if b.remaps == 0 {
 		t.Fatal("no remap recorded")
 	}
 }
 
 func TestPromotionGeneratesPageMoveTraffic(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	addr := mem.Addr(0x9000)
 	var moveIn, tagW int
 	for i := 0; i < 50; i++ {
-		pte := pt.Translate(addr)
-		res := b.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
+		res := b.Access(mem.Request{Addr: addr})
 		moveIn += bytesTo(res.Ops, mem.InPackage, mem.ClassReplacement)
 		tagW += bytesTo(res.Ops, mem.InPackage, mem.ClassTag)
 		if r, _ := b.Resident(uint64(addr) >> 12); r {
@@ -154,19 +147,24 @@ func TestPromotionGeneratesPageMoveTraffic(t *testing.T) {
 }
 
 func TestHitsAfterPromotion(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	addr := mem.Addr(0x9000)
 	for i := 0; i < 50; i++ {
-		touch(b, pt, addr)
+		touch(b, addr)
 		if r, _ := b.Resident(uint64(addr) >> 12); r {
 			break
 		}
 	}
-	// The tag buffer supplies the fresh mapping even though the PTE is
-	// stale (lazy coherence): the next access must hit.
-	res := touch(b, pt, addr+64)
+	// Until the next flush the hardware's PTE is stale and the remap
+	// pinned in the tag buffer supplies the mapping (lazy coherence):
+	// the next access must hit.
+	page := uint64(addr) >> 12
+	if !b.bufferFor(page).Lookup(page) {
+		t.Fatal("promoted page not in its tag buffer")
+	}
+	res := touch(b, addr+64)
 	if !res.Hit {
-		t.Fatal("access after promotion missed despite tag-buffer mapping")
+		t.Fatal("access after promotion missed")
 	}
 	if got := bytesTo(res.Ops, mem.InPackage, mem.ClassHitData); got != 64 {
 		t.Fatalf("hit moved %d bytes, want 64", got)
@@ -175,9 +173,9 @@ func TestHitsAfterPromotion(t *testing.T) {
 
 func TestSamplingReducesMetadataTraffic(t *testing.T) {
 	run := func(coeff float64) uint64 {
-		b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = coeff })
+		b, _ := testSystem(func(c *Config) { c.SamplingCoeff = coeff })
 		for i := 0; i < 20000; i++ {
-			touch(b, pt, mem.Addr(i%1000)<<12)
+			touch(b, mem.Addr(i%1000)<<12)
 		}
 		return b.samples
 	}
@@ -188,18 +186,18 @@ func TestSamplingReducesMetadataTraffic(t *testing.T) {
 }
 
 func TestAdaptiveSampleRateFollowsMissRate(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 0.5 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 0.5 })
 	// Make one hot page resident, then hammer it: miss rate → 0, so
 	// sampling should nearly stop.
 	addr := mem.Addr(0x4000)
 	// Warm past one full miss-rate window (8192 accesses) so the
 	// tracker observes the all-hit behavior.
 	for i := 0; i < 9000; i++ {
-		touch(b, pt, addr)
+		touch(b, addr)
 	}
 	before := b.samples
 	for i := 0; i < 20000; i++ {
-		touch(b, pt, addr)
+		touch(b, addr)
 	}
 	newSamples := b.samples - before
 	if newSamples > 2000 {
@@ -211,18 +209,18 @@ func TestAntiThrashThreshold(t *testing.T) {
 	// Two pages alternating in a full set must not keep swapping: the
 	// threshold requires a candidate to out-score the coldest resident
 	// by page_lines × coeff / 2.
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	sets := uint64(len(b.md.sets))
 	// Fill all 4 ways of set 0 with hot pages.
 	for w := uint64(0); w < 4; w++ {
 		for i := 0; i < 60; i++ {
-			touch(b, pt, mem.Addr((w*sets)<<12))
+			touch(b, mem.Addr((w*sets)<<12))
 		}
 	}
 	remapsBefore := b.remaps
 	// Two cold pages alternate in the same set.
 	for i := 0; i < 200; i++ {
-		touch(b, pt, mem.Addr(((4+uint64(i%2))*sets)<<12))
+		touch(b, mem.Addr(((4+uint64(i%2))*sets)<<12))
 	}
 	churn := b.remaps - remapsBefore
 	if churn > 4 {
@@ -231,7 +229,7 @@ func TestAntiThrashThreshold(t *testing.T) {
 }
 
 func TestCounterSaturationHalves(t *testing.T) {
-	b, _, _ := testSystem(nil)
+	b, _ := testSystem(nil)
 	set := b.md.set(0)
 	set.cached[0] = cachedEntry{tag: 1, count: 30, valid: true}
 	set.cached[1] = cachedEntry{tag: 2, count: 8, valid: true}
@@ -243,7 +241,7 @@ func TestCounterSaturationHalves(t *testing.T) {
 }
 
 func TestEvictionProbeOnUnknownMapping(t *testing.T) {
-	b, _, _ := testSystem(nil)
+	b, _ := testSystem(nil)
 	// LLC dirty eviction with no mapping: must probe metadata (32 B tag
 	// read) and allocate a clean tag-buffer entry.
 	res := b.Access(mem.Request{Addr: 0x3000, Write: true, Eviction: true})
@@ -261,83 +259,56 @@ func TestEvictionProbeOnUnknownMapping(t *testing.T) {
 }
 
 func TestLazyPTESync(t *testing.T) {
-	b, pt, tlbs := testSystem(func(c *Config) {
+	b, tlbs := testSystem(func(c *Config) {
 		c.SamplingCoeff = 1.0
 		c.TagBufferEntries = 16
 	})
 	// Generate many remaps to overflow the 70% threshold of the tiny
 	// buffer, forcing a flush.
-	var swCharged bool
+	var sw []mc.SWCost
 	for i := 0; i < 3000 && b.flushes == 0; i++ {
-		addr := mem.Addr(uint64(i%300) << 12)
-		pte := pt.Translate(addr)
-		res := b.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
-		if len(res.SW) > 0 {
-			swCharged = true
-		}
+		res := b.Access(mem.Request{Addr: mem.Addr(uint64(i%300) << 12)})
+		sw = append(sw, res.SW...)
 	}
 	if b.flushes == 0 {
 		t.Fatal("tag buffer never flushed")
 	}
-	if !swCharged {
-		t.Fatal("flush did not charge software cost")
+	if len(sw) != 1 {
+		t.Fatalf("flush charged %d software costs, want 1", len(sw))
 	}
-	// The flush must have updated PTEs and shot down every TLB.
+	// The routine's cost is the whole update, one per-PTE touch for each
+	// drained remap, and the shootdown; it drained at least the 70% of
+	// one buffer that triggered it.
+	cost := vm.DefaultCostModel(2700)
+	extra := sw[0].InitiatorCycles - cost.PTEUpdateCycles - cost.ShootdownInitiator
+	if ptes := extra / perPTETouchCycles; extra%perPTETouchCycles != 0 || ptes < 16*7/10 {
+		t.Fatalf("flush charged %d cycles beyond the routine, want a multiple of %d for >= 11 PTEs", extra, perPTETouchCycles)
+	}
+	if sw[0].AllCoresCycles != cost.ShootdownSlave {
+		t.Fatalf("all-core stall %d, want the shootdown's %d", sw[0].AllCoresCycles, cost.ShootdownSlave)
+	}
+	// The flush shot down every TLB and unpinned every remap.
 	for _, tlb := range tlbs {
 		if tlb.Shootdowns == 0 {
 			t.Fatal("TLB not shot down by flush")
 		}
 	}
-	if b.ptesSynced == 0 {
-		t.Fatal("no PTEs were synced")
-	}
-	// Functional agreement: every resident page's PTE or tag buffer
-	// mapping says cached.
-	synced := 0
-	for s := range b.md.sets {
-		for w := range b.md.sets[s].cached {
-			e := b.md.sets[s].cached[w]
-			if !e.valid {
-				continue
-			}
-			page := b.md.pageOf(s, e.tag)
-			m, hit := b.bufferFor(page).Lookup(page)
-			if hit && m.Cached {
-				synced++
-				continue
-			}
-			pte := pt.Translate(mem.Addr(page << 12))
-			if pte.Cached && pte.Way == uint8(w) {
-				synced++
-			}
+	for _, tb := range b.tbs {
+		if tb.RemapFill() >= flushThreshold {
+			t.Fatalf("remap fill %v after the flush", tb.RemapFill())
 		}
-	}
-	if synced == 0 {
-		t.Fatal("no resident page is visible via buffer or PTE")
 	}
 }
 
 func TestMappingAlwaysCurrent(t *testing.T) {
-	// The central correctness invariant of lazy coherence: at any
-	// moment, (tag buffer ∪ PTE snapshot through a fresh TLB) agrees
-	// with the metadata's ground truth for every accessed page.
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	// The metadata is the one record of where a page lives: a demand
+	// access hits exactly when the metadata holds the page, and a hit
+	// reads the data from the page's way.
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	for i := 0; i < 20000; i++ {
 		addr := mem.Addr(uint64(i*2654435761)%2048) << 12
-		page := uint64(addr) >> 12
-		pte := pt.Translate(addr)
-		mapping := pte.Mapping()
-		if m, hit := b.bufferFor(page).Lookup(page); hit {
-			mapping = m
-		}
-		resident, way := b.Resident(page)
-		if mapping.Cached != resident {
-			t.Fatalf("iteration %d: mapping says cached=%v, metadata says %v", i, mapping.Cached, resident)
-		}
-		if resident && int(mapping.Way) != way {
-			t.Fatalf("iteration %d: way mismatch %d vs %d", i, mapping.Way, way)
-		}
-		res := b.Access(mem.Request{Addr: addr, Mapping: pte.Mapping()})
+		resident, _ := b.Resident(uint64(addr) >> 12)
+		res := b.Access(mem.Request{Addr: addr})
 		if res.Hit != resident {
 			t.Fatalf("iteration %d: hit=%v but resident=%v", i, res.Hit, resident)
 		}
@@ -345,23 +316,22 @@ func TestMappingAlwaysCurrent(t *testing.T) {
 }
 
 func TestDirtyVictimWriteback(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1 })
 	sets := uint64(len(b.md.sets))
 	hot1 := mem.Addr(0)
 	hot2 := mem.Addr(sets << 12) // same set
 	// Promote page 1, dirty it.
 	for i := 0; i < 50; i++ {
-		touch(b, pt, hot1)
+		touch(b, hot1)
 	}
 	if r, _ := b.Resident(0); !r {
 		t.Fatal("page 1 not resident")
 	}
-	b.Access(mem.Request{Addr: hot1, Write: true, Eviction: true, Mapping: mem.Mapping{Known: true, Cached: true, Way: 0}})
+	b.Access(mem.Request{Addr: hot1, Write: true, Eviction: true})
 	// Promote page 2 hard enough to evict page 1.
 	var wbOff int
 	for i := 0; i < 400; i++ {
-		pte := pt.Translate(hot2)
-		res := b.Access(mem.Request{Addr: hot2, Mapping: pte.Mapping()})
+		res := b.Access(mem.Request{Addr: hot2})
 		for _, op := range res.Ops {
 			if op.Target == mem.OffPackage && op.Write && op.Class == mem.ClassReplacement {
 				wbOff += op.Bytes
@@ -380,10 +350,9 @@ func TestDirtyVictimWriteback(t *testing.T) {
 }
 
 func TestLargePageGeometry(t *testing.T) {
-	pt := vm.NewPageTable()
 	cfg := LargePageConfig(64 << 20) // 8 sets × 4 ways × 2 MB
 	cfg.Seed = 3
-	b := New(cfg, pt, nil, vm.DefaultCostModel(2700))
+	b := New(cfg, nil, vm.DefaultCostModel(2700))
 	if b.Name() != "Banshee 2M" {
 		t.Fatalf("name %q", b.Name())
 	}
@@ -400,18 +369,15 @@ func TestLargePageGeometry(t *testing.T) {
 }
 
 func TestLargePageReplacementMovesWholePage(t *testing.T) {
-	pt := vm.NewPageTable()
-	pt.DefaultLarge = true
 	cfg := LargePageConfig(64 << 20)
 	cfg.SamplingCoeff = 1.0 // sample every access so the test converges fast
 	cfg.Threshold = 8       // keep the threshold reachable despite coeff=1
 	cfg.CounterBits = 8
-	b := New(cfg, pt, nil, vm.DefaultCostModel(2700))
+	b := New(cfg, nil, vm.DefaultCostModel(2700))
 	addr := mem.Addr(0x40000000)
 	var fill int
 	for i := 0; i < 300; i++ {
-		pte := pt.Translate(addr)
-		res := b.Access(mem.Request{Addr: addr, Size: mem.Page2M, Mapping: pte.Mapping()})
+		res := b.Access(mem.Request{Addr: addr, Size: mem.Page2M})
 		for _, op := range res.Ops {
 			if op.Target == mem.InPackage && op.Write && op.Class == mem.ClassReplacement {
 				fill += op.Bytes
@@ -427,9 +393,9 @@ func TestLargePageReplacementMovesWholePage(t *testing.T) {
 }
 
 func TestLRUPolicyReplacesEveryMiss(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
+	b, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
 	for i := 0; i < 100; i++ {
-		touch(b, pt, mem.Addr(uint64(i)<<12))
+		touch(b, mem.Addr(uint64(i)<<12))
 	}
 	if b.remaps != 100 {
 		t.Fatalf("LRU policy remapped %d of 100 misses", b.remaps)
@@ -437,9 +403,9 @@ func TestLRUPolicyReplacesEveryMiss(t *testing.T) {
 }
 
 func TestFillStats(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	for i := 0; i < 500; i++ {
-		touch(b, pt, mem.Addr(uint64(i%20)<<12))
+		touch(b, mem.Addr(uint64(i%20)<<12))
 	}
 	var s stats.Sim
 	b.FillStats(&s)

@@ -7,18 +7,18 @@ import (
 )
 
 func TestSetDuelingName(t *testing.T) {
-	b, _, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
+	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
 	if b.Name() != "Banshee Duel" {
 		t.Fatalf("name %q", b.Name())
 	}
 }
 
 func TestSetDuelingLeadersVote(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
+	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
 	sets := uint64(len(b.md.sets))
 	// Misses to an FBR-leader set (set 0 mod duelPeriod) push psel up.
 	for i := 0; i < 50; i++ {
-		touch(b, pt, mem.Addr((uint64(i)*sets*uint64(duelPeriod))<<12))
+		touch(b, mem.Addr((uint64(i)*sets*uint64(duelPeriod))<<12))
 	}
 	if b.psel <= 0 {
 		t.Fatalf("psel %d after FBR-leader misses, want positive", b.psel)
@@ -26,7 +26,7 @@ func TestSetDuelingLeadersVote(t *testing.T) {
 	// Misses to an LRU-leader set (set 1 mod duelPeriod) push it down.
 	start := b.psel
 	for i := 0; i < 200; i++ {
-		touch(b, pt, mem.Addr((uint64(i)*sets*uint64(duelPeriod)+1)<<12))
+		touch(b, mem.Addr((uint64(i)*sets*uint64(duelPeriod)+1)<<12))
 	}
 	if b.psel >= start {
 		t.Fatalf("psel %d did not fall after LRU-leader misses (was %d)", b.psel, start)
@@ -37,14 +37,14 @@ func TestSetDuelingFollowersAdaptToStreams(t *testing.T) {
 	// A pure streaming pattern (every page touched once) makes FBR
 	// leaders miss constantly while LRU leaders at least absorb
 	// re-touches; psel must drift positive so followers replace on miss.
-	b, pt, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
+	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
 	// Stream whole pages: 8 line touches per page visit, pages never
 	// revisited. Replace-on-miss leaders convert touches 2..8 into hits;
 	// FBR leaders miss on all of them.
 	for i := 0; i < 6000; i++ {
 		base := mem.Addr(uint64(i) << 12)
 		for l := 0; l < 8; l++ {
-			touch(b, pt, base+mem.Addr(l*64))
+			touch(b, base+mem.Addr(l*64))
 		}
 	}
 	if b.psel <= 0 {
@@ -53,7 +53,7 @@ func TestSetDuelingFollowersAdaptToStreams(t *testing.T) {
 	// Follower misses must now trigger replacements (LRU mode).
 	before := b.remaps
 	for i := 0; i < 1000; i++ {
-		touch(b, pt, mem.Addr(uint64(1<<30+i*4096)))
+		touch(b, mem.Addr(uint64(1<<30+i*4096)))
 	}
 	if b.remaps == before {
 		t.Fatal("followers did not replace on miss despite positive psel")
@@ -61,7 +61,7 @@ func TestSetDuelingFollowersAdaptToStreams(t *testing.T) {
 }
 
 func TestFootprintVariantName(t *testing.T) {
-	b, _, _ := testSystem(func(c *Config) { c.Footprint = true })
+	b, _ := testSystem(func(c *Config) { c.Footprint = true })
 	if b.Name() != "Banshee FP" {
 		t.Fatalf("name %q", b.Name())
 	}
@@ -69,7 +69,7 @@ func TestFootprintVariantName(t *testing.T) {
 
 func TestFootprintReducesReplacementBytes(t *testing.T) {
 	moveBytes := func(fp bool) int {
-		b, pt, _ := testSystem(func(c *Config) {
+		b, _ := testSystem(func(c *Config) {
 			c.SamplingCoeff = 1.0
 			c.Footprint = fp
 		})
@@ -82,8 +82,7 @@ func TestFootprintReducesReplacementBytes(t *testing.T) {
 			page := uint64(round) * sets // all in set 0
 			addr := mem.Addr(page << 12)
 			for i := 0; i < 40; i++ {
-				pte := pt.Translate(addr)
-				res := b.Access(mem.Request{Addr: addr + mem.Addr((i%4)*64), Mapping: pte.Mapping()})
+				res := b.Access(mem.Request{Addr: addr + mem.Addr((i%4)*64)})
 				for _, op := range res.Ops {
 					if op.Class == mem.ClassReplacement && op.Target == mem.InPackage && op.Write {
 						total += op.Bytes
@@ -100,20 +99,20 @@ func TestFootprintReducesReplacementBytes(t *testing.T) {
 }
 
 func TestFootprintTouchedTracking(t *testing.T) {
-	b, pt, _ := testSystem(func(c *Config) {
+	b, _ := testSystem(func(c *Config) {
 		c.SamplingCoeff = 1.0
 		c.Footprint = true
 	})
 	addr := mem.Addr(0x9000)
 	for i := 0; i < 50; i++ {
-		touch(b, pt, addr)
+		touch(b, addr)
 		if r, _ := b.Resident(uint64(addr) >> 12); r {
 			break
 		}
 	}
 	// Hit three distinct lines; the residency's touched set must grow.
 	for l := 0; l < 3; l++ {
-		touch(b, pt, addr+mem.Addr(l*64))
+		touch(b, addr+mem.Addr(l*64))
 	}
 	w := b.md.set(uint64(addr) >> 12).findCached(b.md.tagOf(uint64(addr) >> 12))
 	if w < 0 {

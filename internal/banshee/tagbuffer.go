@@ -1,25 +1,32 @@
 // Package banshee implements the paper's contribution: a page-granularity
-// DRAM cache that tracks contents through PTE/TLB extension bits, keeps
-// recently remapped pages in per-memory-controller Tag Buffers so PTE and
-// TLB updates can be batched lazily (§3), and replaces pages with a
-// sampling-based, bandwidth-aware frequency-based replacement policy
-// (§4, Algorithm 1). Large (2 MB) pages are supported by instantiating
-// the same machinery at large-page granularity (§4.3).
+// DRAM cache whose hardware tracks contents through PTE/TLB extension
+// bits, keeps recently remapped pages in per-memory-controller Tag
+// Buffers so PTE and TLB updates can be batched lazily (§3), and
+// replaces pages with a sampling-based, bandwidth-aware frequency-based
+// replacement policy (§4, Algorithm 1). Large (2 MB) pages are
+// supported by instantiating the same machinery at large-page
+// granularity (§4.3).
+//
+// The hardware needs the PTE bits and the tag buffers' copies of a
+// page's mapping because it cannot read the metadata on the critical
+// path. The model can, so the metadata is its one record of where a
+// page lives. The tag buffers keep what sets the costs the paper
+// measures: their recency and remap pins decide when the software
+// flush runs and which dirty evictions pay a tag probe, and each flush
+// charges the PTE-update routine, one PTE per drained remap, and the
+// TLB shootdown.
 package banshee
 
-import (
-	"fmt"
+import "fmt"
 
-	"banshee/internal/mem"
-)
-
-// Tag-buffer entry state bits (Fig. 2): valid, the remap bit marking
-// mappings not yet written back to the page table, and the cached bit
-// of the buffered mapping.
+// Tag-buffer entry state bits (Fig. 2): valid, and the remap bit
+// marking mappings not yet written back to the page table. The
+// hardware entry also holds the page's cached and way bits; the model
+// reads those from the metadata (Banshee.access), so an entry here is
+// its page number, state and recency.
 const (
 	tbValid uint8 = 1 << iota
 	tbRemap
-	tbCached
 )
 
 // TagBuffer is one memory controller's buffer of recently remapped
@@ -29,22 +36,17 @@ const (
 //
 // Entry state is struct-of-arrays over flat backing storage (slot =
 // set×ways+way): the lookup on every LLC miss scans a contiguous run
-// of page tags, touching the state/way/stamp arrays only on a hit, and
+// of page tags, touching the state/stamp arrays only on a hit, and
 // DrainRemaps's full sweep is one linear pass over the state bytes.
 type TagBuffer struct {
 	pages  []uint64
 	stamps []uint64 // LRU among remap-unset entries
 	state  []uint8
-	ways   []uint8
 	nways  int
 	mask   uint64
 	tick   uint64
 
 	remapCount int // live entries with remap set
-
-	// drained is the scratch slice DrainRemaps refills on each call,
-	// keeping the flush routine allocation-free in steady state.
-	drained []Remapped
 
 	hits, misses uint64
 }
@@ -63,7 +65,6 @@ func NewTagBuffer(entries, ways int) *TagBuffer {
 		pages:  make([]uint64, entries),
 		stamps: make([]uint64, entries),
 		state:  make([]uint8, entries),
-		ways:   make([]uint8, entries),
 		nways:  ways,
 		mask:   uint64(nsets - 1),
 	}
@@ -78,9 +79,10 @@ func (tb *TagBuffer) RemapFill() float64 {
 	return float64(tb.remapCount) / float64(tb.Capacity())
 }
 
-// Lookup returns the buffered mapping for page, if present. A hit
-// overrides whatever mapping the request carried from the TLB (§3.2).
-func (tb *TagBuffer) Lookup(page uint64) (mem.Mapping, bool) {
+// Lookup reports whether the buffer holds page, refreshing its recency
+// on a hit. In hardware a hit overrides the mapping the request carried
+// from the TLB (§3.2).
+func (tb *TagBuffer) Lookup(page uint64) bool {
 	tb.tick++
 	base := int(page&tb.mask) * tb.nways
 	pages := tb.pages[base : base+tb.nways]
@@ -90,29 +92,29 @@ func (tb *TagBuffer) Lookup(page uint64) (mem.Mapping, bool) {
 			s := base + i
 			tb.stamps[s] = tb.tick
 			tb.hits++
-			return mem.Mapping{Known: true, Cached: state[i]&tbCached != 0, Way: tb.ways[s]}, true
+			return true
 		}
 	}
 	tb.misses++
-	return mem.Mapping{}, false
+	return false
 }
 
-// InsertRemap records a just-remapped page's new mapping. It returns
-// false if the set has no insertable slot (every way pinned by remap) —
-// the caller must flush and retry. The paper's flush-at-70% policy makes
-// this rare but the case must be handled for correctness.
-func (tb *TagBuffer) InsertRemap(page uint64, cached bool, way uint8) bool {
-	return tb.insert(page, cached, way, true)
+// InsertRemap records a just-remapped page. It returns false if the set
+// has no insertable slot (every way pinned by remap) — the caller must
+// flush and retry. The paper's flush-at-70% policy makes this rare but
+// the case must be handled for correctness.
+func (tb *TagBuffer) InsertRemap(page uint64) bool {
+	return tb.insert(page, true)
 }
 
-// InsertClean caches a PTE-consistent mapping (remap unset) to spare
-// future dirty-eviction tag probes (§3.3). Clean entries are evictable;
-// insertion failure is acceptable and ignored by callers.
-func (tb *TagBuffer) InsertClean(page uint64, cached bool, way uint8) bool {
-	return tb.insert(page, cached, way, false)
+// InsertClean records a page whose PTE is current (remap unset), to
+// spare future dirty-eviction tag probes (§3.3). Clean entries are
+// evictable; insertion failure is acceptable and ignored by callers.
+func (tb *TagBuffer) InsertClean(page uint64) bool {
+	return tb.insert(page, false)
 }
 
-func (tb *TagBuffer) insert(page uint64, cached bool, way uint8, remap bool) bool {
+func (tb *TagBuffer) insert(page uint64, remap bool) bool {
 	tb.tick++
 	base := int(page&tb.mask) * tb.nways
 	// Update in place if present.
@@ -120,16 +122,8 @@ func (tb *TagBuffer) insert(page uint64, cached bool, way uint8, remap bool) boo
 		if tb.state[s]&tbValid != 0 && tb.pages[s] == page {
 			if remap && tb.state[s]&tbRemap == 0 {
 				tb.remapCount++
+				tb.state[s] |= tbRemap
 			}
-			st := tb.state[s] &^ tbCached
-			if cached {
-				st |= tbCached
-			}
-			if remap {
-				st |= tbRemap
-			}
-			tb.state[s] = st
-			tb.ways[s] = way
 			tb.stamps[s] = tb.tick
 			return true
 		}
@@ -157,43 +151,28 @@ func (tb *TagBuffer) insert(page uint64, cached bool, way uint8, remap bool) boo
 		return false // all ways pinned by remaps: caller must flush
 	}
 	st := tbValid
-	if cached {
-		st |= tbCached
-	}
 	if remap {
 		st |= tbRemap
 		tb.remapCount++
 	}
 	tb.pages[victim] = page
 	tb.state[victim] = st
-	tb.ways[victim] = way
 	tb.stamps[victim] = tb.tick
 	return true
 }
 
-// Remapped returns every entry whose remap bit is set; the software
-// flush routine applies these to the page table.
-type Remapped struct {
-	Page   uint64
-	Cached bool
-	Way    uint8
-}
-
-// DrainRemaps returns all remapped entries and clears their remap bits.
-// Entries stay valid (and evictable) to keep serving dirty-eviction
-// lookups (§3.4). The returned slice is reused by the next drain; the
-// caller must consume it before draining again.
-func (tb *TagBuffer) DrainRemaps() []Remapped {
-	out := tb.drained[:0]
+// DrainRemaps clears every remap bit and returns how many were set:
+// the number of PTEs the software flush routine updates. Entries stay
+// valid (and evictable) to keep serving dirty-eviction lookups (§3.4).
+func (tb *TagBuffer) DrainRemaps() int {
+	n := tb.remapCount
 	for s, st := range tb.state {
 		if st&(tbValid|tbRemap) == tbValid|tbRemap {
-			out = append(out, Remapped{Page: tb.pages[s], Cached: st&tbCached != 0, Way: tb.ways[s]})
 			tb.state[s] = st &^ tbRemap
 		}
 	}
 	tb.remapCount = 0
-	tb.drained = out
-	return out
+	return n
 }
 
 // Stats returns hit/miss counters (diagnostic).

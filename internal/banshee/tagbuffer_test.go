@@ -24,13 +24,12 @@ func TestTagBufferGeometry(t *testing.T) {
 
 func TestLookupMissThenHit(t *testing.T) {
 	tb := NewTagBuffer(64, 8)
-	if _, hit := tb.Lookup(42); hit {
+	if tb.Lookup(42) {
 		t.Fatal("empty buffer hit")
 	}
-	tb.InsertRemap(42, true, 3)
-	m, hit := tb.Lookup(42)
-	if !hit || !m.Known || !m.Cached || m.Way != 3 {
-		t.Fatalf("lookup after insert = %+v hit=%v", m, hit)
+	tb.InsertRemap(42)
+	if !tb.Lookup(42) {
+		t.Fatal("lookup after insert missed")
 	}
 }
 
@@ -40,13 +39,13 @@ func TestRemapFillTracking(t *testing.T) {
 		t.Fatal("fresh buffer not empty")
 	}
 	for i := uint64(0); i < 32; i++ {
-		tb.InsertRemap(i, true, 0)
+		tb.InsertRemap(i)
 	}
 	if got := tb.RemapFill(); got != 0.5 {
 		t.Fatalf("remap fill %v, want 0.5", got)
 	}
 	// Clean inserts must not count toward the flush threshold.
-	tb.InsertClean(1000, false, 0)
+	tb.InsertClean(1000)
 	if got := tb.RemapFill(); got != 0.5 {
 		t.Fatalf("clean insert changed remap fill to %v", got)
 	}
@@ -54,10 +53,9 @@ func TestRemapFillTracking(t *testing.T) {
 
 func TestUpdateInPlace(t *testing.T) {
 	tb := NewTagBuffer(64, 8)
-	tb.InsertRemap(7, true, 1)
-	tb.InsertRemap(7, false, 0) // page evicted again
-	m, hit := tb.Lookup(7)
-	if !hit || m.Cached {
+	tb.InsertRemap(7)
+	tb.InsertRemap(7) // page evicted again
+	if !tb.Lookup(7) {
 		t.Fatal("in-place update lost")
 	}
 	if tb.RemapFill() != 1.0/64 {
@@ -67,11 +65,11 @@ func TestUpdateInPlace(t *testing.T) {
 
 func TestCleanUpgradeToRemap(t *testing.T) {
 	tb := NewTagBuffer(64, 8)
-	tb.InsertClean(9, true, 2)
+	tb.InsertClean(9)
 	if tb.RemapFill() != 0 {
 		t.Fatal("clean entry counted as remap")
 	}
-	tb.InsertRemap(9, false, 0)
+	tb.InsertRemap(9)
 	if tb.RemapFill() != 1.0/64 {
 		t.Fatal("upgrade to remap not counted")
 	}
@@ -79,19 +77,19 @@ func TestCleanUpgradeToRemap(t *testing.T) {
 
 func TestRemapEntriesPinned(t *testing.T) {
 	// A set full of remap entries must reject new inserts rather than
-	// evict un-flushed mappings (correctness: those mappings exist
-	// nowhere else).
+	// evict un-flushed remaps (in hardware those mappings exist nowhere
+	// else until the flush writes them to the PTEs).
 	tb := NewTagBuffer(16, 2)                      // 8 sets, 2 ways
 	set0 := func(i uint64) uint64 { return i * 8 } // all map to set 0
-	if !tb.InsertRemap(set0(1), true, 0) || !tb.InsertRemap(set0(2), true, 1) {
+	if !tb.InsertRemap(set0(1)) || !tb.InsertRemap(set0(2)) {
 		t.Fatal("initial inserts failed")
 	}
-	if tb.InsertRemap(set0(3), true, 2) {
+	if tb.InsertRemap(set0(3)) {
 		t.Fatal("insert into remap-pinned set succeeded")
 	}
 	// Clean entries are evictable: after draining, inserts work again.
 	tb.DrainRemaps()
-	if !tb.InsertRemap(set0(3), true, 2) {
+	if !tb.InsertRemap(set0(3)) {
 		t.Fatal("insert after drain failed")
 	}
 }
@@ -99,82 +97,69 @@ func TestRemapEntriesPinned(t *testing.T) {
 func TestCleanEntriesEvictableLRU(t *testing.T) {
 	tb := NewTagBuffer(16, 2) // 8 sets, 2 ways
 	set0 := func(i uint64) uint64 { return i * 8 }
-	tb.InsertClean(set0(1), true, 0)
-	tb.InsertClean(set0(2), true, 1)
+	tb.InsertClean(set0(1))
+	tb.InsertClean(set0(2))
 	tb.Lookup(set0(1)) // refresh 1
-	tb.InsertClean(set0(3), false, 0)
-	if _, hit := tb.Lookup(set0(2)); hit {
+	tb.InsertClean(set0(3))
+	if tb.Lookup(set0(2)) {
 		t.Fatal("LRU clean entry survived")
 	}
-	if _, hit := tb.Lookup(set0(1)); !hit {
+	if !tb.Lookup(set0(1)) {
 		t.Fatal("MRU clean entry evicted")
 	}
 }
 
 func TestDrainRemaps(t *testing.T) {
 	tb := NewTagBuffer(64, 8)
-	tb.InsertRemap(1, true, 0)
-	tb.InsertRemap(2, false, 0)
-	tb.InsertClean(3, true, 1)
-	rs := tb.DrainRemaps()
-	if len(rs) != 2 {
-		t.Fatalf("drained %d entries, want 2", len(rs))
+	tb.InsertRemap(1)
+	tb.InsertRemap(2)
+	tb.InsertClean(3)
+	if n := tb.DrainRemaps(); n != 2 {
+		t.Fatalf("drained %d entries, want 2", n)
 	}
 	if tb.RemapFill() != 0 {
 		t.Fatal("remap count not cleared")
 	}
 	// Entries stay valid for lookups (they keep absorbing dirty-eviction
 	// probes, §3.4).
-	if _, hit := tb.Lookup(1); !hit {
+	if !tb.Lookup(1) {
 		t.Fatal("drained entry no longer valid")
 	}
 	// Second drain is empty.
-	if len(tb.DrainRemaps()) != 0 {
+	if tb.DrainRemaps() != 0 {
 		t.Fatal("double drain returned entries")
 	}
 }
 
 func TestBufferMappingConsistencyProperty(t *testing.T) {
-	// Property: after any sequence of inserts, looking up a page
-	// returns the most recent mapping inserted for it (remap entries
-	// are never silently lost).
-	f := func(ops []struct {
-		Page   uint8
-		Cached bool
-		Way    uint8
-	}) bool {
+	// Property: after any sequence of remap inserts, every page
+	// remapped since the last drain is still buffered, and a drain
+	// counts each such page once (remaps are never silently lost).
+	f := func(pages []uint8) bool {
 		tb := NewTagBuffer(64, 8)
-		last := map[uint64]struct {
-			cached bool
-			way    uint8
-		}{}
-		for _, op := range ops {
-			p := uint64(op.Page)
-			if !tb.InsertRemap(p, op.Cached, op.Way%4) {
-				tb.DrainRemaps()
+		pending := map[uint64]bool{}
+		for _, b := range pages {
+			p := uint64(b)
+			if !tb.InsertRemap(p) {
+				if tb.DrainRemaps() != len(pending) {
+					return false
+				}
 				// Drained entries become evictable (their mappings now
 				// live in the PTEs), so the guarantee below only covers
 				// remaps inserted after the drain.
-				last = map[uint64]struct {
-					cached bool
-					way    uint8
-				}{}
-				if !tb.InsertRemap(p, op.Cached, op.Way%4) {
+				pending = map[uint64]bool{}
+				if !tb.InsertRemap(p) {
 					return false
 				}
 			}
-			last[p] = struct {
-				cached bool
-				way    uint8
-			}{op.Cached, op.Way % 4}
+			pending[p] = true
 		}
-		for p, want := range last {
-			m, hit := tb.Lookup(p)
-			if !hit || m.Cached != want.cached || m.Way != want.way {
+		for p := range pending {
+			if !tb.Lookup(p) {
 				return false
 			}
 		}
-		return true
+		return tb.DrainRemaps() == len(pending)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -184,7 +169,7 @@ func TestBufferMappingConsistencyProperty(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	tb := NewTagBuffer(64, 8)
 	tb.Lookup(5)
-	tb.InsertRemap(5, true, 0)
+	tb.InsertRemap(5)
 	tb.Lookup(5)
 	h, m := tb.Stats()
 	if h != 1 || m != 1 {

@@ -3,6 +3,8 @@
 // requests, DRAM operations, and traffic classification. It deliberately
 // contains no behavior beyond address arithmetic so that higher layers
 // (caches, DRAM timing, cache schemes) can depend on it without cycles.
+// A request carries no DRAM-cache mapping: each scheme keeps its own
+// record of where a page lives.
 package mem
 
 import "fmt"
@@ -86,26 +88,16 @@ func (s PageSize) String() string {
 	return "4K"
 }
 
-// Mapping is the DRAM-cache mapping information carried by a request
-// through the memory hierarchy. In Banshee it is the PTE/TLB extension
-// (§3.2): a cached bit plus way bits. Requests that never consulted a TLB
-// (e.g. LLC dirty evictions) carry Known=false.
-type Mapping struct {
-	Known  bool  // the request carries mapping info at all
-	Cached bool  // page resident in the DRAM cache
-	Way    uint8 // which way, valid when Cached
-}
-
 // Request is a memory reference leaving the core (or an eviction leaving
 // the LLC) on its way through the hierarchy.
 type Request struct {
-	Addr    Addr
-	Write   bool
-	Core    int      // issuing core, -1 for evictions with no owner
-	Size    PageSize // translation granularity (from TLB)
-	Mapping Mapping  // PTE-carried DRAM-cache mapping (scheme-specific use)
-	// Eviction marks LLC write-backs: they carry no TLB mapping and are
-	// off the core's critical path.
+	Addr  Addr
+	Write bool
+	Core  int      // issuing core, -1 for evictions with no owner
+	Size  PageSize // translation granularity (from TLB)
+	// Eviction marks LLC write-backs: they never consulted a TLB (so
+	// Banshee must probe for them, §3.3) and are off the core's
+	// critical path.
 	Eviction bool
 }
 

@@ -56,15 +56,18 @@ type Spec struct {
 
 // Env carries the simulation-level context a builder needs: the
 // capacity the cache must cover, the run seed, clocking for software
-// cost models, and the VM substrate Banshee wires into.
+// cost models, and the TLBs Banshee shoots down.
 type Env struct {
 	CapacityBytes int
 	Seed          uint64
 	CPUMHz        float64
 	LargePages    bool // workload data lives on 2 MB pages
-	PageTable     *vm.PageTable
-	TLBs          []*vm.TLB
-	Cost          vm.CostModel
+	// PageTable is read by no scheme: Banshee keeps a page's location
+	// in its own metadata. It stays only because perfbench/replay.go
+	// sets it.
+	PageTable *vm.PageTable
+	TLBs      []*vm.TLB
+	Cost      vm.CostModel
 }
 
 // Scheme is one registered DRAM-cache design.
@@ -85,18 +88,19 @@ type Scheme struct {
 	// Build constructs the scheme instance for a parsed spec.
 	Build func(spec Spec, env Env) (mc.Scheme, error)
 	// GangSafe declares two things about instances built from this
-	// registration: they never write the VM substrate (Env.PageTable /
-	// Env.TLBs), and they never charge an all-core stall
-	// (mc.SWCost.AllCoresCycles). That is the contract that lets the
-	// front end run ahead of the back end, and so lets N differently-
-	// seeded instances run in lockstep over one shared front-end
-	// replay (sim.Gang) and batch-replay core-private events. Banshee
-	// breaks the first rule: it rewrites PTEs and shoots down TLBs, so
-	// a translation made ahead of time could be stale. HMA breaks the
-	// second: the simulator applies an all-core stall lazily, when it
-	// next schedules each core, so a core batched past another core's
-	// stall would pick it up at a different point in the event order.
-	// Defaults to false, so out-of-tree schemes opt in explicitly.
+	// registration: they never flush the TLBs (Env.TLBs), and they
+	// never charge an all-core stall (mc.SWCost.AllCoresCycles). That
+	// is the contract that lets the front end run ahead of the back
+	// end, and so lets N differently-seeded instances run in lockstep
+	// over one shared front-end replay (sim.Gang) and batch-replay
+	// core-private events. Banshee breaks the first rule: its flush
+	// shoots down every TLB, so a translation made ahead of time could
+	// hit where it would have missed and skip its page walk. HMA breaks
+	// the second: the simulator applies an all-core stall lazily, when
+	// it next schedules each core, so a core batched past another
+	// core's stall would pick it up at a different point in the event
+	// order. Defaults to false, so out-of-tree schemes opt in
+	// explicitly.
 	GangSafe bool
 }
 

@@ -11,18 +11,15 @@ import (
 )
 
 // testEnv builds a small but fully wired environment, enough for every
-// builtin builder (Banshee needs the VM substrate).
+// builtin builder (Banshee needs the TLBs it shoots down).
 func testEnv() Env {
-	pt := vm.NewPageTable()
-	tlbs := []*vm.TLB{vm.NewTLB(64)}
 	return Env{
 		// The library's default scaled capacity; large enough that the
 		// 2 MB-page configuration still gets a power-of-two set count.
 		CapacityBytes: 1 << 26,
 		Seed:          7,
 		CPUMHz:        2700,
-		PageTable:     pt,
-		TLBs:          tlbs,
+		TLBs:          []*vm.TLB{vm.NewTLB(64)},
 		Cost:          vm.DefaultCostModel(2700),
 	}
 }

@@ -149,7 +149,7 @@ func (c Config) validate() error {
 	case c.Scheme.Kind == "":
 		ce = errs.Configf("Scheme", "not set")
 	case c.Scheme.BansheeLargePages && !c.LargePages:
-		// Banshee syncs one PTE per cached page: its page is the run's.
+		// Banshee charges one PTE per remapped page: its page is the run's.
 		ce = errs.Configf("LargePages", "must be set for Banshee 2M, which caches 2 MB pages")
 	case c.InstrPerCore == 0:
 		ce = errs.Configf("InstrPerCore", "instruction budget not set")
@@ -164,8 +164,8 @@ func (c Config) validate() error {
 
 // buildScheme constructs the configured scheme through the registry,
 // wiring Banshee (and any out-of-tree scheme that wants it) to the
-// system's page table and TLBs.
-func buildScheme(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB) (mc.Scheme, error) {
+// system's TLBs.
+func buildScheme(cfg Config, tlbs []*vm.TLB) (mc.Scheme, error) {
 	cost := vm.DefaultCostModel(cfg.CPUMHz)
 	if cfg.Scheme.PTEUpdateMicros > 0 {
 		cost.PTEUpdateCycles = uint64(cfg.Scheme.PTEUpdateMicros * cfg.CPUMHz)
@@ -175,7 +175,6 @@ func buildScheme(cfg Config, pt *vm.PageTable, tlbs []*vm.TLB) (mc.Scheme, error
 		Seed:          cfg.Seed,
 		CPUMHz:        cfg.CPUMHz,
 		LargePages:    cfg.LargePages,
-		PageTable:     pt,
 		TLBs:          tlbs,
 		Cost:          cost,
 	})

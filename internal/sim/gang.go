@@ -21,10 +21,10 @@ import (
 // source, the page table, and each core's L1/L2/TLB: it simulates each
 // core's events up to the L2 boundary and records their back-end-
 // visible residue — gap, hit/miss bits, the L3 fills the L2 victims
-// produce, the demand address, and its PTE's DRAM-cache mapping bits.
-// A lane is a System: it replays the residue through its own back end
-// (L3, prefetcher, scheme, DRAM timing, MSHR/dependence stalls, and
-// the event-ordered core scheduler). A width-1 Gang is one lane over a
+// produce, and the demand address. A lane is a System: it replays the
+// residue through its own back end (L3, prefetcher, scheme, DRAM
+// timing, MSHR/dependence stalls, and the event-ordered core
+// scheduler). A width-1 Gang is one lane over a
 // stream of its own; a Gang runs N differently-seeded lanes of a
 // gang-safe scheme over one shared stream, paying the front end once.
 // Every lane's statistics are byte-identical to the same config run
@@ -48,15 +48,14 @@ const (
 // 2 MB pages alike.
 const pageWalkCycles = 100
 
-// resRec is the sparse per-event residue: the demand address, its PTE
-// at translation time, and the addresses of up to two dirty lines the
-// front end pushed out of L2, which the lane fills into its own L3 in
-// order (fill[0] from the L1-evict cascade through l2.Fill, then — only
-// on an L2 miss — fill[1] from the L2 victim).
+// resRec is the sparse per-event residue: the demand address and the
+// addresses of up to two dirty lines the front end pushed out of L2,
+// which the lane fills into its own L3 in order (fill[0] from the
+// L1-evict cascade through l2.Fill, then — only on an L2 miss —
+// fill[1] from the L2 victim).
 type resRec struct {
 	addr mem.Addr
 	fill [2]mem.Addr
-	pte  vm.PTE
 }
 
 // feCore is one core's front end: its private L1/L2/TLB plus the
@@ -96,11 +95,11 @@ type gangStream struct {
 	budget uint64
 	// ahead lets generation run ahead of the lanes and batchShared
 	// replay runs of generated events. Only gang-safe schemes allow
-	// it (registry.Scheme.GangSafe): a scheme that writes PTEs or
-	// shoots down TLBs changes what a later translation returns, and
-	// one that stalls every core cannot be batched. For any other
-	// scheme each event is generated at the instant its lane consumes
-	// it, so its translation sees every earlier remap and shootdown.
+	// it (registry.Scheme.GangSafe): a scheme that shoots down TLBs
+	// changes whether a later translation hits, and one that stalls
+	// every core cannot be batched. For any other scheme each event is
+	// generated at the instant its lane consumes it, so its
+	// translation sees every earlier shootdown.
 	ahead bool
 	// observe records every L1 miss for the lanes' prefetchers
 	// (PrefetchDegree is part of GangKey).
@@ -165,15 +164,14 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 		panic(fmt.Sprintf("sim: front end: event gap %d overflows the stream encoding", ev.Gap))
 	}
 	var flags uint8
-	pte, tlbHit := f.tlb.Lookup(ev.Addr, g.pt)
-	if !tlbHit {
+	if !f.tlb.Lookup(ev.Addr, g.pt) {
 		flags |= feTLBMiss
 	}
 	meta := uint8(g.size)
 	if ev.Write {
 		flags |= feWrite
 	}
-	r := resRec{addr: ev.Addr, pte: pte}
+	r := resRec{addr: ev.Addr}
 	if hit, ev1 := f.l1.Access(ev.Addr, ev.Write, meta); !hit {
 		flags |= feL1Miss
 		if g.observe {
@@ -316,7 +314,7 @@ func (s *System) stepShared(c *core) {
 	}
 	if flags&feObserve != 0 {
 		if pf := c.prefetch.Observe(r.addr, c.time); len(pf) > 0 {
-			s.issuePrefetches(c, pf, r.pte)
+			s.issuePrefetches(c, pf)
 		}
 	}
 	if flags&feL2Miss == 0 {
@@ -331,7 +329,7 @@ func (s *System) stepShared(c *core) {
 		if ev3 != nil {
 			s.evictToMC(c, ev3)
 		}
-		s.llcMiss(c, r.addr, flags&feWrite != 0, r.pte)
+		s.llcMiss(c, r.addr, flags&feWrite != 0)
 	}
 }
 
@@ -507,9 +505,8 @@ func NewGangSeeds(cfg Config, workloadName, scheme string, seeds []uint64) (*Gan
 
 // newGangLane assembles one lane over gs — the L3 and everything below
 // it, plus the per-core scheduling state — and registers it with the
-// stream. The scheme is built against the stream's page table and
-// TLBs; a gang-safe scheme, the only kind a stream shares, never
-// touches them.
+// stream. The scheme is built against the stream's TLBs; a gang-safe
+// scheme, the only kind a stream shares, never touches them.
 func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 	cfg.Cores = len(gs.fe)
 	s := &System{
@@ -531,7 +528,7 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 		s.cores = append(s.cores, c)
 		tlbs[i] = gs.fe[i].tlb
 	}
-	scheme, err := buildScheme(cfg, gs.pt, tlbs)
+	scheme, err := buildScheme(cfg, tlbs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"banshee/internal/mem"
-	"banshee/internal/vm"
-)
+import "banshee/internal/mem"
 
 // Prefetcher implements the L2-and-below hardware stream prefetcher the
 // paper's §3.2 discusses as a complication for PTE/TLB-based mapping:
@@ -11,7 +8,9 @@ import (
 // the TLB, so Banshee (a) stops prefetches at page boundaries — data
 // beyond the boundary is unrelated in physical space — and (b) copies
 // the DRAM-cache mapping bits from the triggering access onto every
-// prefetch it spawns. Both behaviors are modeled here exactly.
+// prefetch it spawns. (a) is modeled here exactly. (b) needs no model:
+// a prefetch stays on its trigger's page, and Banshee reads that page's
+// way from its metadata, which the copied bits always equal.
 //
 // The prefetcher is disabled by default (the paper's evaluation does
 // not enable one); cfg.PrefetchDegree > 0 turns it on, and the
@@ -45,9 +44,8 @@ func NewPrefetcher(degree int) *Prefetcher {
 
 // Observe feeds one demand access and returns the prefetch addresses to
 // issue: up to `degree` next lines, truncated at the page boundary
-// (§3.2). The returned addresses carry the triggering access's mapping
-// — the caller attaches pte.Mapping() to each. The slice is scratch
-// reused by the next call.
+// (§3.2), so each lies on the triggering access's page and shares its
+// DRAM-cache mapping. The slice is scratch reused by the next call.
 func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 	line := mem.LineNum(addr)
 	// Match an existing stream.
@@ -95,10 +93,10 @@ func (p *Prefetcher) Observe(addr mem.Addr, tick uint64) []mem.Addr {
 }
 
 // issuePrefetches runs the prefetch addresses through L3 and, for L3
-// misses, to the memory controller as non-critical reads carrying the
-// triggering PTE's mapping. Prefetches never count toward DRAM-cache
-// hit/miss statistics (they are not demand).
-func (s *System) issuePrefetches(c *core, addrs []mem.Addr, pte vm.PTE) {
+// misses, to the memory controller as non-critical reads. Prefetches
+// never count toward DRAM-cache hit/miss statistics (they are not
+// demand).
+func (s *System) issuePrefetches(c *core, addrs []mem.Addr) {
 	for _, a := range addrs {
 		if hit, ev := s.l3.Access(a, false, uint8(s.pageSize)); hit {
 			continue
@@ -107,10 +105,9 @@ func (s *System) issuePrefetches(c *core, addrs []mem.Addr, pte vm.PTE) {
 		}
 		s.st.Prefetches++
 		req := mem.Request{
-			Addr:    a,
-			Core:    c.id,
-			Size:    s.pageSize,
-			Mapping: pte.Mapping(), // §3.2: copy the trigger's mapping
+			Addr: a,
+			Core: c.id,
+			Size: s.pageSize,
 		}
 		res := s.scheme.Access(req)
 		// Prefetches are bandwidth, not latency: demote every op to the

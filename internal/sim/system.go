@@ -11,7 +11,6 @@ import (
 	"banshee/internal/mem"
 	"banshee/internal/stats"
 	"banshee/internal/util"
-	"banshee/internal/vm"
 )
 
 // core is one simulated CPU's replay state.
@@ -410,8 +409,8 @@ func (s *System) fillL3(c *core, a mem.Addr) {
 }
 
 // evictToMC sends an LLC dirty write-back to the memory controller. It
-// carries no TLB mapping (mem.Mapping zero value) — the page-size bit
-// on the line (§4.3), which is the run's page size, routes it.
+// never consulted a TLB (Request.Eviction): the page-size bit on the
+// line (§4.3), which is the run's page size, routes it.
 func (s *System) evictToMC(c *core, ev *cache.Eviction) {
 	s.st.LLCEvictions++
 	req := mem.Request{
@@ -426,7 +425,7 @@ func (s *System) evictToMC(c *core, ev *cache.Eviction) {
 
 // llcMiss issues a demand miss to the memory controller with
 // MSHR-limited overlap.
-func (s *System) llcMiss(c *core, a mem.Addr, write bool, pte vm.PTE) {
+func (s *System) llcMiss(c *core, a mem.Addr, write bool) {
 	s.st.LLCMisses++
 	// Retire completed misses; if the window is full, stall to the
 	// earliest completion. drain keeps outMin current, so the stall
@@ -445,11 +444,10 @@ func (s *System) llcMiss(c *core, a mem.Addr, write bool, pte vm.PTE) {
 		c.drain()
 	}
 	req := mem.Request{
-		Addr:    a,
-		Write:   write,
-		Core:    c.id,
-		Size:    s.pageSize,
-		Mapping: pte.Mapping(),
+		Addr:  a,
+		Write: write,
+		Core:  c.id,
+		Size:  s.pageSize,
 	}
 	start := c.time
 	completion := s.execute(c, req, c.time)

@@ -1,79 +1,77 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"banshee/internal/mem"
 )
 
-// refTable is the differential reference for FuzzPageTable: a builtin
-// map from page number (at the table's page size) to PTE. It mirrors
-// the semantics of PageTable and nothing of its storage.
-type refTable struct {
+// refTLB is the differential reference for FuzzPageTable: one
+// recency-ordered slice of page keys (most recent first) per TLB, with
+// the page key computed from the address alone. It mirrors the
+// semantics of PageTable.Translate and TLB and nothing of their storage.
+type refTLB struct {
 	defaultLarge bool
-	entries      map[uint64]PTE
+	size         int
+	keys         []uint64 // MRU first
+
+	hits, misses, shootdowns uint64
 }
 
 // key returns the page key vaddr translates under.
-func (r *refTable) key(vaddr mem.Addr) uint64 {
+func (r *refTLB) key(vaddr mem.Addr) uint64 {
 	if r.defaultLarge {
-		return mem.LargePageNum(vaddr)
+		return uint64(vaddr) >> mem.LargeOffsetBits
 	}
-	return mem.PageNum(vaddr)
+	return uint64(vaddr) >> mem.PageOffsetBits
 }
 
-// addr returns the base address of the page with the given key.
-func (r *refTable) addr(key uint64) mem.Addr {
-	if r.defaultLarge {
-		return mem.Addr(key << mem.LargeOffsetBits)
+func (r *refTLB) lookup(vaddr mem.Addr) bool {
+	k := r.key(vaddr)
+	if i := slices.Index(r.keys, k); i >= 0 {
+		r.keys = slices.Insert(slices.Delete(r.keys, i, i+1), 0, k)
+		r.hits++
+		return true
 	}
-	return mem.Addr(key << mem.PageOffsetBits)
+	r.misses++
+	r.keys = slices.Insert(r.keys, 0, k)
+	if len(r.keys) > r.size {
+		r.keys = r.keys[:r.size]
+	}
+	return false
 }
 
-func (r *refTable) translate(vaddr mem.Addr) PTE {
-	key := r.key(vaddr)
-	e, ok := r.entries[key]
-	if !ok {
-		r.entries[key] = e
-	}
-	return e
+func (r *refTLB) flush() {
+	r.shootdowns++
+	r.keys = r.keys[:0]
 }
 
-func (r *refTable) setCached(frame uint64, cached bool, way uint8) int {
-	if _, ok := r.entries[frame]; !ok {
-		return 0
-	}
-	r.entries[frame] = PTE{Cached: cached, Way: way}
-	return 1
-}
-
-// FuzzPageTable checks PageTable against refTable on arbitrary call
-// sequences. The input decodes as a 1-byte header (bit 0 sets
-// DefaultLarge) followed by 4-byte operations: an op byte, a 16-bit
-// little-endian page number folded into 2048 pages (four 2 MB
-// regions), and a selector byte. The op byte's low two bits pick the
-// call:
+// FuzzPageTable checks translation and the TLB over it against refTLB
+// on arbitrary call sequences. The input decodes as a 1-byte header
+// (bit 0 sets DefaultLarge, bits 1–3 give the TLB size minus one)
+// followed by 4-byte operations: an op byte, a 16-bit little-endian
+// page number folded into 2048 pages (four 2 MB regions), and an
+// offset byte. The op byte's low two bits pick the call:
 //
-//   - 0, 1: Translate at an offset within the page;
-//   - 2: SetCached, with cached from bit 3 and way from bits 4–5;
-//   - 3: Translate of a page seen before.
+//   - 0, 1: TLB.Lookup at an offset within the page;
+//   - 2: PageTable.Translate;
+//   - 3: TLB.Flush (a shootdown).
 //
-// SetCached takes its page from the page keys of earlier translations,
-// so it reaches allocated 4 KB and 2 MB pages alike; with bit 7 of the
-// op byte set it takes the decoded page number instead, usually an
-// unallocated page (under DefaultLarge only page numbers 0–3 exist). Every result and Len must agree after each
-// operation, and at the end every page must translate alike.
+// Every hit bit and frame number must agree, and so must the TLB's
+// Hits, Misses, Shootdowns and Occupancy after each operation.
 func FuzzPageTable(f *testing.F) {
-	f.Add([]byte{0, 0, 7, 0, 0, 2, 0xBC, 0x0A, 0, 0x1a, 0, 0, 0, 3, 0, 0, 1})
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 5, 2, 0, 0x3a, 9, 0, 0, 0x82, 0, 0, 0, 3, 0, 0, 1})
-	f.Add([]byte{1, 0, 0x34, 0x12, 0, 0x2a, 1, 0, 0, 0x8a, 0x40, 0x12, 0, 3, 0, 0, 0})
-	// One long stream per DefaultLarge setting over the whole mix.
+	f.Add([]byte{6, 0, 7, 0, 0, 0, 7, 0, 0x40, 2, 0xBC, 0x0A, 0, 0, 7, 0, 1})
+	f.Add([]byte{2, 0, 0, 2, 0, 0, 5, 2, 0, 0, 9, 0, 0, 3, 0, 0, 0, 0, 0, 2, 1})
+	f.Add([]byte{1, 0, 0x34, 0x12, 0, 0, 0x34, 0x02, 0xff, 2, 0x40, 0x12, 0, 3, 0, 0, 0})
+	// One long stream per DefaultLarge setting over the whole mix: a
+	// 4-entry TLB over 128 pages (4 KB) or over the four regions (2 MB).
 	for h := byte(0); h < 2; h++ {
-		stream := []byte{h}
+		stream := []byte{h | 6}
 		x := uint32(h) + 1
 		for i := 0; i < 300; i++ {
 			x = x*1664525 + 1013904223
-			stream = append(stream, byte(x>>24), byte(x>>16), byte(x>>8)&7, byte(x))
+			stream = append(stream, byte(x>>24), byte(x>>16)&15, byte(x>>8)&7, byte(x))
 		}
 		f.Add(stream)
 	}
@@ -84,44 +82,34 @@ func FuzzPageTable(f *testing.F) {
 		}
 		pt := NewPageTable()
 		pt.DefaultLarge = data[0]&1 != 0
-		ref := &refTable{defaultLarge: pt.DefaultLarge, entries: map[uint64]PTE{}}
-		var seen []uint64 // page keys of earlier translations
+		size := int(data[0]>>1&7) + 1
+		tlb := NewTLB(size)
+		ref := &refTLB{defaultLarge: pt.DefaultLarge, size: size}
 		ops := data[1:]
 		for i := 0; i+3 < len(ops); i += 4 {
-			op, sel := ops[i], ops[i+3]
+			op := ops[i]
 			page := (uint64(ops[i+1]) | uint64(ops[i+2])<<8) & 0x7ff
-			frame := page
-			if op&0x80 == 0 && len(seen) > 0 {
-				frame = seen[int(sel)%len(seen)]
-			}
-			addr := mem.Addr(page<<mem.PageOffsetBits | uint64(sel)<<4)
+			addr := mem.Addr(page<<mem.PageOffsetBits | uint64(ops[i+3])<<4)
 			switch op & 3 {
-			case 0, 1, 3:
-				if op&3 == 3 && len(seen) > 0 {
-					addr = ref.addr(frame)
+			case 0, 1:
+				if got, want := tlb.Lookup(addr, pt), ref.lookup(addr); got != want {
+					t.Fatalf("op %d: Lookup(%#x) hit %v, reference %v", i/4, addr, got, want)
 				}
-				got, want := pt.Translate(addr), ref.translate(addr)
-				if got != want {
-					t.Fatalf("op %d: Translate(%#x) = %+v, reference %+v", i/4, addr, got, want)
-				}
-				seen = append(seen, ref.key(addr))
 			case 2:
-				cached, way := op&8 != 0, (op>>4)&3
-				if got, want := pt.SetCached(frame, cached, way), ref.setCached(frame, cached, way); got != want {
-					t.Fatalf("op %d: SetCached(%#x) touched %d, reference %d", i/4, frame, got, want)
+				if got, want := pt.Translate(addr), ref.key(addr); got != want {
+					t.Fatalf("op %d: Translate(%#x) = %#x, reference %#x", i/4, addr, got, want)
 				}
+			case 3:
+				tlb.Flush()
+				ref.flush()
 			}
-			if got, want := pt.Len(), len(ref.entries); got != want {
-				t.Fatalf("op %d: Len %d, reference %d", i/4, got, want)
+			if tlb.Hits != ref.hits || tlb.Misses != ref.misses || tlb.Shootdowns != ref.shootdowns {
+				t.Fatalf("op %d: hits/misses/shootdowns %d/%d/%d, reference %d/%d/%d", i/4,
+					tlb.Hits, tlb.Misses, tlb.Shootdowns, ref.hits, ref.misses, ref.shootdowns)
 			}
-		}
-		for key, e := range ref.entries {
-			if got := pt.Translate(ref.addr(key)); got != e {
-				t.Fatalf("page key %#x: Translate %+v, reference %+v", key, got, e)
+			if got, want := tlb.Occupancy(), len(ref.keys); got != want {
+				t.Fatalf("op %d: Occupancy %d, reference %d", i/4, got, want)
 			}
-		}
-		if got, want := pt.Len(), len(ref.entries); got != want {
-			t.Fatalf("Len %d, reference %d", got, want)
 		}
 	})
 }

@@ -1,16 +1,25 @@
 // Package vm models the virtual-memory substrate Banshee's
-// software/hardware co-design relies on: page tables whose PTEs carry the
-// DRAM-cache mapping extension (cached bit + way bits, §3.2), per-core
-// TLBs that may hold stale copies of those bits (the whole point of the
-// lazy coherence protocol, §3.4), and the cost accounting for TLB
+// software/hardware co-design relies on: translation at the run's page
+// size, per-core TLBs whose misses cost a page walk and which Banshee's
+// tag-buffer flush shoots down (§3.4), and the cost accounting for TLB
 // shootdowns and page-table update routines.
 //
-// Address-space convention: workload traces emit virtual addresses.
-// Frames are allocated on first touch; the allocator maps a virtual page
-// to an equal-numbered physical frame, so every frame has exactly one
-// PTE — the frame's own — and the reverse map of §3.4 is the identity.
-// The page size is a property of the run (DefaultLarge, the §5.4.1
-// "all data on 2 MB pages" experiment), not of each page.
+// The paper's hardware keeps a cached page's location in three places:
+// the DRAM cache's metadata, the tag buffers, and a 3-bit PTE/TLB
+// extension (cached bit + way bits, §3.2) that travels with each
+// request, because the controller cannot read the metadata on the
+// critical path. The model can, so it keeps that location in Banshee's
+// metadata alone: no PTE here stores the extension bits, and no TLB
+// entry holds a stale copy of them. The costs the paper charges for
+// keeping them coherent — the PTE-update routine, its per-PTE work and
+// the shootdowns — are still charged (internal/banshee).
+//
+// Address-space convention: workload traces emit virtual addresses, and
+// the allocator maps a virtual page to an equal-numbered physical
+// frame, so every frame has exactly one PTE — the frame's own — and the
+// reverse map of §3.4 is the identity. The page size is a property of
+// the run (DefaultLarge, the §5.4.1 "all data on 2 MB pages"
+// experiment), not of each page.
 package vm
 
 import (
@@ -20,94 +29,42 @@ import (
 	"banshee/internal/util"
 )
 
-// PTE is a page-table entry's Banshee extension (§3.2). For a 4-way
-// cache, Way needs 2 bits; together with Cached this is the 3-bit
-// PTE/TLB extension the paper describes. The page table hands out PTEs
-// by value: a returned PTE is a snapshot, and SetCached changes the
-// table, not the copies already handed out.
-type PTE struct {
-	Cached bool
-	Way    uint8
-}
-
-// Mapping converts the PTE extension to the request-carried form.
-func (p PTE) Mapping() mem.Mapping {
-	return mem.Mapping{Known: true, Cached: p.Cached, Way: p.Way}
-}
-
-// PageTable maps virtual pages to frames. The frame allocator is the
-// identity, so a page's frame is its own page number, and the table
-// stores only each page's PTE, by value and without pointers, in one
-// flat table keyed by page number at the run's page size: a
-// translation probes that table alone, and the GC never scans it.
+// PageTable translates virtual pages to frames. The frame allocator is
+// the identity, so a page's frame is its own page number and the table
+// stores nothing: it holds only the run's page size. Where a cached
+// page lives in the DRAM cache is Banshee's metadata to say, not the
+// page table's; the model charges the paper's PTE-update costs without
+// storing the PTE extension bits (§3.2).
 type PageTable struct {
-	entries util.Flat64[PTE] // page key → PTE
-
-	// DefaultLarge makes every translation allocate 2 MB pages (the
-	// §5.4.1 "all data resides on large pages" experiment).
+	// DefaultLarge makes every translation use 2 MB pages (the §5.4.1
+	// "all data resides on large pages" experiment).
 	DefaultLarge bool
 }
 
-// NewPageTable returns an empty page table.
+// NewPageTable returns a page table at 4 KB page size.
 func NewPageTable() *PageTable {
 	return &PageTable{}
 }
 
-// key returns the page key vaddr translates under: its 4 KB page
-// number, or under DefaultLarge its 2 MB page number — the page number
-// SetCached takes.
-func (pt *PageTable) key(vaddr mem.Addr) uint64 {
+// Translate returns vaddr's frame number at the run's page size: its
+// 4 KB page number, or under DefaultLarge its 2 MB page number.
+func (pt *PageTable) Translate(vaddr mem.Addr) uint64 {
 	if pt.DefaultLarge {
 		return mem.LargePageNum(vaddr)
 	}
 	return mem.PageNum(vaddr)
 }
 
-// Translate returns the PTE for vaddr, allocating a frame on first
-// touch.
-func (pt *PageTable) Translate(vaddr mem.Addr) PTE {
-	return pt.translate(pt.key(vaddr))
-}
-
-func (pt *PageTable) translate(key uint64) PTE {
-	e, ok := pt.entries.Get(key)
-	if !ok {
-		pt.entries.Put(key, e)
-	}
-	return e
-}
-
-// SetCached updates the DRAM-cache extension bits of the PTE of page (a
-// page number at the run's page size), returning how many PTEs were
-// touched: 1, or 0 for a page that was never allocated. This is the
-// core of the software PTE-update routine triggered by a tag-buffer
-// flush.
-func (pt *PageTable) SetCached(page uint64, cached bool, way uint8) int {
-	e := pt.entries.GetPtr(page)
-	if e == nil {
-		return 0
-	}
-	e.Cached, e.Way = cached, way
-	return 1
-}
-
-// Len returns the number of PTEs (diagnostic).
-func (pt *PageTable) Len() int { return pt.entries.Len() }
-
 // TLB is one core's translation lookaside buffer (fully associative,
-// exact LRU). TLB miss *timing* is modeled by the simulator via
-// WalkCycles.
-//
-// Entries are PTE snapshots, not references into the page table, so
-// they model stale TLB contents; like the page table, the TLB holds no
-// pointers. An index table makes the hit path O(1), and recency is a
-// doubly-linked MRU list of slot indices, so a miss evicts the list
-// tail in O(1). Entries are only invalidated wholesale (Flush), so the
+// exact LRU). It holds page numbers only: its hits and misses set the
+// page-walk timing the simulator charges, and Banshee's shootdowns
+// (Flush) empty it. An index table makes the hit path O(1), and
+// recency is a doubly-linked MRU list of slot indices, so a miss evicts
+// the list tail in O(1). Entries are only invalidated wholesale (Flush), so the
 // valid entries always form the prefix [0, filled): until the TLB is
 // full, the victim is the fill frontier.
 type TLB struct {
 	vpages     []uint64
-	ptes       []PTE // snapshots, not pointers: model stale TLB contents
 	next, prev []int32
 	head, tail int32 // MRU and LRU ends of the recency list
 	filled     int
@@ -124,7 +81,6 @@ func NewTLB(n int) *TLB {
 	}
 	return &TLB{
 		vpages: make([]uint64, n),
-		ptes:   make([]PTE, n),
 		next:   make([]int32, n),
 		prev:   make([]int32, n),
 		head:   -1,
@@ -165,18 +121,16 @@ func (t *TLB) pushFront(i int32) {
 	t.head = i
 }
 
-// Lookup translates vaddr through the TLB, filling from the page table
-// on a miss. It returns the (possibly stale) PTE snapshot and whether
-// the translation hit in the TLB.
-func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) (PTE, bool) {
-	key := pt.key(vaddr)
+// Lookup translates vaddr through the TLB, filling the entry on a
+// miss, and reports whether the translation hit.
+func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) bool {
+	key := pt.Translate(vaddr)
 	if i, ok := t.index.Get(key); ok {
 		t.touch(i)
 		t.Hits++
-		return t.ptes[i], true
+		return true
 	}
 	t.Misses++
-	pte := pt.translate(key) // snapshot the current PTE content
 	var victim int32
 	if t.filled < len(t.vpages) {
 		victim = int32(t.filled) // the first free slot
@@ -188,9 +142,8 @@ func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) (PTE, bool) {
 		t.touch(victim)
 	}
 	t.vpages[victim] = key
-	t.ptes[victim] = pte
 	t.index.Put(key, victim)
-	return pte, false
+	return false
 }
 
 // Flush invalidates every entry (a TLB shootdown's effect on this core).

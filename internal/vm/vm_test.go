@@ -7,71 +7,43 @@ import (
 	"banshee/internal/mem"
 )
 
+// TestTranslateAllocatesOnFirstTouch: the frame allocator is the
+// identity, so a first touch and every later one translate to the
+// page's own number, at any offset within it.
 func TestTranslateAllocatesOnFirstTouch(t *testing.T) {
 	pt := NewPageTable()
-	e := pt.Translate(0x123456789)
-	// Second translation returns the same PTE.
-	if pt.Translate(0x123456789) != e {
-		t.Fatal("translate not idempotent")
+	f := pt.Translate(0x123456789)
+	if f != 0x123456 {
+		t.Fatalf("frame %#x, want the page number 0x123456", f)
 	}
-	if pt.Translate(0x123456000) != e {
-		t.Fatal("same page, different offset gave different PTE")
-	}
-	if pt.Len() != 1 {
-		t.Fatalf("len = %d", pt.Len())
+	if pt.Translate(0x123456789) != f || pt.Translate(0x123456000) != f {
+		t.Fatal("same page translated to different frames")
 	}
 }
 
-// TestDefaultLarge: under DefaultLarge one PTE covers a whole 2 MB
-// region, keyed by the region's 2 MB page number.
+// TestDefaultLarge: under DefaultLarge a whole 2 MB region translates
+// to one frame, the region's 2 MB page number.
 func TestDefaultLarge(t *testing.T) {
 	pt := NewPageTable()
 	pt.DefaultLarge = true
 	a := mem.Addr(0x40000000) // 2 MB aligned
-	pt.Translate(a + mem.PageBytes*100)
-	if n := pt.SetCached(mem.PageNum(a), true, 1); n != 0 {
-		t.Fatalf("SetCached on the region's first 4 KB page number touched %d PTEs, want 0", n)
-	}
-	if n := pt.SetCached(mem.LargePageNum(a), true, 2); n != 1 {
-		t.Fatalf("SetCached on the region's 2 MB page touched %d PTEs, want 1", n)
-	}
 	for _, off := range []mem.Addr{0, mem.PageBytes * 17, mem.LargeBytes - 1} {
-		if e := pt.Translate(a + off); !e.Cached || e.Way != 2 {
-			t.Fatalf("offset %#x: PTE %+v, want the region's cached way 2", uint64(off), e)
+		if f := pt.Translate(a + off); f != mem.LargePageNum(a) {
+			t.Fatalf("offset %#x: frame %#x, want the region's 2 MB page %#x", uint64(off), f, mem.LargePageNum(a))
 		}
 	}
-	if e := pt.Translate(a + mem.LargeBytes); e.Cached {
-		t.Fatal("neighboring region shares the PTE")
-	}
-	if pt.Len() != 2 {
-		t.Fatalf("len = %d, want one PTE per region", pt.Len())
-	}
-}
-
-func TestSetCachedUnknownFrame(t *testing.T) {
-	pt := NewPageTable()
-	if n := pt.SetCached(0xDEAD, true, 0); n != 0 {
-		t.Fatalf("SetCached on unknown frame touched %d", n)
-	}
-}
-
-func TestPTEMapping(t *testing.T) {
-	e := &PTE{Cached: true, Way: 2}
-	m := e.Mapping()
-	if !m.Known || !m.Cached || m.Way != 2 {
-		t.Fatalf("mapping = %+v", m)
+	if pt.Translate(a+mem.LargeBytes) == pt.Translate(a) {
+		t.Fatal("neighboring region shares the frame")
 	}
 }
 
 func TestTLBHitMiss(t *testing.T) {
 	pt := NewPageTable()
 	tlb := NewTLB(4)
-	_, hit := tlb.Lookup(0x1000, pt)
-	if hit {
+	if tlb.Lookup(0x1000, pt) {
 		t.Fatal("cold TLB hit")
 	}
-	_, hit = tlb.Lookup(0x1040, pt) // same page
-	if !hit {
+	if !tlb.Lookup(0x1040, pt) { // same page
 		t.Fatal("TLB missed after fill")
 	}
 	if tlb.Hits != 1 || tlb.Misses != 1 {
@@ -86,42 +58,11 @@ func TestTLBCapacityLRU(t *testing.T) {
 	tlb.Lookup(0x2000, pt)
 	tlb.Lookup(0x1000, pt) // refresh page 1
 	tlb.Lookup(0x3000, pt) // evicts page 2
-	if _, hit := tlb.Lookup(0x1000, pt); !hit {
+	if !tlb.Lookup(0x1000, pt) {
 		t.Fatal("MRU entry evicted")
 	}
-	if _, hit := tlb.Lookup(0x2000, pt); hit {
+	if tlb.Lookup(0x2000, pt) {
 		t.Fatal("LRU entry survived")
-	}
-}
-
-func TestTLBStaleness(t *testing.T) {
-	// The essence of Banshee's lazy coherence: a TLB entry is a
-	// snapshot, so a PTE update is invisible until a shootdown.
-	pt := NewPageTable()
-	tlb := NewTLB(8)
-	e, _ := tlb.Lookup(0x4000, pt)
-	if e.Cached {
-		t.Fatal("fresh PTE marked cached")
-	}
-	frame := mem.PageNum(0x4000)
-	pt.SetCached(frame, true, 1)
-	stale, hit := tlb.Lookup(0x4000, pt)
-	if !hit {
-		t.Fatal("expected TLB hit")
-	}
-	if stale.Cached {
-		t.Fatal("TLB saw PTE update without shootdown — not a snapshot")
-	}
-	tlb.Flush()
-	fresh, hit := tlb.Lookup(0x4000, pt)
-	if hit {
-		t.Fatal("hit after flush")
-	}
-	if !fresh.Cached || fresh.Way != 1 {
-		t.Fatal("reload after shootdown did not see updated PTE")
-	}
-	if tlb.Shootdowns != 1 {
-		t.Fatalf("shootdowns = %d", tlb.Shootdowns)
 	}
 }
 
@@ -132,11 +73,11 @@ func TestTLBLargePageKey(t *testing.T) {
 	tlb.Lookup(0x40000000, pt)
 	// Any 4 KB page in the same 2 MB region must hit the same entry.
 	for _, off := range []mem.Addr{mem.PageBytes * 17, mem.LargeBytes - 1} {
-		if _, hit := tlb.Lookup(0x40000000+off, pt); !hit {
+		if !tlb.Lookup(0x40000000+off, pt) {
 			t.Fatalf("offset %#x: large-page TLB entry not shared across the region", uint64(off))
 		}
 	}
-	if _, hit := tlb.Lookup(0x40000000+mem.LargeBytes, pt); hit {
+	if tlb.Lookup(0x40000000+mem.LargeBytes, pt) {
 		t.Fatal("neighboring region hit the large-page TLB entry")
 	}
 }
@@ -179,20 +120,14 @@ func TestDefaultCostModel(t *testing.T) {
 }
 
 func TestTranslationIdentityProperty(t *testing.T) {
-	// Property: translating any two addresses on the same 4 KB page
-	// allocates one PTE; on different pages, two, and marking one page
-	// cached leaves the other alone.
+	// Property: every address translates to its own 4 KB page number,
+	// so two addresses share a frame exactly when they share a page.
 	f := func(a, b uint64) bool {
 		pt := NewPageTable()
 		aa := mem.Addr(a % (1 << 44))
 		bb := mem.Addr(b % (1 << 44))
-		pt.Translate(aa)
-		pt.SetCached(mem.PageNum(aa), true, 1)
-		eb := pt.Translate(bb)
-		if mem.PageNum(aa) == mem.PageNum(bb) {
-			return pt.Len() == 1 && eb.Cached
-		}
-		return pt.Len() == 2 && !eb.Cached
+		fa, fb := pt.Translate(aa), pt.Translate(bb)
+		return fa == mem.PageNum(aa) && (fa == fb) == (mem.PageNum(aa) == mem.PageNum(bb))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

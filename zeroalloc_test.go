@@ -48,27 +48,24 @@ func zeroAlloc(t *testing.T, name string, step func(i int)) {
 }
 
 // schemeStep issues the i-th access of a skewed mix of reads, writes
-// and dirty evictions across `pages` 4 KB pages, with mappings resolved
-// through pt the way the simulator would.
-func schemeStep(s mc.Scheme, pt *vm.PageTable, pages uint64, i int) {
+// and dirty evictions across `pages` 4 KB pages.
+func schemeStep(s mc.Scheme, pages uint64, i int) {
 	page := (uint64(i) * 2654435761) % pages
 	addr := mem.Addr(page<<12 | uint64(i%64)<<6)
-	pte := pt.Translate(addr)
 	if i%7 == 0 {
-		s.Access(mem.Request{Addr: addr, Write: true, Eviction: true, Mapping: pte.Mapping()})
+		s.Access(mem.Request{Addr: addr, Write: true, Eviction: true})
 	} else {
-		s.Access(mem.Request{Addr: addr, Write: i%3 == 0, Mapping: pte.Mapping()})
+		s.Access(mem.Request{Addr: addr, Write: i%3 == 0})
 	}
 }
 
 func testZeroAlloc(t *testing.T, s mc.Scheme, pages uint64) {
 	t.Helper()
-	pt := vm.NewPageTable()
-	zeroAlloc(t, s.Name(), func(i int) { schemeStep(s, pt, pages, i) })
+	zeroAlloc(t, s.Name(), func(i int) { schemeStep(s, pages, i) })
 }
 
-// TestBansheeAccessZeroAlloc resolves mappings through the page table
-// the scheme updates, so its PTE rewrites feed back into the stream.
+// TestBansheeAccessZeroAlloc drives Banshee through remaps, tag-buffer
+// flushes and the TLB shootdowns they trigger.
 func TestBansheeAccessZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		capacity    int
@@ -77,11 +74,10 @@ func TestBansheeAccessZeroAlloc(t *testing.T) {
 		{allocCapacity, 32768, 7},
 		{64 << 20, 65536, 1}, // 64 MB cache under a 256 MB address range
 	} {
-		pt := vm.NewPageTable()
 		cfg := bcore.DefaultConfig(c.capacity)
 		cfg.Seed = c.seed
-		s := bcore.New(cfg, pt, nil, vm.DefaultCostModel(2700))
-		zeroAlloc(t, s.Name(), func(i int) { schemeStep(s, pt, c.pages, i) })
+		s := bcore.New(cfg, []*vm.TLB{vm.NewTLB(64)}, vm.DefaultCostModel(2700))
+		zeroAlloc(t, s.Name(), func(i int) { schemeStep(s, c.pages, i) })
 	}
 }
 
@@ -144,8 +140,8 @@ func TestDRAMAccessZeroAlloc(t *testing.T) {
 }
 
 // TestTLBLookupZeroAlloc drives a 64-entry TLB over 1024 mapped pages:
-// every other lookup goes to a 32-page hot set that hits, the rest miss
-// into the page table, and a shootdown flushes the TLB every 1000 steps.
+// every other lookup goes to a 32-page hot set that hits, the rest
+// miss, and a shootdown flushes the TLB every 1000 steps.
 func TestTLBLookupZeroAlloc(t *testing.T) {
 	pt, tlb := vm.NewPageTable(), vm.NewTLB(64)
 	zeroAlloc(t, "TLB.Lookup", func(i int) {
@@ -160,18 +156,6 @@ func TestTLBLookupZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestSetCachedZeroAlloc pins the PTE update a tag-buffer flush makes
-// for each remapped frame.
-func TestSetCachedZeroAlloc(t *testing.T) {
-	pt := vm.NewPageTable()
-	for page := uint64(0); page < 4096; page++ {
-		pt.Translate(mem.Addr(page << 12))
-	}
-	zeroAlloc(t, "PageTable.SetCached", func(i int) {
-		pt.SetCached(uint64(i)%4096, i%2 == 0, uint8(i%4))
-	})
-}
-
 // TestTagBufferZeroAlloc drives the tag buffer's lookup/insert path —
 // the structure on every LLC miss's way through a Banshee MC — draining
 // remaps whenever an insert finds no room.
@@ -179,8 +163,8 @@ func TestTagBufferZeroAlloc(t *testing.T) {
 	tb := bcore.NewTagBuffer(1024, 8)
 	zeroAlloc(t, "TagBuffer", func(i int) {
 		page := uint64(i) % 4096
-		if _, hit := tb.Lookup(page); !hit {
-			if !tb.InsertClean(page, true, uint8(i%4)) {
+		if !tb.Lookup(page) {
+			if !tb.InsertClean(page) {
 				tb.DrainRemaps()
 			}
 		}
