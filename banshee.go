@@ -52,12 +52,13 @@
 //
 // Sweeps beyond a single run go through the batch engine: declare a
 // Matrix (workloads × schemes × config points × seeds) and hand it to
-// RunBatch. Jobs execute on a work-stealing worker pool that shares
-// substrate warm-up between jobs of the same workload, results stream
-// to a JSONL file as they complete, and an interrupted sweep resumes
-// from that file without re-simulating finished jobs — job identity is
-// a content key over the fully resolved configuration, so edited
-// sweeps re-simulate while untouched jobs are served from disk.
+// RunBatch. Jobs execute on a worker pool in the matrix's enumeration
+// order, sharing each graph substrate through a process-wide cache,
+// results stream to a JSONL file as they complete, and an interrupted
+// sweep resumes from that file without re-simulating finished jobs —
+// job identity is a content key over the fully resolved configuration,
+// so edited sweeps re-simulate while untouched jobs are served from
+// disk.
 // Cancelling the context drains the pool without writing partial
 // results, so the JSONL file is always a clean resumable prefix.
 //

@@ -129,9 +129,9 @@ func TestGangSharedSubstrateBuild(t *testing.T) {
 // honor must fail at construction with the disqualifying reason, not
 // silently diverge.
 func TestGangRejectsIneligible(t *testing.T) {
-	// Banshee rewrites PTEs and issues TLB shootdowns through the VM
-	// substrate the lanes would have to share. HMA's remap epochs stall
-	// every core, which batched replay cannot place exactly.
+	// Banshee's tag-buffer flush shoots down every TLB, which a front
+	// end translating ahead of the lanes cannot see. HMA's remap epochs
+	// stall every core, which batched replay cannot place exactly.
 	for _, scheme := range []string{"Banshee", "HMA"} {
 		if _, err := banshee.NewGangSession(gangConfig(), "mcf", scheme, gangSeeds()); err == nil ||
 			!strings.Contains(err.Error(), "gang-safe") {

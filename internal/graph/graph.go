@@ -100,9 +100,11 @@ type Config struct {
 // parallel experiment workers is safe. The cache is a bounded LRU:
 // long-running sweeps touch an unbounded stream of configs (scale,
 // seed, and footprint all key differently), so retention must be
-// capped; within a batch the engine groups jobs by workload, so the
-// working set stays far below the cap and eviction only trims
-// substrates the sweep has moved past.
+// capped. A batch runs its jobs in matrix enumeration order (points,
+// then workloads, then seeds), so its working set is one config
+// point's (workload, seed) substrates; later points usually vary only
+// back-end knobs and hit the same entries while that set fits under
+// the cap, and eviction only trims substrates the sweep has moved past.
 //
 // Concurrent first builds of the same config are deduplicated: one
 // caller builds while the rest wait on the entry's ready channel.
@@ -199,7 +201,7 @@ func New(cfg Config) *Graph {
 const buildChunk = 1 << 15
 
 // builds counts substrate constructions since process start; tests use
-// it to assert that shared consumers (batch worker queues, gang lanes)
+// it to assert that shared consumers (batch workers, gang lanes)
 // dedupe builds instead of re-deriving the same graph.
 var builds atomic.Uint64
 

@@ -235,8 +235,8 @@ func Comparison() []string {
 
 // GangSafe reports whether spec builds a scheme that may run as one
 // lane of a lockstep gang: the scheme's registration declares it never
-// touches the shared VM substrate, and no modifier is active on the
-// spec (modifiers wrap arbitrary behavior around a scheme, so an
+// flushes the TLBs nor charges an all-core stall (Scheme.GangSafe), and
+// no modifier is active on the spec (modifiers wrap arbitrary behavior around a scheme, so an
 // active one voids the declaration).
 func GangSafe(spec Spec) bool {
 	mu.RLock()

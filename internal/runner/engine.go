@@ -16,14 +16,14 @@ import (
 	"banshee/internal/stats"
 )
 
-// Engine executes matrices on a work-stealing worker pool. Workers own
-// per-workload job queues: the first job on a workload builds (and
-// caches) its trace/graph substrate, and every later job on that queue
-// hits the warm cache, so the expensive warm-up happens once per
-// workload instead of once per job. An idle worker first claims an
-// unowned workload, and only when none remain steals from the back of
-// the longest remaining queue — keeping stolen work on the substrate
-// it just warmed.
+// Engine executes matrices on a worker pool fed by one ordered queue:
+// workers take job groups in matrix enumeration order (points, then
+// workloads, then schemes, then seeds), the order the sink flushes
+// them, so a finished result waits off disk only behind groups still
+// in flight. A kernel workload's graph substrate is built once per
+// config and shared through internal/graph's cache, which also dedupes
+// concurrent first builds; enumeration order keeps that cache's
+// working set to one config point's substrates.
 type Engine struct {
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
@@ -145,7 +145,7 @@ func (e Engine) Run(ctx context.Context, m Matrix) (*ResultSet, error) {
 // so the same list always converges to the same bytes. One pass over
 // the list settles each job as part of the sink's on-disk prefix,
 // reused by content key from the sink, a twin of an earlier pending
-// job, or pending; only pending jobs reach the worker queues.
+// job, or pending; only pending jobs reach the job queue.
 func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs []Job) (*ResultSet, error) {
 	if e.FailedOut != "" {
 		if err := os.Remove(e.FailedOut); err != nil && !os.IsNotExist(err) {
@@ -322,7 +322,6 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 			if e.Tracer != nil {
 				e.Tracer.NameThread(w, fmt.Sprintf("worker %d", w))
 			}
-			own := ""
 			for {
 				mu.Lock()
 				if err := ctx.Err(); err != nil && firstErr == nil {
@@ -332,12 +331,11 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 					mu.Unlock()
 					return
 				}
-				group, wl, ok := q.nextLocked(own)
+				group, ok := q.next()
 				if !ok {
 					mu.Unlock()
 					return
 				}
-				own = wl
 				members := make([]Job, len(group))
 				for k, i := range group {
 					members[k] = jobs[i]
@@ -404,9 +402,9 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 				if gang {
 					// A failed gang (panic, error, blown deadline) falls
 					// back to independent execution: requeue the members
-					// as singleton groups at the front of this workload's
-					// queue, restoring exactly the per-job
-					// retry/ledger/resume semantics of a non-gang run.
+					// as singleton groups at the front of the queue,
+					// restoring exactly the per-job retry/ledger/resume
+					// semantics of a non-gang run.
 					if em != nil {
 						em.gangFallbacks.Inc()
 					}
@@ -417,7 +415,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 						fmt.Fprintf(e.Progress, "%-6s %d-lane gang at %s: %v; retrying as independent jobs\n",
 							"gang!", len(group), jobs[group[0]].Coord(), err)
 					}
-					q.pushFrontSingles(wl, group)
+					q.pushFrontSingles(group)
 					mu.Unlock()
 					continue
 				}
@@ -467,93 +465,53 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 	return rs, nil
 }
 
-// jobQueue is the pool's scheduling state: per-workload FIFO queues of
-// job groups in first-appearance order. A group is one job, or — with
-// ganging enabled — up to gangWidth gang-eligible jobs sharing a
-// scheme kind and front-end shape, formed greedily over the pending
-// enumeration so groupmates stay enumeration-adjacent and the flush
-// frontier advances smoothly. Guarded by the engine's mutex.
+// jobQueue is the pool's schedule: one slice of job groups, ordered
+// by the enumeration index of each group's first member, so workers
+// take work in the order the sink flushes it. A group is one job, or
+// — with ganging enabled — up to gangWidth gang-eligible jobs sharing
+// a scheme kind and front-end shape, formed greedily over the pending
+// enumeration. Guarded by the engine's mutex.
 type jobQueue struct {
-	queues  map[string][][]int
-	order   []string
-	claimed map[string]bool
+	groups [][]int
 }
 
 func newJobQueue(jobs []Job, pending []int, width int) *jobQueue {
-	q := &jobQueue{queues: map[string][][]int{}, claimed: map[string]bool{}}
+	q := &jobQueue{}
 	// One open group per gang key; a full group rolls the key over to a
 	// new group. Pending jobs have distinct content IDs (twins were
 	// settled before queueing), so no gang runs one config twice.
-	type openGroup struct {
-		w   string
-		idx int // index into q.queues[w]
-	}
-	open := map[string]openGroup{}
+	open := map[string]int{} // gang key → index of its open group
 	for _, i := range pending {
-		w := jobs[i].Workload
-		if _, seen := q.queues[w]; !seen {
-			q.order = append(q.order, w)
-			q.queues[w] = nil
-		}
 		if width >= 2 {
 			if key, ok := sim.GangKey(jobs[i].Config); ok {
-				if g, ok := open[key]; ok && len(q.queues[g.w][g.idx]) < width {
-					q.queues[g.w][g.idx] = append(q.queues[g.w][g.idx], i)
+				if g, ok := open[key]; ok && len(q.groups[g]) < width {
+					q.groups[g] = append(q.groups[g], i)
 					continue
 				}
-				q.queues[w] = append(q.queues[w], []int{i})
-				open[key] = openGroup{w: w, idx: len(q.queues[w]) - 1}
-				continue
+				open[key] = len(q.groups)
 			}
 		}
-		q.queues[w] = append(q.queues[w], []int{i})
+		q.groups = append(q.groups, []int{i})
 	}
 	return q
 }
 
-// nextLocked hands the caller its next job group: first from its own
-// workload's queue, then by claiming an unowned workload, and finally
-// by stealing from the back of the longest remaining queue.
-func (q *jobQueue) nextLocked(own string) ([]int, string, bool) {
-	if own != "" && len(q.queues[own]) > 0 {
-		return q.popFront(own), own, true
+// next pops the front group.
+func (q *jobQueue) next() ([]int, bool) {
+	if len(q.groups) == 0 {
+		return nil, false
 	}
-	for _, w := range q.order {
-		if !q.claimed[w] && len(q.queues[w]) > 0 {
-			q.claimed[w] = true
-			return q.popFront(w), w, true
-		}
-	}
-	best := ""
-	for _, w := range q.order {
-		if len(q.queues[w]) > len(q.queues[best]) {
-			best = w
-		}
-	}
-	if best == "" {
-		return nil, "", false
-	}
-	return q.popBack(best), best, true
+	g := q.groups[0]
+	q.groups = q.groups[1:]
+	return g, true
 }
 
-// pushFrontSingles requeues jobs as singleton groups at the front of
-// workload w's queue — the fallback path of a failed gang.
-func (q *jobQueue) pushFrontSingles(w string, idxs []int) {
-	groups := make([][]int, 0, len(idxs)+len(q.queues[w]))
+// pushFrontSingles requeues jobs as singleton groups at the front —
+// the fallback path of a failed gang.
+func (q *jobQueue) pushFrontSingles(idxs []int) {
+	groups := make([][]int, 0, len(idxs)+len(q.groups))
 	for _, i := range idxs {
 		groups = append(groups, []int{i})
 	}
-	q.queues[w] = append(groups, q.queues[w]...)
-}
-
-func (q *jobQueue) popFront(w string) []int {
-	groups := q.queues[w]
-	q.queues[w] = groups[1:]
-	return groups[0]
-}
-
-func (q *jobQueue) popBack(w string) []int {
-	groups := q.queues[w]
-	q.queues[w] = groups[:len(groups)-1]
-	return groups[len(groups)-1]
+	q.groups = append(groups, q.groups...)
 }

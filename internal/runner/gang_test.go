@@ -158,10 +158,8 @@ func TestGangGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	widths := func(q *jobQueue) (out []int) {
-		for _, groups := range q.queues {
-			for _, g := range groups {
-				out = append(out, len(g))
-			}
+		for _, g := range q.groups {
+			out = append(out, len(g))
 		}
 		return out
 	}

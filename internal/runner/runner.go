@@ -1,8 +1,9 @@
 // Package runner is the generic batch run engine: it executes a
 // declarative Matrix of simulations (workloads × schemes × config
-// points × seeds) on a work-stealing worker pool, streams every result
-// to a JSONL sink as it completes, and resumes interrupted sweeps by
-// skipping jobs whose results are already on disk.
+// points × seeds) on a worker pool that takes jobs in enumeration
+// order, streams every result to a JSONL sink in that order as it
+// completes, and resumes interrupted sweeps by skipping jobs whose
+// results are already on disk.
 //
 // Jobs are content-keyed: a job's ID is a hash of its fully resolved
 // sim.Config, so a result on disk is reused only when the workload,

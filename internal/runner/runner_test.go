@@ -384,9 +384,10 @@ func TestMatrixValidation(t *testing.T) {
 	}
 }
 
-// TestWorkStealing drains a lopsided matrix with more workers than
-// workloads — forcing steals — and checks every job completes exactly
-// once. Run under -race in CI to shake out pool races.
+// TestWorkStealing drains a one-workload matrix with more workers than
+// workloads, so every worker contends for the one job queue, and
+// checks every job completes exactly once. Run under -race in CI to
+// shake out pool races.
 func TestWorkStealing(t *testing.T) {
 	m := testMatrix("steal")
 	m.Workloads = []string{"pagerank"} // one queue, many workers
@@ -400,6 +401,73 @@ func TestWorkStealing(t *testing.T) {
 	}
 	if rs.Executed != 8 {
 		t.Fatalf("executed %d, want 8", rs.Executed)
+	}
+}
+
+// TestScheduleFollowsEnumeration: a single worker takes job groups in
+// matrix enumeration order, and every record completed before a group
+// starts is already in the sink file — a kill then loses only the
+// group in flight. A schedule that drained one workload across all
+// points first would hold the finished jobs of later workloads off
+// disk behind the earlier points' unfinished ones.
+func TestScheduleFollowsEnumeration(t *testing.T) {
+	m := testMatrix("order")
+	m.Base.InstrPerCore = 20_000
+	m.Schemes = []string{"NoCache"}
+	m.Points = append(m.Points, Point{Label: "lat50", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.5 }})
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := map[string]int{}
+	for i, j := range jobs {
+		index[j.Coord()] = i
+	}
+	path := filepath.Join(t.TempDir(), "order.jsonl")
+	var started, completed []string // coords, in order
+	check := func(ctx context.Context, group []Job) ([]stats.Sim, error) {
+		if n := len(started); n > 0 && index[group[0].Coord()] < index[started[n-1]] {
+			t.Errorf("group %s started after %s, against enumeration order", group[0].Coord(), started[n-1])
+		}
+		started = append(started, group[0].Coord())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		recs, err := ParseRecords(data)
+		if err != nil {
+			return nil, err
+		}
+		onDisk := map[string]bool{}
+		for _, r := range recs {
+			onDisk[coordKey(r.Matrix, r.Label, r.Workload, r.Scheme, r.Seed)] = true
+		}
+		for _, c := range completed {
+			if !onDisk[c] {
+				t.Errorf("group %s started while completed job %s was not on disk", group[0].Coord(), c)
+			}
+		}
+		sts, err := Simulate(ctx, group)
+		if err == nil {
+			for _, j := range group {
+				completed = append(completed, j.Coord())
+			}
+		}
+		return sts, err
+	}
+	sink, err := OpenSink(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := Engine{Parallelism: 1, Sink: sink, JobRunner: check}.Run(context.Background(), m)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Executed != len(jobs) || len(started) != len(jobs) {
+		t.Fatalf("executed %d jobs in %d groups, want %d singles", rs.Executed, len(started), len(jobs))
 	}
 }
 

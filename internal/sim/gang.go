@@ -444,7 +444,7 @@ func NewGang(cfgs []Config) (*Gang, error) {
 		for i := range cfgs {
 			k, ok := GangKey(cfgs[i])
 			if !ok {
-				return nil, fmt.Errorf("sim: gang lane %d: scheme kind %q is not registered gang-safe (it may write the VM substrate or stall every core)",
+				return nil, fmt.Errorf("sim: gang lane %d: scheme kind %q is not registered gang-safe (it may flush the TLBs or stall every core)",
 					i, cfgs[i].Scheme.Kind)
 			}
 			if k != key {

@@ -14,10 +14,12 @@
 package sweepd
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"banshee/internal/runner"
@@ -31,8 +33,9 @@ import (
 type PointSpec struct {
 	Label string `json:"label,omitempty"`
 	// Set is a partial sim.Config object ({"InstrPerCore": 100000,
-	// "Scheme": {"AlloyFrac": 0.1}}); fields present override the
-	// resolved config, fields absent leave it alone.
+	// "Scheme": {"AlloyFillProb": 0.1}}); fields present override the
+	// resolved config, fields absent leave it alone, and a field
+	// sim.Config does not have is an error.
 	Set json.RawMessage `json:"set,omitempty"`
 }
 
@@ -89,14 +92,30 @@ type Spec struct {
 // UnmarshalJSON overlays the wire spec onto defaults: Base starts from
 // sim.DefaultConfig(), so a hand-written spec.json states only the
 // knobs it changes — the same overlay semantics PointSpec.Set has —
-// instead of spelling out every config field.
+// instead of spelling out every config field. A field the spec has no
+// place for is an error: dropped silently, a typo'd knob would run the
+// default instead.
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	type plain Spec // drop methods to avoid recursing
 	a := plain(Spec{Base: sim.DefaultConfig()})
-	if err := json.Unmarshal(data, &a); err != nil {
+	if err := decodeStrict(data, &a); err != nil {
 		return err
 	}
 	*s = Spec(a)
+	return nil
+}
+
+// decodeStrict unmarshals one JSON value into v, rejecting object keys
+// that name no field of v and anything after the value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("json: data after the value")
+	}
 	return nil
 }
 
@@ -168,7 +187,7 @@ func (s Spec) matrix() (runner.Matrix, error) {
 	for i, p := range s.Points {
 		if len(p.Set) > 0 {
 			probe := s.Base
-			if err := json.Unmarshal(p.Set, &probe); err != nil {
+			if err := decodeStrict(p.Set, &probe); err != nil {
 				return runner.Matrix{}, fmt.Errorf("sweepd: spec %q point %q: bad override: %w", s.Name, p.Label, err)
 			}
 		}

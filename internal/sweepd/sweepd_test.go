@@ -864,3 +864,41 @@ func TestDaemonBadSpecStatusIgnoresName(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecRejectsUnknownFields: a spec field that names no knob —
+// a typo'd point override or base field — is a 400, not a default
+// silently run in its place; a valid override still changes the job.
+func TestSpecRejectsUnknownFields(t *testing.T) {
+	d := newDaemon(t, t.TempDir())
+	_, srv := dialTest(t, d)
+	for _, body := range []string{
+		`{"name":"x","workloads":["mcf"],"schemes":["Alloy 1"],"points":[{"label":"p","set":{"Scheme":{"AlloyFrac":0.1}}}]}`,
+		`{"name":"x","base":{"InstrPerCor":1000},"workloads":["mcf"],"schemes":["NoCache"]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("spec %s: status %d %s, want 400 unknown field", body, resp.StatusCode, msg)
+		}
+	}
+
+	var spec Spec
+	body := `{"name":"x","workloads":["mcf"],"schemes":["Alloy 1"],"points":[{"label":"base"},{"label":"p","set":{"Scheme":{"AlloyFillProb":0.1}}}]}`
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID == jobs[1].ID {
+		t.Fatalf("override left the job unchanged: %+v", jobs)
+	}
+	if got := jobs[1].Config.Scheme.AlloyFillProb; got != 0.1 {
+		t.Fatalf("overridden AlloyFillProb = %v, want 0.1", got)
+	}
+}
