@@ -235,9 +235,9 @@ func Comparison() []string {
 
 // GangSafe reports whether spec builds a scheme that may run as one
 // lane of a lockstep gang: the scheme's registration declares it never
-// flushes the TLBs nor charges an all-core stall (Scheme.GangSafe), and
-// no modifier is active on the spec (modifiers wrap arbitrary behavior around a scheme, so an
-// active one voids the declaration).
+// flushes the TLBs or charges an all-core stall (Scheme.GangSafe), and
+// no modifier is active on the spec (modifiers wrap arbitrary behavior
+// around a scheme, so an active one voids the declaration).
 func GangSafe(spec Spec) bool {
 	mu.RLock()
 	defer mu.RUnlock()
