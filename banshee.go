@@ -247,8 +247,8 @@ var (
 	ErrUnknownScheme = errs.ErrUnknownScheme
 	// ErrUnknownWorkload: a workload name no registered kind claims.
 	ErrUnknownWorkload = errs.ErrUnknownWorkload
-	// ErrTraceWrapped: a recorded trace ran out of events mid-use and
-	// restarted, disqualifying the run's statistics.
+	// ErrTraceWrapped: a recorded trace ran out of events mid-use,
+	// failing the run that read past its end.
 	ErrTraceWrapped = errs.ErrTraceWrapped
 	// ErrTraceCorrupt: a .btrc recording failed a structural or
 	// checksum validation.
@@ -348,7 +348,7 @@ type RecordOptions struct {
 
 // RecordTrace captures the named workload into a .btrc trace file at
 // path. Recording EventsPerCore ≥ the run's InstrPerCore guarantees a
-// later replay never wraps, because every event retires at least one
+// later replay never runs out, because every event retires at least one
 // instruction. The file replays via the "file:<path>" workload name or
 // OpenTrace.
 func RecordTrace(path, workloadName string, o RecordOptions) error {

@@ -124,10 +124,12 @@ func record(args []string) {
 		r.Name(), *events, r.Cores(), *out, st.Size(), float64(st.Size())/float64(r.TotalEvents()))
 }
 
-// dump prints n raw events of one core's stream.
+// dump prints n raw events of one core's stream, stopping at the
+// first read that fails rather than printing its zero event.
 func dump(w workload.Source, core, n int) {
 	for i := 0; i < n; i++ {
 		ev := w.Next(core)
+		checkStream(w)
 		op := "R"
 		if ev.Write {
 			op = "W"
@@ -135,7 +137,6 @@ func dump(w workload.Source, core, n int) {
 		fmt.Printf("%6d  gap=%-5d %s %#014x  page=%#x line=%d\n",
 			i, ev.Gap, op, uint64(ev.Addr), mem.PageNum(ev.Addr), mem.LineInPage(ev.Addr))
 	}
-	checkStream(w)
 }
 
 // inspect dumps a trace file's header and chunk index.
@@ -237,14 +238,12 @@ func summarize(w workload.Source, label string, core, n int) {
 }
 
 // checkStream fails loudly when a replayed source hit a decode error
-// (synthetic sources have no error state and pass through).
+// or ran out of recorded events (synthetic sources have no error state
+// and pass through).
 func checkStream(w workload.Source) {
 	if e, ok := w.(interface{ Err() error }); ok {
 		if err := e.Err(); err != nil {
 			fatal(err)
 		}
-	}
-	if wr, ok := w.(interface{ Wrapped() bool }); ok && wr.Wrapped() {
-		fmt.Fprintln(os.Stderr, "tracegen: note: stream shorter than requested events; replay wrapped around")
 	}
 }

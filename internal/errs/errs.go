@@ -27,10 +27,10 @@ var (
 	ErrUnknownWorkload = errors.New("unknown workload")
 
 	// ErrTraceWrapped is wrapped when a recorded trace ran out of events
-	// mid-use and restarted from its beginning: the stream carries
-	// artificial periodicity the recording never had, so simulation
-	// stats over it (or a re-recording of it) are disqualified.
-	ErrTraceWrapped = errors.New("trace replay wrapped")
+	// mid-use: the recording is shorter than the run (or re-recording)
+	// reading it, so that use fails instead of inventing the missing
+	// events.
+	ErrTraceWrapped = errors.New("recorded trace ran out")
 
 	// ErrTraceCorrupt is wrapped by every structural-damage error the
 	// .btrc decoder returns — bad magic, checksum mismatch, inconsistent

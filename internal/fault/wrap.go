@@ -69,14 +69,6 @@ func (s *faultSource) Err() error {
 	return nil
 }
 
-// Wrapped forwards the inner source's wrap detection, if any.
-func (s *faultSource) Wrapped() bool {
-	if w, ok := s.inner.(interface{ Wrapped() bool }); ok {
-		return w.Wrapped()
-	}
-	return false
-}
-
 // Close releases the inner source's resources, if it holds any.
 func (s *faultSource) Close() error {
 	if c, ok := s.inner.(interface{ Close() error }); ok {

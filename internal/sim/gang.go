@@ -540,16 +540,13 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 	s.st.Scheme = scheme.Name()
 	s.totalBudget = cfg.InstrPerCore * uint64(len(s.cores))
 	s.warmTarget = uint64(float64(s.totalBudget) * cfg.WarmupFrac)
-	// Replayed trace files latch decode errors and wrap-around instead
-	// of panicking mid-run; bind their surfaces once so Step can poll
-	// them without per-call type assertions. Every lane over a shared
-	// stream binds the same surfaces, so a corrupt or wrapped stream
-	// fails all lanes with the error a stand-alone run would report.
+	// Replayed trace files latch decode errors and running out instead
+	// of panicking mid-run; bind that surface once so Step can poll it
+	// without per-call type assertions. Every lane over a shared stream
+	// binds the same surface, so a corrupt or exhausted stream fails
+	// all lanes with the error a stand-alone run would report.
 	if e, ok := gs.src.(interface{ Err() error }); ok {
 		s.srcErr = e.Err
-	}
-	if wr, ok := gs.src.(interface{ Wrapped() bool }); ok {
-		s.srcWrapped = wr.Wrapped
 	}
 	gs.lanes = append(gs.lanes, s)
 	return s, nil

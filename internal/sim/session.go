@@ -59,9 +59,9 @@ func (s *Session) System() *System { return s.g.Lane(0) }
 // Step advances the run until at least n more instructions have
 // retired across all cores, returning done=true once the instruction
 // budget is exhausted. The steady-state Step path does not allocate.
-// Errors (trace-replay corruption or wrap-around, a cancelled Run) are
-// terminal: the run stops, resources are released, and every later
-// call returns the same error.
+// Errors (trace-replay corruption, a recording that ran out, a
+// cancelled Run) are terminal: the run stops, resources are released,
+// and every later call returns the same error.
 func (s *Session) Step(n uint64) (done bool, err error) { return s.g.Step(n) }
 
 // Run drives the session to completion under ctx; see Gang.Run. On

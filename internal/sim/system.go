@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"banshee/internal/cache"
@@ -76,8 +77,7 @@ type System struct {
 	final        stats.Sim
 
 	// Latched trace-replay failure surface (file sources only).
-	srcErr     func() error
-	srcWrapped func() bool
+	srcErr func() error
 
 	// Epoch sampling (OnEpoch). epochNext is the next absolute
 	// retirement multiple to sample at, so boundary overshoot never
@@ -167,12 +167,12 @@ func (s *System) start() {
 // Step advances the simulation until at least n more instructions have
 // retired across all cores (or the budget is exhausted), returning
 // done=true once the run is complete. It surfaces latched trace-replay
-// failures (decode corruption, wrap-around) as typed errors; a failed
-// run is terminal and keeps returning the same error. The warmup
-// snapshot, epoch samples, and final window all happen inside Step at
-// the exact retirement boundaries they would in a one-shot run, so a
-// stepped run's statistics are bit-identical to Run's regardless of
-// the step size.
+// failures (decode corruption, a recording that ran out) as typed
+// errors; a failed run is terminal and keeps returning the same error.
+// The warmup snapshot, epoch samples, and final window all happen
+// inside Step at the exact retirement boundaries they would in a
+// one-shot run, so a stepped run's statistics are bit-identical to
+// Run's regardless of the step size.
 func (s *System) Step(n uint64) (done bool, err error) {
 	if s.runErr != nil {
 		return false, s.runErr
@@ -232,20 +232,19 @@ func (s *System) Step(n uint64) (done bool, err error) {
 }
 
 // sourceErr reports a latched trace-replay failure: a decode error
-// (wrapping errs.ErrTraceCorrupt) or a wrapped-around stream (wrapping
+// (wrapping errs.ErrTraceCorrupt) or a stream that ran out (wrapping
 // errs.ErrTraceWrapped) — either disqualifies the run's statistics.
 func (s *System) sourceErr() error {
-	if s.srcErr != nil {
-		if err := s.srcErr(); err != nil {
-			return err
-		}
+	if s.srcErr == nil {
+		return nil
 	}
-	if s.srcWrapped != nil && s.srcWrapped() {
+	err := s.srcErr()
+	if errors.Is(err, errs.ErrTraceWrapped) {
 		return fmt.Errorf(
-			"sim: %w: %q records fewer events than the run consumed (record more events per core or lower InstrPerCore)",
-			errs.ErrTraceWrapped, s.cfg.Workload)
+			"sim: %q records fewer events than the run consumed (record more events per core or lower InstrPerCore): %w",
+			s.cfg.Workload, err)
 	}
-	return nil
+	return err
 }
 
 // fail terminates the run with err; the source is released and every

@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"banshee/internal/mem"
@@ -30,13 +29,6 @@ func (t *Traffic) Total() uint64 {
 		s += b
 	}
 	return s
-}
-
-// Merge adds o into t.
-func (t *Traffic) Merge(o Traffic) {
-	for i, b := range o.Bytes {
-		t.Bytes[i] += b
-	}
 }
 
 // Sim is the full set of measurements from one simulation run.
@@ -213,16 +205,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted floats after a string label.
-func (t *Table) AddRowf(label string, format string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.AddRow(cells...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	width := make([]int, len(t.columns))
@@ -261,12 +243,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRows orders rows by their first cell (stable), used when
-// aggregating concurrent experiment results deterministically.
-func (t *Table) SortRows() {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		return t.rows[i][0] < t.rows[j][0]
-	})
 }

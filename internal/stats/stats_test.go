@@ -22,17 +22,6 @@ func TestTrafficAddTotal(t *testing.T) {
 	}
 }
 
-func TestTrafficMerge(t *testing.T) {
-	var a, b Traffic
-	a.Add(mem.ClassTag, 10)
-	b.Add(mem.ClassTag, 5)
-	b.Add(mem.ClassCounter, 7)
-	a.Merge(b)
-	if a.Bytes[mem.ClassTag] != 15 || a.Bytes[mem.ClassCounter] != 7 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
-}
-
 func TestDerivedMetrics(t *testing.T) {
 	s := Sim{
 		Instructions: 1000,
@@ -162,24 +151,5 @@ func TestTableExtraCellsDropped(t *testing.T) {
 	tb.AddRow("1", "2", "3", "4")
 	if strings.Contains(tb.String(), "3") {
 		t.Fatal("extra cells leaked into output")
-	}
-}
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "w", "x", "y")
-	tb.AddRowf("row", "%.1f", 1.25, 2.5)
-	if !strings.Contains(tb.String(), "1.2") || !strings.Contains(tb.String(), "2.5") {
-		t.Fatalf("AddRowf output wrong: %q", tb.String())
-	}
-}
-
-func TestTableSortRows(t *testing.T) {
-	tb := NewTable("", "k", "v")
-	tb.AddRow("b", "2")
-	tb.AddRow("a", "1")
-	tb.SortRows()
-	out := tb.String()
-	if strings.Index(out, "a") > strings.Index(out, "b") {
-		t.Fatal("rows not sorted")
 	}
 }

@@ -131,25 +131,30 @@ func (c *Client) doCall(ctx context.Context, call string, timeout time.Duration,
 		}
 		payload = b
 	}
-	attempts := c.retry.Attempts()
-	var lastErr error
 	for attempt := 1; ; attempt++ {
-		lastErr = c.doOnce(ctx, timeout, method, path, payload, out)
-		if lastErr == nil {
-			return nil
-		}
-		if ctx.Err() != nil || attempt >= attempts || !retryable(lastErr) {
-			return lastErr
-		}
-		recordRetry(call)
-		d := c.retry.Delay(call+"|"+path, attempt)
-		if ra := retryAfter(lastErr); ra > d {
-			d = ra
-		}
-		if !util.SleepCtx(ctx, d) {
-			return lastErr
+		err := c.doOnce(ctx, timeout, method, path, payload, out)
+		if err == nil || !c.backoff(ctx, call, path, attempt, err) {
+			return err
 		}
 	}
+}
+
+// backoff decides whether failed attempt number attempt of call is
+// retried and, if so, counts the retry and sleeps the policy's delay
+// for it (jitter keyed by call and key), or the daemon's Retry-After
+// when that is longer. It reports false when the caller should give
+// up with err: the context is done, the attempts are spent, err is
+// not transient, or ctx ended the sleep.
+func (c *Client) backoff(ctx context.Context, call, key string, attempt int, err error) bool {
+	if ctx.Err() != nil || attempt >= c.retry.Attempts() || !retryable(err) {
+		return false
+	}
+	recordRetry(call)
+	d := c.retry.Delay(call+"|"+key, attempt)
+	if ra := retryAfter(err); ra > d {
+		d = ra
+	}
+	return util.SleepCtx(ctx, d)
 }
 
 // doOnce is one attempt of a unary call.
@@ -342,15 +347,7 @@ func (c *Client) stream(ctx context.Context, id, kind string, offset int64, foll
 			attempt = 0
 		}
 		attempt++
-		if ctx.Err() != nil || attempt >= c.retry.Attempts() || !retryable(err) {
-			return total, err
-		}
-		recordRetry(callStream)
-		d := c.retry.Delay(callStream+"|"+id+"/"+kind, attempt)
-		if ra := retryAfter(err); ra > d {
-			d = ra
-		}
-		if !util.SleepCtx(ctx, d) {
+		if !c.backoff(ctx, callStream, id+"/"+kind, attempt, err) {
 			return total, err
 		}
 	}

@@ -2,8 +2,11 @@ package tracefile_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"banshee/internal/errs"
+	"banshee/internal/trace"
 	"banshee/internal/tracefile"
 	"banshee/internal/workload"
 )
@@ -13,6 +16,8 @@ import (
 // panicking — never crash, hang, or allocate beyond what the claimed
 // file size justifies (every count and length in the format is
 // validated against the file size before allocation; see NewReader).
+// A file that passes Verify replays exactly its recorded events and
+// then runs out with ErrTraceWrapped.
 func FuzzReader(f *testing.F) {
 	src, err := workload.Open("gcc", workload.Config{Cores: 2, Seed: 2, Scale: 1e-4, Intensity: 1})
 	if err != nil {
@@ -39,26 +44,20 @@ func FuzzReader(f *testing.F) {
 		if err := r.Verify(); err != nil {
 			return
 		}
-		// Structurally valid input: replay a bounded slice of every
-		// stream, past the wrap point, and require a clean Err.
+		// Structurally valid input: Verify decoded every event, so each
+		// core replays exactly its recorded count without error (the
+		// count is bounded by the file size, at least 2 bytes an event).
 		for c := 0; c < r.Cores(); c++ {
-			n := r.CoreEvents(c) + 10
-			if n > 1<<14 {
-				n = 1 << 14
-			}
-			for i := uint64(0); i < n && r.Err() == nil; i++ {
+			for i := uint64(0); i < r.CoreEvents(c); i++ {
 				r.Next(c)
 			}
-		}
-		// Verify passed, so replay must not hit decode errors (only
-		// cores with no recorded events may object).
-		if err := r.Err(); err != nil {
-			for c := 0; c < r.Cores(); c++ {
-				if r.CoreEvents(c) == 0 {
-					return
-				}
+			if err := r.Err(); err != nil {
+				t.Fatalf("Verify passed but replay of core %d failed: %v", c, err)
 			}
-			t.Fatalf("Verify passed but replay failed: %v", err)
+		}
+		// One read more has no event to give.
+		if ev := r.Next(0); ev != (trace.Event{}) || !errors.Is(r.Err(), errs.ErrTraceWrapped) {
+			t.Fatalf("read past end served %+v, Err %v; want zero event and ErrTraceWrapped", ev, r.Err())
 		}
 	})
 }

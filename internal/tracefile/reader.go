@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"banshee/internal/errs"
 	"banshee/internal/mem"
 	"banshee/internal/trace"
 )
@@ -22,20 +23,19 @@ import (
 //
 // Reader implements the workload Source contract (Name, Cores,
 // Footprint, Next), so an opened trace plugs directly into the
-// simulator. Next cannot return an error; decode failures after a
-// successful Open latch into Err and Next returns zero events from
-// then on. A core whose recorded stream is exhausted wraps around to
-// its beginning and sets Wrapped — callers that need exact replay
-// (e.g. the record→replay identity test) check Wrapped after the run.
+// simulator. Next cannot return an error; failures after a successful
+// Open latch into Err and Next returns zero events from then on. A
+// decode failure wraps errs.ErrTraceCorrupt; reading a core past the
+// end of its recorded stream wraps errs.ErrTraceWrapped, since the
+// recording has no event to give.
 type Reader struct {
-	src     io.ReaderAt
-	closer  io.Closer // set when the Reader owns the file
-	meta    Meta
-	chunks  []indexEntry
-	cores   []coreDec
-	total   uint64
-	wrapped bool
-	err     error
+	src    io.ReaderAt
+	closer io.Closer // set when the Reader owns the file
+	meta   Meta
+	chunks []indexEntry
+	cores  []coreDec
+	total  uint64
+	err    error
 }
 
 type coreDec struct {
@@ -243,16 +243,11 @@ func (r *Reader) TotalEvents() uint64 { return r.total }
 // CoreEvents returns the number of recorded events of one core.
 func (r *Reader) CoreEvents(core int) uint64 { return r.cores[core].events }
 
-// Wrapped reports whether any core's stream was replayed past its end
-// and restarted from the beginning.
-func (r *Reader) Wrapped() bool { return r.wrapped }
-
-// Err returns the first decode or I/O error hit during replay.
+// Err returns the first decode, I/O or ran-out error hit during replay.
 func (r *Reader) Err() error { return r.err }
 
-// Next returns core's next recorded event, wrapping to the start of
-// the stream when it is exhausted. On error it latches Err and returns
-// the zero event.
+// Next returns core's next recorded event. Past the end of the
+// stream, or on error, it latches Err and returns the zero event.
 func (r *Reader) Next(core int) trace.Event {
 	if r.err != nil {
 		return trace.Event{}
@@ -292,15 +287,12 @@ func (r *Reader) Next(core int) trace.Event {
 	}
 }
 
-// advance loads core's next chunk, wrapping at the end of its list.
+// advance loads core's next chunk; it latches errs.ErrTraceWrapped
+// when the core has none left.
 func (r *Reader) advance(core int, d *coreDec) bool {
-	if len(d.list) == 0 {
-		r.err = fmt.Errorf("tracefile: core %d has no recorded events", core)
-		return false
-	}
 	if d.li == len(d.list) {
-		d.li = 0
-		r.wrapped = true
+		r.err = fmt.Errorf("tracefile: core %d: %w after %d events", core, errs.ErrTraceWrapped, d.events)
+		return false
 	}
 	if err := r.loadChunk(d, int(d.list[d.li])); err != nil {
 		r.err = err
@@ -332,20 +324,6 @@ func (r *Reader) loadChunk(d *coreDec, ci int) error {
 	d.remaining = e.events
 	d.prev = 0
 	return nil
-}
-
-// Rewind resets every core's replay cursor to the start of its stream
-// and clears the wrap marker. Latched decode errors stay latched.
-func (r *Reader) Rewind() {
-	for i := range r.cores {
-		d := &r.cores[i]
-		d.li = 0
-		d.remaining = 0
-		d.pos = 0
-		d.prev = 0
-		d.payload = nil
-	}
-	r.wrapped = false
 }
 
 // Verify loads and fully decodes every chunk, checking checksums and

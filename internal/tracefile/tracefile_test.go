@@ -2,8 +2,12 @@ package tracefile_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"banshee/internal/errs"
 	"banshee/internal/trace"
 	"banshee/internal/tracefile"
 	"banshee/internal/workload"
@@ -83,12 +87,9 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 		if err := r.Err(); err != nil {
 			t.Fatalf("%s: replay error: %v", name, err)
 		}
-		if r.Wrapped() {
-			t.Fatalf("%s: replay wrapped within recorded length", name)
-		}
 
 		// Re-encoding the replayed stream must reproduce the bytes.
-		r.Rewind()
+		r = openBytes(t, data)
 		var buf2 bytes.Buffer
 		w2, err := tracefile.NewWriter(&buf2, r.Meta())
 		if err != nil {
@@ -161,57 +162,62 @@ func TestMultiChunkStreams(t *testing.T) {
 	}
 }
 
-// TestWrapAround: an exhausted stream restarts from its beginning and
-// reports Wrapped.
-func TestWrapAround(t *testing.T) {
-	const perCore = 100
-	src, err := workload.Open("gcc", workload.Config{Cores: 1, Seed: 9, Scale: 1e-4, Intensity: 1})
+// TestReadPastEnd: a core read to the end of its recording replays
+// each recorded event once with no error; one more Next returns the
+// zero event and latches ErrTraceWrapped, naming the core and its
+// recorded count, and every later read (any core) stays zero.
+func TestReadPastEnd(t *testing.T) {
+	const perCore = tracefile.ChunkEvents + 100 // a full chunk and a tail
+	src, err := workload.Open("gcc", workload.Config{Cores: 2, Seed: 9, Scale: 1e-4, Intensity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := recordBytes(t, src, perCore)
-	r := openBytes(t, data)
-	var first [perCore]trace.Event
-	for i := range first {
-		first[i] = r.Next(0)
-	}
-	if r.Wrapped() {
-		t.Fatal("wrapped before stream end")
-	}
-	for i := 0; i < perCore; i++ {
-		if ev := r.Next(0); ev != first[i] {
-			t.Fatalf("wrapped event %d: %+v != %+v", i, ev, first[i])
-		}
-	}
-	if !r.Wrapped() {
-		t.Fatal("wrap not reported")
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRewind resets replay to the start of every stream.
-func TestRewind(t *testing.T) {
-	src, err := workload.Open("mcf", smallCfg)
+	fresh, err := workload.Open("gcc", workload.Config{Cores: 2, Seed: 9, Scale: 1e-4, Intensity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := openBytes(t, recordBytes(t, src, 500))
-	a0, a1 := r.Next(0), r.Next(1)
-	for i := 0; i < 300; i++ {
-		r.Next(0)
-		r.Next(1)
+	r := openBytes(t, data)
+	for i := 0; i < perCore; i++ {
+		if got, want := r.Next(1), fresh.Next(1); got != want {
+			t.Fatalf("event %d: %+v != %+v", i, got, want)
+		}
 	}
-	r.Rewind()
-	if got := r.Next(0); got != a0 {
-		t.Fatalf("rewound core 0: %+v != %+v", got, a0)
+	if err := r.Err(); err != nil {
+		t.Fatalf("error after exactly the recorded events: %v", err)
 	}
-	if got := r.Next(1); got != a1 {
-		t.Fatalf("rewound core 1: %+v != %+v", got, a1)
+	if ev := r.Next(1); ev != (trace.Event{}) {
+		t.Fatalf("read past end served %+v, want the zero event", ev)
 	}
-	if r.Wrapped() {
-		t.Fatal("Rewind did not clear wrap marker")
+	err = r.Err()
+	if !errors.Is(err, errs.ErrTraceWrapped) {
+		t.Fatalf("read past end latched %v, want ErrTraceWrapped", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "core 1") || !strings.Contains(msg, fmt.Sprint(perCore)) {
+		t.Fatalf("error %q does not name the core and its recorded count", msg)
+	}
+	if ev := r.Next(0); ev != (trace.Event{}) || r.Err() != err {
+		t.Fatalf("after the latch: core 0 served %+v, Err %v", ev, r.Err())
+	}
+}
+
+// TestEmptyCoreRunsOut: a core with no recorded events fails its
+// first read with the same error as one read past its end.
+func TestEmptyCoreRunsOut(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := tracefile.NewWriter(&buf, tracefile.Meta{Name: "x", Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, trace.Event{Gap: 1, Addr: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openBytes(t, buf.Bytes())
+	if ev := r.Next(1); ev != (trace.Event{}) || !errors.Is(r.Err(), errs.ErrTraceWrapped) {
+		t.Fatalf("empty core served %+v, Err %v; want zero event and ErrTraceWrapped", ev, r.Err())
 	}
 }
 

@@ -49,7 +49,7 @@ func init() {
 //
 // Because every event retires at least one instruction, recording
 // InstrPerCore events per core is always enough to replay a run with
-// that instruction budget without wrapping.
+// that instruction budget without running out.
 func Record(path, name string, cfg Config, eventsPerCore uint64) error {
 	if eventsPerCore == 0 {
 		return fmt.Errorf("workload: %w", errs.Configf("EventsPerCore", "must be positive"))
@@ -83,18 +83,14 @@ func Record(path, name string, cfg Config, eventsPerCore uint64) error {
 			}
 		}
 	}
-	// A replayed-file source fails by latching an error or wrapping
-	// around, not by returning one from Next; re-recording from such a
-	// source must not silently capture zeroed or duplicated streams.
+	// A replayed-file source fails by latching an error (a decode
+	// failure, or a stream shorter than eventsPerCore), not by
+	// returning one from Next; re-recording from such a source must not
+	// silently capture zeroed streams.
 	if e, ok := src.(interface{ Err() error }); ok {
 		if err := e.Err(); err != nil {
 			return abort(fmt.Errorf("workload: record %s: %w", name, err))
 		}
-	}
-	if wr, ok := src.(interface{ Wrapped() bool }); ok && wr.Wrapped() {
-		return abort(fmt.Errorf(
-			"workload: record %s: %w: source stream shorter than %d events per core",
-			name, errs.ErrTraceWrapped, eventsPerCore))
 	}
 	if err := w.Close(); err != nil {
 		os.Remove(path)
