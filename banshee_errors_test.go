@@ -30,7 +30,7 @@ func TestTypedErrors(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("BTRCgarbage-not-a-real-trace-file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A too-short recording: replays wrap when the run outlasts it.
+	// A too-short recording: the run fails at the first read past its end.
 	short := filepath.Join(dir, "short.btrc")
 	if err := banshee.RecordTrace(short, "mcf", banshee.RecordOptions{
 		Cores: 2, Seed: 3, EventsPerCore: 500,

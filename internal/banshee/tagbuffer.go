@@ -47,8 +47,6 @@ type TagBuffer struct {
 	tick   uint64
 
 	remapCount int // live entries with remap set
-
-	hits, misses uint64
 }
 
 // NewTagBuffer builds a buffer with `entries` total slots organized as
@@ -91,11 +89,9 @@ func (tb *TagBuffer) Lookup(page uint64) bool {
 		if p == page && state[i]&tbValid != 0 {
 			s := base + i
 			tb.stamps[s] = tb.tick
-			tb.hits++
 			return true
 		}
 	}
-	tb.misses++
 	return false
 }
 
@@ -174,6 +170,3 @@ func (tb *TagBuffer) DrainRemaps() int {
 	tb.remapCount = 0
 	return n
 }
-
-// Stats returns hit/miss counters (diagnostic).
-func (tb *TagBuffer) Stats() (hits, misses uint64) { return tb.hits, tb.misses }

@@ -165,14 +165,3 @@ func TestBufferMappingConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStatsCounters(t *testing.T) {
-	tb := NewTagBuffer(64, 8)
-	tb.Lookup(5)
-	tb.InsertRemap(5)
-	tb.Lookup(5)
-	h, m := tb.Stats()
-	if h != 1 || m != 1 {
-		t.Fatalf("hits/misses %d/%d", h, m)
-	}
-}

@@ -90,17 +90,17 @@ type Scheme struct {
 	// GangSafe declares two things about instances built from this
 	// registration: they never flush the TLBs (Env.TLBs), and they
 	// never charge an all-core stall (mc.SWCost.AllCoresCycles). That
-	// is the contract that lets the front end run ahead of the back
-	// end, and so lets N differently-seeded instances run in lockstep
-	// over one shared front-end replay (sim.Gang) and batch-replay
-	// core-private events. Banshee breaks the first rule: its flush
-	// shoots down every TLB, so a translation made ahead of time could
-	// hit where it would have missed and skip its page walk. HMA breaks
-	// the second: the simulator applies an all-core stall lazily, when
-	// it next schedules each core, so a core batched past another
-	// core's stall would pick it up at a different point in the event
-	// order. Defaults to false, so out-of-tree schemes opt in
-	// explicitly.
+	// is the contract that lets the front end translate an event before
+	// the back end's clock reaches it, and so lets N differently-seeded
+	// instances run in lockstep over one shared front-end replay
+	// (sim.Gang) and batch-replay core-private events. Banshee breaks
+	// the first rule: its flush shoots down every TLB, so a translation
+	// made early could hit where it would have missed and skip its page
+	// walk. HMA breaks the second: the simulator applies an all-core
+	// stall lazily, when it next schedules each core, so a core batched
+	// past another core's stall would pick it up at a different point
+	// in the event order. Defaults to false, so out-of-tree schemes opt
+	// in explicitly.
 	GangSafe bool
 }
 

@@ -164,7 +164,6 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 		twins    = map[int][]int{} // first pending index → its later identical jobs
 		results  = make([]*Record, len(jobs))
 		failures = make([]*Record, len(jobs)) // ledger records (KeepGoing)
-		onDisk   = make([]bool, len(jobs))    // already in the sink file
 		next     = 0                          // flush frontier (enumeration order)
 		doneN    = 0                          // filled slots (successes + failures)
 		failedN  = 0                          // permanently failed slots
@@ -178,7 +177,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 	// and the resulting gap is what makes the job retryable-on-resume.
 	flushLocked := func() {
 		for next < len(jobs) && (results[next] != nil || failures[next] != nil) {
-			if results[next] != nil && !onDisk[next] && e.Sink != nil && firstErr == nil {
+			if results[next] != nil && e.Sink != nil && firstErr == nil {
 				if err := e.Sink.Append(*results[next]); err != nil {
 					firstErr = err
 				}
@@ -278,7 +277,6 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 			known[r.ID] = r.Result
 			if i < k {
 				results[i] = &r
-				onDisk[i] = true
 				cached++
 				doneN++
 				if em != nil {
@@ -290,6 +288,7 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 	var pending []int
 	first := map[string]int{} // content ID → its first pending index
 	mu.Lock()
+	next = k // the matched prefix is already on disk
 	flushLocked()
 	for i := k; i < len(jobs); i++ {
 		id := jobs[i].ID

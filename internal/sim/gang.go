@@ -29,6 +29,10 @@ import (
 // gang-safe scheme over one shared stream, paying the front end once.
 // Every lane's statistics are byte-identical to the same config run
 // alone, because that run is the same lane over a stream of its own.
+// The stream has one pacing rule: it generates an event when the first
+// lane needs it, so a lane that does not batch (System.batch) translates
+// each event at the instant it consumes it, after every earlier TLB
+// shootdown.
 
 // Per-event flag bits recorded by the front end. An event carries a
 // residual record iff any feHasRes bit is set.
@@ -60,9 +64,9 @@ type resRec struct {
 
 // feCore is one core's front end: its private L1/L2/TLB plus the
 // recorded event stream in SoA form (gaps and flags dense, residues
-// sparse). base/resBase are the global indices of element 0 — the
-// stream is trimmed to the slowest lane's cursor as the lanes advance,
-// so memory stays bounded by lane skew, not run length.
+// sparse). base/resBase are the global indices of element 0 — gen drops
+// the prefix every lane has consumed before a buffer would grow, so
+// memory stays bounded by lane skew, not run length.
 type feCore struct {
 	l1, l2 *cache.Cache
 	tlb    *vm.TLB
@@ -72,47 +76,23 @@ type feCore struct {
 	res     []resRec
 	base    uint64
 	resBase uint64
-	// genInstr counts instructions generated so far (Σ gap+1). Every
-	// lane consumes the same event prefix — retirement is purely
-	// gap-driven, so all lanes cross the per-core budget at the same
-	// event — which makes this the exact generate-ahead cap: events
-	// past the budget crossing would never be consumed by any lane.
-	genInstr uint64
 }
 
 // gangStream is the front end: one workload source, one page table,
 // and one feCore per simulated core, generating each core's event
-// residue as the lanes over it reach it.
+// residue when the first lane over it needs it.
 type gangStream struct {
 	src   workload.Source
 	pt    *vm.PageTable
 	size  mem.PageSize // the run's page size (Config.LargePages; Page4K is the zero value)
 	fe    []feCore
 	lanes []*System
-	// budget is the per-core instruction budget (identical across lanes
-	// — InstrPerCore is part of GangKey); generation stops at the event
-	// that crosses it, which is the last event any lane consumes.
-	budget uint64
-	// ahead lets generation run ahead of the lanes and batchShared
-	// replay runs of generated events. Only gang-safe schemes allow
-	// it (registry.Scheme.GangSafe): a scheme that shoots down TLBs
-	// changes whether a later translation hits, and one that stalls
-	// every core cannot be batched. For any other scheme each event is
-	// generated at the instant its lane consumes it, so its
-	// translation sees every earlier shootdown.
-	ahead bool
 	// observe records every L1 miss for the lanes' prefetchers
 	// (PrefetchDegree is part of GangKey).
 	observe bool
 
 	closed bool
 }
-
-// genAhead is the generation chunk: when the lead lane touches the end
-// of a core's generated stream, the front end materializes up to this
-// many further events at once so batchShared can replay runs of
-// core-private events even for the lane driving generation.
-const genAhead = 256
 
 // openStream opens base's workload and builds the front end over it;
 // base.Cores == 0 adopts the source's own core count (recorded traces
@@ -131,8 +111,7 @@ func openStream(base Config) (*gangStream, error) {
 	pt := vm.NewPageTable()
 	pt.DefaultLarge = base.LargePages
 	g := &gangStream{
-		src: src, pt: pt, fe: make([]feCore, cores), budget: base.InstrPerCore,
-		ahead: registry.GangSafe(base.Scheme), observe: base.PrefetchDegree > 0,
+		src: src, pt: pt, fe: make([]feCore, cores), observe: base.PrefetchDegree > 0,
 	}
 	if base.LargePages {
 		g.size = mem.Page2M
@@ -157,7 +136,8 @@ func openStream(base Config) (*gangStream, error) {
 // victim's fill into L2, and the L2 access. Every line carries the
 // run's page size as its meta (§4.3). The scratch-eviction contract
 // holds: l2.Fill's eviction is copied out before l2.Access reuses the
-// scratch slot.
+// scratch slot. event and batchShared call it when a lane's cursor
+// reaches the end of the stream.
 func (g *gangStream) gen(f *feCore, coreID int) {
 	ev := g.src.Next(coreID)
 	if uint64(ev.Gap) > math.MaxUint32 {
@@ -191,11 +171,38 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 			}
 		}
 	}
+	if len(f.gaps) == cap(f.gaps) {
+		g.compact(f, coreID)
+	}
 	f.gaps = append(f.gaps, uint32(ev.Gap))
 	f.flags = append(f.flags, flags)
-	f.genInstr += uint64(ev.Gap) + 1
 	if flags&feHasRes != 0 {
 		f.res = append(f.res, r)
+	}
+}
+
+// compact drops the prefix of core ci's stream that every lane has
+// consumed, once it is at least as long as what remains. gen calls it
+// before the dense buffers would grow, and checks the residues, which
+// never outnumber their events, at the same time. Each copy moves no
+// more elements than it drops, so compaction costs amortized O(1) per
+// event, and memory stays proportional to lane skew (bounded by the
+// step quantum), not run length.
+func (g *gangStream) compact(f *feCore, ci int) {
+	minEv, minRes := ^uint64(0), ^uint64(0)
+	for _, l := range g.lanes {
+		c := l.cores[ci]
+		minEv = min(minEv, c.evIdx)
+		minRes = min(minRes, c.resIdx)
+	}
+	if k := minEv - f.base; k > 0 && 2*k >= uint64(len(f.gaps)) {
+		f.gaps = f.gaps[:copy(f.gaps, f.gaps[k:])]
+		f.flags = f.flags[:copy(f.flags, f.flags[k:])]
+		f.base = minEv
+	}
+	if k := minRes - f.resBase; k > 0 && 2*k >= uint64(len(f.res)) {
+		f.res = f.res[:copy(f.res, f.res[k:])]
+		f.resBase = minRes
 	}
 }
 
@@ -204,56 +211,15 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 // residual record (feHasRes).
 func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
 	f := &g.fe[c.id]
-	if !g.ahead {
-		// One lane, no run-ahead: the buffers hold only the event being
-		// consumed.
-		f.gaps, f.flags, f.res = f.gaps[:0], f.flags[:0], f.res[:0]
-		f.base, f.resBase = c.evIdx, c.resIdx
+	if c.evIdx-f.base == uint64(len(f.gaps)) {
+		g.gen(f, c.id)
 	}
 	i := c.evIdx - f.base
-	for i >= uint64(len(f.gaps)) {
-		g.gen(f, c.id)
-	}
-	// Generate ahead in chunks: every lane consumes the same event
-	// prefix (retirement is purely gap-driven, so all lanes cross the
-	// per-core budget at the same event), hence anything generated under
-	// the budget will be consumed. Materializing a chunk here lets the
-	// lead lane batch-replay runs instead of generating one event per
-	// step; trailing lanes see the events regardless.
-	for g.ahead && uint64(len(f.gaps))-i < genAhead && f.genInstr < g.budget {
-		g.gen(f, c.id)
-	}
 	gap, flags = f.gaps[i], f.flags[i]
 	if flags&feHasRes != 0 {
 		r = &f.res[c.resIdx-f.resBase]
 	}
 	return gap, flags, r
-}
-
-// trim drops the stream prefix every lane has consumed once it is at
-// least as long as what remains. Each copy moves no more elements than
-// it drops, so trimming costs amortized O(1) per event, and memory
-// stays proportional to lane skew (bounded by the step quantum)
-// instead of run length.
-func (g *gangStream) trim() {
-	for ci := range g.fe {
-		f := &g.fe[ci]
-		minEv, minRes := ^uint64(0), ^uint64(0)
-		for _, l := range g.lanes {
-			c := l.cores[ci]
-			minEv = min(minEv, c.evIdx)
-			minRes = min(minRes, c.resIdx)
-		}
-		if k := minEv - f.base; k > 0 && 2*k >= uint64(len(f.gaps)) {
-			f.gaps = f.gaps[:copy(f.gaps, f.gaps[k:])]
-			f.flags = f.flags[:copy(f.flags, f.flags[k:])]
-			f.base = minEv
-		}
-		if k := minRes - f.resBase; k > 0 && 2*k >= uint64(len(f.res)) {
-			f.res = f.res[:copy(f.res, f.res[k:])]
-			f.resBase = minRes
-		}
-	}
 }
 
 // release closes the source once every lane over the stream has let
@@ -348,15 +314,17 @@ func (s *System) stepShared(c *core) {
 // core does can reach c in between. Step applies an all-core stall
 // (mc.SWCost.AllCoresCycles) lazily, when it next pops the core, so a
 // stall charged while c is batched past it would land at a different
-// heap position. Step therefore batches only over a stream that runs
-// ahead, and only gang-safe schemes, which never charge such a stall,
-// get one. Step's other mid-run global sequence points are the warmup
-// mark and epoch samples, so batching is disabled until the warmup
-// mark has been captured (or WarmupFrac is 0, when no mark is ever
-// taken) and whenever an epoch callback is installed. The scan stops
-// at the first event with a residual record, at the end of the
-// generated stream (never forcing generation), and at the per-core
-// budget exactly where Step would stop scheduling the core.
+// heap position; and a TLB shootdown would change whether an event the
+// scan generates early hits the TLB. Step therefore batches only in
+// lanes of gang-safe schemes (System.batch), which do neither. Step's
+// other mid-run global sequence points are the warmup mark and epoch
+// samples, so batching is disabled until the warmup mark has been
+// captured (or WarmupFrac is 0, when no mark is ever taken) and
+// whenever an epoch callback is installed. The scan generates events
+// as it reaches the end of the stream and stops at the first event
+// with a residual record or at the per-core budget, exactly where Step
+// would stop scheduling the core — so every event it generates is
+// consumed.
 func (s *System) batchShared(c *core) {
 	if s.epochFn != nil || (!s.warmed && s.warmTarget > 0) {
 		return
@@ -365,7 +333,12 @@ func (s *System) batchShared(c *core) {
 	i := c.evIdx - f.base
 	n := uint64(len(f.gaps))
 	var k, l1m, walks, gapSum uint64
-	for i < n && c.retired+gapSum+k < s.cfg.InstrPerCore {
+	for c.retired+gapSum+k < s.cfg.InstrPerCore {
+		if i == n {
+			// gen may compact the buffers; re-derive the scan position.
+			s.stream.gen(f, c.id)
+			i, n = c.evIdx+k-f.base, uint64(len(f.gaps))
+		}
 		fl := f.flags[i]
 		if fl&feHasRes != 0 {
 			break
@@ -514,6 +487,7 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 		stream:   gs,
 		pageSize: gs.size,
 		rng:      util.NewRNG(cfg.Seed ^ 0x51A1),
+		batch:    registry.GangSafe(cfg.Scheme),
 	}
 	s.l3 = cache.New(cache.Config{
 		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,

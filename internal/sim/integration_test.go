@@ -221,7 +221,8 @@ func TestRecordReplayIdenticalStats(t *testing.T) {
 	// a recorded trace through the simulator must produce bit-identical
 	// statistics to running the synthetic workload directly with the
 	// same seed. Recording InstrPerCore events per core guarantees the
-	// replay never wraps (every event retires at least one instruction).
+	// replay never reads past its end (every event retires at least one
+	// instruction).
 	dir := t.TempDir()
 	cases := []struct {
 		wl    string
@@ -315,9 +316,9 @@ func TestReplayCorruptTraceFails(t *testing.T) {
 }
 
 func TestReplayShorterThanRunFails(t *testing.T) {
-	// A recording shorter than the run would wrap and replay with
-	// artificial periodicity; the run must fail instead of returning
-	// misleading stats.
+	// A recording shorter than the run runs out mid-run; the run must
+	// fail at the first read past its end instead of returning stats
+	// over a truncated stream.
 	path := filepath.Join(t.TempDir(), "short.btrc")
 	cfg := quickConfig("gcc", "NoCache")
 	cfg.InstrPerCore = 50_000

@@ -49,6 +49,7 @@ type System struct {
 	inPkg    *dram.DRAM
 	offPkg   *dram.DRAM
 	rng      *util.RNG
+	batch    bool // batchShared may replay runs of events (a gang-safe scheme)
 
 	st       stats.Sim
 	warmed   bool
@@ -197,7 +198,7 @@ func (s *System) Step(n uint64) (done bool, err error) {
 		}
 		before := c.retired
 		s.stepShared(c)
-		if s.stream.ahead {
+		if s.batch {
 			s.batchShared(c)
 		}
 		s.totalRetired += c.retired - before
@@ -219,7 +220,6 @@ func (s *System) Step(n uint64) (done bool, err error) {
 			s.h.siftDown(0)
 		}
 	}
-	s.stream.trim()
 	if err := s.sourceErr(); err != nil {
 		s.fail(err)
 		return false, s.runErr
