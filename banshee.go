@@ -381,7 +381,8 @@ func OpenTrace(path string) (WorkloadSource, error) {
 // Workloads × Schemes × Points × Seeds over a base config.
 type Matrix = runner.Matrix
 
-// MatrixPoint is one setting of a Matrix's config-override axis.
+// MatrixPoint is one setting of a Matrix's config-override axis: a
+// label plus Set, a partial Config JSON object overlaid onto each job.
 type MatrixPoint = runner.Point
 
 // BatchResult indexes a completed batch; BatchRecord is one stored job.
@@ -529,13 +530,9 @@ func SweepID(name string, jobs []BatchJob) string { return sweepd.SweepID(name, 
 // RunBatch, returning an assembled BatchResult.
 type SweepClient = sweepd.Client
 
-// SweepSpec is the wire form of a sweep: declarative axes (the Matrix
-// cross product) or a pre-resolved job list, plus execution options.
+// SweepSpec is the wire form of a sweep: a Matrix, whose points are
+// JSON overlays, plus execution options.
 type SweepSpec = sweepd.Spec
-
-// SweepPoint is the serializable form of a config-override point: a
-// label plus a partial Config JSON overlay.
-type SweepPoint = sweepd.PointSpec
 
 // SweepOptions is a sweep's execution policy (retries, timeouts, gang
 // width, epoch sampling). Policy is not content: it never changes the
@@ -576,9 +573,8 @@ func DialWith(addr string, o SweepClientOptions) (*SweepClient, error) {
 // Retry-After; a true return after retries means sustained overload.
 func IsOverloaded(err error) bool { return sweepd.IsOverloaded(err) }
 
-// SweepSpecFromMatrix renders a locally declared Matrix into its wire
-// form by enumerating its jobs — the bridge from closure-bearing
-// MatrixPoints to the serializable SweepSpec.
+// SweepSpecFromMatrix wraps a locally declared Matrix as a SweepSpec
+// after checking that it enumerates.
 func SweepSpecFromMatrix(m Matrix, o SweepOptions) (SweepSpec, error) {
 	return sweepd.SpecFromMatrix(m, o)
 }

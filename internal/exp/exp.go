@@ -10,6 +10,7 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -112,6 +113,13 @@ func (o Options) matrix(name string, workloads, schemes []string, points ...runn
 		Schemes:   schemes,
 		Points:    points,
 	}
+}
+
+// point declares one config-override point: a label plus the overlay
+// that format and args print, a partial sim.Config JSON object. Floats
+// print with %v, the shortest text that parses back to the same value.
+func point(label, format string, args ...any) runner.Point {
+	return runner.Point{Label: label, Set: json.RawMessage(fmt.Sprintf(format, args...))}
 }
 
 // ErrCancelled is what run panics with (wrapped with the matrix name)

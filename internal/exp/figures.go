@@ -5,7 +5,6 @@ import (
 
 	"banshee/internal/mem"
 	"banshee/internal/runner"
-	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
@@ -272,10 +271,10 @@ func Fig8(o Options) *Fig8Result {
 	}
 
 	latPoint := func(label string, scale float64) runner.Point {
-		return runner.Point{Label: "lat/" + label, Mutate: func(c *sim.Config) { c.InPkgLatScale = scale }}
+		return point("lat/"+label, `{"InPkgLatScale":%v}`, scale)
 	}
 	bwPoint := func(label string, channels int) runner.Point {
-		return runner.Point{Label: "bw/" + label, Mutate: func(c *sim.Config) { c.InPkgChannels = channels }}
+		return point("bw/"+label, `{"InPkgChannels":%d}`, channels)
 	}
 	rs := run(o, o.matrix("fig8", workloads, append(append([]string{}, schemes...), "NoCache"),
 		latPoint("100%", 1.0), latPoint("66%", 0.66), latPoint("50%", 0.50),
@@ -339,11 +338,7 @@ func Fig9(o Options) *Fig9Result {
 	workloads := o.sweepWorkloads()
 	var points []runner.Point
 	for _, c := range coeffs {
-		coeff := c
-		points = append(points, runner.Point{
-			Label:  fmt.Sprintf("%g", coeff),
-			Mutate: func(cfg *sim.Config) { cfg.Scheme.BansheeSamplingCoeff = coeff },
-		})
+		points = append(points, point(fmt.Sprintf("%g", c), `{"Scheme":{"BansheeSamplingCoeff":%v}}`, c))
 	}
 	rs := run(o, o.matrix("fig9", workloads, []string{"Banshee"}, points...))
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"banshee/internal/runner"
-	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
@@ -41,16 +40,9 @@ type Table5Result struct {
 func Table5(o Options) *Table5Result {
 	costs := []float64{10, 20, 40}
 	workloads := o.sweepWorkloads()
-	points := []runner.Point{{
-		Label:  "free",
-		Mutate: func(c *sim.Config) { c.Scheme.PTEUpdateMicros = 0.001 },
-	}}
+	points := []runner.Point{point("free", `{"Scheme":{"PTEUpdateMicros":0.001}}`)}
 	for _, us := range costs {
-		cost := us
-		points = append(points, runner.Point{
-			Label:  fmt.Sprintf("%g", cost),
-			Mutate: func(c *sim.Config) { c.Scheme.PTEUpdateMicros = cost },
-		})
+		points = append(points, point(fmt.Sprintf("%g", us), `{"Scheme":{"PTEUpdateMicros":%v}}`, us))
 	}
 	rs := run(o, o.matrix("table5", workloads, []string{"Banshee"}, points...))
 
@@ -104,11 +96,7 @@ func Table6(o Options) *Table6Result {
 	workloads := o.sweepWorkloads()
 	var points []runner.Point
 	for _, w := range ways {
-		nw := w
-		points = append(points, runner.Point{
-			Label:  fmt.Sprintf("%d", nw),
-			Mutate: func(c *sim.Config) { c.Scheme.BansheeWays = nw },
-		})
+		points = append(points, point(fmt.Sprintf("%d", w), `{"Scheme":{"BansheeWays":%d}}`, w))
 	}
 	rs := run(o, o.matrix("table6", workloads, []string{"Banshee"}, points...))
 
@@ -153,16 +141,9 @@ func LargePages(o Options) *LargePageResult {
 		workloads = []string{"pagerank", "tri_count", "graph500", "sgd", "lsh"}
 	}
 	// One matrix over both page sizes: the "Banshee 2M" spec selects the
-	// large-page cache layout, and the point mutation moves the
-	// workload's data onto 2 MB pages to match.
-	m := o.matrix("largepage", workloads, []string{"Banshee", "Banshee 2M"}, runner.Point{
-		Mutate: func(c *sim.Config) {
-			if c.Scheme.BansheeLargePages {
-				c.LargePages = true
-			}
-		},
-	})
-	rs := run(o, m)
+	// large-page cache layout, and Matrix.Jobs moves that job's data
+	// onto 2 MB pages to match.
+	rs := run(o, o.matrix("largepage", workloads, []string{"Banshee", "Banshee 2M"}))
 
 	out := &LargePageResult{Workloads: workloads, Speedup2M: map[string]float64{}}
 	var xs []float64

@@ -3,6 +3,7 @@ package fault_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -34,9 +35,9 @@ func chaosMatrix(name string) runner.Matrix {
 		Schemes:   []string{"NoCache", "Banshee"},
 		Points: []runner.Point{
 			{Label: "p0"},
-			{Label: "p1", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.9 }},
-			{Label: "p2", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.8 }},
-			{Label: "p3", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.7 }},
+			{Label: "p1", Set: json.RawMessage(`{"InPkgLatScale":0.9}`)},
+			{Label: "p2", Set: json.RawMessage(`{"InPkgLatScale":0.8}`)},
+			{Label: "p3", Set: json.RawMessage(`{"InPkgLatScale":0.7}`)},
 		},
 	}
 }

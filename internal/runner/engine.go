@@ -134,7 +134,7 @@ func (e Engine) Run(ctx context.Context, m Matrix) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.RunJobs(ctx, m.Name, m.baseSeed(), jobs)
+	return e.RunJobs(ctx, m.Name, m.BaseSeed(), jobs)
 }
 
 // RunJobs executes an already-enumerated job list under the matrix

@@ -14,39 +14,46 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"banshee/internal/sim"
 	"banshee/internal/stats"
 )
 
 // Point is one setting of a matrix's config-override axis: a label for
-// result lookup plus a mutation applied to the fully resolved config
-// (after workload, scheme, and seed are in place — so a mutation may
-// tune spec fields or inspect the resolved scheme).
+// result lookup plus Set, a partial sim.Config JSON object overlaid onto
+// the fully resolved config (after workload, scheme, and seed are in
+// place), such as {"InPkgLatScale": 0.5} or {"Scheme": {"BansheeWays":
+// 8}}. Fields present override the resolved config, fields absent leave
+// it alone, and a field sim.Config does not have is an error. An empty
+// Set is a valid unmodified point.
 type Point struct {
-	Label  string
-	Mutate func(*sim.Config)
+	Label string          `json:"label,omitempty"`
+	Set   json.RawMessage `json:"set,omitempty"`
 }
 
 // Matrix is a declarative batch of simulations: the cross product of
-// Workloads × Schemes × Points × Seeds over a base config.
+// Workloads × Schemes × Points × Seeds over a base config. It is plain
+// data, so the same value runs locally and is a sweep service's wire
+// form.
 type Matrix struct {
 	// Name labels the matrix in records and progress output.
-	Name string
+	Name string `json:"name"`
 	// Base is the configuration every job starts from.
-	Base sim.Config
+	Base sim.Config `json:"base,omitempty"`
 	// Workloads and Schemes are the primary axes (display names).
-	Workloads []string
-	Schemes   []string
+	Workloads []string `json:"workloads,omitempty"`
+	Schemes   []string `json:"schemes,omitempty"`
 	// Points is the config-override axis; nil means one unmodified
 	// point with an empty label.
-	Points []Point
+	Points []Point `json:"points,omitempty"`
 	// Seeds is the seed axis; nil means the base config's seed.
-	Seeds []uint64
+	Seeds []uint64 `json:"seeds,omitempty"`
 }
 
 // Job is one resolved simulation of a matrix.
@@ -73,7 +80,10 @@ func coordKey(matrix, label, workload, scheme string, seed uint64) string {
 // Jobs enumerates the matrix in deterministic order (points, then
 // workloads, then schemes, then seeds), fully resolving each config.
 // An axis that repeats a value would put two jobs at one coordinate,
-// where a ResultSet sees only one of them, so it is an error.
+// where a ResultSet sees only one of them, so it is an error, and so
+// is a point override that does not decode onto sim.Config. A scheme
+// that caches 2 MB pages runs only on 2 MB pages, so such a job gets
+// LargePages whatever the base or the point says.
 func (m Matrix) Jobs() ([]Job, error) {
 	if len(m.Workloads) == 0 || len(m.Schemes) == 0 {
 		return nil, fmt.Errorf("runner: matrix %q needs at least one workload and one scheme", m.Name)
@@ -105,9 +115,12 @@ func (m Matrix) Jobs() ([]Job, error) {
 						return nil, fmt.Errorf("runner: matrix %q: %w", m.Name, err)
 					}
 					cfg.Scheme = spec
-					if p.Mutate != nil {
-						p.Mutate(&cfg)
+					if len(p.Set) > 0 {
+						if err := DecodeStrict(p.Set, &cfg); err != nil {
+							return nil, fmt.Errorf("runner: matrix %q point %q: bad override: %w", m.Name, p.Label, err)
+						}
 					}
+					cfg.LargePages = cfg.LargePages || cfg.Scheme.BansheeLargePages
 					jobs = append(jobs, Job{
 						ID:       jobID(cfg),
 						Matrix:   m.Name,
@@ -124,12 +137,29 @@ func (m Matrix) Jobs() ([]Job, error) {
 	return jobs, nil
 }
 
-// baseSeed is the seed Get defaults to.
-func (m Matrix) baseSeed() uint64 {
+// BaseSeed is the seed ResultSet.Get defaults to: the first of the
+// seed axis, or the base config's seed without one.
+func (m Matrix) BaseSeed() uint64 {
 	if len(m.Seeds) > 0 {
 		return m.Seeds[0]
 	}
 	return m.Base.Seed
+}
+
+// DecodeStrict unmarshals one JSON value into v, rejecting object keys
+// that name no field of v and anything after the value. Decoding onto
+// a populated v overlays it: fields the JSON leaves out keep their
+// values.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("json: data after the value")
+	}
+	return nil
 }
 
 // jobID content-keys a fully resolved config: equal configs — and only

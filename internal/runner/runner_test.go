@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -29,7 +30,7 @@ func testMatrix(name string) Matrix {
 		Schemes:   []string{"NoCache", "Banshee"},
 		Points: []Point{
 			{Label: "base"},
-			{Label: "lat66", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.66 }},
+			{Label: "lat66", Set: json.RawMessage(`{"InPkgLatScale":0.66}`)},
 		},
 	}
 }
@@ -243,7 +244,7 @@ func TestResumeReusesBeyondBrokenPrefix(t *testing.T) {
 	m.Workloads = []string{"pagerank"}
 	m.Points = []Point{
 		{Label: "a"},
-		{Label: "b", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.66 }},
+		{Label: "b", Set: json.RawMessage(`{"InPkgLatScale":0.66}`)},
 	}
 
 	sink, err := OpenSink(path, false)
@@ -257,7 +258,7 @@ func TestResumeReusesBeyondBrokenPrefix(t *testing.T) {
 
 	// Edit only point "a": its 2 jobs re-simulate; point "b"'s 2 jobs
 	// fall after the broken prefix but are reused by content key.
-	m.Points[0].Mutate = func(c *sim.Config) { c.InPkgLatScale = 0.9 }
+	m.Points[0].Set = json.RawMessage(`{"InPkgLatScale":0.9}`)
 	sink2, err := OpenSink(path, true)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +327,7 @@ func TestTwinNeverHoldsAWorker(t *testing.T) {
 	m.Schemes = m.Schemes[:1]
 	m.Points = []Point{
 		{Label: "a"},
-		{Label: "b", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.5 }},
+		{Label: "b", Set: json.RawMessage(`{"InPkgLatScale":0.5}`)},
 		{Label: "a2"}, // same config as a
 	}
 	jobs, err := m.Jobs()
@@ -362,7 +363,7 @@ func TestTwinNeverHoldsAWorker(t *testing.T) {
 func TestEngineErrorSurfaces(t *testing.T) {
 	m := testMatrix("err")
 	m.Schemes = []string{"NoCache"}
-	m.Points = []Point{{Label: "bad", Mutate: func(c *sim.Config) { c.Scheme.Kind = "bogus" }}}
+	m.Points = []Point{{Label: "bad", Set: json.RawMessage(`{"Scheme":{"Kind":"bogus"}}`)}}
 	if _, err := (Engine{}).Run(context.Background(), m); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("expected build error, got %v", err)
 	}
@@ -381,6 +382,29 @@ func TestMatrixValidation(t *testing.T) {
 	m.Seeds = []uint64{3, 3} // two jobs at one coordinate
 	if _, err := m.Jobs(); err == nil || !strings.Contains(err.Error(), "repeats coordinate") {
 		t.Fatalf("repeated seed: got %v, want a repeats-coordinate error", err)
+	}
+	m = testMatrix("typo")
+	m.Points = []Point{{Label: "p", Set: json.RawMessage(`{"InPkgLatScal":0.5}`)}}
+	if _, err := m.Jobs(); err == nil || !strings.Contains(err.Error(), "bad override") {
+		t.Fatalf("unknown override field: got %v, want a bad-override error", err)
+	}
+}
+
+// TestLargePageSchemeGetsLargePages: a scheme that caches 2 MB pages
+// runs on 2 MB pages whatever the base config or the point says, and
+// no other scheme's pages move.
+func TestLargePageSchemeGetsLargePages(t *testing.T) {
+	m := testMatrix("2m")
+	m.Schemes = []string{"Banshee", "Banshee 2M"}
+	m.Points = []Point{{Label: "off", Set: json.RawMessage(`{"LargePages":false}`)}}
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if want := j.Scheme == "Banshee 2M"; j.Config.LargePages != want {
+			t.Fatalf("%s: LargePages = %v, want %v", j.Coord(), j.Config.LargePages, want)
+		}
 	}
 }
 
@@ -414,7 +438,7 @@ func TestScheduleFollowsEnumeration(t *testing.T) {
 	m := testMatrix("order")
 	m.Base.InstrPerCore = 20_000
 	m.Schemes = []string{"NoCache"}
-	m.Points = append(m.Points, Point{Label: "lat50", Mutate: func(c *sim.Config) { c.InPkgLatScale = 0.5 }})
+	m.Points = append(m.Points, Point{Label: "lat50", Set: json.RawMessage(`{"InPkgLatScale":0.5}`)})
 	jobs, err := m.Jobs()
 	if err != nil {
 		t.Fatal(err)

@@ -259,9 +259,8 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (Status, error) {
 	return st, err
 }
 
-// SubmitMatrix enumerates a locally declared Matrix and submits it as
-// a pre-resolved job list — the path for matrices whose Points carry
-// closures the wire can't express.
+// SubmitMatrix submits a locally declared Matrix, after checking that
+// it enumerates.
 func (c *Client) SubmitMatrix(ctx context.Context, m runner.Matrix, o RunOptions) (Status, error) {
 	spec, err := SpecFromMatrix(m, o)
 	if err != nil {
@@ -449,9 +448,5 @@ func (c *Client) RunMatrix(ctx context.Context, m runner.Matrix, o RunOptions) (
 			return nil, err
 		}
 	}
-	baseSeed := m.Base.Seed
-	if len(m.Seeds) > 0 {
-		baseSeed = m.Seeds[0]
-	}
-	return runner.AssembleResultSet(m.Name, baseSeed, recs, failed), nil
+	return runner.AssembleResultSet(m.Name, m.BaseSeed(), recs, failed), nil
 }

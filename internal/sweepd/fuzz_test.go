@@ -20,23 +20,23 @@ func decodeSpec(data []byte) (Spec, error) {
 // network: decoding and Resolve must never panic, and a spec that
 // resolves must give jobs at distinct coordinates, each carrying its
 // config's content key, and must describe the same sweep (SweepID and
-// base seed) as its own pre-resolved form after a JSON round trip.
+// base seed) after a JSON round trip of its own encoding.
 func FuzzSpecResolve(f *testing.F) {
 	axes, err := json.Marshal(testSpec("fz-axes"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	pre, err := SpecFromMatrix(runner.Matrix{Name: "fz-pre", Base: testBase(),
+	wrapped, err := SpecFromMatrix(runner.Matrix{Name: "fz-wrapped", Base: testBase(),
 		Workloads: []string{"mcf"}, Schemes: []string{"NoCache", "Banshee"}}, RunOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	preJSON, err := json.Marshal(pre)
+	wrappedJSON, err := json.Marshal(wrapped)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(axes)
-	f.Add(preJSON)
+	f.Add(wrappedJSON)
 	f.Add([]byte(`{"name":"fz-points","workloads":["pagerank"],"schemes":["Alloy 1","TDC"],` +
 		`"points":[{"label":"base"},{"label":"lat","set":{"InPkgLatScale":0.5,"Scheme":{"AlloyFrac":0.1}}}]}`))
 	f.Add([]byte(`{"name":"fz-seeds","workloads":["pagerank"],"schemes":["NoCache"],"seeds":[1,1]}`))
@@ -66,20 +66,20 @@ func FuzzSpecResolve(f *testing.F) {
 			}
 		}
 
-		b, err := json.Marshal(Spec{Name: spec.Name, Jobs: jobs})
+		b, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("resolved spec not encodable: %v", err)
 		}
 		again, err := decodeSpec(b)
 		if err != nil {
-			t.Fatalf("pre-resolved form does not decode: %v", err)
+			t.Fatalf("re-encoded spec does not decode: %v", err)
 		}
 		jobs2, baseSeed2, err := again.Resolve()
 		if err != nil {
-			t.Fatalf("pre-resolved form does not resolve: %v", err)
+			t.Fatalf("re-encoded spec does not resolve: %v", err)
 		}
 		if SweepID(spec.Name, jobs2) != SweepID(spec.Name, jobs) || baseSeed2 != baseSeed {
-			t.Fatalf("pre-resolved form is a different sweep: ID %s / seed %d, want %s / %d",
+			t.Fatalf("re-encoded spec is a different sweep: ID %s / seed %d, want %s / %d",
 				SweepID(spec.Name, jobs2), baseSeed2, SweepID(spec.Name, jobs), baseSeed)
 		}
 	})

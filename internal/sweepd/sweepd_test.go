@@ -37,13 +37,13 @@ func testBase() sim.Config {
 }
 
 func testSpec(name string) Spec {
-	return Spec{
+	return Spec{Matrix: runner.Matrix{
 		Name:      name,
 		Base:      testBase(),
 		Workloads: []string{"mcf", "lbm"},
 		Schemes:   []string{"NoCache", "Alloy 1"},
 		Seeds:     []uint64{7, 8},
-	}
+	}}
 }
 
 // localBytes runs the spec through a local engine into a sink file and
@@ -719,7 +719,7 @@ func TestRemoteLedgerMatchesLocal(t *testing.T) {
 		Schemes:   []string{"NoCache"},
 		Points: []runner.Point{
 			{Label: "base"},
-			{Label: "nomshr", Mutate: func(c *sim.Config) { c.MSHRs = 0 }},
+			{Label: "nomshr", Set: json.RawMessage(`{"MSHRs":0}`)},
 		},
 	}
 	opts := RunOptions{KeepGoing: true, Retries: 2}
@@ -828,7 +828,7 @@ func TestRemotePanicLedgeredLikeLocal(t *testing.T) {
 
 // TestSubmitRejectsRepeatedCoordinate: an axes spec that repeats a
 // workload resolves to two jobs at one coordinate; the daemon refuses
-// it with 400, as it refuses the same jobs in pre-resolved form.
+// it with 400.
 func TestSubmitRejectsRepeatedCoordinate(t *testing.T) {
 	d := newDaemon(t, t.TempDir())
 	_, srv := dialTest(t, d)

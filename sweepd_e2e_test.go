@@ -3,6 +3,7 @@ package banshee_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -299,8 +300,8 @@ func TestSweepdWorkerSIGKILLNoDuplicates(t *testing.T) {
 
 // TestSweepStateConstants smokes the exported sweep-service surface:
 // the state constants agree with Status.Terminal, JobKey matches the
-// enumerated content IDs, and SweepSpecFromMatrix round-trips the job
-// list.
+// enumerated content IDs, and SweepSpecFromMatrix's spec is the same
+// sweep after a JSON round trip.
 func TestSweepStateConstants(t *testing.T) {
 	for _, s := range []string{banshee.SweepDone, banshee.SweepFailed, banshee.SweepCancelled} {
 		if !(banshee.SweepStatus{State: s}).Terminal() {
@@ -329,7 +330,19 @@ func TestSweepStateConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Jobs) != len(jobs) {
-		t.Fatalf("spec carries %d jobs, want %d", len(spec.Jobs), len(jobs))
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire banshee.SweepSpec
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	wireJobs, _, err := wire.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := banshee.SweepID(wire.Name, wireJobs), banshee.SweepID(m.Name, jobs); got != want {
+		t.Fatalf("spec resolves to sweep %s, want %s", got, want)
 	}
 }
