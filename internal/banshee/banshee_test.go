@@ -240,6 +240,42 @@ func TestCounterSaturationHalves(t *testing.T) {
 	}
 }
 
+// TestReplacementNeedsStrictMargin pins Algorithm 1's trigger: a
+// candidate replaces the coldest cached page only when its count
+// exceeds the victim's by more than the threshold. With an integer
+// threshold the counts can tie at exactly victim + threshold, and a
+// tie must not replace.
+func TestReplacementNeedsStrictMargin(t *testing.T) {
+	const victim, threshold = 5, 3
+	for _, tc := range []struct {
+		primed  uint32
+		replace bool
+	}{
+		{primed: victim + threshold - 1, replace: false}, // after the access: a tie
+		{primed: victim + threshold, replace: true},      // after the access: one more
+	} {
+		b, _ := testSystem(func(c *Config) {
+			c.Policy = FBRNoSample // sample every access
+			c.Threshold = threshold
+		})
+		set := b.md.set(0)
+		for w := range set.cached {
+			set.cached[w] = cachedEntry{tag: uint64(w), count: victim, valid: true}
+		}
+		cand := uint64(len(set.cached)) // the next tag mapping to set 0
+		set.cand[0] = candEntry{tag: cand, count: tc.primed, valid: true}
+
+		touch(b, mem.Addr(b.md.pageOf(0, cand)<<12))
+		if replaced := set.findCached(cand) >= 0; replaced != tc.replace || (b.remaps == 1) != tc.replace {
+			t.Fatalf("candidate at %d vs victim %d + threshold %d: replaced %v (%d remaps), want %v",
+				tc.primed+1, victim, threshold, replaced, b.remaps, tc.replace)
+		}
+		if got := set.cand[0].count; !tc.replace && got != victim+threshold {
+			t.Fatalf("primed %d: candidate count %d after the access, want %d", tc.primed, got, victim+threshold)
+		}
+	}
+}
+
 func TestEvictionProbeOnUnknownMapping(t *testing.T) {
 	b, _ := testSystem(nil)
 	// LLC dirty eviction with no mapping: must probe metadata (32 B tag
