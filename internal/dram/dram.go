@@ -143,7 +143,8 @@ func New(cfg Config) *DRAM {
 	d.chans = make([]channel, cfg.Channels)
 	d.cpuPerBus = cfg.CPUMHz / busMHz
 	toCPU := func(busCycles int) uint64 {
-		return uint64(float64(busCycles)*d.cpuPerBus*cfg.LatencyScale + 0.5)
+		// The product is rounded before the +0.5, so no FMA forms.
+		return uint64(float64(float64(busCycles)*d.cpuPerBus*cfg.LatencyScale) + 0.5)
 	}
 	d.casLat = toCPU(tCAS)
 	d.rowMissLat = toCPU(tRP + tRCD + tCAS)
@@ -173,7 +174,8 @@ func (d *DRAM) transferCycles(n int) uint64 {
 	burst := d.MinTransferBytes()
 	bursts := (n + burst - 1) / burst
 	// Each burst is one full bus cycle (two DDR beats of BusBytes).
-	return uint64(float64(bursts)*d.cpuPerBus + 0.5)
+	// The product is rounded before the +0.5, so no FMA forms.
+	return uint64(float64(float64(bursts)*d.cpuPerBus) + 0.5)
 }
 
 // channelOf maps an address to a channel: pages are statically

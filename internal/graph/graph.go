@@ -269,7 +269,7 @@ func (g *Graph) target(r *util.RNG) uint32 {
 		return uint32(r.Uint64n(uint64(g.Vertices)))
 	}
 	n := len(g.cells)
-	u := r.Float64() * float64(n)
+	u := float64(r.Float64() * float64(n)) // rounded: no FMA with u-float64(i)
 	i := int(u)
 	if i >= n { // guard u == ~1.0 after rounding
 		i = n - 1

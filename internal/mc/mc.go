@@ -120,7 +120,8 @@ func (f *FootprintTracker) Record(lines int) {
 		f.seen = true
 		return
 	}
-	f.avg = (1-d)*f.avg + d*float64(lines)
+	// Each product is rounded before the sum, so no FMA forms.
+	f.avg = float64((1-d)*f.avg) + float64(d*float64(lines))
 }
 
 // Lines returns the predicted footprint in lines, rounded up to 4-line

@@ -168,7 +168,7 @@ func (c Config) validate() error {
 func buildScheme(cfg Config, tlbs []*vm.TLB) (mc.Scheme, error) {
 	cost := vm.DefaultCostModel(cfg.CPUMHz)
 	if cfg.Scheme.PTEUpdateMicros > 0 {
-		cost.PTEUpdateCycles = uint64(cfg.Scheme.PTEUpdateMicros * cfg.CPUMHz)
+		cost.PTEUpdateCycles = uint64(float64(cfg.Scheme.PTEUpdateMicros * cfg.CPUMHz)) // rounded: no FMA
 	}
 	return registry.Build(cfg.Scheme, registry.Env{
 		CapacityBytes: cfg.DCacheBytes,

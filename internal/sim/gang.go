@@ -513,7 +513,7 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 	s.st.Workload = cfg.Workload
 	s.st.Scheme = scheme.Name()
 	s.totalBudget = cfg.InstrPerCore * uint64(len(s.cores))
-	s.warmTarget = uint64(float64(s.totalBudget) * cfg.WarmupFrac)
+	s.warmTarget = uint64(float64(float64(s.totalBudget) * cfg.WarmupFrac)) // rounded: no FMA
 	// Replayed trace files latch decode errors and running out instead
 	// of panicking mid-run; bind that surface once so Step can poll it
 	// without per-call type assertions. Every lane over a shared stream

@@ -275,7 +275,7 @@ func regionBase(c int) mem.Addr {
 }
 
 func footprintPages(p Profile, o options) uint64 {
-	pages := uint64(float64(p.FootprintMB)*o.scale) * (1 << 20) / mem.PageBytes
+	pages := uint64(float64(float64(p.FootprintMB)*o.scale)) * (1 << 20) / mem.PageBytes // rounded: no FMA
 	if pages < 16 {
 		pages = 16
 	}

@@ -138,7 +138,7 @@ func (t *ZipfTable) Cell(i int) (prob float64, alias int) {
 // double selects both the table cell (integer part of u·n) and the
 // biased coin (fractional part) — O(1), no search.
 func (t *ZipfTable) Sample(r *RNG) int {
-	u := r.Float64() * float64(t.n)
+	u := float64(r.Float64() * float64(t.n)) // rounded: no FMA with u-float64(i)
 	i := int(u)
 	if i >= t.n { // guard u == ~1.0 after rounding
 		i = t.n - 1

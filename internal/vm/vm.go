@@ -167,7 +167,8 @@ type CostModel struct {
 
 // DefaultCostModel returns the paper's Table 3 costs at the given clock.
 func DefaultCostModel(cpuMHz float64) CostModel {
-	us := func(n float64) uint64 { return uint64(n * cpuMHz) } // µs × MHz = cycles
+	// µs × MHz = cycles; the product is rounded, so no FMA forms.
+	us := func(n float64) uint64 { return uint64(float64(n * cpuMHz)) }
 	return CostModel{
 		PTEUpdateCycles:    us(20),
 		ShootdownInitiator: us(4),
