@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"banshee"
@@ -88,6 +89,30 @@ func goldenSchemes() []string {
 	}
 }
 
+// checkConservation asserts the counts every run must conserve: each
+// level's accesses are the misses of the level above, every LLC miss
+// is a DRAM-cache hit or miss, every LLC miss has one latency sample,
+// and L1 misses never exceed L1 accesses.
+func checkConservation(t *testing.T, key string, r banshee.Result) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"L2Accesses == L1Misses", r.L2Accesses, r.L1Misses},
+		{"LLCAccesses == L2Misses", r.LLCAccesses, r.L2Misses},
+		{"DCHits + DCMisses == LLCMisses", r.DCHits + r.DCMisses, r.LLCMisses},
+		{"MissLatCount == LLCMisses", r.MissLatCount, r.LLCMisses},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %s broken: %d != %d", key, c.name, c.got, c.want)
+		}
+	}
+	if r.L1Misses > r.L1Accesses {
+		t.Errorf("%s: L1Misses %d > L1Accesses %d", key, r.L1Misses, r.L1Accesses)
+	}
+}
+
 func TestGoldenStats(t *testing.T) {
 	got := make(map[string]banshee.Result)
 	for _, scheme := range goldenSchemes() {
@@ -122,6 +147,19 @@ func TestGoldenStats(t *testing.T) {
 			}
 			got[fmt.Sprintf("%s | %s | scale %g", scheme, w, goldenKernelScale)] = res
 		}
+	}
+	// Conservation holds on every row before it is compared or pinned,
+	// so a broken -update fails here instead of re-pinning.
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		checkConservation(t, k, got[k])
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	data, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
