@@ -28,10 +28,13 @@ import (
 // Point is one setting of a matrix's config-override axis: a label for
 // result lookup plus Set, a partial sim.Config JSON object overlaid onto
 // the fully resolved config (after workload, scheme, and seed are in
-// place), such as {"InPkgLatScale": 0.5} or {"Scheme": {"BansheeWays":
-// 8}}. Fields present override the resolved config, fields absent leave
-// it alone, and a field sim.Config does not have is an error. An empty
-// Set is a valid unmodified point.
+// place), such as
+//
+//	{"InPkgLatScale": 0.5, "Scheme": {"BansheeWays": 8}}
+//
+// Fields present override the resolved config, fields absent leave it
+// alone, and a field sim.Config does not have is an error. An empty Set
+// is a valid unmodified point.
 type Point struct {
 	Label string          `json:"label,omitempty"`
 	Set   json.RawMessage `json:"set,omitempty"`
