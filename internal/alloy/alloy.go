@@ -55,10 +55,8 @@ type Alloy struct {
 	// ownership note on mc.Result).
 	ops []mem.Op
 
-	hits, misses uint64
-	fills        uint64
-	writebacks   uint64
-	tagProbes    uint64
+	fills     uint64
+	tagProbes uint64
 }
 
 // New builds an Alloy cache. Capacity must be a positive multiple of the
@@ -107,14 +105,12 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 	// speculative (MissData), and the demand line comes from off-package
 	// in the next stage.
 	if slot.valid && slot.tag == tag {
-		a.hits++
 		a.ops = append(a.ops,
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassHitData, Stage: 0, Critical: true},
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0, Critical: true, Fused: true},
 		)
 		return mc.Result{Hit: true, Ops: a.ops}
 	}
-	a.misses++
 	ops := append(a.ops,
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassMissData, Stage: 0, Critical: true},
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0, Critical: true, Fused: true},
@@ -128,7 +124,6 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 			// only needs the off-package write-back.
 			victim := a.victimAddr(addr, slot.tag)
 			ops = append(ops, mem.Op{Target: mem.OffPackage, Addr: victim, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1})
-			a.writebacks++
 		}
 		// Fill writes data + updated tag.
 		ops = append(ops,

@@ -126,11 +126,10 @@ type Banshee struct {
 	res mc.Result
 
 	// Counters surfaced via FillStats.
-	remaps     uint64
-	flushes    uint64
-	probes     uint64
-	samples    uint64
-	shootdowns uint64
+	remaps  uint64
+	flushes uint64 // one per flush, which also shoots down every TLB
+	probes  uint64
+	samples uint64
 }
 
 // New builds a Banshee instance bound to the system's TLBs, which its
@@ -245,8 +244,9 @@ func (b *Banshee) access(req mem.Request, res *mc.Result) {
 		// Park the page in the buffer to spare future probes.
 		tb.InsertClean(page)
 	}
-	set := b.md.set(page)
-	way := set.findCached(b.md.tagOf(page))
+	setIdx, tag := b.md.setIndex(page), b.md.tagOf(page)
+	set := &b.md.sets[setIdx]
+	way := set.findCached(tag)
 
 	if req.Eviction {
 		b.handleEviction(addr, set, way, res)
@@ -273,13 +273,15 @@ func (b *Banshee) access(req mem.Request, res *mc.Result) {
 		})
 	}
 
+	// The policies reuse this lookup's set index, tag and way (-1 on a
+	// miss): nothing above has changed the metadata since.
 	switch b.cfg.Policy {
 	case LRUReplaceOnMiss:
-		b.lruPolicy(page, hit, res)
+		b.lruPolicy(page, setIdx, tag, way, res)
 	case SetDueling:
-		b.duelPolicy(page, hit, res)
+		b.duelPolicy(page, setIdx, tag, way, res)
 	default:
-		b.fbrPolicy(page, hit, res)
+		b.fbrPolicy(page, setIdx, tag, way, res)
 	}
 }
 
@@ -294,24 +296,23 @@ const (
 // duelPolicy dispatches to FBR or replace-on-miss LRU per the dueling
 // sets [30]: leader sets always run their policy and vote with their
 // misses; follower sets adopt the current winner.
-func (b *Banshee) duelPolicy(page uint64, hit bool, res *mc.Result) {
-	setIdx := b.md.setIndex(page)
+func (b *Banshee) duelPolicy(page uint64, setIdx int, tag uint64, way int, res *mc.Result) {
 	switch setIdx % duelPeriod {
 	case 0: // FBR leader: its misses push psel toward LRU
-		if !hit && b.psel < pselMax {
+		if way < 0 && b.psel < pselMax {
 			b.psel++
 		}
-		b.fbrPolicy(page, hit, res)
+		b.fbrPolicy(page, setIdx, tag, way, res)
 	case 1: // LRU leader: its misses push psel toward FBR
-		if !hit && b.psel > -pselMax {
+		if way < 0 && b.psel > -pselMax {
 			b.psel--
 		}
-		b.lruPolicy(page, hit, res)
+		b.lruPolicy(page, setIdx, tag, way, res)
 	default: // follower
 		if b.psel > 0 {
-			b.lruPolicy(page, hit, res)
+			b.lruPolicy(page, setIdx, tag, way, res)
 		} else {
-			b.fbrPolicy(page, hit, res)
+			b.fbrPolicy(page, setIdx, tag, way, res)
 		}
 	}
 }
@@ -335,7 +336,7 @@ func (b *Banshee) handleEviction(addr mem.Addr, set *metaSet, way int, res *mc.R
 
 // fbrPolicy is Algorithm 1: sampled counter maintenance and
 // bandwidth-aware frequency-based replacement.
-func (b *Banshee) fbrPolicy(page uint64, hit bool, res *mc.Result) {
+func (b *Banshee) fbrPolicy(page uint64, setIdx int, tag uint64, way int, res *mc.Result) {
 	sampleRate := 1.0
 	if b.cfg.Policy == FBRSampled {
 		sampleRate = b.missRate.Rate() * b.cfg.SamplingCoeff
@@ -349,12 +350,11 @@ func (b *Banshee) fbrPolicy(page uint64, hit bool, res *mc.Result) {
 	res.Ops = append(res.Ops, mem.Op{
 		Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Class: mem.ClassCounter,
 	})
-	set := b.md.set(page)
-	tag := b.md.tagOf(page)
+	set := &b.md.sets[setIdx]
 
-	if w := set.findCached(tag); w >= 0 {
-		set.cached[w].count++
-		if set.cached[w].count >= b.md.maxCount {
+	if way >= 0 {
+		set.cached[way].count++
+		if set.cached[way].count >= b.md.maxCount {
 			set.halve()
 		}
 	} else if ci := set.findCand(tag); ci >= 0 {
@@ -368,7 +368,7 @@ func (b *Banshee) fbrPolicy(page uint64, hit bool, res *mc.Result) {
 			trigger = float64(set.cand[ci].count) > float64(set.cached[victim].count)+b.threshold
 		}
 		if trigger {
-			b.replace(page, set, ci, victim, res)
+			b.replace(page, setIdx, tag, ci, victim, res)
 		}
 	} else {
 		// Page not tracked: probabilistically claim a candidate slot
@@ -396,8 +396,9 @@ func (b *Banshee) fbrPolicy(page uint64, hit bool, res *mc.Result) {
 
 // replace swaps the candidate at ci into cached way `victim`, generating
 // the page-movement traffic and the lazy-coherence bookkeeping.
-func (b *Banshee) replace(page uint64, set *metaSet, ci, victim int, res *mc.Result) {
+func (b *Banshee) replace(page uint64, setIdx int, tag uint64, ci, victim int, res *mc.Result) {
 	b.remaps++
+	set := &b.md.sets[setIdx]
 	incomingCount := set.cand[ci].count
 	pageAddr := mem.Addr(page << b.pageShift)
 	// Incoming page: whole-page transfer plus the 32 B tag write
@@ -413,7 +414,6 @@ func (b *Banshee) replace(page uint64, set *metaSet, ci, victim int, res *mc.Res
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Write: true, Class: mem.ClassTag},
 	)
 	v := set.cached[victim]
-	setIdx := b.md.setIndex(page)
 	if v.valid {
 		victimPage := b.md.pageOf(setIdx, v.tag)
 		victimAddr := mem.Addr(victimPage << b.pageShift)
@@ -441,7 +441,7 @@ func (b *Banshee) replace(page uint64, set *metaSet, ci, victim int, res *mc.Res
 	} else {
 		set.cand[ci] = candEntry{}
 	}
-	set.cached[victim] = cachedEntry{tag: b.md.tagOf(page), count: incomingCount, valid: true}
+	set.cached[victim] = cachedEntry{tag: tag, count: incomingCount, valid: true}
 	b.noteRemap(page, res)
 }
 
@@ -479,7 +479,6 @@ func (b *Banshee) flush(res *mc.Result) {
 	for _, t := range b.tlbs {
 		t.Flush()
 	}
-	b.shootdowns++
 	res.SW = append(res.SW, mc.SWCost{
 		InitiatorCycles: b.cost.PTEUpdateCycles +
 			uint64(ptes)*perPTETouchCycles +
@@ -492,17 +491,16 @@ func (b *Banshee) flush(res *mc.Result) {
 // with replacement on every miss and whole-page fills. Remaps still go
 // through the tag buffers and the PTE-update flush; LRU state updates
 // cost one metadata read+write per access, like Unison's tag update.
-func (b *Banshee) lruPolicy(page uint64, hit bool, res *mc.Result) {
+func (b *Banshee) lruPolicy(page uint64, setIdx int, tag uint64, way int, res *mc.Result) {
 	b.lruTick++
 	pageAddr := mem.Addr(page << b.pageShift)
 	res.Ops = append(res.Ops,
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Class: mem.ClassTag},
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Write: true, Class: mem.ClassTag},
 	)
-	set := b.md.set(page)
-	tag := b.md.tagOf(page)
-	if w := set.findCached(tag); w >= 0 {
-		set.cached[w].count = b.lruTick // count doubles as LRU stamp here
+	set := &b.md.sets[setIdx]
+	if way >= 0 {
+		set.cached[way].count = b.lruTick // count doubles as LRU stamp here
 		return
 	}
 	// Miss: evict the LRU way, fill the whole page.
@@ -523,7 +521,7 @@ func (b *Banshee) lruPolicy(page uint64, hit bool, res *mc.Result) {
 	)
 	v := set.cached[victim]
 	if v.valid {
-		victimPage := b.md.pageOf(b.md.setIndex(page), v.tag)
+		victimPage := b.md.pageOf(setIdx, v.tag)
 		if v.dirty {
 			victimAddr := mem.Addr(victimPage << b.pageShift)
 			res.Ops = append(res.Ops,
@@ -542,7 +540,7 @@ func (b *Banshee) FillStats(s *stats.Sim) {
 	s.Remaps += b.remaps
 	s.TagProbes += b.probes
 	s.TagBufferFlushes += b.flushes
-	s.TLBShootdowns += b.shootdowns
+	s.TLBShootdowns += b.flushes
 	s.CounterSamples += b.samples
 }
 

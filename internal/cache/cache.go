@@ -1,9 +1,8 @@
 // Package cache implements the set-associative SRAM caches of the
 // simulated chip (L1I/L1D, L2, shared L3), managed at 64 B line
-// granularity with write-back/write-allocate semantics. The same type
-// also backs small hardware tables elsewhere in the simulator (e.g. TLBs
-// and Banshee's tag buffer embed the replacement machinery via their own
-// structures, but the L-level caches all use Cache directly).
+// granularity with write-back/write-allocate semantics. The L1, L2 and
+// L3 caches use it; the TLBs and Banshee's tag buffer have structures
+// of their own.
 //
 // Beyond plain lookup, lines carry caller metadata bits (the per-line
 // page-size bit of §4.3 used to route LLC dirty evictions). There is no
@@ -73,14 +72,12 @@ type Eviction struct {
 	Meta  uint8
 }
 
-// Stats counts cache events.
+// Stats counts demand accesses and their misses. The simulator counts
+// a run's cache statistics in stats.Sim; these feed perfbench's replay
+// of the hierarchy.
 type Stats struct {
-	Accesses  uint64
-	Misses    uint64
-	Evictions uint64 // dirty evictions (write-backs)
-	Fills     uint64
-	WriteHits uint64
-	WriteMiss uint64
+	Accesses uint64
+	Misses   uint64
 }
 
 // Cache is a single set-associative cache. Not safe for concurrent use.
@@ -160,15 +157,11 @@ func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Evicti
 	set, tag, base, pos := c.find(a)
 	if pos < 0 {
 		c.stats.Misses++
-		if write {
-			c.stats.WriteMiss++
-		}
 		return false, c.insert(set, tag, base, write, meta)
 	}
 	st := c.state[base+pos]
 	if write {
 		st = uint16(meta)<<1 | 1
-		c.stats.WriteHits++
 	}
 	c.rotate(base, pos)
 	c.tags[base] = tag
@@ -203,7 +196,6 @@ func (c *Cache) insert(set, tag uint64, base int, dirty bool, meta uint8) *Evict
 	} else {
 		pos--
 		if v := base + pos; c.state[v]&1 != 0 {
-			c.stats.Evictions++
 			c.ev = Eviction{Addr: c.addrOf(set, c.tags[v]), Dirty: true, Meta: uint8(c.state[v] >> 1)}
 			ev = &c.ev
 		}
@@ -214,7 +206,6 @@ func (c *Cache) insert(set, tag uint64, base int, dirty bool, meta uint8) *Evict
 	if dirty {
 		c.state[base] |= 1
 	}
-	c.stats.Fills++
 	return ev
 }
 

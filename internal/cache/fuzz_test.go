@@ -49,12 +49,10 @@ func (r *refCache) insert(si int, a mem.Addr, dirty bool, meta uint8) *Eviction 
 		v := set[len(set)-1]
 		set = set[:len(set)-1]
 		if v.dirty {
-			r.stats.Evictions++
 			ev = &Eviction{Addr: v.addr, Dirty: true, Meta: v.meta}
 		}
 	}
 	r.sets[si] = append([]refLine{{addr: mem.LineAddr(a), dirty: dirty, meta: meta}}, set...)
-	r.stats.Fills++
 	return ev
 }
 
@@ -65,16 +63,12 @@ func (r *refCache) Access(a mem.Addr, write bool, meta uint8) (bool, *Eviction) 
 		l := set[i]
 		if write {
 			l.dirty, l.meta = true, meta
-			r.stats.WriteHits++
 		}
 		copy(set[1:i+1], set[:i])
 		set[0] = l
 		return true, nil
 	}
 	r.stats.Misses++
-	if write {
-		r.stats.WriteMiss++
-	}
 	return false, r.insert(si, a, write, meta)
 }
 
@@ -103,7 +97,7 @@ func (r *refCache) occupancy() int {
 // address bits so tags reach past the set index — followed by 2-byte
 // operations: an op byte (bit 0 Access/Fill, bit 1 write/dirty, bits
 // 2–7 meta) and a line number. After every operation the hit bit, the
-// eviction and the full Stats must agree.
+// eviction and Stats (accesses and misses) must agree.
 func FuzzCacheLRU(f *testing.F) {
 	f.Add([]byte{3, 3, 0, 0, 0, 0, 0, 0, 2, 8, 1, 16, 3, 24, 0, 32, 0, 0, 6, 40})
 	f.Add([]byte{3, 3, 1, 0, 0, 0, 0, 0, 2, 8, 1, 16, 3, 24, 0, 32, 0, 0, 6, 40})

@@ -45,8 +45,7 @@ type CAMEO struct {
 	// ownership note on mc.Result).
 	ops []mem.Op
 
-	hits, misses uint64
-	swaps        uint64
+	swaps uint64
 }
 
 // New builds a CAMEO instance; capacity must give a power-of-two line
@@ -89,7 +88,6 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 	if resident {
 		// Hit: data plus the LLT entry read together (CAMEO co-locates
 		// the LLT with the congruence group).
-		c.hits++
 		c.ops = append(c.ops,
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassHitData, Stage: 0, Critical: true},
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: lltBytes, Class: mem.ClassTag, Stage: 0, Critical: true, Fused: true},
@@ -101,7 +99,6 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 	// off-package, then swap it with the current occupant. The swap is
 	// CAMEO's defining traffic: occupant moves out, new line moves in,
 	// LLT updated.
-	c.misses++
 	c.swaps++
 	c.ops = append(c.ops,
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: lltBytes, Class: mem.ClassTag, Stage: 0, Critical: true},

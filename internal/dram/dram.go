@@ -83,15 +83,11 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Stats aggregates what the DRAM observed.
+// Stats counts row-buffer outcomes. A run's traffic is counted from
+// its ops in stats.Sim, not here.
 type Stats struct {
-	Accesses     uint64
-	Background   uint64 // accesses in the background (write-drain) class
-	RowHits      uint64 // critical accesses only
-	RowMisses    uint64 // critical accesses only
-	BytesRead    uint64
-	BytesWritten uint64
-	BusBusy      uint64 // total data-bus occupied CPU cycles, summed over channels
+	RowHits   uint64 // critical accesses only
+	RowMisses uint64 // critical accesses only
 }
 
 type bank struct {
@@ -191,7 +187,9 @@ func (d *DRAM) channelOf(a mem.Addr) int {
 // Access times one transaction of n bytes at address a starting no
 // earlier than now, returning its completion time in CPU cycles.
 // critical selects the bus priority class (demand read path vs
-// background fill/writeback/metadata).
+// background fill/writeback/metadata). write does not change the
+// timing; it stays because perfbench's DRAM replay passes each op's
+// direction.
 //
 // Banks pipeline: a row hit occupies the bank only for the
 // column-command slot (tCCD-like), a row miss for the
@@ -216,14 +214,6 @@ func (d *DRAM) Access(now uint64, a mem.Addr, n int, write, critical bool) uint6
 		dataStart := max64(now+d.rowMissLat, ch.busAll)
 		done := dataStart + xfer
 		ch.busAll = done
-		d.stats.Accesses++
-		d.stats.Background++
-		d.stats.BusBusy += xfer
-		if write {
-			d.stats.BytesWritten += uint64(n)
-		} else {
-			d.stats.BytesRead += uint64(n)
-		}
 		return done
 	}
 
@@ -259,21 +249,14 @@ func (d *DRAM) Access(now uint64, a mem.Addr, n int, write, critical bool) uint6
 	// background fills stream at full rate.
 	ch.busCrit = done + d.gapLat
 	ch.busAll = max64(ch.busAll, dataStart) + xfer + d.gapLat
-
-	d.stats.Accesses++
-	d.stats.BusBusy += xfer
-	if write {
-		d.stats.BytesWritten += uint64(n)
-	} else {
-		d.stats.BytesRead += uint64(n)
-	}
 	return done
 }
 
 // Extend lengthens the most recent transfer on a's channel by n bytes
 // without a new bank command — the second half of a fused access (tag
 // riding with data in one burst train). It returns the new completion
-// time of that channel's bus in the given priority class.
+// time of that channel's bus in the given priority class. write is
+// unread, as in Access.
 func (d *DRAM) Extend(a mem.Addr, n int, write, critical bool) uint64 {
 	if n <= 0 {
 		return 0
@@ -283,26 +266,9 @@ func (d *DRAM) Extend(a mem.Addr, n int, write, critical bool) uint64 {
 	ch.busAll += xfer
 	if critical {
 		ch.busCrit += xfer
-	}
-	d.stats.BusBusy += xfer
-	if write {
-		d.stats.BytesWritten += uint64(n)
-	} else {
-		d.stats.BytesRead += uint64(n)
-	}
-	if critical {
 		return ch.busCrit
 	}
 	return ch.busAll
-}
-
-// Utilization returns the fraction of total channel-cycles the data buses
-// were busy over the first `elapsed` CPU cycles of the run.
-func (d *DRAM) Utilization(elapsed uint64) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(d.stats.BusBusy) / float64(elapsed*uint64(len(d.chans)))
 }
 
 func max64(a, b uint64) uint64 {

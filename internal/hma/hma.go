@@ -69,9 +69,8 @@ type HMA struct {
 	ops []mem.Op
 	sw  []mc.SWCost
 
-	hits, misses uint64
-	epochs       uint64
-	moves        uint64
+	epochs uint64
+	moves  uint64
 }
 
 // New builds an HMA instance.
@@ -115,12 +114,10 @@ func (h *HMA) Access(req mem.Request) mc.Result {
 	h.accesses++
 	hit := r != nil
 	if hit {
-		h.hits++
 		h.ops = append(h.ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassHitData, Stage: 0, Critical: true})
 	} else {
 		// Mapping is in the PTE: the miss goes straight off-package with
 		// no probe traffic (Table 1: miss traffic 0 B extra).
-		h.misses++
 		h.ops = append(h.ops, mem.Op{Target: mem.OffPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassMissData, Stage: 0, Critical: true})
 	}
 	if h.accesses >= h.cfg.EpochAccesses {

@@ -31,7 +31,7 @@ func countLocal(n *atomic.Int64, local runner.JobRunner) runner.JobRunner {
 // returns the sink's bytes and the result set.
 func runSpec(t *testing.T, spec Spec, eng runner.Engine) ([]byte, *runner.ResultSet) {
 	t.Helper()
-	jobs, baseSeed, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func runSpec(t *testing.T, spec Spec, eng runner.Engine) ([]byte, *runner.Result
 		t.Fatal(err)
 	}
 	eng.Sink = sink
-	rs, err := eng.RunJobs(context.Background(), spec.Name, baseSeed, jobs)
+	rs, err := eng.RunJobs(context.Background(), spec.Name, spec.BaseSeed(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBrokerDeclineRunsLocally(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBroker(40*time.Millisecond, reg)
 	b.Lease(context.Background(), "idle", time.Millisecond)
-	jobs, _, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

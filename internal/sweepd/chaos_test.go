@@ -464,11 +464,11 @@ func TestNetChaosConvergence(t *testing.T) {
 func TestDiskFullPausesSweep(t *testing.T) {
 	d := newDaemon(t, t.TempDir())
 	spec := testSpec("svc-enospc")
-	jobs, baseSeed, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := &sweep{id: "enospc-test", spec: spec, jobs: jobs, baseSeed: baseSeed,
+	sw := &sweep{id: "enospc-test", spec: spec, jobs: jobs,
 		finished: make(chan struct{})}
 	d.finish(sw, nil, &berrs.DiskFullError{Op: "sink append", Err: syscall.ENOSPC})
 

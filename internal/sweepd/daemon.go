@@ -203,37 +203,49 @@ func (d *Daemon) resume() error {
 		} else if done {
 			continue
 		}
-		spec, err := d.store.LoadSpec(id)
+		spec, jobs, err := d.loadResumable(id)
 		if err != nil {
 			// A sweep dir with no readable spec (crash between mkdir and
-			// spec commit) is unrecoverable but harmless: skip it.
+			// spec commit), or one whose spec no longer resolves to its
+			// ID (written by an older build), is unrecoverable but
+			// harmless: skip it.
 			if d.opts.Log != nil {
 				fmt.Fprintf(d.opts.Log, "sweepd: skipping unrecoverable sweep %s: %v\n", id, err)
 			}
 			continue
 		}
-		jobs, baseSeed, err := spec.Resolve()
-		if err != nil {
-			return fmt.Errorf("sweepd: resume %s: %w", id, err)
-		}
-		if got := SweepID(spec.Name, jobs); got != id {
-			return fmt.Errorf("sweepd: resume %s: stored spec resolves to sweep %s", id, got)
-		}
 		if d.opts.Log != nil {
 			fmt.Fprintf(d.opts.Log, "sweepd: resuming sweep %s (%s, %d jobs)\n", id, spec.Name, len(jobs))
 		}
-		d.start(id, spec, jobs, baseSeed)
+		d.start(id, spec, jobs)
 	}
 	return nil
 }
 
+// loadResumable loads sweep id's stored spec and checks that it still
+// resolves to id.
+func (d *Daemon) loadResumable(id string) (Spec, []runner.Job, error) {
+	spec, err := d.store.LoadSpec(id)
+	if err != nil {
+		return Spec{}, nil, err
+	}
+	jobs, err := spec.Resolve()
+	if err != nil {
+		return Spec{}, nil, err
+	}
+	if got := SweepID(spec.Name, jobs); got != id {
+		return Spec{}, nil, fmt.Errorf("stored spec resolves to sweep %s", got)
+	}
+	return spec, jobs, nil
+}
+
 // start registers and launches one sweep goroutine. Caller must not
 // hold d.mu; the sweep must already be persisted (spec on disk).
-func (d *Daemon) start(id string, spec Spec, jobs []runner.Job, baseSeed uint64) *sweep {
+func (d *Daemon) start(id string, spec Spec, jobs []runner.Job) *sweep {
 	reg := d.reg.With("sweep", id)
 	ctx, cancel := context.WithCancel(d.baseCtx)
 	sw := &sweep{
-		id: id, spec: spec, jobs: jobs, baseSeed: baseSeed,
+		id: id, spec: spec, jobs: jobs,
 		runCtx: ctx, cancel: cancel,
 		finished: make(chan struct{}),
 		cDone:    reg.Counter(`banshee_jobs_total{state="done"}`, "jobs by final state"),
@@ -259,7 +271,7 @@ func (d *Daemon) start(id string, spec Spec, jobs []runner.Job, baseSeed uint64)
 // a failed or cancelled sweep restarts it — resuming from its
 // checkpoint, converging toward the same final bytes.
 func (d *Daemon) Submit(spec Spec) (Status, error) {
-	jobs, baseSeed, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		return Status{}, specError{err}
 	}
@@ -313,7 +325,7 @@ func (d *Daemon) Submit(spec Spec) (Status, error) {
 		return Status{}, err
 	}
 	d.submitted.Inc()
-	return d.start(id, spec, jobs, baseSeed).status(), nil
+	return d.start(id, spec, jobs).status(), nil
 }
 
 // Cancel stops a live sweep. The engine abandons in-flight jobs at

@@ -51,7 +51,7 @@ func FuzzSpecResolve(f *testing.F) {
 		if len(spec.Points) > 256 || len(spec.Workloads) > 256 || len(spec.Schemes) > 256 || len(spec.Seeds) > 256 || n > 256 {
 			return
 		}
-		jobs, baseSeed, err := spec.Resolve()
+		jobs, err := spec.Resolve()
 		if err != nil {
 			return
 		}
@@ -74,13 +74,13 @@ func FuzzSpecResolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded spec does not decode: %v", err)
 		}
-		jobs2, baseSeed2, err := again.Resolve()
+		jobs2, err := again.Resolve()
 		if err != nil {
 			t.Fatalf("re-encoded spec does not resolve: %v", err)
 		}
-		if SweepID(spec.Name, jobs2) != SweepID(spec.Name, jobs) || baseSeed2 != baseSeed {
+		if SweepID(spec.Name, jobs2) != SweepID(spec.Name, jobs) || again.BaseSeed() != spec.BaseSeed() {
 			t.Fatalf("re-encoded spec is a different sweep: ID %s / seed %d, want %s / %d",
-				SweepID(spec.Name, jobs2), baseSeed2, SweepID(spec.Name, jobs), baseSeed)
+				SweepID(spec.Name, jobs2), again.BaseSeed(), SweepID(spec.Name, jobs), spec.BaseSeed())
 		}
 	})
 }

@@ -87,17 +87,16 @@ func SpecFromMatrix(m runner.Matrix, o RunOptions) (Spec, error) {
 }
 
 // Resolve validates the spec and enumerates its job list in the
-// deterministic order the sink contract is defined over. The returned
-// baseSeed is what ResultSet.Get defaults to client-side.
-func (s Spec) Resolve() (jobs []runner.Job, baseSeed uint64, err error) {
+// deterministic order the sink contract is defined over.
+func (s Spec) Resolve() ([]runner.Job, error) {
 	if s.Name == "" {
-		return nil, 0, fmt.Errorf("sweepd: spec needs a name")
+		return nil, fmt.Errorf("sweepd: spec needs a name")
 	}
-	jobs, err = s.Jobs()
+	jobs, err := s.Jobs()
 	if err != nil {
-		return nil, 0, fmt.Errorf("sweepd: spec %q: %w", s.Name, err)
+		return nil, fmt.Errorf("sweepd: spec %q: %w", s.Name, err)
 	}
-	return jobs, s.BaseSeed(), nil
+	return jobs, nil
 }
 
 // SweepID derives the sweep's content ID from its resolved identity:

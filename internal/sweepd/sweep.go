@@ -58,10 +58,9 @@ func (st Status) Terminal() bool {
 // engine run's context, and the scoped metric handles status is
 // computed from.
 type sweep struct {
-	id       string
-	spec     Spec
-	jobs     []runner.Job
-	baseSeed uint64
+	id   string
+	spec Spec
+	jobs []runner.Job
 
 	runCtx    context.Context
 	cancel    context.CancelFunc
@@ -184,7 +183,7 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 		Metrics:     reg,
 		Progress:    d.opts.Log,
 	}
-	return eng.RunJobs(ctx, sw.spec.Name, sw.baseSeed, sw.jobs)
+	return eng.RunJobs(ctx, sw.spec.Name, sw.spec.BaseSeed(), sw.jobs)
 }
 
 // finish resolves the sweep to its terminal state and persists the

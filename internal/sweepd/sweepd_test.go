@@ -50,7 +50,7 @@ func testSpec(name string) Spec {
 // returns the file's bytes — the golden the service must converge to.
 func localBytes(t *testing.T, spec Spec) []byte {
 	t.Helper()
-	jobs, baseSeed, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func localBytes(t *testing.T, spec Spec) []byte {
 		t.Fatal(err)
 	}
 	eng := runner.Engine{Parallelism: 2, Sink: sink}
-	if _, err := eng.RunJobs(context.Background(), spec.Name, baseSeed, jobs); err != nil {
+	if _, err := eng.RunJobs(context.Background(), spec.Name, spec.BaseSeed(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -165,7 +165,7 @@ func TestSweepsFinishedCountedBeforeDone(t *testing.T) {
 
 func mustJobs(t *testing.T, spec Spec) (string, []runner.Job) {
 	t.Helper()
-	jobs, _, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +339,60 @@ func TestDaemonRestartResumes(t *testing.T) {
 	}
 }
 
+// TestRestartSkipsStaleSpec: stored unfinished sweeps whose spec no
+// longer resolves, or resolves to another sweep ID, are skipped on
+// restart; they do not stop the daemon from starting or the real
+// unfinished sweep beside them from resuming.
+func TestRestartSkipsStaleSpec(t *testing.T) {
+	spec := testSpec("svc-stale")
+	spec.Base.InstrPerCore = 200_000
+	want := localBytes(t, spec)
+	dir := t.TempDir()
+
+	d1 := newDaemon(t, dir)
+	if _, err := d1.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	id := SweepID(mustJobs(t, spec))
+	waitForBytes(t, d1.Store().ResultsPath(id), 1)
+	d1.Close()
+
+	const unresolvable, misfiled = "aaaaaaaaaaaa", "bbbbbbbbbbbb"
+	if _, err := d1.Store().Dir(unresolvable); err != nil {
+		t.Fatal(err)
+	}
+	bad := `{"name":"x","workloads":["mcf"],"schemes":["NotAScheme"]}`
+	if err := os.WriteFile(d1.Store().SpecPath(unresolvable), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Store().SaveSpec(misfiled, testSpec("svc-misfiled")); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := newDaemon(t, dir)
+	for _, stale := range []string{unresolvable, misfiled} {
+		if st, err := d2.Status(stale); err == nil {
+			t.Fatalf("stale sweep %s was started: %s", stale, st.State)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := d2.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("resumed sweep ended %s (%s)", st.State, st.Error)
+	}
+	got, err := os.ReadFile(d2.Store().ResultsPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed sweep diverged: %d vs %d bytes", len(got), len(want))
+	}
+}
+
 func waitForBytes(t *testing.T, path string, min int64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -480,7 +534,7 @@ func TestEpochSweepGangs(t *testing.T) {
 		}
 		sampled[l.Job] = true
 	}
-	jobs, _, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +945,7 @@ func TestSpecRejectsUnknownFields(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &spec); err != nil {
 		t.Fatal(err)
 	}
-	jobs, _, err := spec.Resolve()
+	jobs, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

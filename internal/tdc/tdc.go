@@ -55,8 +55,7 @@ type TDC struct {
 	// ownership note on mc.Result).
 	ops []mem.Op
 
-	hits, misses uint64
-	fills        uint64
+	fills uint64
 }
 
 // New builds a TDC instance; capacity must hold at least one page.
@@ -100,14 +99,12 @@ func (t *TDC) Access(req mem.Request) mc.Result {
 	}
 
 	if e != nil {
-		t.hits++
 		e.touched.Set(li)
 		t.ops = append(t.ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassHitData, Stage: 0, Critical: true})
 		return mc.Result{Hit: true, Ops: t.ops}
 	}
 
 	// Miss: demand line from off-package, then replace on every miss.
-	t.misses++
 	t.ops = append(t.ops, mem.Op{Target: mem.OffPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassMissData, Stage: 0, Critical: true})
 	t.insert(page, addr)
 	return mc.Result{Hit: false, Ops: t.ops}

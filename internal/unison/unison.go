@@ -51,9 +51,8 @@ type Unison struct {
 	// ownership note on mc.Result).
 	ops []mem.Op
 
-	hits, misses uint64
-	fills        uint64
-	tagProbes    uint64
+	fills     uint64
+	tagProbes uint64
 }
 
 // New builds a Unison cache; it panics on a non-power-of-two set count
@@ -102,7 +101,6 @@ func (u *Unison) Access(req mem.Request) mc.Result {
 	if idx >= 0 {
 		// Page hit with perfect way prediction: tag read + data read on
 		// the critical path, LRU/tag update in the background.
-		u.hits++
 		set[idx].stamp = u.tick
 		set[idx].touched.Set(mem.LineInPage(addr))
 		u.ops = append(u.ops,
@@ -115,7 +113,6 @@ func (u *Unison) Access(req mem.Request) mc.Result {
 
 	// Miss: the predicted-way data read was speculative and wasted;
 	// fetch the demand line off-package, then replace the LRU page.
-	u.misses++
 	u.ops = append(u.ops,
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassMissData, Stage: 0, Critical: true},
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0, Critical: true, Fused: true},

@@ -338,7 +338,7 @@ func TestSweepStateConstants(t *testing.T) {
 	if err := json.Unmarshal(b, &wire); err != nil {
 		t.Fatal(err)
 	}
-	wireJobs, _, err := wire.Resolve()
+	wireJobs, err := wire.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
