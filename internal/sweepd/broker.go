@@ -17,29 +17,29 @@ import (
 // every one-job group is offered here first (Dispatch); if a worker
 // claims it within the offer window the attempt runs remotely under a
 // TTL'd lease, otherwise the offer is withdrawn and the job runs on the
-// sweep's own runner. A lease that expires (worker SIGKILL'd, network
-// gone) resolves its Dispatch as declined — the same local fallback —
-// and the dead lease is tombstoned so a late result for it is refused
-// with ErrLeaseGone rather than double-recording the job: exactly one
-// attempt outcome per Dispatch call, which is what keeps the sink free
-// of duplicate records.
+// sweep's own runner. A lease is live until a report is accepted
+// (resolved) or its deadline passes (expired); an expired lease
+// resolves its Dispatch as declined — the same local fallback — and
+// refuses a late result with ErrLeaseGone rather than double-recording
+// the job: exactly one attempt outcome per Dispatch call, which is
+// what keeps the sink free of duplicate records.
 type Broker struct {
-	ttl          time.Duration // lease lifetime between renewals
-	offerWait    time.Duration // how long Dispatch dangles an unclaimed offer
-	workerWindow time.Duration // how recently a worker must have polled to count as attached
+	ttl          time.Duration    // lease lifetime between renewals
+	offerWait    time.Duration    // how long Dispatch dangles an unclaimed offer
+	workerWindow time.Duration    // how recently a worker must have polled to count as attached
+	now          func() time.Time // the broker's only clock read
 
 	mu      sync.Mutex
 	offers  []*offer
-	notify  chan struct{} // closed and replaced when an offer arrives
-	leases  map[string]*lease
-	tombs   map[string]tombstone // dead leases, for idempotent redelivery
+	notify  chan struct{}        // closed and replaced when an offer arrives
+	leases  map[string]*lease    // every lease, live or dead, until pruned
+	live    int                  // leases in leaseLive
 	workers map[string]time.Time // worker name → last poll
 	seq     uint64
 
-	leasesOut *obs.Gauge
-	expiries  *obs.Counter
-	remoteOK  *obs.Counter
-	declined  *obs.Counter
+	expiries *obs.Counter
+	remoteOK *obs.Counter
+	declined *obs.Counter
 }
 
 // ErrLeaseGone is returned to a worker renewing or resolving a lease
@@ -52,34 +52,32 @@ var ErrLeaseGone = fmt.Errorf("sweepd: lease expired or unknown")
 type offer struct {
 	job   runner.Job
 	taken chan *lease // buffered 1; receives the lease when a worker claims
-	gone  bool        // withdrawn by Dispatch; skip on claim
 }
 
-// lease is one claimed attempt: the worker holds its ID and must
-// renew within TTL until it reports the outcome.
+// leaseState is a lease's place in its lifecycle: live, then resolved
+// or expired for good.
+type leaseState uint8
+
+const (
+	leaseLive     leaseState = iota // the worker may renew and report until the deadline
+	leaseResolved                   // a report was accepted; redeliveries of it succeed
+	leaseExpired                    // the deadline passed or Dispatch gave up; the job re-ran locally
+)
+
+// lease is one claimed attempt, kept from its grant until pruned: the
+// worker holds its ID and must renew within TTL until it reports.
 type lease struct {
 	id       string
-	job      runner.Job
-	deadline time.Time
-	result   chan attemptOutcome // buffered 1
+	jobID    string
+	state    leaseState
+	deadline time.Time           // a live lease expires once the clock reaches it
+	ended    time.Time           // when it left leaseLive; pruning ages dead leases by it
+	result   chan attemptOutcome // buffered 1; receives the one accepted outcome
 }
 
 type attemptOutcome struct {
 	st  stats.Sim
 	err error
-}
-
-// tombstone remembers how a dead lease died, keyed by lease ID and
-// carrying the job's content key. A resolved tombstone lets a
-// redelivered report — the wire duplicated it, or the worker retried
-// after a lost ACK — be answered as already-accepted instead of
-// recorded twice; an expired tombstone refuses late results because
-// the local re-run owns the attempt. Exactly one outcome per Dispatch
-// either way.
-type tombstone struct {
-	jobID    string
-	resolved bool // true: outcome accepted; false: expired/abandoned
-	at       time.Time
 }
 
 // NewBroker builds a broker with the given lease TTL (0 = 10s) and
@@ -92,18 +90,19 @@ func NewBroker(ttl time.Duration, r *obs.Registry) *Broker {
 		ttl:          ttl,
 		offerWait:    ttl / 4,
 		workerWindow: 90 * time.Second,
+		now:          time.Now,
 		notify:       make(chan struct{}),
 		leases:       map[string]*lease{},
-		tombs:        map[string]tombstone{},
 		workers:      map[string]time.Time{},
 	}
 	if r != nil {
-		b.leasesOut = r.Gauge("sweepd_leases_outstanding", "job leases held by attached workers right now")
 		b.expiries = r.Counter("sweepd_lease_expiries_total", "leases that expired without a result (job re-ran locally)")
 		b.remoteOK = r.Counter("sweepd_remote_results_total", "attempt outcomes delivered by attached workers")
 		b.declined = r.Counter("sweepd_offers_declined_total", "dispatch offers no worker claimed in time")
 		r.GaugeFunc("sweepd_workers_attached", "worker processes seen polling within the liveness window",
 			func() float64 { return float64(b.Workers()) })
+		r.GaugeFunc("sweepd_leases_outstanding", "job leases held by attached workers right now",
+			func() float64 { b.mu.Lock(); defer b.mu.Unlock(); return float64(b.live) })
 	}
 	return b
 }
@@ -113,11 +112,11 @@ func NewBroker(ttl time.Duration, r *obs.Registry) *Broker {
 func (b *Broker) Workers() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.workersLocked()
+	return b.workersLocked(b.now())
 }
 
-func (b *Broker) workersLocked() int {
-	cutoff := time.Now().Add(-b.workerWindow)
+func (b *Broker) workersLocked(now time.Time) int {
+	cutoff := now.Add(-b.workerWindow)
 	n := 0
 	for name, at := range b.workers {
 		if at.Before(cutoff) {
@@ -168,17 +167,10 @@ func (b *Broker) runner(reg *obs.Registry, local runner.JobRunner) runner.JobRun
 // window — and otherwise dangles the job until a worker claims it, its
 // lease resolves, or its lease expires.
 func (b *Broker) Dispatch(ctx context.Context, job runner.Job) (stats.Sim, bool, error) {
-	b.mu.Lock()
-	if b.workersLocked() == 0 {
-		b.mu.Unlock()
+	off := b.offer(job)
+	if off == nil {
 		return stats.Sim{}, false, nil
 	}
-	off := &offer{job: job, taken: make(chan *lease, 1)}
-	b.offers = append(b.offers, off)
-	close(b.notify)
-	b.notify = make(chan struct{})
-	b.mu.Unlock()
-
 	claimTimer := time.NewTimer(b.offerWait)
 	defer claimTimer.Stop()
 	var l *lease
@@ -198,50 +190,64 @@ func (b *Broker) Dispatch(ctx context.Context, job runner.Job) (stats.Sim, bool,
 	}
 
 	// Claimed: wait for the worker's outcome, re-arming an expiry timer
-	// against the (renewable) lease deadline.
+	// against the (renewable) lease deadline. When it fires or ctx ends,
+	// the lease's state decides; an accepted report is the outcome.
 	for {
 		b.mu.Lock()
-		deadline := l.deadline
+		expire := time.NewTimer(l.deadline.Sub(b.now()))
 		b.mu.Unlock()
-		expire := time.NewTimer(time.Until(deadline))
+		abandon := false
 		select {
 		case out := <-l.result:
 			expire.Stop()
-			if b.remoteOK != nil {
-				b.remoteOK.Inc()
-			}
-			return out.st, true, out.err
+			return b.accepted(out)
 		case <-expire.C:
-			b.mu.Lock()
-			if time.Now().Before(l.deadline) {
-				b.mu.Unlock()
-				continue // renewed while the timer was in flight
-			}
-			b.buryLocked(l, false)
-			b.mu.Unlock()
-			if b.expiries != nil {
-				b.expiries.Inc()
-			}
-			// Drain a result that raced the expiry: it lost; the local
-			// re-run is the attempt of record.
-			select {
-			case <-l.result:
-			default:
-			}
-			return stats.Sim{}, false, nil
 		case <-ctx.Done():
 			expire.Stop()
-			b.mu.Lock()
-			b.buryLocked(l, false)
-			b.mu.Unlock()
+			abandon = true
+		}
+		b.mu.Lock()
+		state := b.expireLocked(l, b.now(), abandon)
+		b.mu.Unlock()
+		switch state {
+		case leaseResolved:
+			return b.accepted(<-l.result)
+		case leaseExpired:
+			if !abandon && b.expiries != nil {
+				b.expiries.Inc()
+			}
 			return stats.Sim{}, false, nil
 		}
+		// Still live: renewed while the timer was in flight.
 	}
+}
+
+// accepted counts and returns a worker's accepted attempt outcome.
+func (b *Broker) accepted(out attemptOutcome) (stats.Sim, bool, error) {
+	if b.remoteOK != nil {
+		b.remoteOK.Inc()
+	}
+	return out.st, true, out.err
+}
+
+// offer queues job before the worker pool and wakes pollers; it
+// returns nil when no worker has polled within the liveness window.
+func (b *Broker) offer(job runner.Job) *offer {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.workersLocked(b.now()) == 0 {
+		return nil
+	}
+	off := &offer{job: job, taken: make(chan *lease, 1)}
+	b.offers = append(b.offers, off)
+	close(b.notify)
+	b.notify = make(chan struct{})
+	return off
 }
 
 // withdraw pulls off from the offer queue. If a worker claimed it in
 // the race window, withdraw returns the lease (the caller must wait it
-// out); otherwise the offer is marked gone and nil is returned.
+// out); otherwise nil, and no worker can claim it any more.
 func (b *Broker) withdraw(off *offer) *lease {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -250,7 +256,6 @@ func (b *Broker) withdraw(off *offer) *lease {
 		return l
 	default:
 	}
-	off.gone = true
 	for i, o := range b.offers {
 		if o == off {
 			b.offers = append(b.offers[:i], b.offers[i+1:]...)
@@ -260,75 +265,75 @@ func (b *Broker) withdraw(off *offer) *lease {
 	return nil
 }
 
-// buryLocked removes a lease and tombstones it, recording whether its
-// outcome was accepted (resolved) or discarded (expired/abandoned).
-func (b *Broker) buryLocked(l *lease, resolved bool) {
-	if _, ok := b.leases[l.id]; ok {
-		delete(b.leases, l.id)
-		if b.leasesOut != nil {
-			b.leasesOut.Set(float64(len(b.leases)))
-		}
+// expireLocked is the one place a lease's deadline meets the clock: a
+// live lease whose deadline is at or before now — or any live lease,
+// when abandon says its Dispatch gave up — ends as expired. A resolved
+// or expired lease is left as it is. It returns l's resulting state.
+func (b *Broker) expireLocked(l *lease, now time.Time, abandon bool) leaseState {
+	if l.state == leaseLive && (abandon || !now.Before(l.deadline)) {
+		b.endLocked(l, leaseExpired, now)
 	}
-	b.tombs[l.id] = tombstone{jobID: l.job.ID, resolved: resolved, at: time.Now()}
-	b.pruneTombsLocked()
+	return l.state
 }
 
-// maxTombs bounds the tombstone map; beyond it, entries older than
-// ten TTLs are swept (a worker retrying a report ten TTLs late has
-// long since given up).
-const maxTombs = 4096
+// endLocked ends live lease l; its record answers later reports.
+func (b *Broker) endLocked(l *lease, state leaseState, now time.Time) {
+	l.state, l.ended = state, now
+	b.live--
+	b.pruneLocked(now)
+}
 
-func (b *Broker) pruneTombsLocked() {
-	if len(b.tombs) <= maxTombs {
+// maxDead bounds the dead leases kept; beyond it, those dead over ten
+// TTLs are swept (a worker retrying that late has long given up).
+const maxDead = 4096
+
+func (b *Broker) pruneLocked(now time.Time) {
+	if len(b.leases)-b.live <= maxDead {
 		return
 	}
-	cutoff := time.Now().Add(-10 * b.ttl)
-	for id, t := range b.tombs {
-		if t.at.Before(cutoff) {
-			delete(b.tombs, id)
+	cutoff := now.Add(-10 * b.ttl)
+	for id, l := range b.leases {
+		if l.state != leaseLive && l.ended.Before(cutoff) {
+			delete(b.leases, id)
 		}
 	}
 }
 
 // Lease long-polls for a job on behalf of worker `name`: it claims the
-// oldest live offer, or waits up to `wait` for one to arrive. ok=false
+// oldest offer, or waits up to `wait` for one to arrive. ok=false
 // means no work surfaced in the window — the worker polls again. Every
 // call refreshes the worker's liveness, which is what makes the broker
 // start offering jobs at all.
 func (b *Broker) Lease(ctx context.Context, name string, wait time.Duration) (id string, job runner.Job, ttl time.Duration, ok bool) {
-	deadline := time.Now().Add(wait)
+	deadline := b.now().Add(wait)
 	for {
 		b.mu.Lock()
-		b.workers[name] = time.Now()
-		for len(b.offers) > 0 {
+		now := b.now()
+		b.workers[name] = now
+		if len(b.offers) > 0 {
 			off := b.offers[0]
 			b.offers = b.offers[1:]
-			if off.gone {
-				continue
-			}
 			b.seq++
 			l := &lease{
 				id:       fmt.Sprintf("l-%d", b.seq),
-				job:      off.job,
-				deadline: time.Now().Add(b.ttl),
+				jobID:    off.job.ID,
+				deadline: now.Add(b.ttl),
 				result:   make(chan attemptOutcome, 1),
 			}
 			b.leases[l.id] = l
-			if b.leasesOut != nil {
-				b.leasesOut.Set(float64(len(b.leases)))
-			}
+			b.live++
 			// Hand the lease over while still holding the mutex: withdraw
 			// drains taken under the same lock, so a claim and a
 			// withdrawal can never miss each other (taken is buffered, so
 			// this send cannot block).
 			off.taken <- l
 			b.mu.Unlock()
-			return l.id, l.job, b.ttl, true
+			return l.id, off.job, b.ttl, true
 		}
 		notify := b.notify
 		b.mu.Unlock()
 
-		remain := time.Until(deadline)
+		remain := deadline.Sub(now)
 		if remain <= 0 {
 			return "", runner.Job{}, 0, false
 		}
@@ -346,47 +351,42 @@ func (b *Broker) Lease(ctx context.Context, name string, wait time.Duration) (id
 }
 
 // Renew extends lease id's deadline by one TTL. ErrLeaseGone means the
-// lease expired (or never existed): the worker should abandon the job
-// — the daemon is already re-running it.
+// lease is not live (its deadline passed, timer fired or not): the
+// worker should abandon the job — the daemon is re-running it.
 func (b *Broker) Renew(id string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	now := b.now()
 	l, ok := b.leases[id]
-	if !ok {
+	if !ok || b.expireLocked(l, now, false) != leaseLive {
 		return ErrLeaseGone
 	}
-	l.deadline = time.Now().Add(b.ttl)
+	l.deadline = now.Add(b.ttl)
 	return nil
 }
 
-// Resolve delivers lease id's attempt outcome for job jobID. Exactly-once
-// under redelivery: the first accepted outcome tombstones the lease,
-// and a redelivered report for the same (lease, job key) — the wire
-// duplicated it, or the worker retried after a lost ACK — returns nil
-// without recording anything, so the worker sees the same success it
-// missed. ErrLeaseGone means the broker already gave up on this lease
-// (or the job key doesn't match it); the result is discarded and must
-// not be recorded anywhere — the local re-run owns the attempt.
+// Resolve delivers lease id's attempt outcome for job jobID. A report
+// on a live lease before its deadline is accepted and is the attempt's
+// outcome, whatever the expiry timer does next. A redelivered report
+// for the same (lease, job key) — a duplicated wire, or a retry after a
+// lost ACK — returns nil without recording anything. ErrLeaseGone
+// means the lease expired (timer fired or not), is unknown, or holds
+// another job key: the local re-run owns the attempt.
 func (b *Broker) Resolve(id, jobID string, st stats.Sim, attemptErr error) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := b.now()
 	l, ok := b.leases[id]
-	if ok && l.job.ID != jobID {
-		// A report for a job this lease never held: refuse it rather
-		// than record a result under the wrong key.
-		b.mu.Unlock()
-		return ErrLeaseGone
+	if !ok || l.jobID != jobID {
+		return ErrLeaseGone // misdirected; the lease itself lives on ErrLeaseGone
 	}
-	if ok {
-		b.buryLocked(l, true)
+	switch b.expireLocked(l, now, false) {
+	case leaseLive:
+		l.result <- attemptOutcome{st: st, err: attemptErr} // buffered; only the first report gets here
+		b.endLocked(l, leaseResolved, now)
+		return nil
+	case leaseResolved:
+		return nil // duplicate delivery of an accepted outcome
 	}
-	tomb, dead := b.tombs[id]
-	b.mu.Unlock()
-	if !ok {
-		if dead && tomb.resolved && jobID == tomb.jobID {
-			return nil // duplicate delivery of an accepted outcome
-		}
-		return ErrLeaseGone
-	}
-	l.result <- attemptOutcome{st: st, err: attemptErr}
-	return nil
+	return ErrLeaseGone
 }

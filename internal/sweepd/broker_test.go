@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -213,4 +214,49 @@ func TestWorkerRejectsMismatchedJob(t *testing.T) {
 	if upd.Lease != "l-1" || upd.Job != job.ID || upd.Result != nil || !strings.Contains(upd.Error, "hashes to") {
 		t.Fatalf("report = %+v, want a failed attempt for lease l-1, job %s", upd, job.ID)
 	}
+}
+
+// TestAcceptedReportIsTheOutcome: a report aimed at its lease's
+// deadline, within a millisecond either side, races Dispatch's expiry
+// timer, and whichever way the race goes the broker answers it
+// consistently. Either Resolve accepts the report, Dispatch returns
+// that outcome as handled, and a redelivery succeeds too; or Resolve
+// refuses it with ErrLeaseGone and Dispatch declines, sending the job
+// back for a local run. A report accepted and then thrown away — the
+// worker told 204, the job re-run locally, its redelivery told 410 —
+// fails the round.
+func TestAcceptedReportIsTheOutcome(t *testing.T) {
+	const rounds = 100
+	b := brokerWithWorker(t, 20*time.Millisecond)
+	accepted := 0
+	for i := 0; i < rounds; i++ {
+		jobID := fmt.Sprintf("job-race-%d", i)
+		id, done := dispatchOne(t, b, runner.Job{ID: jobID})
+		b.mu.Lock()
+		deadline := b.leases[id].deadline
+		b.mu.Unlock()
+		aim := deadline.Add(time.Duration(i%21-10) * 100 * time.Microsecond)
+		time.Sleep(time.Until(aim))
+		want := stats.Sim{Cycles: uint64(i + 1)}
+		err := b.Resolve(id, jobID, want, nil)
+		r := <-done
+		switch {
+		case err == nil:
+			accepted++
+			if !r.handled || r.err != nil || r.st.Cycles != want.Cycles {
+				t.Fatalf("round %d: report accepted, but Dispatch returned handled=%v err=%v cycles=%d",
+					i, r.handled, r.err, r.st.Cycles)
+			}
+			if err := b.Resolve(id, jobID, want, nil); err != nil {
+				t.Fatalf("round %d: redelivery of an accepted report: %v", i, err)
+			}
+		case errors.Is(err, ErrLeaseGone):
+			if r.handled {
+				t.Fatalf("round %d: report refused, but Dispatch handled it (err=%v cycles=%d)", i, r.err, r.st.Cycles)
+			}
+		default:
+			t.Fatalf("round %d: Resolve = %v", i, err)
+		}
+	}
+	t.Logf("%d of %d reports aimed at the deadline accepted", accepted, rounds)
 }

@@ -165,7 +165,7 @@ func TestBrokerDuplicateReportDedupe(t *testing.T) {
 			t.Fatalf("redelivered report %d: %v", i, err)
 		}
 	}
-	// A different job key against the same tombstone is not a
+	// A different job key against the same resolved lease is not a
 	// duplicate — it is a misdirected report, and must be refused.
 	if err := b.Resolve(id, "job-other", want, nil); err != ErrLeaseGone {
 		t.Fatalf("mismatched redelivery: %v, want ErrLeaseGone", err)

@@ -208,9 +208,15 @@ func (d *Daemon) resume() error {
 			// A sweep dir with no readable spec (crash between mkdir and
 			// spec commit), or one whose spec no longer resolves to its
 			// ID (written by an older build), is unrecoverable but
-			// harmless: skip it.
+			// harmless: skip it, and mark it failed so List and Status
+			// show it and the next restart skips it without reading its
+			// spec. A resubmit that resolves to id clears the marker.
 			if d.opts.Log != nil {
 				fmt.Fprintf(d.opts.Log, "sweepd: skipping unrecoverable sweep %s: %v\n", id, err)
+			}
+			st := Status{ID: id, State: StateFailed, Error: fmt.Sprintf("unrecoverable stored sweep: %v", err)}
+			if werr := d.store.MarkDone(id, st); werr != nil && d.opts.Log != nil {
+				fmt.Fprintf(d.opts.Log, "sweepd: marking sweep %s failed: %v\n", id, werr)
 			}
 			continue
 		}

@@ -342,7 +342,7 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Job == "" {
 		// The job key is what makes a report land on the right job and
-		// match only its own tombstone as a duplicate.
+		// match only its own resolved lease as a duplicate.
 		writeError(w, http.StatusBadRequest, fmt.Errorf("sweepd: result needs its job key"))
 		return
 	}

@@ -1,10 +1,12 @@
 package sweepd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -168,7 +170,7 @@ func (d *Daemon) execute(ctx context.Context, sw *sweep) (rs *runner.ResultSet, 
 		if err != nil {
 			return nil, err
 		}
-		defer epochs.Close()
+		defer epochs.close(d.opts.Log, sw.id)
 		onEpoch = epochs.append
 	}
 	eng := runner.Engine{
@@ -252,8 +254,10 @@ func errorsIsCancel(err error) bool {
 // rather than by position. Reset (truncated) at each run start, like
 // the failure ledger: only the latest run's series are current.
 type epochSink struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	err  error // why the first lost line was not written
+	lost int   // lines not written
 }
 
 // epochLine is one epoch sample on the wire: the job's identity plus
@@ -280,16 +284,27 @@ func (es *epochSink) append(job runner.Job, snap stats.Snapshot) {
 		Job: job.ID, Workload: job.Workload, Scheme: job.Scheme, Seed: job.Seed,
 		Epoch: snap.Epoch(),
 	})
-	if err != nil {
-		return
-	}
-	es.mu.Lock()
-	es.f.Write(append(b, '\n'))
-	es.mu.Unlock()
-}
-
-func (es *epochSink) Close() error {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	return es.f.Close()
+	if err == nil {
+		_, err = es.f.Write(append(b, '\n'))
+	}
+	if err != nil {
+		es.err = cmp.Or(es.err, err)
+		es.lost++
+	}
+}
+
+// close closes the sink. If any line was lost, or the close failed, it
+// logs one line to log naming sweep id, the count and the first error.
+func (es *epochSink) close(log io.Writer, id string) {
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	err := es.f.Close()
+	if es.err != nil {
+		err = fmt.Errorf("%d lines lost, first: %w", es.lost, es.err)
+	}
+	if err != nil && log != nil {
+		fmt.Fprintf(log, "sweepd: sweep %s: epochs.jsonl: %v\n", id, err)
+	}
 }

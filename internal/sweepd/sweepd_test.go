@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -342,7 +343,9 @@ func TestDaemonRestartResumes(t *testing.T) {
 // TestRestartSkipsStaleSpec: stored unfinished sweeps whose spec no
 // longer resolves, or resolves to another sweep ID, are skipped on
 // restart; they do not stop the daemon from starting or the real
-// unfinished sweep beside them from resuming.
+// unfinished sweep beside them from resuming. Each is marked failed
+// with its cause, so List shows it and the next restart skips it
+// without reading its spec again.
 func TestRestartSkipsStaleSpec(t *testing.T) {
 	spec := testSpec("svc-stale")
 	spec.Base.InstrPerCore = 200_000
@@ -369,10 +372,20 @@ func TestRestartSkipsStaleSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	_, misfiledJobs := mustJobs(t, testSpec("svc-misfiled"))
+	causes := map[string]string{unresolvable: "NotAScheme", misfiled: SweepID("svc-misfiled", misfiledJobs)}
 	d2 := newDaemon(t, dir)
+	listed, err := d2.List()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, stale := range []string{unresolvable, misfiled} {
-		if st, err := d2.Status(stale); err == nil {
-			t.Fatalf("stale sweep %s was started: %s", stale, st.State)
+		st, err := d2.Status(stale)
+		if err != nil || st.State != StateFailed || !strings.Contains(st.Error, causes[stale]) {
+			t.Fatalf("stale sweep %s: status %+v, %v; want failed naming %q", stale, st, err, causes[stale])
+		}
+		if !slices.ContainsFunc(listed, func(l Status) bool { return l.ID == stale && l.State == StateFailed }) {
+			t.Fatalf("stale sweep %s not listed as failed: %+v", stale, listed)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -390,6 +403,18 @@ func TestRestartSkipsStaleSpec(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed sweep diverged: %d vs %d bytes", len(got), len(want))
+	}
+	d2.Close()
+
+	// The failed markers make the next restart skip both unread.
+	var log bytes.Buffer
+	d3, err := New(Options{StateDir: dir, Parallelism: 2, MaxActive: 2, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3.Close()
+	if strings.Contains(log.String(), "skipping") {
+		t.Fatalf("second restart re-read a stale sweep:\n%s", log.String())
 	}
 }
 
@@ -476,6 +501,39 @@ func TestEpochSweepSamplesMetrics(t *testing.T) {
 	series := `banshee_epochs_total{sweep="` + st.ID + `"}`
 	if got := d.Registry().Snapshot()[series]; got != float64(lines) {
 		t.Fatalf("%s = %v, want %d (one per epoch line)", series, got, lines)
+	}
+}
+
+// TestEpochSinkReportsLostLines: epoch lines that cannot be written —
+// here the file underneath is closed, as a full disk would fail them —
+// are counted, and closing the sink logs one line naming the sweep, the
+// count and the first error; a sink that lost nothing logs nothing.
+func TestEpochSinkReportsLostLines(t *testing.T) {
+	for _, lose := range []int{0, 3} {
+		es, err := openEpochSink(filepath.Join(t.TempDir(), "epochs.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		es.append(runner.Job{ID: "kept"}, stats.Snapshot{})
+		if lose > 0 {
+			es.f.Close()
+		}
+		for i := 0; i < lose; i++ {
+			es.append(runner.Job{ID: "lost"}, stats.Snapshot{})
+		}
+		var log bytes.Buffer
+		es.close(&log, "sweep-x")
+		got := log.String()
+		if lose == 0 {
+			if got != "" {
+				t.Fatalf("a sink that lost nothing logged %q", got)
+			}
+			continue
+		}
+		if strings.Count(got, "\n") != 1 || !strings.Contains(got, "sweep-x") ||
+			!strings.Contains(got, "3 lines lost") || !strings.Contains(got, os.ErrClosed.Error()) {
+			t.Fatalf("log = %q, want one line naming sweep-x, 3 lost lines and the write error", got)
+		}
 	}
 }
 
@@ -629,8 +687,8 @@ func TestLeaseExpiryRerunsLocally(t *testing.T) {
 	if snap["sweepd_lease_expiries_total"] == 0 {
 		t.Fatal("no lease expiry was recorded")
 	}
-	// The vanished worker's lease is tombstoned: a late result is
-	// refused so it can never double-record.
+	// The vanished worker's lease stays on record as expired: a late
+	// result is refused so it can never double-record.
 	dead.Lock()
 	lease := dead.lease
 	dead.Unlock()
