@@ -157,7 +157,7 @@ func New(cfg Config, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
 	lines := cfg.PageBytes / mem.LineBytes
 	b := &Banshee{
 		cfg:      cfg,
-		md:       newMetadata(nsets, cfg.Ways, cfg.Ways+1, cfg.CounterBits),
+		md:       newMetadata(nsets, cfg.Ways, cfg.Ways+1, cfg.CounterBits, cfg.Footprint),
 		rng:      util.NewRNG(cfg.Seed ^ 0xBA45EE),
 		missRate: mc.NewMissRateTracker(),
 		tlbs:     tlbs,
@@ -188,7 +188,7 @@ func New(cfg Config, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
 		bits := cfg.CounterBits
 		for ; bits < 31 && b.threshold >= float64(uint32(1)<<uint(bits)-1); bits++ {
 		}
-		b.md = newMetadata(nsets, cfg.Ways, cfg.Ways+1, bits)
+		b.md.maxCount = 1<<uint(bits) - 1
 	}
 	for i := range b.tbs {
 		b.tbs[i] = NewTagBuffer(cfg.TagBufferEntries, tagBufferWays)
@@ -244,12 +244,11 @@ func (b *Banshee) access(req mem.Request, res *mc.Result) {
 		// Park the page in the buffer to spare future probes.
 		tb.InsertClean(page)
 	}
-	setIdx, tag := b.md.setIndex(page), b.md.tagOf(page)
-	set := &b.md.sets[setIdx]
-	way := set.findCached(tag)
+	setIdx, key := b.md.setIndex(page), b.md.keyOf(page)
+	way := b.md.findCached(setIdx, key)
 
 	if req.Eviction {
-		b.handleEviction(addr, set, way, res)
+		b.handleEviction(addr, setIdx, way, res)
 		return
 	}
 
@@ -259,7 +258,7 @@ func (b *Banshee) access(req mem.Request, res *mc.Result) {
 	b.missRate.Observe(!hit)
 	if hit {
 		if b.cfg.Footprint {
-			set.cached[way].touched.Set(mem.LineInPage(addr))
+			b.md.touched[setIdx*b.md.ways+way].Set(mem.LineInPage(addr))
 		}
 		res.Hit = true
 		res.Ops = append(res.Ops, mem.Op{
@@ -273,15 +272,15 @@ func (b *Banshee) access(req mem.Request, res *mc.Result) {
 		})
 	}
 
-	// The policies reuse this lookup's set index, tag and way (-1 on a
+	// The policies reuse this lookup's set index, key and way (-1 on a
 	// miss): nothing above has changed the metadata since.
 	switch b.cfg.Policy {
 	case LRUReplaceOnMiss:
-		b.lruPolicy(page, setIdx, tag, way, res)
+		b.lruPolicy(page, setIdx, key, way, res)
 	case SetDueling:
-		b.duelPolicy(page, setIdx, tag, way, res)
+		b.duelPolicy(page, setIdx, key, way, res)
 	default:
-		b.fbrPolicy(page, setIdx, tag, way, res)
+		b.fbrPolicy(page, setIdx, key, way, res)
 	}
 }
 
@@ -296,33 +295,33 @@ const (
 // duelPolicy dispatches to FBR or replace-on-miss LRU per the dueling
 // sets [30]: leader sets always run their policy and vote with their
 // misses; follower sets adopt the current winner.
-func (b *Banshee) duelPolicy(page uint64, setIdx int, tag uint64, way int, res *mc.Result) {
+func (b *Banshee) duelPolicy(page uint64, setIdx int, key uint64, way int, res *mc.Result) {
 	switch setIdx % duelPeriod {
 	case 0: // FBR leader: its misses push psel toward LRU
 		if way < 0 && b.psel < pselMax {
 			b.psel++
 		}
-		b.fbrPolicy(page, setIdx, tag, way, res)
+		b.fbrPolicy(page, setIdx, key, way, res)
 	case 1: // LRU leader: its misses push psel toward FBR
 		if way < 0 && b.psel > -pselMax {
 			b.psel--
 		}
-		b.lruPolicy(page, setIdx, tag, way, res)
+		b.lruPolicy(page, setIdx, key, way, res)
 	default: // follower
 		if b.psel > 0 {
-			b.lruPolicy(page, setIdx, tag, way, res)
+			b.lruPolicy(page, setIdx, key, way, res)
 		} else {
-			b.fbrPolicy(page, setIdx, tag, way, res)
+			b.fbrPolicy(page, setIdx, key, way, res)
 		}
 	}
 }
 
 // handleEviction routes an LLC dirty write-back to the page's way in
-// set (way < 0: not cached) and marks the page dirty in the (in-
+// set setIdx (way < 0: not cached) and marks the page dirty in the (in-
 // controller view of the) metadata.
-func (b *Banshee) handleEviction(addr mem.Addr, set *metaSet, way int, res *mc.Result) {
+func (b *Banshee) handleEviction(addr mem.Addr, setIdx, way int, res *mc.Result) {
 	if way >= 0 {
-		set.cached[way].dirty = true
+		b.md.dirty[setIdx*b.md.ways+way] = true
 		res.Hit = true
 		res.Ops = append(res.Ops, mem.Op{
 			Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassHitData,
@@ -336,7 +335,7 @@ func (b *Banshee) handleEviction(addr mem.Addr, set *metaSet, way int, res *mc.R
 
 // fbrPolicy is Algorithm 1: sampled counter maintenance and
 // bandwidth-aware frequency-based replacement.
-func (b *Banshee) fbrPolicy(page uint64, setIdx int, tag uint64, way int, res *mc.Result) {
+func (b *Banshee) fbrPolicy(page uint64, setIdx int, key uint64, way int, res *mc.Result) {
 	sampleRate := 1.0
 	if b.cfg.Policy == FBRSampled {
 		sampleRate = b.missRate.Rate() * b.cfg.SamplingCoeff
@@ -350,42 +349,39 @@ func (b *Banshee) fbrPolicy(page uint64, setIdx int, tag uint64, way int, res *m
 	res.Ops = append(res.Ops, mem.Op{
 		Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Class: mem.ClassCounter,
 	})
-	set := &b.md.sets[setIdx]
+	md := b.md
 
 	if way >= 0 {
-		set.cached[way].count++
-		if set.cached[way].count >= b.md.maxCount {
-			set.halve()
+		i := setIdx*md.ways + way
+		md.counts[i]++
+		if md.counts[i] >= md.maxCount {
+			md.halve(setIdx)
 		}
-	} else if ci := set.findCand(tag); ci >= 0 {
-		set.cand[ci].count++
-		if set.cand[ci].count >= b.md.maxCount {
-			set.halve()
+	} else if ci := md.findCand(setIdx, key); ci >= 0 {
+		c := setIdx*md.ncand + ci
+		md.candCounts[c]++
+		if md.candCounts[c] >= md.maxCount {
+			md.halve(setIdx)
 		}
-		victim, free := set.minCached()
+		victim, free := md.minCached(setIdx)
 		trigger := free
 		if !free {
-			trigger = float64(set.cand[ci].count) > float64(set.cached[victim].count)+b.threshold
+			trigger = float64(md.candCounts[c]) > float64(md.counts[setIdx*md.ways+victim])+b.threshold
 		}
 		if trigger {
-			b.replace(page, setIdx, tag, ci, victim, res)
+			b.replace(page, setIdx, key, ci, victim, res)
 		}
 	} else {
 		// Page not tracked: probabilistically claim a candidate slot
-		// (Algorithm 1 lines 17-23).
-		vi := -1
-		for i := range set.cand {
-			if !set.cand[i].valid {
-				vi = i
-				break
-			}
-		}
+		// (Algorithm 1 lines 17-23): a free one (its count is 0), else
+		// a random one.
+		vi := md.findCand(setIdx, 0)
 		if vi < 0 {
-			vi = b.rng.Intn(len(set.cand))
+			vi = b.rng.Intn(md.ncand)
 		}
-		v := &set.cand[vi]
-		if !v.valid || v.count == 0 || b.rng.Bool(1.0/float64(v.count)) {
-			*v = candEntry{tag: tag, count: 1, valid: true}
+		c := setIdx*md.ncand + vi
+		if n := md.candCounts[c]; n == 0 || b.rng.Bool(1.0/float64(n)) {
+			md.candKeys[c], md.candCounts[c] = key, 1
 		}
 	}
 	// Store the metadata back (one 32 B burst).
@@ -396,10 +392,11 @@ func (b *Banshee) fbrPolicy(page uint64, setIdx int, tag uint64, way int, res *m
 
 // replace swaps the candidate at ci into cached way `victim`, generating
 // the page-movement traffic and the lazy-coherence bookkeeping.
-func (b *Banshee) replace(page uint64, setIdx int, tag uint64, ci, victim int, res *mc.Result) {
+func (b *Banshee) replace(page uint64, setIdx int, key uint64, ci, victim int, res *mc.Result) {
 	b.remaps++
-	set := &b.md.sets[setIdx]
-	incomingCount := set.cand[ci].count
+	md := b.md
+	c, v := setIdx*md.ncand+ci, setIdx*md.ways+victim
+	incomingCount := md.candCounts[c]
 	pageAddr := mem.Addr(page << b.pageShift)
 	// Incoming page: whole-page transfer plus the 32 B tag write
 	// (Table 1: "32B tag + page size"). With the footprint extension
@@ -413,17 +410,16 @@ func (b *Banshee) replace(page uint64, setIdx int, tag uint64, ci, victim int, r
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: moveBytes, Write: true, Class: mem.ClassReplacement},
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Write: true, Class: mem.ClassTag},
 	)
-	v := set.cached[victim]
-	if v.valid {
-		victimPage := b.md.pageOf(setIdx, v.tag)
+	if vk := md.keys[v]; vk != 0 {
+		victimPage := md.pageOf(setIdx, vk)
 		victimAddr := mem.Addr(victimPage << b.pageShift)
 		if b.cfg.Footprint {
-			b.footprint.Record(v.touched.Count())
+			b.footprint.Record(md.touched[v].Count())
 		}
-		if v.dirty {
+		if md.dirty[v] {
 			wb := b.cfg.PageBytes
 			if b.cfg.Footprint {
-				wb = v.touched.Count() * mem.LineBytes
+				wb = md.touched[v].Count() * mem.LineBytes
 				if wb == 0 {
 					wb = mem.LineBytes
 				}
@@ -436,12 +432,12 @@ func (b *Banshee) replace(page uint64, setIdx int, tag uint64, ci, victim int, r
 		// The victim becomes a candidate in the slot the incoming page
 		// vacates, keeping its counter so it must out-score the new
 		// resident by the threshold to come back (anti-thrash, §4.2.2).
-		set.cand[ci] = candEntry{tag: v.tag, count: v.count, valid: true}
+		md.candKeys[c], md.candCounts[c] = vk, md.counts[v]
 		b.noteRemap(victimPage, res)
 	} else {
-		set.cand[ci] = candEntry{}
+		md.candKeys[c], md.candCounts[c] = 0, 0
 	}
-	set.cached[victim] = cachedEntry{tag: tag, count: incomingCount, valid: true}
+	md.fill(v, key, incomingCount)
 	b.noteRemap(page, res)
 }
 
@@ -491,38 +487,31 @@ func (b *Banshee) flush(res *mc.Result) {
 // with replacement on every miss and whole-page fills. Remaps still go
 // through the tag buffers and the PTE-update flush; LRU state updates
 // cost one metadata read+write per access, like Unison's tag update.
-func (b *Banshee) lruPolicy(page uint64, setIdx int, tag uint64, way int, res *mc.Result) {
+func (b *Banshee) lruPolicy(page uint64, setIdx int, key uint64, way int, res *mc.Result) {
 	b.lruTick++
 	pageAddr := mem.Addr(page << b.pageShift)
 	res.Ops = append(res.Ops,
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Class: mem.ClassTag},
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: metaBytes, Write: true, Class: mem.ClassTag},
 	)
-	set := &b.md.sets[setIdx]
+	md := b.md
+	base := setIdx * md.ways
 	if way >= 0 {
-		set.cached[way].count = b.lruTick // count doubles as LRU stamp here
+		md.counts[base+way] = b.lruTick // count doubles as LRU stamp here
 		return
 	}
-	// Miss: evict the LRU way, fill the whole page.
-	victim := 0
-	for i := range set.cached {
-		if !set.cached[i].valid {
-			victim = i
-			break
-		}
-		if set.cached[victim].valid && set.cached[i].count < set.cached[victim].count {
-			victim = i
-		}
-	}
+	// Miss: evict the LRU way (the first free one, else the oldest
+	// stamp), fill the whole page.
+	victim, _ := md.minCached(setIdx)
 	b.remaps++
 	res.Ops = append(res.Ops,
 		mem.Op{Target: mem.OffPackage, Addr: pageAddr, Bytes: b.cfg.PageBytes, Class: mem.ClassReplacement},
 		mem.Op{Target: mem.InPackage, Addr: pageAddr, Bytes: b.cfg.PageBytes, Write: true, Class: mem.ClassReplacement},
 	)
-	v := set.cached[victim]
-	if v.valid {
-		victimPage := b.md.pageOf(setIdx, v.tag)
-		if v.dirty {
+	v := base + victim
+	if vk := md.keys[v]; vk != 0 {
+		victimPage := md.pageOf(setIdx, vk)
+		if md.dirty[v] {
 			victimAddr := mem.Addr(victimPage << b.pageShift)
 			res.Ops = append(res.Ops,
 				mem.Op{Target: mem.InPackage, Addr: victimAddr, Bytes: b.cfg.PageBytes, Class: mem.ClassReplacement},
@@ -531,7 +520,7 @@ func (b *Banshee) lruPolicy(page uint64, setIdx int, tag uint64, way int, res *m
 		}
 		b.noteRemap(victimPage, res)
 	}
-	set.cached[victim] = cachedEntry{tag: tag, count: b.lruTick, valid: true}
+	md.fill(v, key, b.lruTick)
 	b.noteRemap(page, res)
 }
 
@@ -547,6 +536,6 @@ func (b *Banshee) FillStats(s *stats.Sim) {
 // Resident reports whether page (a configured-granularity page number)
 // is currently cached, and in which way (tests).
 func (b *Banshee) Resident(page uint64) (bool, int) {
-	w := b.md.set(page).findCached(b.md.tagOf(page))
+	w := b.md.findCached(b.md.setIndex(page), b.md.keyOf(page))
 	return w >= 0, w
 }

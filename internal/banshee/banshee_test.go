@@ -30,6 +30,9 @@ func testSystem(mutate func(*Config)) (*Banshee, []*vm.TLB) {
 }
 
 // touch sends a demand read.
+// nsets returns b's metadata set count.
+func nsets(b *Banshee) uint64 { return b.md.setMask + 1 }
+
 func touch(b *Banshee, addr mem.Addr) mcResult {
 	res := b.Access(mem.Request{Addr: addr})
 	return mcResult{res.Hit, res.Ops}
@@ -210,7 +213,7 @@ func TestAntiThrashThreshold(t *testing.T) {
 	// threshold requires a candidate to out-score the coldest resident
 	// by page_lines × coeff / 2.
 	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
-	sets := uint64(len(b.md.sets))
+	sets := nsets(b)
 	// Fill all 4 ways of set 0 with hot pages.
 	for w := uint64(0); w < 4; w++ {
 		for i := 0; i < 60; i++ {
@@ -230,13 +233,13 @@ func TestAntiThrashThreshold(t *testing.T) {
 
 func TestCounterSaturationHalves(t *testing.T) {
 	b, _ := testSystem(nil)
-	set := b.md.set(0)
-	set.cached[0] = cachedEntry{tag: 1, count: 30, valid: true}
-	set.cached[1] = cachedEntry{tag: 2, count: 8, valid: true}
-	set.cand[0] = candEntry{tag: 3, count: 20, valid: true}
-	set.halve()
-	if set.cached[0].count != 15 || set.cached[1].count != 4 || set.cand[0].count != 10 {
-		t.Fatalf("halve wrong: %+v %+v %+v", set.cached[0], set.cached[1], set.cand[0])
+	md := b.md
+	md.keys[0], md.counts[0] = 2, 30 // tag 1
+	md.keys[1], md.counts[1] = 3, 8
+	md.candKeys[0], md.candCounts[0] = 4, 20
+	md.halve(0)
+	if md.counts[0] != 15 || md.counts[1] != 4 || md.candCounts[0] != 10 {
+		t.Fatalf("halve wrong: cached %v, candidates %v", md.counts[:md.ways], md.candCounts[:md.ncand])
 	}
 }
 
@@ -258,21 +261,64 @@ func TestReplacementNeedsStrictMargin(t *testing.T) {
 			c.Policy = FBRNoSample // sample every access
 			c.Threshold = threshold
 		})
-		set := b.md.set(0)
-		for w := range set.cached {
-			set.cached[w] = cachedEntry{tag: uint64(w), count: victim, valid: true}
+		md := b.md
+		for w := 0; w < md.ways; w++ {
+			md.keys[w], md.counts[w] = uint64(w)+1, victim // tags 0..ways-1 in set 0
 		}
-		cand := uint64(len(set.cached)) // the next tag mapping to set 0
-		set.cand[0] = candEntry{tag: cand, count: tc.primed, valid: true}
+		cand := uint64(md.ways) + 1 // the key of the next tag mapping to set 0
+		md.candKeys[0], md.candCounts[0] = cand, tc.primed
 
-		touch(b, mem.Addr(b.md.pageOf(0, cand)<<12))
-		if replaced := set.findCached(cand) >= 0; replaced != tc.replace || (b.remaps == 1) != tc.replace {
+		touch(b, mem.Addr(md.pageOf(0, cand)<<12))
+		if replaced := md.findCached(0, cand) >= 0; replaced != tc.replace || (b.remaps == 1) != tc.replace {
 			t.Fatalf("candidate at %d vs victim %d + threshold %d: replaced %v (%d remaps), want %v",
 				tc.primed+1, victim, threshold, replaced, b.remaps, tc.replace)
 		}
-		if got := set.cand[0].count; !tc.replace && got != victim+threshold {
+		if got := md.candCounts[0]; !tc.replace && got != victim+threshold {
 			t.Fatalf("primed %d: candidate count %d after the access, want %d", tc.primed, got, victim+threshold)
 		}
+	}
+}
+
+// TestPageZeroIsCacheable pins the metadata keys' +1 bias: page 0 has
+// tag 0 in set 0, which without the bias would equal a free way's key.
+// It must read as absent from an empty set, become resident when
+// replaced in, keep its own counter beside a neighbour in the same set,
+// and take its dirty evictions in its own way.
+func TestPageZeroIsCacheable(t *testing.T) {
+	b, _ := testSystem(func(c *Config) { c.Policy = FBRNoSample }) // sample every access
+	md := b.md
+	if r, _ := b.Resident(0); r {
+		t.Fatal("page 0 resident in an empty cache")
+	}
+	res := b.Access(mem.Request{Addr: 0x40, Write: true, Eviction: true})
+	if res.Hit || bytesTo(res.Ops, mem.OffPackage, mem.ClassReplacement) != mem.LineBytes {
+		t.Fatalf("eviction to uncached page 0: hit %v, ops %+v; want one off-package line write", res.Hit, res.Ops)
+	}
+	// Two touches each: the first claims a candidate slot, the second
+	// replaces the page into a free way.
+	neighbour := mem.Addr(nsets(b) << 12) // page nsets: set 0, tag 1
+	for _, a := range []mem.Addr{0, 0, neighbour, neighbour} {
+		touch(b, a)
+	}
+	r0, w0 := b.Resident(0)
+	r1, w1 := b.Resident(nsets(b))
+	if !r0 || !r1 || w0 == w1 {
+		t.Fatalf("page 0 resident %v in way %d, neighbour resident %v in way %d", r0, w0, r1, w1)
+	}
+	for i := 0; i < 3; i++ {
+		if !touch(b, 0).Hit {
+			t.Fatalf("touch %d of resident page 0 missed", i)
+		}
+	}
+	if c0, c1 := md.counts[w0], md.counts[w1]; c0 != 5 || c1 != 2 {
+		t.Fatalf("counters: page 0 %d, neighbour %d; want 5 and 2", c0, c1)
+	}
+	res = b.Access(mem.Request{Addr: 0x40, Write: true, Eviction: true})
+	if !res.Hit || bytesTo(res.Ops, mem.InPackage, mem.ClassHitData) != mem.LineBytes {
+		t.Fatalf("eviction to resident page 0: hit %v, ops %+v; want one in-package line write", res.Hit, res.Ops)
+	}
+	if !md.dirty[w0] || md.dirty[w1] {
+		t.Fatalf("dirty bits: page 0 %v, neighbour %v; want true and false", md.dirty[w0], md.dirty[w1])
 	}
 }
 
@@ -351,7 +397,7 @@ func TestMappingAlwaysCurrent(t *testing.T) {
 
 func TestDirtyVictimWriteback(t *testing.T) {
 	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1 })
-	sets := uint64(len(b.md.sets))
+	sets := nsets(b)
 	hot1 := mem.Addr(0)
 	hot2 := mem.Addr(sets << 12) // same set
 	// Promote page 1, dirty it.
@@ -390,8 +436,8 @@ func TestLargePageGeometry(t *testing.T) {
 	if b.Name() != "Banshee 2M" {
 		t.Fatalf("name %q", b.Name())
 	}
-	if len(b.md.sets) != 8 {
-		t.Fatalf("sets %d, want 8", len(b.md.sets))
+	if nsets(b) != 8 {
+		t.Fatalf("sets %d, want 8", nsets(b))
 	}
 	if b.lines != mem.LinesPerLargePage {
 		t.Fatalf("lines per page %d", b.lines)

@@ -15,7 +15,7 @@ func TestSetDuelingName(t *testing.T) {
 
 func TestSetDuelingLeadersVote(t *testing.T) {
 	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
-	sets := uint64(len(b.md.sets))
+	sets := nsets(b)
 	// Misses to an FBR-leader set (set 0 mod duelPeriod) push psel up.
 	for i := 0; i < 50; i++ {
 		touch(b, mem.Addr((uint64(i)*sets*uint64(duelPeriod))<<12))
@@ -76,7 +76,7 @@ func TestFootprintReducesReplacementBytes(t *testing.T) {
 		// Train the footprint tracker with sparse residencies: promote
 		// pages, touch ~4 lines each, evict by promoting successors in
 		// the same set.
-		sets := uint64(len(b.md.sets))
+		sets := nsets(b)
 		total := 0
 		for round := 0; round < 30; round++ {
 			page := uint64(round) * sets // all in set 0
@@ -114,11 +114,13 @@ func TestFootprintTouchedTracking(t *testing.T) {
 	for l := 0; l < 3; l++ {
 		touch(b, addr+mem.Addr(l*64))
 	}
-	w := b.md.set(uint64(addr) >> 12).findCached(b.md.tagOf(uint64(addr) >> 12))
+	page := uint64(addr) >> 12
+	s := b.md.setIndex(page)
+	w := b.md.findCached(s, b.md.keyOf(page))
 	if w < 0 {
 		t.Fatal("page not resident")
 	}
-	if got := b.md.set(uint64(addr) >> 12).cached[w].touched.Count(); got < 3 {
+	if got := b.md.touched[s*b.md.ways+w].Count(); got < 3 {
 		t.Fatalf("touched lines %d, want >= 3", got)
 	}
 }

@@ -9,10 +9,10 @@
 // page flush: HMA charges its cache scrub as a cost (mc.SWCost), and
 // Banshee's large-page handling never flushes these caches.
 //
-// Replacement is LRU. Each set keeps its valid lines as a prefix of
-// its slots in recency order, most recently used first, so the victim
-// of a full set is its last slot and no replacement state is stored —
-// see DESIGN.md §10.
+// Replacement is LRU. Each set keeps its lines as a ring in recency
+// order, most recently used first, so the victim of a full set is the
+// slot before the ring's head and the only replacement state is that
+// head — see DESIGN.md §10.
 package cache
 
 import (
@@ -80,15 +80,25 @@ type Stats struct {
 	Misses   uint64
 }
 
+// A line is one packed word, tag<<tagShift | valid | meta<<1 | dirty,
+// so a tag must fit in maxTagBits bits. A free slot is 0.
+const (
+	tagShift   = 16
+	maxTagBits = 64 - tagShift
+	valid      = 1 << 9
+	metaMask   = 0xff << 1
+)
+
 // Cache is a single set-associative cache. Not safe for concurrent use.
 //
-// Set s owns slots [s×Ways, s×Ways+n[s]) of the parallel tags and
-// state arrays, in replacement order; a state word is meta<<1 | dirty.
+// Set s owns slots [s×Ways, (s+1)×Ways) of lines as a ring: from slot
+// heads[s] on, wrapping, its lines sit in recency order, most recently
+// used first. A set fills from its last slot down, so until it is full
+// its lines are the slots [heads[s], Ways).
 type Cache struct {
 	cfg      Config
-	tags     []uint64
-	state    []uint16
-	n        []int32 // valid lines per set
+	lines    []uint64
+	heads    []int32
 	ways     int
 	nsets    int
 	setMask  uint64
@@ -106,9 +116,8 @@ func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
 	c := &Cache{
 		cfg:     cfg,
-		tags:    make([]uint64, nsets*cfg.Ways),
-		state:   make([]uint16, nsets*cfg.Ways),
-		n:       make([]int32, nsets),
+		lines:   make([]uint64, nsets*cfg.Ways),
+		heads:   make([]int32, nsets),
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
@@ -128,13 +137,13 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Sets() int { return c.nsets }
 
 // find locates a's line: its set, its tag, the set's first slot, and
-// the line's recency position in the set (-1 when absent).
+// the line's slot in the set (-1 when absent).
 func (c *Cache) find(a mem.Addr) (set, tag uint64, base, pos int) {
 	l := uint64(a) >> c.lineBits
 	set, tag = l&c.setMask, l>>c.setBits
 	base = int(set) * c.ways
-	for i, tg := range c.tags[base : base+int(c.n[set])] {
-		if tg == tag {
+	for i, w := range c.lines[base : base+c.ways] {
+		if w>>tagShift == tag && w&valid != 0 {
 			return set, tag, base, i
 		}
 	}
@@ -159,13 +168,22 @@ func (c *Cache) Access(a mem.Addr, write bool, meta uint8) (hit bool, ev *Evicti
 		c.stats.Misses++
 		return false, c.insert(set, tag, base, write, meta)
 	}
-	st := c.state[base+pos]
+	w := c.lines[base+pos]
 	if write {
-		st = uint16(meta)<<1 | 1
+		w = tag<<tagShift | valid | uint64(meta)<<1 | 1
 	}
-	c.rotate(base, pos)
-	c.tags[base] = tag
-	c.state[base] = st
+	// Move the line to the ring's front with one copy: the lines
+	// between the head and it shift back a slot, or, when the ring
+	// wraps between them (a full set), the lines behind it shift
+	// forward and the slot before the head becomes the head.
+	if h := int(c.heads[set]); pos >= h {
+		copy(c.lines[base+h+1:base+pos+1], c.lines[base+h:base+pos])
+		c.lines[base+h] = w
+	} else {
+		copy(c.lines[base+pos:base+h-1], c.lines[base+pos+1:base+h])
+		c.lines[base+h-1] = w
+		c.heads[set]--
+	}
 	return true, nil
 }
 
@@ -177,44 +195,39 @@ func (c *Cache) Fill(a mem.Addr, dirty bool, meta uint8) *Eviction {
 	if pos < 0 {
 		return c.insert(set, tag, base, dirty, meta)
 	}
-	st := &c.state[base+pos]
-	*st = *st&1 | uint16(meta)<<1
+	w := &c.lines[base+pos]
+	*w = *w&^metaMask | uint64(meta)<<1
 	if dirty {
-		*st |= 1
+		*w |= 1
 	}
 	return nil
 }
 
 // insert puts tag at the front of set (first slot base), displacing the
-// last line of a full set, and returns the displaced line if it was
-// dirty.
+// least recently used line of a full set, and returns the displaced
+// line if it was dirty. It panics on a tag wider than maxTagBits,
+// which the packed word would silently truncate.
 func (c *Cache) insert(set, tag uint64, base int, dirty bool, meta uint8) *Eviction {
+	if tag>>maxTagBits != 0 {
+		panic(fmt.Sprintf("cache %q: tag %#x exceeds %d bits", c.cfg.Name, tag, maxTagBits))
+	}
+	// The new line takes the slot before the head: free in a set that
+	// is not full, the LRU tail in one that is.
+	h := int(c.heads[set]) - 1
+	if h < 0 {
+		h += c.ways
+	}
 	var ev *Eviction
-	pos := int(c.n[set])
-	if pos < c.ways {
-		c.n[set]++
-	} else {
-		pos--
-		if v := base + pos; c.state[v]&1 != 0 {
-			c.ev = Eviction{Addr: c.addrOf(set, c.tags[v]), Dirty: true, Meta: uint8(c.state[v] >> 1)}
-			ev = &c.ev
-		}
+	if v := c.lines[base+h]; v&1 != 0 {
+		c.ev = Eviction{Addr: c.addrOf(set, v>>tagShift), Dirty: true, Meta: uint8(v >> 1)}
+		ev = &c.ev
 	}
-	c.rotate(base, pos)
-	c.tags[base] = tag
-	c.state[base] = uint16(meta) << 1
+	c.lines[base+h] = tag<<tagShift | valid | uint64(meta)<<1
 	if dirty {
-		c.state[base] |= 1
+		c.lines[base+h] |= 1
 	}
+	c.heads[set] = int32(h)
 	return ev
-}
-
-// rotate shifts the lines at recency positions [0, pos) of the set
-// starting at base one slot back, overwriting position pos and
-// freeing the front slot.
-func (c *Cache) rotate(base, pos int) {
-	copy(c.tags[base+1:base+pos+1], c.tags[base:base+pos])
-	copy(c.state[base+1:base+pos+1], c.state[base:base+pos])
 }
 
 func (c *Cache) addrOf(set uint64, tag uint64) mem.Addr {
@@ -224,8 +237,10 @@ func (c *Cache) addrOf(set uint64, tag uint64) mem.Addr {
 // Occupancy returns the number of valid lines (diagnostic, tests).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, k := range c.n {
-		n += int(k)
+	for _, w := range c.lines {
+		if w&valid != 0 {
+			n++
+		}
 	}
 	return n
 }

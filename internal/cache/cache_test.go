@@ -209,3 +209,35 @@ func TestEvictionAddressInSameSetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCacheRejectsOversizedTag pins the packed line word's bound: a tag
+// of 2^48 would shift out of the word and alias tag 0, so insert panics
+// on it, on the demand and the fill path alike. The widest tag that
+// fits is cached as usual.
+func TestCacheRejectsOversizedTag(t *testing.T) {
+	c := New(Config{Name: "t", SizeBytes: 128, Ways: 2, LineBytes: 64}) // one set: tag = line number
+	top := mem.Addr(1<<maxTagBits-1) << 6
+	over := mem.Addr(1<<maxTagBits) << 6
+	c.Access(0, true, 0)
+	c.Access(top, true, 255)
+	if !c.Lookup(0) || !c.Lookup(top) || c.Lookup(over) {
+		t.Fatalf("lookups of tags 0, 2^48-1, 2^48: %v %v %v, want true true false",
+			c.Lookup(0), c.Lookup(top), c.Lookup(over))
+	}
+	for name, insert := range map[string]func(){
+		"Access": func() { c.Access(over, true, 0) },
+		"Fill":   func() { c.Fill(over, true, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a 2^48 tag did not panic", name)
+				}
+			}()
+			insert()
+		}()
+	}
+	if c.Occupancy() != 2 || !c.Lookup(0) || !c.Lookup(top) {
+		t.Fatal("a refused insert changed the cache")
+	}
+}

@@ -280,6 +280,10 @@ func (r *Reader) Next(core int) trace.Event {
 		return trace.Event{}
 	}
 	d.prev += uint64(unzigzag(v2))
+	if d.prev>>mem.AddrBits != 0 {
+		r.err = corruptf("core %d: address %#x exceeds %d bits", core, d.prev, mem.AddrBits)
+		return trace.Event{}
+	}
 	return trace.Event{
 		Gap:   int(v1 >> 1),
 		Addr:  mem.Addr(d.prev),
@@ -326,9 +330,10 @@ func (r *Reader) loadChunk(d *coreDec, ci int) error {
 	return nil
 }
 
-// Verify loads and fully decodes every chunk, checking checksums and
-// event counts, without disturbing replay cursors. It is the whole-file
-// integrity walk behind `tracegen inspect` and the fuzz target.
+// Verify loads and fully decodes every chunk, checking checksums,
+// event counts and address widths, without disturbing replay cursors.
+// It is the whole-file integrity walk behind `tracegen inspect` and the
+// fuzz target.
 func (r *Reader) Verify() error {
 	var scratch coreDec
 	var max uint32
@@ -348,10 +353,14 @@ func (r *Reader) Verify() error {
 				return corruptf("chunk %d: bad gap varint", ci)
 			}
 			scratch.pos += n
-			if _, n = binary.Uvarint(scratch.payload[scratch.pos:]); n <= 0 {
+			a, n := binary.Uvarint(scratch.payload[scratch.pos:])
+			if n <= 0 {
 				return corruptf("chunk %d: bad address varint", ci)
 			}
 			scratch.pos += n
+			if scratch.prev += uint64(unzigzag(a)); scratch.prev>>mem.AddrBits != 0 {
+				return corruptf("chunk %d: address %#x exceeds %d bits", ci, scratch.prev, mem.AddrBits)
+			}
 			scratch.remaining--
 			_ = v
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"banshee/internal/errs"
+	"banshee/internal/mem"
 	"banshee/internal/trace"
 	"banshee/internal/tracefile"
 	"banshee/internal/workload"
@@ -218,6 +219,41 @@ func TestEmptyCoreRunsOut(t *testing.T) {
 	r := openBytes(t, buf.Bytes())
 	if ev := r.Next(1); ev != (trace.Event{}) || !errors.Is(r.Err(), errs.ErrTraceWrapped) {
 		t.Fatalf("empty core served %+v, Err %v; want zero event and ErrTraceWrapped", ev, r.Err())
+	}
+}
+
+// TestReaderRejectsWideAddress: the simulator's addresses are
+// mem.AddrBits wide, so an address past them is corruption that Verify
+// and replay both report, not a value to feed the caches. The widest
+// address that fits replays as recorded.
+func TestReaderRejectsWideAddress(t *testing.T) {
+	top := mem.Addr(1)<<mem.AddrBits - 64
+	for _, tc := range []struct {
+		addr mem.Addr
+		ok   bool
+	}{{top, true}, {top + 64, false}, {1 << 62, false}} {
+		var buf bytes.Buffer
+		w, err := tracefile.NewWriter(&buf, tracefile.Meta{Name: "x", Cores: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []mem.Addr{64, tc.addr} {
+			if err := w.Append(0, trace.Event{Gap: 1, Addr: a}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r := openBytes(t, buf.Bytes())
+		if err := r.Verify(); (err == nil) != tc.ok || err != nil && !errors.Is(err, tracefile.ErrCorrupt) {
+			t.Fatalf("address %#x: Verify error %v, want ok=%v", tc.addr, err, tc.ok)
+		}
+		r.Next(0)
+		ev := r.Next(0)
+		if tc.ok && (ev.Addr != tc.addr || r.Err() != nil) || !tc.ok && !errors.Is(r.Err(), tracefile.ErrCorrupt) {
+			t.Fatalf("address %#x: replayed %+v, Err %v; want ok=%v", tc.addr, ev, r.Err(), tc.ok)
+		}
 	}
 }
 
