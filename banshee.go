@@ -217,14 +217,14 @@ type GangSession = sim.Gang
 // stream; an independent run reproduces any lane byte-for-byte by
 // setting the same Seed and WorkloadSeed.
 //
-// A gang of two or more lanes requires a gang-safe scheme — one that
-// never flushes the shared TLBs and never stalls every core at once.
-// Every built-in qualifies except Banshee, whose tag-buffer flush shoots
-// down the TLBs, and HMA, whose remap epochs stall all cores; other
-// schemes return an error. A single seed is a stand-alone run of any
-// scheme. Prefetching (PrefetchDegree > 0) is allowed: each lane's
-// prefetcher observes the shared stream's L1 misses against its own
-// clock.
+// Any scheme may gang. Banshee's tag-buffer flush shoots down the
+// TLBs of its own lane only: the shared front end records each page's
+// previous lookup, and the lane charges the page walk a shootdown
+// causes. Lanes of schemes that stall every core at once (Banshee,
+// HMA) replay one event at a time; the others also replay runs of
+// core-private events in bulk. Prefetching (PrefetchDegree > 0) is
+// allowed: each lane's prefetcher observes the shared stream's L1
+// misses against its own clock.
 func NewGangSession(cfg Config, workload, scheme string, seeds []uint64) (*GangSession, error) {
 	return sim.NewGangSeeds(cfg, workload, scheme, seeds)
 }

@@ -23,9 +23,8 @@
 // only the test harness: `go tool pprof bansheesim sim.prof`.
 //
 // With -gang a comma-separated seed list runs as lanes of one lockstep
-// gang over a shared front end (two or more lanes need a gang-safe
-// scheme — every built-in except Banshee and HMA; see DESIGN.md §12);
-// each lane's printed stats are byte-identical to an independent -seed
+// gang over a shared front end (any scheme; see DESIGN.md §12); each
+// lane's printed stats are byte-identical to an independent -seed
 // run of that seed with WorkloadSeed pinned. A plain run is the same
 // handle at width 1, so the exit codes and partial-stats reporting
 // above apply to both; -epoch samples only a plain run.
@@ -76,7 +75,7 @@ func run() int {
 		large     = flag.Bool("largepages", false, "back all data with 2 MB pages")
 		epoch     = flag.Uint64("epoch", 0, "print a live sample every N retired instructions (0 = off)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock deadline for the run (0 = none); partial stats print on expiry")
-		gang      = flag.String("gang", "", "comma-separated seeds to run as one lockstep gang (gang-safe schemes only); per-lane stats print at the end")
+		gang      = flag.String("gang", "", "comma-separated seeds to run as one lockstep gang over a shared front end; per-lane stats print at the end")
 		list      = flag.Bool("list", false, "list workloads and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write an allocation profile at exit to this file")

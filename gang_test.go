@@ -1,17 +1,17 @@
 // Gang-execution contract tests (DESIGN.md §12): a width-8 gang must
 // produce byte-identical per-lane statistics to the same configs run
-// independently, across scheme families and workload kinds; the lanes
-// must share one workload substrate build instead of N; and ineligible
-// configurations must be rejected up front with the reason.
+// independently, across scheme families, mixed schemes and workload
+// kinds; and the lanes must share one workload substrate build instead
+// of N.
 package banshee_test
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"banshee"
 	"banshee/internal/graph"
+	"banshee/internal/sim"
 )
 
 const gangWidth = 8
@@ -38,27 +38,36 @@ func gangConfig() banshee.Config {
 
 // TestGangLaneIdentity is the core gang guarantee: a width-8 gang's
 // per-lane stats.Sim must be byte-identical to 8 independent runs of
-// the same configs, across ≥3 scheme families × 2 workload kinds (a
+// the same configs, across scheme families × 2 workload kinds (a
 // parametric SPEC profile and a graph-kernel workload), plus a
 // prefetch-on case: each lane's prefetcher observes the shared stream's
-// L1 misses against its own clock. The default WarmupFrac stays on, so
-// each lane's warmup→measure transition is exercised at its own pace
-// inside the lockstep gang. Width-1 gangs of the schemes that may not
-// share a stream (Banshee, HMA) are stand-alone runs, the form every
-// batch-engine single takes.
+// L1 misses against its own clock. Banshee's lanes shoot down the TLBs
+// and HMA's stall every core, so their lanes never batch; one mixed
+// gang runs them beside batching lanes and a modifier lane, so the
+// stream runs ahead of the shooting-down lanes. The default WarmupFrac
+// stays on, so each lane's warmup→measure transition is exercised at
+// its own pace inside the lockstep gang. The width-1 cases are
+// stand-alone runs, the form every batch-engine single takes.
 func TestGangLaneIdentity(t *testing.T) {
 	type laneCase struct {
 		scheme, workload string
 		prefetch, width  int
+		mixed            []string // one scheme per lane; overrides scheme
 	}
 	var cases []laneCase
 	for _, scheme := range []string{"NoCache", "Alloy 1", "TDC", "Unison"} {
 		for _, w := range []string{"mcf", "pagerank_kernel"} {
-			cases = append(cases, laneCase{scheme, w, 0, gangWidth})
+			cases = append(cases, laneCase{scheme: scheme, workload: w, width: gangWidth})
 		}
 	}
-	cases = append(cases, laneCase{"Alloy 1", "lbm", 4, gangWidth},
-		laneCase{"Banshee", "mcf", 0, 1}, laneCase{"HMA", "mcf", 0, 1})
+	cases = append(cases, laneCase{scheme: "Alloy 1", workload: "lbm", prefetch: 4, width: gangWidth},
+		laneCase{scheme: "Banshee", workload: "mcf", width: 1}, laneCase{scheme: "HMA", workload: "mcf", width: 1},
+		laneCase{scheme: "Banshee", workload: "mcf", width: gangWidth},
+		laneCase{scheme: "Banshee LRU", workload: "mcf", width: gangWidth},
+		laneCase{scheme: "HMA", workload: "mcf", width: gangWidth},
+		laneCase{scheme: "mixed", workload: "mcf", width: gangWidth, mixed: []string{
+			"Banshee LRU", "Alloy 1", "Banshee", "HMA", "TDC", "Banshee NoSample", "Unison+BATMAN", "NoCache",
+		}})
 	for _, tc := range cases {
 		name := tc.scheme + "/" + tc.workload
 		if tc.prefetch > 0 {
@@ -71,7 +80,21 @@ func TestGangLaneIdentity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			base := gangConfig()
 			base.PrefetchDegree = tc.prefetch
-			g, err := banshee.NewGangSession(base, tc.workload, tc.scheme, seeds)
+			schemes := make([]string, len(seeds))
+			cfgs := make([]banshee.Config, len(seeds))
+			for i, seed := range seeds {
+				schemes[i] = tc.scheme
+				if tc.mixed != nil {
+					schemes[i] = tc.mixed[i]
+				}
+				spec, err := banshee.ParseScheme(schemes[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfgs[i] = base
+				cfgs[i].Seed, cfgs[i].Workload, cfgs[i].Scheme = seed, tc.workload, spec
+			}
+			g, err := sim.NewGang(cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,16 +102,18 @@ func TestGangLaneIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var shootdowns uint64
 			for i, seed := range seeds {
 				cfg := base
 				cfg.Seed = seed
-				want, err := banshee.Run(cfg, tc.workload, tc.scheme)
+				want, err := banshee.Run(cfg, tc.workload, schemes[i])
 				if err != nil {
 					t.Fatal(err)
 				}
+				shootdowns += want.TLBShootdowns
 				if got[i] != want {
-					t.Errorf("lane %d (seed %d) diverged from independent run\n gang: %+v\n solo: %+v",
-						i, seed, got[i], want)
+					t.Errorf("lane %d (%s, seed %d) diverged from independent run\n gang: %+v\n solo: %+v",
+						i, schemes[i], seed, got[i], want)
 					continue
 				}
 				// The comparable-struct equality above implies JSON
@@ -99,6 +124,11 @@ func TestGangLaneIdentity(t *testing.T) {
 				if string(gj) != string(wj) {
 					t.Errorf("lane %d JSON differs:\n gang: %s\n solo: %s", i, gj, wj)
 				}
+			}
+			// A lane's own shootdowns are what the per-lane TLB rule
+			// replays; without any, these cases would not exercise it.
+			if (tc.scheme == "Banshee LRU" || tc.mixed != nil) && shootdowns == 0 {
+				t.Error("no lane shot down the TLBs")
 			}
 		})
 	}
@@ -122,20 +152,5 @@ func TestGangSharedSubstrateBuild(t *testing.T) {
 	}
 	if built := graph.Builds() - before; built != 1 {
 		t.Fatalf("width-%d gang built the graph substrate %d times, want 1", g.Width(), built)
-	}
-}
-
-// TestGangRejectsIneligible: configurations the lockstep replay cannot
-// honor must fail at construction with the disqualifying reason, not
-// silently diverge.
-func TestGangRejectsIneligible(t *testing.T) {
-	// Banshee's tag-buffer flush shoots down every TLB, which a front
-	// end translating ahead of the lanes cannot see. HMA's remap epochs
-	// stall every core, which batched replay cannot place exactly.
-	for _, scheme := range []string{"Banshee", "HMA"} {
-		if _, err := banshee.NewGangSession(gangConfig(), "mcf", scheme, gangSeeds()); err == nil ||
-			!strings.Contains(err.Error(), "gang-safe") {
-			t.Fatalf("%s gang: got %v, want a not-gang-safe error", scheme, err)
-		}
 	}
 }

@@ -36,16 +36,15 @@ type Config struct {
 // transfer of the HBM-like link (§2).
 const tagBytes = 32
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// A line is one word: (tag+1)<<1 | dirty, and 0 is a free line. A
+// tag is below 2^48, so tag+1 never wraps and a resident line is never
+// 0.
+func lineKey(tag uint64) uint64 { return (tag + 1) << 1 }
 
 // Alloy is the scheme instance. Not safe for concurrent use.
 type Alloy struct {
 	name     string
-	sets     []line
+	sets     []uint64 // one line word per direct-mapped set
 	mask     uint64
 	tagShift uint // precomputed popcount(mask): the tag shift
 	rng      *util.RNG
@@ -75,7 +74,7 @@ func New(cfg Config) *Alloy {
 	}
 	return &Alloy{
 		name:     name,
-		sets:     make([]line, n),
+		sets:     make([]uint64, n),
 		mask:     uint64(n - 1),
 		tagShift: uint(bits.OnesCount64(uint64(n - 1))),
 		rng:      util.NewRNG(cfg.Seed ^ 0xA110C),
@@ -86,7 +85,7 @@ func New(cfg Config) *Alloy {
 // Name implements mc.Scheme.
 func (a *Alloy) Name() string { return a.name }
 
-func (a *Alloy) slot(addr mem.Addr) (*line, uint64) {
+func (a *Alloy) slot(addr mem.Addr) (*uint64, uint64) {
 	ln := mem.LineNum(addr)
 	return &a.sets[ln&a.mask], ln >> a.tagShift
 }
@@ -104,7 +103,7 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 	// path. On a hit the 64 B is useful (HitData); on a miss it was
 	// speculative (MissData), and the demand line comes from off-package
 	// in the next stage.
-	if slot.valid && slot.tag == tag {
+	if *slot>>1 == tag+1 {
 		a.ops = append(a.ops,
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassHitData, Stage: 0, Critical: true},
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0, Critical: true, Fused: true},
@@ -119,10 +118,10 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 	// Stochastic fill (BEAR): replace only with probability fillP.
 	if a.rng.Bool(a.fillP) {
 		a.fills++
-		if slot.valid && slot.dirty {
+		if *slot&1 != 0 {
 			// The victim's data was already read by the TAD probe; it
 			// only needs the off-package write-back.
-			victim := a.victimAddr(addr, slot.tag)
+			victim := a.victimAddr(addr, *slot>>1-1)
 			ops = append(ops, mem.Op{Target: mem.OffPackage, Addr: victim, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1})
 		}
 		// Fill writes data + updated tag.
@@ -130,7 +129,7 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1},
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Write: true, Class: mem.ClassTag, Stage: 1, Fused: true},
 		)
-		*slot = line{tag: tag, valid: true}
+		*slot = lineKey(tag)
 	}
 	a.ops = ops
 	return mc.Result{Hit: false, Ops: ops}
@@ -145,12 +144,12 @@ func (a *Alloy) victimAddr(addr mem.Addr, victimTag uint64) mem.Addr {
 
 // eviction handles an LLC dirty write-back: BEAR write probe (32 B tag
 // read), then the 64 B data write to whichever DRAM owns the line.
-func (a *Alloy) eviction(addr mem.Addr, slot *line, tag uint64) mc.Result {
+func (a *Alloy) eviction(addr mem.Addr, slot *uint64, tag uint64) mc.Result {
 	a.tagProbes++
 	ops := append(a.ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0})
-	hit := slot.valid && slot.tag == tag
+	hit := *slot>>1 == tag+1
 	if hit {
-		slot.dirty = true
+		*slot |= 1
 		ops = append(ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassHitData, Stage: 1})
 	} else {
 		ops = append(ops, mem.Op{Target: mem.OffPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1})
@@ -168,8 +167,8 @@ func (a *Alloy) FillStats(s *stats.Sim) {
 // Occupancy returns the number of valid lines (diagnostic, tests).
 func (a *Alloy) Occupancy() int {
 	n := 0
-	for i := range a.sets {
-		if a.sets[i].valid {
+	for _, w := range a.sets {
+		if w != 0 {
 			n++
 		}
 	}

@@ -108,7 +108,6 @@ type Banshee struct {
 	tbs       [numMCs]*TagBuffer
 	rng       *util.RNG
 	missRate  *mc.MissRateTracker
-	tlbs      []*vm.TLB
 	cost      vm.CostModel
 	pageShift uint
 	lines     int // lines per (configured) page
@@ -132,11 +131,10 @@ type Banshee struct {
 	samples uint64
 }
 
-// New builds a Banshee instance bound to the system's TLBs, which its
-// software flush shoots down (the software half of the co-design). It
-// panics on invalid geometry — configuration is an experiment-setup
-// concern.
-func New(cfg Config, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
+// New builds a Banshee instance whose software flush (the software half
+// of the co-design) is charged at cost. It panics on invalid geometry —
+// configuration is an experiment-setup concern.
+func New(cfg Config, cost vm.CostModel) *Banshee {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("banshee: ways must be positive, got %d", cfg.Ways))
 	}
@@ -160,7 +158,6 @@ func New(cfg Config, tlbs []*vm.TLB, cost vm.CostModel) *Banshee {
 		md:       newMetadata(nsets, cfg.Ways, cfg.Ways+1, cfg.CounterBits, cfg.Footprint),
 		rng:      util.NewRNG(cfg.Seed ^ 0xBA45EE),
 		missRate: mc.NewMissRateTracker(),
-		tlbs:     tlbs,
 		cost:     cost,
 		lines:    lines,
 	}
@@ -465,21 +462,20 @@ func (b *Banshee) noteRemap(page uint64, res *mc.Result) {
 // allocator is the identity and a Banshee page is a page-table page
 // (the run's page size is Banshee's), so the routine touches one PTE
 // per drained remap. The model stores no PTE bits, so it charges the
-// cost alone; the caller's cores pay it through mc.SWCost.
+// cost alone; the caller's cores pay it through mc.SWCost, and the
+// caller applies the shootdown it declares (FlushTLBs) to its TLBs.
 func (b *Banshee) flush(res *mc.Result) {
 	b.flushes++
 	var ptes int
 	for _, tb := range b.tbs {
 		ptes += tb.DrainRemaps()
 	}
-	for _, t := range b.tlbs {
-		t.Flush()
-	}
 	res.SW = append(res.SW, mc.SWCost{
 		InitiatorCycles: b.cost.PTEUpdateCycles +
 			uint64(ptes)*perPTETouchCycles +
 			b.cost.ShootdownInitiator,
 		AllCoresCycles: b.cost.ShootdownSlave,
+		FlushTLBs:      true,
 	})
 }
 

@@ -9,9 +9,8 @@ import (
 	"banshee/internal/vm"
 )
 
-// testSystem builds a small Banshee with the TLBs it shoots down.
-func testSystem(mutate func(*Config)) (*Banshee, []*vm.TLB) {
-	tlbs := []*vm.TLB{vm.NewTLB(64), vm.NewTLB(64)}
+// testSystem builds a small Banshee.
+func testSystem(mutate func(*Config)) *Banshee {
 	cfg := DefaultConfig(1 << 20) // 64 sets × 4 ways × 4 KB
 	cfg.TagBufferEntries = 64
 	cfg.Seed = 7
@@ -25,8 +24,7 @@ func testSystem(mutate func(*Config)) (*Banshee, []*vm.TLB) {
 	if cfg.SamplingCoeff >= 0.5 && cfg.CounterBits <= 5 {
 		cfg.CounterBits = 8
 	}
-	b := New(cfg, tlbs, vm.DefaultCostModel(2700))
-	return b, tlbs
+	return New(cfg, vm.DefaultCostModel(2700))
 }
 
 // touch sends a demand read.
@@ -72,21 +70,21 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("case %d did not panic", i)
 				}
 			}()
-			New(cfg, nil, vm.DefaultCostModel(2700))
+			New(cfg, vm.DefaultCostModel(2700))
 		}()
 	}
 }
 
 func TestNames(t *testing.T) {
-	b, _ := testSystem(nil)
+	b := testSystem(nil)
 	if b.Name() != "Banshee" {
 		t.Fatalf("name %q", b.Name())
 	}
-	b2, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
+	b2 := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
 	if b2.Name() != "Banshee LRU" {
 		t.Fatalf("name %q", b2.Name())
 	}
-	b3, _ := testSystem(func(c *Config) { c.Policy = FBRNoSample; c.CounterBits = 8 })
+	b3 := testSystem(func(c *Config) { c.Policy = FBRNoSample; c.CounterBits = 8 })
 	if b3.Name() != "Banshee FBR no-sample" {
 		t.Fatalf("name %q", b3.Name())
 	}
@@ -95,7 +93,7 @@ func TestNames(t *testing.T) {
 // Table 1: Banshee hit = 64 B, miss = 64 B + 0 B extra; no tag lookup on
 // the access path.
 func TestAccessPathTraffic(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 0.0001 }) // suppress sampling noise
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 0.0001 }) // suppress sampling noise
 	res := touch(b, 0x5000)
 	if res.Hit {
 		t.Fatal("cold access hit")
@@ -110,7 +108,7 @@ func TestAccessPathTraffic(t *testing.T) {
 }
 
 func TestFBRPromotionToCache(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	addr := mem.Addr(0x9000)
 	// Hammer one page: with coeff 1 and cold miss rate 1, every access
 	// samples; the page becomes a candidate, accumulates counts, and is
@@ -129,7 +127,7 @@ func TestFBRPromotionToCache(t *testing.T) {
 }
 
 func TestPromotionGeneratesPageMoveTraffic(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	addr := mem.Addr(0x9000)
 	var moveIn, tagW int
 	for i := 0; i < 50; i++ {
@@ -150,7 +148,7 @@ func TestPromotionGeneratesPageMoveTraffic(t *testing.T) {
 }
 
 func TestHitsAfterPromotion(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	addr := mem.Addr(0x9000)
 	for i := 0; i < 50; i++ {
 		touch(b, addr)
@@ -176,7 +174,7 @@ func TestHitsAfterPromotion(t *testing.T) {
 
 func TestSamplingReducesMetadataTraffic(t *testing.T) {
 	run := func(coeff float64) uint64 {
-		b, _ := testSystem(func(c *Config) { c.SamplingCoeff = coeff })
+		b := testSystem(func(c *Config) { c.SamplingCoeff = coeff })
 		for i := 0; i < 20000; i++ {
 			touch(b, mem.Addr(i%1000)<<12)
 		}
@@ -189,7 +187,7 @@ func TestSamplingReducesMetadataTraffic(t *testing.T) {
 }
 
 func TestAdaptiveSampleRateFollowsMissRate(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 0.5 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 0.5 })
 	// Make one hot page resident, then hammer it: miss rate → 0, so
 	// sampling should nearly stop.
 	addr := mem.Addr(0x4000)
@@ -212,7 +210,7 @@ func TestAntiThrashThreshold(t *testing.T) {
 	// Two pages alternating in a full set must not keep swapping: the
 	// threshold requires a candidate to out-score the coldest resident
 	// by page_lines × coeff / 2.
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	sets := nsets(b)
 	// Fill all 4 ways of set 0 with hot pages.
 	for w := uint64(0); w < 4; w++ {
@@ -232,7 +230,7 @@ func TestAntiThrashThreshold(t *testing.T) {
 }
 
 func TestCounterSaturationHalves(t *testing.T) {
-	b, _ := testSystem(nil)
+	b := testSystem(nil)
 	md := b.md
 	md.keys[0], md.counts[0] = 2, 30 // tag 1
 	md.keys[1], md.counts[1] = 3, 8
@@ -257,7 +255,7 @@ func TestReplacementNeedsStrictMargin(t *testing.T) {
 		{primed: victim + threshold - 1, replace: false}, // after the access: a tie
 		{primed: victim + threshold, replace: true},      // after the access: one more
 	} {
-		b, _ := testSystem(func(c *Config) {
+		b := testSystem(func(c *Config) {
 			c.Policy = FBRNoSample // sample every access
 			c.Threshold = threshold
 		})
@@ -285,7 +283,7 @@ func TestReplacementNeedsStrictMargin(t *testing.T) {
 // replaced in, keep its own counter beside a neighbour in the same set,
 // and take its dirty evictions in its own way.
 func TestPageZeroIsCacheable(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.Policy = FBRNoSample }) // sample every access
+	b := testSystem(func(c *Config) { c.Policy = FBRNoSample }) // sample every access
 	md := b.md
 	if r, _ := b.Resident(0); r {
 		t.Fatal("page 0 resident in an empty cache")
@@ -323,7 +321,7 @@ func TestPageZeroIsCacheable(t *testing.T) {
 }
 
 func TestEvictionProbeOnUnknownMapping(t *testing.T) {
-	b, _ := testSystem(nil)
+	b := testSystem(nil)
 	// LLC dirty eviction with no mapping: must probe metadata (32 B tag
 	// read) and allocate a clean tag-buffer entry.
 	res := b.Access(mem.Request{Addr: 0x3000, Write: true, Eviction: true})
@@ -341,7 +339,7 @@ func TestEvictionProbeOnUnknownMapping(t *testing.T) {
 }
 
 func TestLazyPTESync(t *testing.T) {
-	b, tlbs := testSystem(func(c *Config) {
+	b := testSystem(func(c *Config) {
 		c.SamplingCoeff = 1.0
 		c.TagBufferEntries = 16
 	})
@@ -369,10 +367,8 @@ func TestLazyPTESync(t *testing.T) {
 		t.Fatalf("all-core stall %d, want the shootdown's %d", sw[0].AllCoresCycles, cost.ShootdownSlave)
 	}
 	// The flush shot down every TLB and unpinned every remap.
-	for _, tlb := range tlbs {
-		if tlb.Shootdowns == 0 {
-			t.Fatal("TLB not shot down by flush")
-		}
+	if !sw[0].FlushTLBs {
+		t.Fatal("flush did not declare the TLB shootdown")
 	}
 	for _, tb := range b.tbs {
 		if tb.RemapFill() >= flushThreshold {
@@ -384,7 +380,7 @@ func TestLazyPTESync(t *testing.T) {
 func TestMappingAlwaysCurrent(t *testing.T) {
 	// The metadata is the one record of where a page lives: a demand
 	// access hits exactly when the metadata holds the page.
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	for i := 0; i < 20000; i++ {
 		addr := mem.Addr(uint64(i*2654435761)%2048) << 12
 		resident, _ := b.Resident(uint64(addr) >> 12)
@@ -396,7 +392,7 @@ func TestMappingAlwaysCurrent(t *testing.T) {
 }
 
 func TestDirtyVictimWriteback(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0; c.Ways = 1 })
 	sets := nsets(b)
 	hot1 := mem.Addr(0)
 	hot2 := mem.Addr(sets << 12) // same set
@@ -432,7 +428,7 @@ func TestDirtyVictimWriteback(t *testing.T) {
 func TestLargePageGeometry(t *testing.T) {
 	cfg := LargePageConfig(64 << 20) // 8 sets × 4 ways × 2 MB
 	cfg.Seed = 3
-	b := New(cfg, nil, vm.DefaultCostModel(2700))
+	b := New(cfg, vm.DefaultCostModel(2700))
 	if b.Name() != "Banshee 2M" {
 		t.Fatalf("name %q", b.Name())
 	}
@@ -453,7 +449,7 @@ func TestLargePageReplacementMovesWholePage(t *testing.T) {
 	cfg.SamplingCoeff = 1.0 // sample every access so the test converges fast
 	cfg.Threshold = 8       // keep the threshold reachable despite coeff=1
 	cfg.CounterBits = 8
-	b := New(cfg, nil, vm.DefaultCostModel(2700))
+	b := New(cfg, vm.DefaultCostModel(2700))
 	addr := mem.Addr(0x40000000)
 	var fill int
 	for i := 0; i < 300; i++ {
@@ -473,7 +469,7 @@ func TestLargePageReplacementMovesWholePage(t *testing.T) {
 }
 
 func TestLRUPolicyReplacesEveryMiss(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
+	b := testSystem(func(c *Config) { c.Policy = LRUReplaceOnMiss })
 	for i := 0; i < 100; i++ {
 		touch(b, mem.Addr(uint64(i)<<12))
 	}
@@ -483,7 +479,7 @@ func TestLRUPolicyReplacesEveryMiss(t *testing.T) {
 }
 
 func TestFillStats(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
+	b := testSystem(func(c *Config) { c.SamplingCoeff = 1.0 })
 	for i := 0; i < 500; i++ {
 		touch(b, mem.Addr(uint64(i%20)<<12))
 	}

@@ -7,14 +7,14 @@ import (
 )
 
 func TestSetDuelingName(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
+	b := testSystem(func(c *Config) { c.Policy = SetDueling })
 	if b.Name() != "Banshee Duel" {
 		t.Fatalf("name %q", b.Name())
 	}
 }
 
 func TestSetDuelingLeadersVote(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
+	b := testSystem(func(c *Config) { c.Policy = SetDueling })
 	sets := nsets(b)
 	// Misses to an FBR-leader set (set 0 mod duelPeriod) push psel up.
 	for i := 0; i < 50; i++ {
@@ -37,7 +37,7 @@ func TestSetDuelingFollowersAdaptToStreams(t *testing.T) {
 	// A pure streaming pattern (every page touched once) makes FBR
 	// leaders miss constantly while LRU leaders at least absorb
 	// re-touches; psel must drift positive so followers replace on miss.
-	b, _ := testSystem(func(c *Config) { c.Policy = SetDueling })
+	b := testSystem(func(c *Config) { c.Policy = SetDueling })
 	// Stream whole pages: 8 line touches per page visit, pages never
 	// revisited. Replace-on-miss leaders convert touches 2..8 into hits;
 	// FBR leaders miss on all of them.
@@ -61,7 +61,7 @@ func TestSetDuelingFollowersAdaptToStreams(t *testing.T) {
 }
 
 func TestFootprintVariantName(t *testing.T) {
-	b, _ := testSystem(func(c *Config) { c.Footprint = true })
+	b := testSystem(func(c *Config) { c.Footprint = true })
 	if b.Name() != "Banshee FP" {
 		t.Fatalf("name %q", b.Name())
 	}
@@ -69,7 +69,7 @@ func TestFootprintVariantName(t *testing.T) {
 
 func TestFootprintReducesReplacementBytes(t *testing.T) {
 	moveBytes := func(fp bool) int {
-		b, _ := testSystem(func(c *Config) {
+		b := testSystem(func(c *Config) {
 			c.SamplingCoeff = 1.0
 			c.Footprint = fp
 		})
@@ -99,7 +99,7 @@ func TestFootprintReducesReplacementBytes(t *testing.T) {
 }
 
 func TestFootprintTouchedTracking(t *testing.T) {
-	b, _ := testSystem(func(c *Config) {
+	b := testSystem(func(c *Config) {
 		c.SamplingCoeff = 1.0
 		c.Footprint = true
 	})

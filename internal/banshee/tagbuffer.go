@@ -19,29 +19,23 @@ package banshee
 
 import "fmt"
 
-// Tag-buffer entry state bits (Fig. 2): valid, and the remap bit
-// marking mappings not yet written back to the page table. The
-// hardware entry also holds the page's cached and way bits; the model
-// reads those from the metadata (Banshee.access), so an entry here is
-// its page number, state and recency.
-const (
-	tbValid uint8 = 1 << iota
-	tbRemap
-)
-
 // TagBuffer is one memory controller's buffer of recently remapped
 // pages (§3.3). It is set-associative with LRU replacement masked to
 // entries whose remap bit is unset: remapped entries are pinned until a
 // flush writes them to the page table.
 //
-// Entry state is struct-of-arrays over flat backing storage (slot =
-// set×ways+way): the lookup on every LLC miss scans a contiguous run
-// of page tags, touching the state/stamp arrays only on a hit, and
-// DrainRemaps's full sweep is one linear pass over the state bytes.
+// Each entry is one word (slot = set×ways+way): (page+1)<<1 | remap,
+// where remap marks a mapping not yet written back to the page table,
+// and 0 is a free slot. A page number is below 2^36, so page+1 never
+// wraps and a live entry is never 0. The hardware entry (Fig. 2) also
+// holds the page's cached and way bits; the model reads those from the
+// metadata (Banshee.access), so an entry here is its page number,
+// remap bit and recency. The lookup on every LLC miss scans one run of
+// words and touches the stamps only on a hit; DrainRemaps's sweep is
+// one linear pass over the words.
 type TagBuffer struct {
-	pages  []uint64
+	keys   []uint64
 	stamps []uint64 // LRU among remap-unset entries
-	state  []uint8
 	nways  int
 	mask   uint64
 	tick   uint64
@@ -60,16 +54,15 @@ func NewTagBuffer(entries, ways int) *TagBuffer {
 		panic(fmt.Sprintf("banshee: tag buffer set count %d must be a power of two", nsets))
 	}
 	return &TagBuffer{
-		pages:  make([]uint64, entries),
+		keys:   make([]uint64, entries),
 		stamps: make([]uint64, entries),
-		state:  make([]uint8, entries),
 		nways:  ways,
 		mask:   uint64(nsets - 1),
 	}
 }
 
 // Capacity returns the total number of slots.
-func (tb *TagBuffer) Capacity() int { return len(tb.pages) }
+func (tb *TagBuffer) Capacity() int { return len(tb.keys) }
 
 // RemapFill returns the fraction of slots holding un-flushed remaps —
 // the quantity compared against the flush threshold (70% in Table 3).
@@ -83,12 +76,10 @@ func (tb *TagBuffer) RemapFill() float64 {
 func (tb *TagBuffer) Lookup(page uint64) bool {
 	tb.tick++
 	base := int(page&tb.mask) * tb.nways
-	pages := tb.pages[base : base+tb.nways]
-	state := tb.state[base : base+tb.nways]
-	for i, p := range pages {
-		if p == page && state[i]&tbValid != 0 {
-			s := base + i
-			tb.stamps[s] = tb.tick
+	want := (page + 1) << 1
+	for i, k := range tb.keys[base : base+tb.nways] {
+		if k&^1 == want {
+			tb.stamps[base+i] = tb.tick
 			return true
 		}
 	}
@@ -110,49 +101,47 @@ func (tb *TagBuffer) InsertClean(page uint64) bool {
 	return tb.insert(page, false)
 }
 
+// insert updates page's entry in place if present; otherwise it fills
+// the first free slot, else the LRU among remap-unset slots (the remap
+// bits mask the LRU algorithm, §3.3; the first minimum wins a tie). One
+// pass over the set finds all three.
 func (tb *TagBuffer) insert(page uint64, remap bool) bool {
 	tb.tick++
 	base := int(page&tb.mask) * tb.nways
-	// Update in place if present.
+	want := (page + 1) << 1
+	free, lru := -1, -1
 	for s := base; s < base+tb.nways; s++ {
-		if tb.state[s]&tbValid != 0 && tb.pages[s] == page {
-			if remap && tb.state[s]&tbRemap == 0 {
+		k := tb.keys[s]
+		switch {
+		case k&^1 == want:
+			if remap && k&1 == 0 {
 				tb.remapCount++
-				tb.state[s] |= tbRemap
+				tb.keys[s] = k | 1
 			}
 			tb.stamps[s] = tb.tick
 			return true
+		case k == 0:
+			if free < 0 {
+				free = s
+			}
+		case k&1 == 0:
+			if lru < 0 || tb.stamps[s] < tb.stamps[lru] {
+				lru = s
+			}
 		}
 	}
-	// Choose a victim: an invalid slot, else the LRU among remap-unset
-	// slots (the remap bits mask the LRU algorithm, §3.3).
-	victim := -1
-	for s := base; s < base+tb.nways; s++ {
-		if tb.state[s]&tbValid == 0 {
-			victim = s
-			break
-		}
-	}
+	victim := free
 	if victim < 0 {
-		for s := base; s < base+tb.nways; s++ {
-			if tb.state[s]&tbRemap != 0 {
-				continue
-			}
-			if victim < 0 || tb.stamps[s] < tb.stamps[victim] {
-				victim = s
-			}
-		}
+		victim = lru
 	}
 	if victim < 0 {
 		return false // all ways pinned by remaps: caller must flush
 	}
-	st := tbValid
 	if remap {
-		st |= tbRemap
+		want |= 1
 		tb.remapCount++
 	}
-	tb.pages[victim] = page
-	tb.state[victim] = st
+	tb.keys[victim] = want
 	tb.stamps[victim] = tb.tick
 	return true
 }
@@ -162,10 +151,8 @@ func (tb *TagBuffer) insert(page uint64, remap bool) bool {
 // valid (and evictable) to keep serving dirty-eviction lookups (§3.4).
 func (tb *TagBuffer) DrainRemaps() int {
 	n := tb.remapCount
-	for s, st := range tb.state {
-		if st&(tbValid|tbRemap) == tbValid|tbRemap {
-			tb.state[s] = st &^ tbRemap
-		}
+	for s, k := range tb.keys {
+		tb.keys[s] = k &^ 1
 	}
 	tb.remapCount = 0
 	return n

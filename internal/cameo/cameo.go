@@ -28,17 +28,15 @@ type Config struct {
 
 const lltBytes = 32
 
-// slot records which congruence-group member currently occupies the
-// in-package way, by its group offset (0 = the identity resident).
-type slot struct {
-	occupant uint64 // line number of the resident
-	valid    bool
-	dirty    bool
-}
+// A slot records which congruence-group member occupies the in-package
+// way in one word: (occupant+1)<<1 | dirty, where occupant is the
+// resident's line number, and 0 is a cold slot. A line number is below
+// 2^42, so occupant+1 never wraps and an occupied slot is never 0.
+func slotKey(occupant uint64) uint64 { return (occupant + 1) << 1 }
 
 // CAMEO is the scheme instance. Not safe for concurrent use.
 type CAMEO struct {
-	slots []slot
+	slots []uint64
 	mask  uint64
 
 	// ops is the scratch buffer reused by every Access (see the
@@ -55,7 +53,7 @@ func New(cfg Config) *CAMEO {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cameo: capacity %d must give a power-of-two line count", cfg.CapacityBytes))
 	}
-	return &CAMEO{slots: make([]slot, n), mask: uint64(n - 1)}
+	return &CAMEO{slots: make([]uint64, n), mask: uint64(n - 1)}
 }
 
 // Name implements mc.Scheme.
@@ -68,16 +66,13 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 	line := mem.LineNum(addr)
 	s := &c.slots[line&c.mask]
 
-	resident := s.valid && s.occupant == line
-	if !s.valid {
-		// Cold slot: the identity member notionally lives here; any
-		// other group member is off-package.
-		resident = false
-	}
+	// A cold slot (0) holds no line: the identity member notionally
+	// lives there, and any other group member is off-package.
+	resident := *s>>1 == line+1
 
 	if req.Eviction {
 		if resident {
-			s.dirty = true
+			*s |= 1
 			c.ops = append(c.ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassHitData})
 			return mc.Result{Hit: true, Ops: c.ops}
 		}
@@ -104,8 +99,8 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: lltBytes, Class: mem.ClassTag, Stage: 0, Critical: true},
 		mem.Op{Target: mem.OffPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassMissData, Stage: 1, Critical: true},
 	)
-	if s.valid {
-		old := mem.LineBase(s.occupant)
+	if *s != 0 {
+		old := mem.LineBase(*s>>1 - 1)
 		c.ops = append(c.ops,
 			mem.Op{Target: mem.InPackage, Addr: old, Bytes: mem.LineBytes, Class: mem.ClassReplacement, Stage: 1},
 			mem.Op{Target: mem.OffPackage, Addr: old, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1},
@@ -115,7 +110,7 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1},
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: lltBytes, Write: true, Class: mem.ClassTag, Stage: 1, Fused: true},
 	)
-	*s = slot{occupant: line, valid: true}
+	*s = slotKey(line)
 	return mc.Result{Hit: false, Ops: c.ops}
 }
 
@@ -126,6 +121,5 @@ func (c *CAMEO) FillStats(s *stats.Sim) {
 
 // Resident reports whether the line currently occupies its slot (tests).
 func (c *CAMEO) Resident(line uint64) bool {
-	s := c.slots[line&c.mask]
-	return s.valid && s.occupant == line
+	return c.slots[line&c.mask]>>1 == line+1
 }

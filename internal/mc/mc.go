@@ -25,6 +25,10 @@ type SWCost struct {
 	// at its next scheduling point; the requesting core is not charged
 	// them. E.g. the shootdown slave cost, or an HMA remap epoch.
 	AllCoresCycles uint64
+	// FlushTLBs shoots down every core's TLB once the routine's
+	// request is done: each core's next translation of a page it last
+	// looked up before this point misses and pays a page walk.
+	FlushTLBs bool
 }
 
 // Result is a scheme's answer for one request.

@@ -22,7 +22,7 @@ func init() {
 			}
 			return Spec{}, false
 		},
-		GangSafe: true,
+		NoAllCoreStall: true,
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
 			p := spec.AlloyFillProb
 			if p == 0 {

@@ -61,7 +61,7 @@ func init() {
 			if spec.BansheeTagBufEntries > 0 {
 				cfg.TagBufferEntries = spec.BansheeTagBufEntries
 			}
-			return banshee.New(cfg, env.TLBs, env.Cost), nil
+			return banshee.New(cfg, env.Cost), nil
 		},
 	})
 }

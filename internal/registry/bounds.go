@@ -10,23 +10,23 @@ import (
 // memory, respectively.
 func init() {
 	Register(Scheme{
-		Kind:     "nocache",
-		Names:    []string{"NoCache"},
-		Compare:  []string{"NoCache"},
-		Rank:     0,
-		Parse:    exact("nocache", "NoCache"),
-		GangSafe: true,
+		Kind:           "nocache",
+		Names:          []string{"NoCache"},
+		Compare:        []string{"NoCache"},
+		Rank:           0,
+		Parse:          exact("nocache", "NoCache"),
+		NoAllCoreStall: true,
 		Build: func(Spec, Env) (mc.Scheme, error) {
 			return schemes.NewNoCache(), nil
 		},
 	})
 	Register(Scheme{
-		Kind:     "cacheonly",
-		Names:    []string{"CacheOnly"},
-		Compare:  []string{"CacheOnly"},
-		Rank:     60,
-		Parse:    exact("cacheonly", "CacheOnly"),
-		GangSafe: true,
+		Kind:           "cacheonly",
+		Names:          []string{"CacheOnly"},
+		Compare:        []string{"CacheOnly"},
+		Rank:           60,
+		Parse:          exact("cacheonly", "CacheOnly"),
+		NoAllCoreStall: true,
 		Build: func(Spec, Env) (mc.Scheme, error) {
 			return schemes.NewCacheOnly(), nil
 		},

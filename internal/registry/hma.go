@@ -6,8 +6,8 @@ import (
 )
 
 // Software-managed heterogeneous memory (HMA, [Meswani et al.]): the OS
-// periodically ranks and remaps hot pages. Not gang-safe: each remap
-// epoch stalls every core (mc.SWCost.AllCoresCycles).
+// periodically ranks and remaps hot pages. Its lanes never batch: each
+// remap epoch stalls every core (mc.SWCost.AllCoresCycles).
 func init() {
 	Register(Scheme{
 		Kind:  "hma",

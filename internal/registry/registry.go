@@ -55,16 +55,17 @@ type Spec struct {
 }
 
 // Env carries the simulation-level context a builder needs: the
-// capacity the cache must cover, the run seed, clocking for software
-// cost models, and the TLBs Banshee shoots down.
+// capacity the cache must cover, the run seed, and clocking for
+// software cost models.
 type Env struct {
 	CapacityBytes int
 	Seed          uint64
 	CPUMHz        float64
 	LargePages    bool // workload data lives on 2 MB pages
-	// PageTable is read by no scheme: Banshee keeps a page's location
-	// in its own metadata. It stays only because perfbench/replay.go
-	// sets it.
+	// PageTable and TLBs are read by no scheme: Banshee keeps a page's
+	// location in its own metadata and declares its shootdowns
+	// (mc.SWCost.FlushTLBs). They stay only because perfbench/replay.go
+	// sets them.
 	PageTable *vm.PageTable
 	TLBs      []*vm.TLB
 	Cost      vm.CostModel
@@ -87,21 +88,16 @@ type Scheme struct {
 	Parse func(name string) (Spec, bool)
 	// Build constructs the scheme instance for a parsed spec.
 	Build func(spec Spec, env Env) (mc.Scheme, error)
-	// GangSafe declares two things about instances built from this
-	// registration: they never flush the TLBs (Env.TLBs), and they
-	// never charge an all-core stall (mc.SWCost.AllCoresCycles). That
-	// is the contract that lets the front end translate an event before
-	// the back end's clock reaches it, and so lets N differently-seeded
-	// instances run in lockstep over one shared front-end replay
-	// (sim.Gang) and batch-replay core-private events. Banshee breaks
-	// the first rule: its flush shoots down every TLB, so a translation
-	// made early could hit where it would have missed and skip its page
-	// walk. HMA breaks the second: the simulator applies an all-core
-	// stall lazily, when it next schedules each core, so a core batched
-	// past another core's stall would pick it up at a different point
-	// in the event order. Defaults to false, so out-of-tree schemes opt
-	// in explicitly.
-	GangSafe bool
+	// NoAllCoreStall declares that instances built from this
+	// registration never charge an all-core stall
+	// (mc.SWCost.AllCoresCycles) nor shoot down the TLBs
+	// (mc.SWCost.FlushTLBs). Any scheme may run as a gang lane, but only
+	// lanes with this declaration batch-replay core-private events: the
+	// simulator applies a stall when it next schedules each core, so a
+	// core batched past another core's stall would pick it up at a
+	// different point in the event order. Banshee and HMA stall every
+	// core. Defaults to false, so out-of-tree schemes opt in explicitly.
+	NoAllCoreStall bool
 }
 
 // Modifier is a registered scheme wrapper selected by a name suffix.
@@ -233,16 +229,16 @@ func Comparison() []string {
 	return out
 }
 
-// GangSafe reports whether spec builds a scheme that may run as one
-// lane of a lockstep gang: the scheme's registration declares it never
-// flushes the TLBs or charges an all-core stall (Scheme.GangSafe), and
-// no modifier is active on the spec (modifiers wrap arbitrary behavior
-// around a scheme, so an active one voids the declaration).
-func GangSafe(spec Spec) bool {
+// Batchable reports whether a lane of spec's scheme may batch-replay
+// core-private events (sim's batchShared): the scheme's registration
+// declares it never charges an all-core stall (Scheme.NoAllCoreStall),
+// and no modifier is active on the spec (modifiers wrap arbitrary
+// behavior around a scheme, so an active one voids the declaration).
+func Batchable(spec Spec) bool {
 	mu.RLock()
 	defer mu.RUnlock()
 	i, ok := byKind[spec.Kind]
-	if !ok || !entries[i].GangSafe {
+	if !ok || !entries[i].NoAllCoreStall {
 		return false
 	}
 	for _, m := range modifiers {

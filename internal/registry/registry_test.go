@@ -11,7 +11,7 @@ import (
 )
 
 // testEnv builds a small but fully wired environment, enough for every
-// builtin builder (Banshee needs the TLBs it shoots down).
+// builtin builder.
 func testEnv() Env {
 	return Env{
 		// The library's default scaled capacity; large enough that the
@@ -19,7 +19,6 @@ func testEnv() Env {
 		CapacityBytes: 1 << 26,
 		Seed:          7,
 		CPUMHz:        2700,
-		TLBs:          []*vm.TLB{vm.NewTLB(64)},
 		Cost:          vm.DefaultCostModel(2700),
 	}
 }

@@ -9,12 +9,12 @@ import (
 // baseline.
 func init() {
 	Register(Scheme{
-		Kind:     "tdc",
-		Names:    []string{"TDC"},
-		Compare:  []string{"TDC"},
-		Rank:     20,
-		Parse:    exact("tdc", "TDC"),
-		GangSafe: true,
+		Kind:           "tdc",
+		Names:          []string{"TDC"},
+		Compare:        []string{"TDC"},
+		Rank:           20,
+		Parse:          exact("tdc", "TDC"),
+		NoAllCoreStall: true,
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
 			return tdc.New(tdc.Config{CapacityBytes: env.CapacityBytes}), nil
 		},

@@ -9,12 +9,12 @@ import (
 // baseline with in-DRAM tags.
 func init() {
 	Register(Scheme{
-		Kind:     "unison",
-		Names:    []string{"Unison"},
-		Compare:  []string{"Unison"},
-		Rank:     10,
-		Parse:    exact("unison", "Unison"),
-		GangSafe: true,
+		Kind:           "unison",
+		Names:          []string{"Unison"},
+		Compare:        []string{"Unison"},
+		Rank:           10,
+		Parse:          exact("unison", "Unison"),
+		NoAllCoreStall: true,
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
 			return unison.New(unison.Config{CapacityBytes: env.CapacityBytes}), nil
 		},

@@ -467,9 +467,9 @@ func (e Engine) RunJobs(ctx context.Context, name string, baseSeed uint64, jobs 
 // jobQueue is the pool's schedule: one slice of job groups, ordered
 // by the enumeration index of each group's first member, so workers
 // take work in the order the sink flushes it. A group is one job, or
-// — with ganging enabled — up to gangWidth gang-eligible jobs sharing
-// a scheme kind and front-end shape, formed greedily over the pending
-// enumeration. Guarded by the engine's mutex.
+// — with ganging enabled — up to gangWidth jobs sharing a front-end
+// shape (sim.GangKey), formed greedily over the pending enumeration.
+// Guarded by the engine's mutex.
 type jobQueue struct {
 	groups [][]int
 }
@@ -482,13 +482,12 @@ func newJobQueue(jobs []Job, pending []int, width int) *jobQueue {
 	open := map[string]int{} // gang key → index of its open group
 	for _, i := range pending {
 		if width >= 2 {
-			if key, ok := sim.GangKey(jobs[i].Config); ok {
-				if g, ok := open[key]; ok && len(q.groups[g]) < width {
-					q.groups[g] = append(q.groups[g], i)
-					continue
-				}
-				open[key] = len(q.groups)
+			key := sim.GangKey(jobs[i].Config)
+			if g, ok := open[key]; ok && len(q.groups[g]) < width {
+				q.groups[g] = append(q.groups[g], i)
+				continue
 			}
+			open[key] = len(q.groups)
 		}
 		q.groups = append(q.groups, []int{i})
 	}

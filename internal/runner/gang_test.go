@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,11 +15,10 @@ import (
 	"banshee/internal/stats"
 )
 
-// gangMatrix is a seed sweep whose jobs are gang-eligible: the base
-// config pins WorkloadSeed, so lanes differing only by Seed share one
-// front-end stream. "Alloy 1" jobs gang; "Banshee" jobs must keep
-// running as independent singles (not gang-safe), proving eligibility
-// is per job, not per sweep.
+// gangMatrix is a seed sweep whose jobs share one front-end shape: the
+// base config pins WorkloadSeed, so lanes differing by Seed and scheme
+// share one front-end stream. "Alloy 1" lanes batch; "Banshee" lanes
+// shoot down the TLBs and never batch, and both kinds gang together.
 func gangMatrix(name string) Matrix {
 	base := sim.DefaultConfig()
 	base.Cores = 2
@@ -71,8 +71,8 @@ func TestGangSweepByteIdentical(t *testing.T) {
 	if rs.Executed != 8 {
 		t.Fatalf("executed %d jobs, want 8", rs.Executed)
 	}
-	if got := strings.Count(progress.String(), "gang  "); got != 4 {
-		t.Fatalf("progress shows %d gang completions, want 4 (the Alloy seed sweep):\n%s", got, progress.String())
+	if got := strings.Count(progress.String(), "gang  "); got != 8 {
+		t.Fatalf("progress shows %d gang completions, want 8 (every job):\n%s", got, progress.String())
 	}
 }
 
@@ -149,45 +149,43 @@ func TestGangResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGangGrouping pins the queue-building rules: ineligible jobs stay
-// singles and eligible jobs group up to the width cap.
+// TestGangGrouping pins the queue-building rules: jobs group by
+// front-end shape alone, whatever their scheme, up to the width cap,
+// and jobs of different shapes never share a group.
 func TestGangGrouping(t *testing.T) {
 	m := gangMatrix("group")
+	m.Workloads = append(m.Workloads, "mcf")
 	jobs, err := m.Jobs()
 	if err != nil {
 		t.Fatal(err)
-	}
-	widths := func(q *jobQueue) (out []int) {
-		for _, g := range q.groups {
-			out = append(out, len(g))
-		}
-		return out
 	}
 	pending := make([]int, len(jobs))
 	for i := range pending {
 		pending[i] = i
 	}
-	got := widths(newJobQueue(jobs, pending, 8))
-	// 4 Alloy jobs form one gang; 4 Banshee jobs stay singles. The
-	// enumeration interleaves schemes within each seed, so expect one
-	// 4-group and four 1-groups.
-	var gangs, singles int
-	for _, w := range got {
-		switch w {
-		case 4:
-			gangs++
-		case 1:
-			singles++
-		default:
-			t.Fatalf("unexpected group width %d in %v", w, got)
+	group := func(width int) (widths []int) {
+		for _, g := range newJobQueue(jobs, pending, width).groups {
+			widths = append(widths, len(g))
+			schemes := map[string]bool{}
+			for _, i := range g {
+				if jobs[i].Workload != jobs[g[0]].Workload {
+					t.Fatalf("width %d: group %v mixes workloads", width, g)
+				}
+				schemes[jobs[i].Scheme] = true
+			}
+			if width == 8 && len(schemes) != 2 {
+				t.Fatalf("width 8: group %v holds schemes %v, want both", g, schemes)
+			}
 		}
+		return widths
 	}
-	if gangs != 1 || singles != 4 {
-		t.Fatalf("group widths %v: want one 4-wide gang and four singles", got)
+	// 2 workloads × 2 schemes × 4 seeds: one 8-wide gang per workload.
+	if got := group(8); !slices.Equal(got, []int{8, 8}) {
+		t.Fatalf("width-8 grouping produced %v, want [8 8]", got)
 	}
-	// Width 2 caps the Alloy sweep into two 2-wide gangs.
-	if got := widths(newJobQueue(jobs, pending, 2)); len(got) != 6 {
-		t.Fatalf("width-2 grouping produced %v, want 6 groups", got)
+	// Width 3 caps each workload's 8 jobs into 3 + 3 + 2.
+	if got := group(3); len(got) != 6 || slices.Max(got) != 3 {
+		t.Fatalf("width-3 grouping produced %v, want six groups of at most 3", got)
 	}
 }
 

@@ -124,8 +124,8 @@ func TestGangMetricsAndSimTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := r.Snapshot()
-	if got := uint64(snap["banshee_gang_lanes_total"]); got != 4 {
-		t.Errorf("gang lanes = %d, want 4 (the Alloy seed sweep)", got)
+	if got := uint64(snap["banshee_gang_lanes_total"]); got != 8 {
+		t.Errorf("gang lanes = %d, want 8 (every job)", got)
 	}
 	if got := uint64(snap["banshee_gang_groups_total"]); got != 1 {
 		t.Errorf("gang groups = %d, want 1", got)

@@ -11,7 +11,7 @@ import (
 )
 
 // JobRunner executes one job group — a single job, or jobs with equal
-// ok sim.GangKeys run as lanes of one lockstep gang — and returns one
+// sim.GangKeys run as lanes of one lockstep gang — and returns one
 // result per job, in order. The engine's default runs the group as one
 // sim.Gang (Simulate, or Observed with metrics on); tests, chaos
 // harnesses and the sweep service substitute their own to inject

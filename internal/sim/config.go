@@ -162,10 +162,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// buildScheme constructs the configured scheme through the registry,
-// wiring Banshee (and any out-of-tree scheme that wants it) to the
-// system's TLBs.
-func buildScheme(cfg Config, tlbs []*vm.TLB) (mc.Scheme, error) {
+// buildScheme constructs the configured scheme through the registry.
+func buildScheme(cfg Config) (mc.Scheme, error) {
 	cost := vm.DefaultCostModel(cfg.CPUMHz)
 	if cfg.Scheme.PTEUpdateMicros > 0 {
 		cost.PTEUpdateCycles = uint64(float64(cfg.Scheme.PTEUpdateMicros * cfg.CPUMHz)) // rounded: no FMA
@@ -175,7 +173,6 @@ func buildScheme(cfg Config, tlbs []*vm.TLB) (mc.Scheme, error) {
 		Seed:          cfg.Seed,
 		CPUMHz:        cfg.CPUMHz,
 		LargePages:    cfg.LargePages,
-		TLBs:          tlbs,
 		Cost:          cost,
 	})
 }

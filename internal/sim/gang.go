@@ -20,24 +20,23 @@ import (
 // over a front-end stream. The stream (gangStream) owns the workload
 // source, the page table, and each core's L1/L2/TLB: it simulates each
 // core's events up to the L2 boundary and records their back-end-
-// visible residue — gap, hit/miss bits, the L3 fills the L2 victims
-// produce, and the demand address. A lane is a System: it replays the
-// residue through its own back end (L3, prefetcher, scheme, DRAM
-// timing, MSHR/dependence stalls, and the event-ordered core
-// scheduler). A width-1 Gang is one lane over a
-// stream of its own; a Gang runs N differently-seeded lanes of a
-// gang-safe scheme over one shared stream, paying the front end once.
-// Every lane's statistics are byte-identical to the same config run
-// alone, because that run is the same lane over a stream of its own.
-// The stream has one pacing rule: it generates an event when the first
-// lane needs it, so a lane that does not batch (System.batch) translates
-// each event at the instant it consumes it, after every earlier TLB
-// shootdown.
+// visible residue — gap, hit/miss bits, the index of the core's
+// previous lookup of the page, the L3 fills the L2 victims produce,
+// and the demand address. A lane is a System: it replays the residue
+// through its own back end (L3, prefetcher, scheme, TLB shootdowns,
+// DRAM timing, MSHR/dependence stalls, and the event-ordered core
+// scheduler). A width-1 Gang is one lane over a stream of its own; a
+// Gang runs N lanes of any schemes over one shared stream, paying the
+// front end once. Every lane's statistics are byte-identical to the
+// same config run alone, because that run is the same lane over a
+// stream of its own. The stream's TLBs are never flushed (vm.TLB
+// derives a lane's shootdowns from the recorded lookup index), and it
+// generates an event when the first lane needs it.
 
 // Per-event flag bits recorded by the front end. An event carries a
 // residual record iff any feHasRes bit is set.
 const (
-	feTLBMiss = 1 << iota // translation missed the TLB (page-walk cost)
+	feTLBMiss = 1 << iota // translation missed the never-flushed TLB (page-walk cost)
 	feL1Miss              // missed L1 → L2 accessed
 	feL2Miss              // missed L2 → LLC accessed
 	feWrite               // the demand access is a write
@@ -63,20 +62,26 @@ type resRec struct {
 }
 
 // feCore is one core's front end: its private L1/L2/TLB plus the
-// recorded event stream in SoA form (gaps and flags dense, residues
-// sparse). base/resBase are the global indices of element 0 — gen drops
-// the prefix every lane has consumed before a buffer would grow, so
-// memory stays bounded by lane skew, not run length.
+// recorded event stream in SoA form (gaps, flags and TLB-hit prevs
+// dense, residues sparse). base/resBase are the global indices of
+// element 0 — gen drops the prefix every lane has consumed before a
+// buffer would grow, so memory stays bounded by lane skew, not run
+// length.
 type feCore struct {
 	l1, l2 *cache.Cache
 	tlb    *vm.TLB
 
 	gaps    []uint32
 	flags   []uint8
+	prevs   []uint64
 	res     []resRec
 	base    uint64
 	resBase uint64
 }
+
+// feBufEvents is each core's starting buffer capacity, carved from one
+// allocation per buffer: a lane that never batches never outgrows it.
+const feBufEvents = 8
 
 // gangStream is the front end: one workload source, one page table,
 // and one feCore per simulated core, generating each core's event
@@ -116,8 +121,14 @@ func openStream(base Config) (*gangStream, error) {
 	if base.LargePages {
 		g.size = mem.Page2M
 	}
+	gaps := make([]uint32, cores*feBufEvents)
+	flags := make([]uint8, cores*feBufEvents)
+	prevs := make([]uint64, cores*feBufEvents)
+	res := make([]resRec, cores*feBufEvents)
 	for i := 0; i < cores; i++ {
 		f := &g.fe[i]
+		lo, hi := i*feBufEvents, (i+1)*feBufEvents
+		f.gaps, f.flags, f.prevs, f.res = gaps[lo:lo:hi], flags[lo:lo:hi], prevs[lo:lo:hi], res[lo:lo:hi]
 		f.l1 = cache.New(cache.Config{
 			Name: fmt.Sprintf("L1d-%d", i), SizeBytes: base.L1Bytes, Ways: base.L1Ways,
 			LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: base.Seed + uint64(i),
@@ -132,8 +143,9 @@ func openStream(base Config) (*gangStream, error) {
 }
 
 // gen simulates one more front-end event for core f, appending its
-// residue to the stream: translation, then the L1 access, the L1
-// victim's fill into L2, and the L2 access. Every line carries the
+// residue to the stream: translation through the never-flushed TLB
+// (whose lookup index is the event's index), then the L1 access, the
+// L1 victim's fill into L2, and the L2 access. Every line carries the
 // run's page size as its meta (§4.3). The scratch-eviction contract
 // holds: l2.Fill's eviction is copied out before l2.Access reuses the
 // scratch slot. event and batchShared call it when a lane's cursor
@@ -144,7 +156,8 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 		panic(fmt.Sprintf("sim: front end: event gap %d overflows the stream encoding", ev.Gap))
 	}
 	var flags uint8
-	if !f.tlb.Lookup(ev.Addr, g.pt) {
+	hit, prev := f.tlb.Lookup(ev.Addr, g.pt)
+	if !hit {
 		flags |= feTLBMiss
 	}
 	meta := uint8(g.size)
@@ -176,6 +189,7 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 	}
 	f.gaps = append(f.gaps, uint32(ev.Gap))
 	f.flags = append(f.flags, flags)
+	f.prevs = append(f.prevs, prev)
 	if flags&feHasRes != 0 {
 		f.res = append(f.res, r)
 	}
@@ -198,6 +212,7 @@ func (g *gangStream) compact(f *feCore, ci int) {
 	if k := minEv - f.base; k > 0 && 2*k >= uint64(len(f.gaps)) {
 		f.gaps = f.gaps[:copy(f.gaps, f.gaps[k:])]
 		f.flags = f.flags[:copy(f.flags, f.flags[k:])]
+		f.prevs = f.prevs[:copy(f.prevs, f.prevs[k:])]
 		f.base = minEv
 	}
 	if k := minRes - f.resBase; k > 0 && 2*k >= uint64(len(f.res)) {
@@ -207,19 +222,19 @@ func (g *gangStream) compact(f *feCore, ci int) {
 }
 
 // event returns core c's event at its cursor, generating it first if
-// no lane has reached it yet. r is non-nil iff the event carries a
-// residual record (feHasRes).
-func (g *gangStream) event(c *core) (gap uint32, flags uint8, r *resRec) {
+// no lane has reached it yet. prev is meaningful on a TLB hit only; r
+// is non-nil iff the event carries a residual record (feHasRes).
+func (g *gangStream) event(c *core) (gap uint32, flags uint8, prev uint64, r *resRec) {
 	f := &g.fe[c.id]
 	if c.evIdx-f.base == uint64(len(f.gaps)) {
 		g.gen(f, c.id)
 	}
 	i := c.evIdx - f.base
-	gap, flags = f.gaps[i], f.flags[i]
+	gap, flags, prev = f.gaps[i], f.flags[i], f.prevs[i]
 	if flags&feHasRes != 0 {
 		r = &f.res[c.resIdx-f.resBase]
 	}
-	return gap, flags, r
+	return gap, flags, prev, r
 }
 
 // release closes the source once every lane over the stream has let
@@ -246,15 +261,16 @@ func (g *gangStream) close() {
 
 // stepShared advances core c by one event: it replays the recorded
 // front-end residue through this lane's back end — retirement and
-// clock arithmetic, page-walk charge, counter increments, the L3 fill
-// of the L1 victim's cascade, the prefetcher's observation of the L1
-// miss, the L3 fill of the L2 victim, the LLC access, and the miss
-// path with MSHR and dependence-stall behavior (the lane's own RNG
-// draws in its own miss order). SRAM hit latencies are folded into the
-// core model (the out-of-order window hides them); only LLC misses are
-// timed.
+// clock arithmetic, the page-walk charge (the stream's TLB missed, or
+// this lane shot the TLBs down since the page's previous lookup),
+// counter increments, the L3 fill of the L1 victim's cascade, the
+// prefetcher's observation of the L1 miss, the L3 fill of the L2
+// victim, the LLC access, and the miss path with MSHR and
+// dependence-stall behavior (the lane's own RNG draws in its own miss
+// order). SRAM hit latencies are folded into the core model (the
+// out-of-order window hides them); only LLC misses are timed.
 func (s *System) stepShared(c *core) {
-	gap, flags, r := s.stream.event(c)
+	gap, flags, prev, r := s.stream.event(c)
 	c.evIdx++
 	// Non-memory instructions retire at IssueWidth.
 	c.fract += int(gap)
@@ -262,7 +278,7 @@ func (s *System) stepShared(c *core) {
 	c.fract %= s.cfg.IssueWidth
 	c.retired += uint64(gap) + 1
 
-	if flags&feTLBMiss != 0 {
+	if flags&feTLBMiss != 0 || prev < c.shotAt {
 		c.time += pageWalkCycles
 	}
 	s.st.L1Accesses++
@@ -314,17 +330,16 @@ func (s *System) stepShared(c *core) {
 // core does can reach c in between. Step applies an all-core stall
 // (mc.SWCost.AllCoresCycles) lazily, when it next pops the core, so a
 // stall charged while c is batched past it would land at a different
-// heap position; and a TLB shootdown would change whether an event the
-// scan generates early hits the TLB. Step therefore batches only in
-// lanes of gang-safe schemes (System.batch), which do neither. Step's
-// other mid-run global sequence points are the warmup mark and epoch
-// samples, so batching is disabled until the warmup mark has been
-// captured (or WarmupFrac is 0, when no mark is ever taken) and
-// whenever an epoch callback is installed. The scan generates events
-// as it reaches the end of the stream and stops at the first event
-// with a residual record or at the per-core budget, exactly where Step
-// would stop scheduling the core — so every event it generates is
-// consumed.
+// heap position, and so would a TLB shootdown. Step therefore batches
+// only in lanes that do neither (System.batch), where a TLB miss is
+// the stream's. Step's other mid-run global sequence points are the
+// warmup mark and epoch samples, so batching is disabled until the
+// warmup mark has been captured (or WarmupFrac is 0, when no mark is
+// ever taken) and whenever an epoch callback is installed. The scan
+// generates events as it reaches the end of the stream and stops at
+// the first event with a residual record or at the per-core budget,
+// exactly where Step would stop scheduling the core — so every event
+// it generates is consumed.
 func (s *System) batchShared(c *core) {
 	if s.epochFn != nil || (!s.warmed && s.warmTarget > 0) {
 		return
@@ -368,23 +383,20 @@ func (s *System) batchShared(c *core) {
 }
 
 // GangKey is the shared-front-end shape of cfg: two configs can run as
-// lanes of the same gang iff both keys are ok and equal. ok=false means
-// the scheme is not registered gang-safe (see registry.Scheme.GangSafe).
-// The key names the scheme kind (a gang stays within one scheme family,
-// so a failed gang's diagnosis stays legible) and covers everything the
-// shared front end depends on — the workload stream identity (name,
-// cores, effective workload seed, scale, intensity), the VM substrate
-// (large pages), the L1/L2/TLB geometry, the per-core instruction
-// budget (which fixes how many events each core consumes), and the
-// prefetch degree (which decides whether the stream records every L1
-// miss). Everything back-end — Seed, scheme tuning within the kind, L3
-// geometry, DRAM knobs, CPUMHz, IssueWidth, MSHRs, DepStallFrac,
-// WarmupFrac — may vary per lane.
-func GangKey(cfg Config) (key string, ok bool) {
-	return fmt.Sprintf("%s|%s|c%d|ws%d|sc%g|in%g|lp%t|l1:%d/%d|l2:%d/%d|tlb%d|n%d|pf%d",
-		cfg.Scheme.Kind, cfg.Workload, cfg.Cores, cfg.workloadSeed(), cfg.Scale, cfg.Intensity,
+// lanes of the same gang iff their keys are equal. The key covers
+// everything the shared front end depends on — the workload stream
+// identity (name, cores, effective workload seed, scale, intensity),
+// the VM substrate (large pages), the L1/L2/TLB geometry, the per-core
+// instruction budget (which fixes how many events each core consumes),
+// and the prefetch degree (which decides whether the stream records
+// every L1 miss). Everything back-end — the scheme and its modifiers,
+// Seed, L3 geometry, DRAM knobs, CPUMHz, IssueWidth, MSHRs,
+// DepStallFrac, WarmupFrac — may vary per lane.
+func GangKey(cfg Config) string {
+	return fmt.Sprintf("%s|c%d|ws%d|sc%g|in%g|lp%t|l1:%d/%d|l2:%d/%d|tlb%d|n%d|pf%d",
+		cfg.Workload, cfg.Cores, cfg.workloadSeed(), cfg.Scale, cfg.Intensity,
 		cfg.LargePages, cfg.L1Bytes, cfg.L1Ways, cfg.L2Bytes, cfg.L2Ways,
-		cfg.TLBEntries, cfg.InstrPerCore, cfg.PrefetchDegree), registry.GangSafe(cfg.Scheme)
+		cfg.TLBEntries, cfg.InstrPerCore, cfg.PrefetchDegree)
 }
 
 // Gang is a set of simulations (lanes) advancing in lockstep over one
@@ -400,9 +412,9 @@ type Gang struct {
 // NewGang assembles one lane per config. A single config runs alone
 // over a stream of its own, whatever its scheme — that is how every
 // stand-alone run (Session, the engine's singles) is built. Two or more
-// configs must all have an ok GangKey equal to lane 0's; a multi-seed
-// gang must therefore set WorkloadSeed so the lanes share a stream
-// (NewGangSeeds does this for you).
+// configs must all have lane 0's GangKey; a multi-seed gang must
+// therefore set WorkloadSeed so the lanes share a stream (NewGangSeeds
+// does this for you).
 func NewGang(cfgs []Config) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one lane config")
@@ -413,14 +425,9 @@ func NewGang(cfgs []Config) (*Gang, error) {
 		}
 	}
 	if len(cfgs) > 1 {
-		key, _ := GangKey(cfgs[0])
+		key := GangKey(cfgs[0])
 		for i := range cfgs {
-			k, ok := GangKey(cfgs[i])
-			if !ok {
-				return nil, fmt.Errorf("sim: gang lane %d: scheme kind %q is not registered gang-safe (it may flush the TLBs or stall every core)",
-					i, cfgs[i].Scheme.Kind)
-			}
-			if k != key {
+			if k := GangKey(cfgs[i]); k != key {
 				return nil, fmt.Errorf(
 					"sim: gang lane %d front-end shape %q differs from lane 0 %q (multi-seed gangs must share Config.WorkloadSeed)",
 					i, k, key)
@@ -478,8 +485,7 @@ func NewGangSeeds(cfg Config, workloadName, scheme string, seeds []uint64) (*Gan
 
 // newGangLane assembles one lane over gs — the L3 and everything below
 // it, plus the per-core scheduling state — and registers it with the
-// stream. The scheme is built against the stream's TLBs; a gang-safe
-// scheme, the only kind a stream shares, never touches them.
+// stream.
 func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 	cfg.Cores = len(gs.fe)
 	s := &System{
@@ -487,22 +493,20 @@ func newGangLane(cfg Config, gs *gangStream) (*System, error) {
 		stream:   gs,
 		pageSize: gs.size,
 		rng:      util.NewRNG(cfg.Seed ^ 0x51A1),
-		batch:    registry.GangSafe(cfg.Scheme),
+		batch:    registry.Batchable(cfg.Scheme),
 	}
 	s.l3 = cache.New(cache.Config{
 		Name: "L3", SizeBytes: cfg.L3Bytes, Ways: cfg.L3Ways,
 		LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: cfg.Seed,
 	})
-	tlbs := make([]*vm.TLB, cfg.Cores)
 	for i := range cfg.Cores {
 		c := &core{id: i}
 		if cfg.PrefetchDegree > 0 {
 			c.prefetch = NewPrefetcher(cfg.PrefetchDegree)
 		}
 		s.cores = append(s.cores, c)
-		tlbs[i] = gs.fe[i].tlb
 	}
-	scheme, err := buildScheme(cfg, tlbs)
+	scheme, err := buildScheme(cfg)
 	if err != nil {
 		return nil, err
 	}

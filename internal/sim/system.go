@@ -31,6 +31,7 @@ type core struct {
 	// Cursors into this core's front-end stream (gang.go).
 	evIdx  uint64 // next event index
 	resIdx uint64 // next residual record
+	shotAt uint64 // evIdx at this lane's last TLB shootdown (mc.SWCost.FlushTLBs)
 }
 
 // System is a fully assembled simulation: one lane — the back end from
@@ -49,7 +50,7 @@ type System struct {
 	inPkg    *dram.DRAM
 	offPkg   *dram.DRAM
 	rng      *util.RNG
-	batch    bool // batchShared may replay runs of events (a gang-safe scheme)
+	batch    bool // batchShared may replay runs of events (registry.Batchable)
 
 	st       stats.Sim
 	warmed   bool
@@ -99,15 +100,20 @@ type mark struct {
 	cycles  uint64
 }
 
-// coreQueue is the per-event scheduler: a specialized binary min-heap
-// over *core ordered by (local time, id). It replaces the previous
-// container/heap implementation, whose interface{} Push/Pop boxed a
-// pointer on every scheduling event — the devirtualized sift loops
-// below compile to direct slice code with no interface dispatch or
-// allocation. The (time, id) key is unique per core, so the pop order
-// — and therefore the simulation — is identical to any correct
-// min-heap's, container/heap included.
-type coreQueue []*core
+// coreQueue is the per-event scheduler: a binary min-heap of cores
+// ordered by (local time, id), with devirtualized sift loops that box
+// and allocate nothing. Each entry keeps its core's key inline, so a
+// compare reads no *core; only the root's clock moves while it is
+// queued, and Step writes it back before sifting. The key is unique per
+// core, so the pop order — and therefore the simulation — is identical
+// to any correct min-heap's.
+type coreQueue []queued
+
+type queued struct {
+	time uint64
+	id   int
+	c    *core
+}
 
 func (q coreQueue) less(i, j int) bool {
 	if q[i].time != q[j].time {
@@ -116,16 +122,14 @@ func (q coreQueue) less(i, j int) bool {
 	return q[i].id < q[j].id
 }
 
-// pop removes and returns the earliest core.
-func (q *coreQueue) pop() *core {
+// pop removes the earliest core.
+func (q *coreQueue) pop() {
 	h := *q
 	n := len(h) - 1
-	top := h[0]
 	h[0] = h[n]
-	h[n] = nil // release the reference
+	h[n] = queued{} // release the reference
 	*q = h[:n]
 	q.siftDown(0)
-	return top
 }
 
 // siftDown restores heap order below slot i.
@@ -148,20 +152,13 @@ func (q coreQueue) siftDown(i int) {
 	}
 }
 
-// heapify establishes the heap invariant over arbitrary contents.
-func (q coreQueue) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
-// start initializes the scheduling heap; the first Step calls it.
+// start initializes the scheduling heap; the first Step calls it. Every
+// core starts at time 0, so the cores in id order are already a heap.
 func (s *System) start() {
 	s.h = make(coreQueue, 0, len(s.cores))
 	for _, c := range s.cores {
-		s.h = append(s.h, c)
+		s.h = append(s.h, queued{time: c.time, id: c.id, c: c})
 	}
-	s.h.heapify()
 	s.started = true
 }
 
@@ -191,7 +188,7 @@ func (s *System) Step(n uint64) (done bool, err error) {
 		// re-keying the root and sifting selects the same next core as a
 		// full pop/push cycle would — the event order is identical — at
 		// half the heap traffic.
-		c := s.h[0]
+		c := s.h[0].c
 		if c.pending > 0 {
 			c.time += c.pending
 			c.pending = 0
@@ -217,6 +214,7 @@ func (s *System) Step(n uint64) (done bool, err error) {
 			c.done = true
 			s.h.pop()
 		} else {
+			s.h[0].time = c.time
 			s.h.siftDown(0)
 		}
 	}
@@ -541,8 +539,14 @@ func (s *System) executeOps(c *core, res mc.Result, now uint64) uint64 {
 	}
 
 	// Software costs: the initiator stalls the requesting core; every
-	// other core picks up its share at its next scheduling point.
+	// other core picks up its share at its next scheduling point. A
+	// shootdown precedes every core's next event (gang.go).
 	for _, sw := range res.SW {
+		if sw.FlushTLBs {
+			for _, o := range s.cores {
+				o.shotAt = o.evIdx
+			}
+		}
 		c.time += sw.InitiatorCycles
 		s.st.SWStallCycles += sw.InitiatorCycles
 		if sw.AllCoresCycles > 0 {

@@ -41,7 +41,7 @@ type way struct {
 
 // Unison is the scheme instance. Not safe for concurrent use.
 type Unison struct {
-	sets      [][]way
+	ways      []way // set×assoc+way
 	mask      uint64
 	tagShift  uint // precomputed popcount(mask): the tag shift
 	tick      uint64
@@ -62,22 +62,19 @@ func New(cfg Config) *Unison {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("unison: capacity %d with %d ways gives non-power-of-two set count %d", cfg.CapacityBytes, assoc, nsets))
 	}
-	u := &Unison{
-		sets:     make([][]way, nsets),
+	return &Unison{
+		ways:     make([]way, nsets*assoc),
 		mask:     uint64(nsets - 1),
 		tagShift: uint(bits.OnesCount64(uint64(nsets - 1))),
 	}
-	for i := range u.sets {
-		u.sets[i] = make([]way, assoc)
-	}
-	return u
 }
 
 // Name implements mc.Scheme.
 func (u *Unison) Name() string { return "Unison" }
 
 func (u *Unison) lookup(page uint64) (set []way, idx int, tag uint64) {
-	set = u.sets[page&u.mask]
+	base := int(page&u.mask) * assoc
+	set = u.ways[base : base+assoc]
 	tag = page >> u.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {

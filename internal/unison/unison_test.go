@@ -87,7 +87,7 @@ func TestMissTrafficAndReplacement(t *testing.T) {
 
 func TestLRUVictimSelection(t *testing.T) {
 	u := newTest()
-	sets := uint64(len(u.sets))
+	sets := u.mask + 1
 	stride := mem.Addr(sets * mem.PageBytes)
 	for i := 0; i < 4; i++ {
 		u.Access(mem.Request{Addr: mem.Addr(i) * stride})
@@ -104,7 +104,7 @@ func TestLRUVictimSelection(t *testing.T) {
 
 func TestFootprintLearning(t *testing.T) {
 	u := newTest()
-	sets := uint64(len(u.sets))
+	sets := u.mask + 1
 	stride := mem.Addr(sets * mem.PageBytes)
 	// Touch 8 lines per page generation over many generations in one set.
 	for g := 0; g < 200; g++ {
@@ -120,7 +120,7 @@ func TestFootprintLearning(t *testing.T) {
 
 func TestDirtyLinesWrittenBackOnEviction(t *testing.T) {
 	u := newTest()
-	sets := uint64(len(u.sets))
+	sets := u.mask + 1
 	stride := mem.Addr(sets * mem.PageBytes)
 	u.Access(mem.Request{Addr: 0})
 	// Dirty two lines of page 0 via LLC evictions.

@@ -16,7 +16,7 @@ type refTLB struct {
 	size         int
 	keys         []uint64 // MRU first
 
-	hits, misses, shootdowns uint64
+	hits, misses uint64
 }
 
 // key returns the page key vaddr translates under.
@@ -42,13 +42,14 @@ func (r *refTLB) lookup(vaddr mem.Addr) bool {
 	return false
 }
 
+// flush empties the reference (a shootdown).
 func (r *refTLB) flush() {
-	r.shootdowns++
 	r.keys = r.keys[:0]
 }
 
 // FuzzPageTable checks translation and the TLB over it against refTLB
-// on arbitrary call sequences. The input decodes as a 1-byte header
+// on arbitrary call sequences, and the shootdown rule against a second
+// refTLB that is flushed at every shootdown. The input decodes as a 1-byte header
 // (bit 0 sets DefaultLarge, bits 1–3 give the TLB size minus one)
 // followed by 4-byte operations: an op byte, a 16-bit little-endian
 // page number folded into 2048 pages (four 2 MB regions), and an
@@ -56,10 +57,12 @@ func (r *refTLB) flush() {
 //
 //   - 0, 1: TLB.Lookup at an offset within the page;
 //   - 2: PageTable.Translate;
-//   - 3: TLB.Flush (a shootdown).
+//   - 3: a shootdown, which flushes the second reference only.
 //
 // Every hit bit and frame number must agree, and so must the TLB's
-// Hits, Misses, Shootdowns and Occupancy after each operation.
+// Hits, Misses and Occupancy after each operation. A lookup hits the
+// flushed reference iff it hits the TLB and the page's previous lookup
+// came at or after the last shootdown.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{6, 0, 7, 0, 0, 0, 7, 0, 0x40, 2, 0xBC, 0x0A, 0, 0, 7, 0, 1})
 	f.Add([]byte{2, 0, 0, 2, 0, 0, 5, 2, 0, 0, 9, 0, 0, 3, 0, 0, 0, 0, 0, 2, 1})
@@ -85,6 +88,8 @@ func FuzzPageTable(f *testing.F) {
 		size := int(data[0]>>1&7) + 1
 		tlb := NewTLB(size)
 		ref := &refTLB{defaultLarge: pt.DefaultLarge, size: size}
+		shot := &refTLB{defaultLarge: pt.DefaultLarge, size: size}
+		var shotAt uint64 // lookup index of the last shootdown
 		ops := data[1:]
 		for i := 0; i+3 < len(ops); i += 4 {
 			op := ops[i]
@@ -92,20 +97,25 @@ func FuzzPageTable(f *testing.F) {
 			addr := mem.Addr(page<<mem.PageOffsetBits | uint64(ops[i+3])<<4)
 			switch op & 3 {
 			case 0, 1:
-				if got, want := tlb.Lookup(addr, pt), ref.lookup(addr); got != want {
+				got, prev := tlb.Lookup(addr, pt)
+				if want := ref.lookup(addr); got != want {
 					t.Fatalf("op %d: Lookup(%#x) hit %v, reference %v", i/4, addr, got, want)
+				}
+				if rule, want := got && prev >= shotAt, shot.lookup(addr); rule != want {
+					t.Fatalf("op %d: Lookup(%#x) after a shootdown at lookup %d: rule says hit %v (prev %d), flushed reference %v",
+						i/4, addr, shotAt, rule, prev, want)
 				}
 			case 2:
 				if got, want := pt.Translate(addr), ref.key(addr); got != want {
 					t.Fatalf("op %d: Translate(%#x) = %#x, reference %#x", i/4, addr, got, want)
 				}
 			case 3:
-				tlb.Flush()
-				ref.flush()
+				shot.flush()
+				shotAt = tlb.Hits + tlb.Misses
 			}
-			if tlb.Hits != ref.hits || tlb.Misses != ref.misses || tlb.Shootdowns != ref.shootdowns {
-				t.Fatalf("op %d: hits/misses/shootdowns %d/%d/%d, reference %d/%d/%d", i/4,
-					tlb.Hits, tlb.Misses, tlb.Shootdowns, ref.hits, ref.misses, ref.shootdowns)
+			if tlb.Hits != ref.hits || tlb.Misses != ref.misses {
+				t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", i/4,
+					tlb.Hits, tlb.Misses, ref.hits, ref.misses)
 			}
 			if got, want := tlb.Occupancy(), len(ref.keys); got != want {
 				t.Fatalf("op %d: Occupancy %d, reference %d", i/4, got, want)

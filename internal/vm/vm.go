@@ -1,8 +1,10 @@
 // Package vm models the virtual-memory substrate Banshee's
 // software/hardware co-design relies on: translation at the run's page
-// size, per-core TLBs whose misses cost a page walk and which Banshee's
-// tag-buffer flush shoots down (§3.4), and the cost accounting for TLB
-// shootdowns and page-table update routines.
+// size, per-core TLBs whose misses cost a page walk, and the cost
+// accounting for TLB shootdowns and page-table update routines. A TLB
+// here is never flushed: it stamps each entry with its last lookup, and
+// the simulator derives a shot-down TLB's hits from those stamps (see
+// TLB.Lookup).
 //
 // The paper's hardware keeps a cached page's location in three places:
 // the DRAM cache's metadata, the tag buffers, and a 3-bit PTE/TLB
@@ -57,21 +59,26 @@ func (pt *PageTable) Translate(vaddr mem.Addr) uint64 {
 
 // TLB is one core's translation lookaside buffer (fully associative,
 // exact LRU). It holds page numbers only: its hits and misses set the
-// page-walk timing the simulator charges, and Banshee's shootdowns
-// (Flush) empty it. An index table makes the hit path O(1), and
-// recency is a doubly-linked MRU list of slot indices, so a miss evicts
-// the list tail in O(1). Entries are only invalidated wholesale (Flush), so the
-// valid entries always form the prefix [0, filled): until the TLB is
-// full, the victim is the fill frontier.
+// page-walk timing the simulator charges. An index table makes the hit
+// path O(1), and recency is a doubly-linked MRU list of slot indices,
+// so a miss evicts the list tail in O(1). Entries are never
+// invalidated, so the valid entries always form the prefix [0,
+// filled): until the TLB is full, the victim is the fill frontier.
+//
+// Each slot also stamps the index of its page's last lookup (the
+// lookup count Hits+Misses at that time). That stamp decides what a
+// TLB shootdown would have done without performing one: both TLBs are
+// exact LRU, so a TLB flushed before lookup f hits on lookup i ≥ f iff
+// this one hits and the page's previous lookup came at or after f.
 type TLB struct {
 	vpages     []uint64
+	stamps     []uint64 // index of each slot's last lookup
 	next, prev []int32
 	head, tail int32 // MRU and LRU ends of the recency list
 	filled     int
 	index      util.Flat64[int32] // vpage key → slot, mirrors entries [0, filled)
 
 	Hits, Misses uint64
-	Shootdowns   uint64
 }
 
 // NewTLB returns a TLB with n entries. n must be positive.
@@ -81,6 +88,7 @@ func NewTLB(n int) *TLB {
 	}
 	return &TLB{
 		vpages: make([]uint64, n),
+		stamps: make([]uint64, n),
 		next:   make([]int32, n),
 		prev:   make([]int32, n),
 		head:   -1,
@@ -122,13 +130,17 @@ func (t *TLB) pushFront(i int32) {
 }
 
 // Lookup translates vaddr through the TLB, filling the entry on a
-// miss, and reports whether the translation hit.
-func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) bool {
+// miss, and reports whether the translation hit. On a hit, prev is the
+// index of the page's previous lookup: a TLB shot down before lookup f
+// would have missed unless prev ≥ f (see TLB).
+func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) (hit bool, prev uint64) {
 	key := pt.Translate(vaddr)
+	now := t.Hits + t.Misses
 	if i, ok := t.index.Get(key); ok {
 		t.touch(i)
 		t.Hits++
-		return true
+		prev, t.stamps[i] = t.stamps[i], now
+		return true, prev
 	}
 	t.Misses++
 	var victim int32
@@ -142,16 +154,9 @@ func (t *TLB) Lookup(vaddr mem.Addr, pt *PageTable) bool {
 		t.touch(victim)
 	}
 	t.vpages[victim] = key
+	t.stamps[victim] = now
 	t.index.Put(key, victim)
-	return false
-}
-
-// Flush invalidates every entry (a TLB shootdown's effect on this core).
-func (t *TLB) Flush() {
-	t.Shootdowns++
-	t.filled = 0
-	t.head, t.tail = -1, -1
-	t.index.Clear()
+	return false, 0
 }
 
 // Occupancy returns the number of valid entries (diagnostic).

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -40,11 +41,11 @@ func TestDefaultLarge(t *testing.T) {
 func TestTLBHitMiss(t *testing.T) {
 	pt := NewPageTable()
 	tlb := NewTLB(4)
-	if tlb.Lookup(0x1000, pt) {
+	if hit, _ := tlb.Lookup(0x1000, pt); hit {
 		t.Fatal("cold TLB hit")
 	}
-	if !tlb.Lookup(0x1040, pt) { // same page
-		t.Fatal("TLB missed after fill")
+	if hit, prev := tlb.Lookup(0x1040, pt); !hit || prev != 0 { // same page
+		t.Fatalf("second lookup of the page: hit %v prev %d, want a hit on lookup 0", hit, prev)
 	}
 	if tlb.Hits != 1 || tlb.Misses != 1 {
 		t.Fatalf("hits/misses = %d/%d", tlb.Hits, tlb.Misses)
@@ -58,10 +59,10 @@ func TestTLBCapacityLRU(t *testing.T) {
 	tlb.Lookup(0x2000, pt)
 	tlb.Lookup(0x1000, pt) // refresh page 1
 	tlb.Lookup(0x3000, pt) // evicts page 2
-	if !tlb.Lookup(0x1000, pt) {
-		t.Fatal("MRU entry evicted")
+	if hit, prev := tlb.Lookup(0x1000, pt); !hit || prev != 2 {
+		t.Fatalf("MRU entry: hit %v prev %d, want a hit on lookup 2", hit, prev)
 	}
-	if tlb.Lookup(0x2000, pt) {
+	if hit, _ := tlb.Lookup(0x2000, pt); hit {
 		t.Fatal("LRU entry survived")
 	}
 }
@@ -73,11 +74,11 @@ func TestTLBLargePageKey(t *testing.T) {
 	tlb.Lookup(0x40000000, pt)
 	// Any 4 KB page in the same 2 MB region must hit the same entry.
 	for _, off := range []mem.Addr{mem.PageBytes * 17, mem.LargeBytes - 1} {
-		if !tlb.Lookup(0x40000000+off, pt) {
+		if hit, _ := tlb.Lookup(0x40000000+off, pt); !hit {
 			t.Fatalf("offset %#x: large-page TLB entry not shared across the region", uint64(off))
 		}
 	}
-	if tlb.Lookup(0x40000000+mem.LargeBytes, pt) {
+	if hit, _ := tlb.Lookup(0x40000000+mem.LargeBytes, pt); hit {
 		t.Fatal("neighboring region hit the large-page TLB entry")
 	}
 }
@@ -94,9 +95,43 @@ func TestTLBOccupancy(t *testing.T) {
 	if tlb.Occupancy() != 4 {
 		t.Fatalf("occupancy %d, want 4", tlb.Occupancy())
 	}
-	tlb.Flush()
-	if tlb.Occupancy() != 0 {
-		t.Fatal("flush left entries valid")
+}
+
+// TestTLBShootdownRule is the differential check of the rule the
+// simulator charges shootdowns by: over random page streams with random
+// shootdown points, a reference TLB that is flushed at each point hits
+// exactly when the never-flushed TLB hits and the page's previous
+// lookup came at or after the last flush.
+func TestTLBShootdownRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var flips uint64 // hits a flush turned into misses
+	for trial := 0; trial < 200; trial++ {
+		size := 1 + rng.IntN(16)
+		pages := uint64(1 + rng.IntN(4*size))
+		flushP := rng.Float64() * 0.1
+		pt := NewPageTable()
+		tlb := NewTLB(size)
+		ref := &refTLB{size: size}
+		var flushAt uint64
+		for i := uint64(0); i < 2000; i++ {
+			if rng.Float64() < flushP {
+				ref.flush()
+				flushAt = i
+			}
+			addr := mem.Addr(rng.Uint64N(pages)<<mem.PageOffsetBits | rng.Uint64N(mem.PageBytes))
+			hit, prev := tlb.Lookup(addr, pt)
+			want := ref.lookup(addr)
+			if got := hit && prev >= flushAt; got != want {
+				t.Fatalf("trial %d (size %d, %d pages), lookup %d: rule says hit %v (TLB hit %v, prev %d, last flush %d), flushed reference %v",
+					trial, size, pages, i, got, hit, prev, flushAt, want)
+			}
+			if hit && !want {
+				flips++
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no flush ever turned a hit into a miss; the check is vacuous")
 	}
 }
 

@@ -65,7 +65,7 @@ func testZeroAlloc(t *testing.T, s mc.Scheme, pages uint64) {
 }
 
 // TestBansheeAccessZeroAlloc drives Banshee through remaps, tag-buffer
-// flushes and the TLB shootdowns they trigger.
+// flushes and the TLB shootdowns they declare.
 func TestBansheeAccessZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		capacity    int
@@ -76,7 +76,7 @@ func TestBansheeAccessZeroAlloc(t *testing.T) {
 	} {
 		cfg := bcore.DefaultConfig(c.capacity)
 		cfg.Seed = c.seed
-		s := bcore.New(cfg, []*vm.TLB{vm.NewTLB(64)}, vm.DefaultCostModel(2700))
+		s := bcore.New(cfg, vm.DefaultCostModel(2700))
 		zeroAlloc(t, s.Name(), func(i int) { schemeStep(s, c.pages, i) })
 	}
 }
@@ -141,13 +141,10 @@ func TestDRAMAccessZeroAlloc(t *testing.T) {
 
 // TestTLBLookupZeroAlloc drives a 64-entry TLB over 1024 mapped pages:
 // every other lookup goes to a 32-page hot set that hits, the rest
-// miss, and a shootdown flushes the TLB every 1000 steps.
+// miss.
 func TestTLBLookupZeroAlloc(t *testing.T) {
 	pt, tlb := vm.NewPageTable(), vm.NewTLB(64)
 	zeroAlloc(t, "TLB.Lookup", func(i int) {
-		if i%1000 == 0 {
-			tlb.Flush()
-		}
 		page := (uint64(i) * 2654435761) % 1024
 		if i%2 == 0 {
 			page %= 32
