@@ -425,9 +425,9 @@ type BatchOptions struct {
 	// from Out ("sweep.jsonl" → "sweep.failed.jsonl"); only used with
 	// KeepGoing, and the file exists only when failures occurred.
 	FailedOut string
-	// GangWidth, when ≥ 2, executes up to that many gang-eligible jobs
-	// sharing a front-end shape (same workload stream — differing only
-	// by seed with WorkloadSeed pinned, or by back-end knobs) as one
+	// GangWidth, when ≥ 2, executes up to that many jobs sharing a
+	// front-end shape (same workload stream — differing only by seed
+	// with WorkloadSeed pinned, by scheme, or by back-end knobs) as one
 	// lockstep GangSession. Results, checkpoint files, and failure
 	// handling are byte-identical to independent execution; a failed
 	// gang automatically retries its jobs independently. 0 disables.

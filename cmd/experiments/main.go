@@ -22,10 +22,10 @@
 // The "fault:<spec>:<inner>" workload names inject deterministic
 // source-level chaos for testing that machinery.
 //
-// With -gang N the batch engine executes up to N gang-eligible jobs of
-// a matrix (same workload stream and scheme kind, differing only by
-// seed or back-end knobs — see DESIGN.md §12) as one lockstep gang;
-// every output file stays byte-identical to an ungrouped run.
+// With -gang N the batch engine executes up to N jobs of a matrix that
+// share a workload stream (differing only by seed, scheme or back-end
+// knobs — see DESIGN.md §12) as one lockstep gang; every output file
+// stays byte-identical to an ungrouped run.
 //
 // With -remote ADDR each matrix is submitted to a running sweepd
 // daemon instead of simulated locally: the daemon executes the jobs
@@ -90,7 +90,7 @@ func run() (code int) {
 		keepGoing  = flag.Bool("keep-going", false, "complete sweeps past failed jobs (ledger + partial figures) instead of aborting")
 		retries    = flag.Int("retries", 1, "attempts per job (retries with backoff after the first)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job-attempt deadline (0 = none)")
-		gang       = flag.Int("gang", 0, "run up to N gang-eligible jobs as one lockstep gang (0 = off)")
+		gang       = flag.Int("gang", 0, "run up to N jobs that share a workload stream as one lockstep gang (0 = off)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 		remote     = flag.String("remote", "", "submit matrices to the sweepd daemon at this address instead of running locally")

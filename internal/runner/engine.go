@@ -68,10 +68,10 @@ type Engine struct {
 	JobRunner JobRunner
 
 	// GangWidth, when ≥ 2, lets the engine execute up to that many
-	// adjacent gang-eligible jobs as one group: lanes of one lockstep
-	// sim.Gang. Jobs sharing a scheme kind and front-end shape — same
-	// workload stream, differing only by seed or back-end knobs —
-	// amortize one shared front end across their lanes. Results are
+	// jobs sharing a front-end shape (sim.GangKey) as one group: lanes
+	// of one lockstep sim.Gang. Such jobs — same workload stream,
+	// differing only by seed, scheme or back-end knobs — amortize one
+	// shared front end across their lanes. Results are
 	// byte-identical to independent execution, so the sink,
 	// checkpoint/resume, the failure ledger, and content-key reuse all
 	// keep operating per job; a gang that fails for any reason falls

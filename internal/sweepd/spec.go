@@ -27,8 +27,8 @@ import (
 // execution policy, not content: none of them change the sweep's
 // output bytes, so they are excluded from the sweep ID.
 type RunOptions struct {
-	// GangWidth ≥ 2 lets the engine run that many gang-eligible jobs
-	// as one lockstep gang.
+	// GangWidth ≥ 2 lets the engine run that many jobs sharing a
+	// front-end shape as one lockstep gang.
 	GangWidth int `json:"gang_width,omitempty"`
 	// Retries is the total attempts per job (0 and 1 both mean one).
 	Retries int `json:"retries,omitempty"`
