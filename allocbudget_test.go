@@ -37,7 +37,7 @@ func TestAllocBudget(t *testing.T) {
 		i++
 		return err
 	})
-	want := map[string]float64{"independent": 2776, "gang8": 1256}
+	want := map[string]float64{"independent": 2072, "gang8": 939}
 	for _, arm := range gangSweepArms {
 		check("GangSweep/"+arm.name, want[arm.name], func() error {
 			_, err := arm.run()

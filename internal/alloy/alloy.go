@@ -36,15 +36,27 @@ type Config struct {
 // transfer of the HBM-like link (§2).
 const tagBytes = 32
 
-// A line is one word: (tag+1)<<1 | dirty, and 0 is a free line. A
-// tag is below 2^48, so tag+1 never wraps and a resident line is never
-// 0.
-func lineKey(tag uint64) uint64 { return (tag + 1) << 1 }
+// A line is one 32-bit word: (tag+1)<<1 | dirty, and 0 is a free line.
+// MinCapacityBytes (2^12 lines) leaves a 48-bit address a tag below
+// 2^maxTagBits, so tag+1 never wraps and a resident line is never 0.
+const (
+	MinCapacityBytes = 1 << 12 * mem.LineBytes
+	maxTagBits       = 30
+)
+
+// lineKey packs a resident clean line's tag. It panics on a tag wider
+// than maxTagBits, which the word cannot hold.
+func lineKey(tag uint64) uint32 {
+	if tag>>maxTagBits != 0 {
+		panic(fmt.Sprintf("alloy: tag %#x exceeds %d bits", tag, maxTagBits))
+	}
+	return uint32(tag+1) << 1
+}
 
 // Alloy is the scheme instance. Not safe for concurrent use.
 type Alloy struct {
 	name     string
-	sets     []uint64 // one line word per direct-mapped set
+	sets     []uint32 // one line word per direct-mapped set
 	mask     uint64
 	tagShift uint // precomputed popcount(mask): the tag shift
 	rng      *util.RNG
@@ -58,12 +70,13 @@ type Alloy struct {
 	tagProbes uint64
 }
 
-// New builds an Alloy cache. Capacity must be a positive multiple of the
-// line size; it panics otherwise (setup bug).
+// New builds an Alloy cache. Capacity must give a power-of-two line
+// count of at least MinCapacityBytes; it panics otherwise (setup bug).
 func New(cfg Config) *Alloy {
 	n := cfg.CapacityBytes / mem.LineBytes
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("alloy: capacity %d must give a power-of-two line count, got %d", cfg.CapacityBytes, n))
+	if cfg.CapacityBytes < MinCapacityBytes || n&(n-1) != 0 {
+		panic(fmt.Sprintf("alloy: capacity %d must give a power-of-two line count of at least %d, got %d",
+			cfg.CapacityBytes, MinCapacityBytes/mem.LineBytes, n))
 	}
 	if cfg.FillProb <= 0 || cfg.FillProb > 1 {
 		panic(fmt.Sprintf("alloy: fill probability %v out of (0,1]", cfg.FillProb))
@@ -74,7 +87,7 @@ func New(cfg Config) *Alloy {
 	}
 	return &Alloy{
 		name:     name,
-		sets:     make([]uint64, n),
+		sets:     make([]uint32, n),
 		mask:     uint64(n - 1),
 		tagShift: uint(bits.OnesCount64(uint64(n - 1))),
 		rng:      util.NewRNG(cfg.Seed ^ 0xA110C),
@@ -85,7 +98,7 @@ func New(cfg Config) *Alloy {
 // Name implements mc.Scheme.
 func (a *Alloy) Name() string { return a.name }
 
-func (a *Alloy) slot(addr mem.Addr) (*uint64, uint64) {
+func (a *Alloy) slot(addr mem.Addr) (*uint32, uint64) {
 	ln := mem.LineNum(addr)
 	return &a.sets[ln&a.mask], ln >> a.tagShift
 }
@@ -103,7 +116,7 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 	// path. On a hit the 64 B is useful (HitData); on a miss it was
 	// speculative (MissData), and the demand line comes from off-package
 	// in the next stage.
-	if *slot>>1 == tag+1 {
+	if uint64(*slot>>1) == tag+1 {
 		a.ops = append(a.ops,
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassHitData, Stage: 0, Critical: true},
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0, Critical: true, Fused: true},
@@ -117,11 +130,12 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 	)
 	// Stochastic fill (BEAR): replace only with probability fillP.
 	if a.rng.Bool(a.fillP) {
+		key := lineKey(tag)
 		a.fills++
 		if *slot&1 != 0 {
 			// The victim's data was already read by the TAD probe; it
 			// only needs the off-package write-back.
-			victim := a.victimAddr(addr, *slot>>1-1)
+			victim := a.victimAddr(addr, uint64(*slot>>1-1))
 			ops = append(ops, mem.Op{Target: mem.OffPackage, Addr: victim, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1})
 		}
 		// Fill writes data + updated tag.
@@ -129,7 +143,7 @@ func (a *Alloy) Access(req mem.Request) mc.Result {
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1},
 			mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Write: true, Class: mem.ClassTag, Stage: 1, Fused: true},
 		)
-		*slot = lineKey(tag)
+		*slot = key
 	}
 	a.ops = ops
 	return mc.Result{Hit: false, Ops: ops}
@@ -144,10 +158,10 @@ func (a *Alloy) victimAddr(addr mem.Addr, victimTag uint64) mem.Addr {
 
 // eviction handles an LLC dirty write-back: BEAR write probe (32 B tag
 // read), then the 64 B data write to whichever DRAM owns the line.
-func (a *Alloy) eviction(addr mem.Addr, slot *uint64, tag uint64) mc.Result {
+func (a *Alloy) eviction(addr mem.Addr, slot *uint32, tag uint64) mc.Result {
 	a.tagProbes++
 	ops := append(a.ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: tagBytes, Class: mem.ClassTag, Stage: 0})
-	hit := *slot>>1 == tag+1
+	hit := uint64(*slot>>1) == tag+1
 	if hit {
 		*slot |= 1
 		ops = append(ops, mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassHitData, Stage: 1})

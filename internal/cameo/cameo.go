@@ -15,6 +15,7 @@ package cameo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"banshee/internal/mc"
 	"banshee/internal/mem"
@@ -29,15 +30,29 @@ type Config struct {
 const lltBytes = 32
 
 // A slot records which congruence-group member occupies the in-package
-// way in one word: (occupant+1)<<1 | dirty, where occupant is the
-// resident's line number, and 0 is a cold slot. A line number is below
-// 2^42, so occupant+1 never wraps and an occupied slot is never 0.
-func slotKey(occupant uint64) uint64 { return (occupant + 1) << 1 }
+// way in one 32-bit word: (tag+1)<<1 | dirty, where tag is the
+// occupant's line number above the slot index, and 0 is a cold slot.
+// MinCapacityBytes (2^12 slots) leaves a 48-bit address a tag below
+// 2^maxTagBits, so tag+1 never wraps and an occupied slot is never 0.
+const (
+	MinCapacityBytes = 1 << 12 * mem.LineBytes
+	maxTagBits       = 30
+)
+
+// slotKey packs a clean occupant's tag. It panics on a tag wider than
+// maxTagBits, which the word cannot hold.
+func slotKey(tag uint64) uint32 {
+	if tag>>maxTagBits != 0 {
+		panic(fmt.Sprintf("cameo: tag %#x exceeds %d bits", tag, maxTagBits))
+	}
+	return uint32(tag+1) << 1
+}
 
 // CAMEO is the scheme instance. Not safe for concurrent use.
 type CAMEO struct {
-	slots []uint64
-	mask  uint64
+	slots   []uint32
+	mask    uint64
+	setBits uint // log2(len(slots)): the tag shift
 
 	// ops is the scratch buffer reused by every Access (see the
 	// ownership note on mc.Result).
@@ -47,13 +62,14 @@ type CAMEO struct {
 }
 
 // New builds a CAMEO instance; capacity must give a power-of-two line
-// count.
+// count of at least MinCapacityBytes.
 func New(cfg Config) *CAMEO {
 	n := cfg.CapacityBytes / mem.LineBytes
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("cameo: capacity %d must give a power-of-two line count", cfg.CapacityBytes))
+	if cfg.CapacityBytes < MinCapacityBytes || n&(n-1) != 0 {
+		panic(fmt.Sprintf("cameo: capacity %d must give a power-of-two line count of at least %d",
+			cfg.CapacityBytes, MinCapacityBytes/mem.LineBytes))
 	}
-	return &CAMEO{slots: make([]uint64, n), mask: uint64(n - 1)}
+	return &CAMEO{slots: make([]uint32, n), mask: uint64(n - 1), setBits: uint(bits.TrailingZeros(uint(n)))}
 }
 
 // Name implements mc.Scheme.
@@ -64,11 +80,12 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 	c.ops = c.ops[:0]
 	addr := mem.LineAddr(req.Addr)
 	line := mem.LineNum(addr)
-	s := &c.slots[line&c.mask]
+	set, tag := line&c.mask, line>>c.setBits
+	s := &c.slots[set]
 
 	// A cold slot (0) holds no line: the identity member notionally
 	// lives there, and any other group member is off-package.
-	resident := *s>>1 == line+1
+	resident := uint64(*s>>1) == tag+1
 
 	if req.Eviction {
 		if resident {
@@ -94,13 +111,14 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 	// off-package, then swap it with the current occupant. The swap is
 	// CAMEO's defining traffic: occupant moves out, new line moves in,
 	// LLT updated.
+	key := slotKey(tag)
 	c.swaps++
 	c.ops = append(c.ops,
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: lltBytes, Class: mem.ClassTag, Stage: 0, Critical: true},
 		mem.Op{Target: mem.OffPackage, Addr: addr, Bytes: mem.LineBytes, Class: mem.ClassMissData, Stage: 1, Critical: true},
 	)
 	if *s != 0 {
-		old := mem.LineBase(*s>>1 - 1)
+		old := mem.LineBase(uint64(*s>>1-1)<<c.setBits | set)
 		c.ops = append(c.ops,
 			mem.Op{Target: mem.InPackage, Addr: old, Bytes: mem.LineBytes, Class: mem.ClassReplacement, Stage: 1},
 			mem.Op{Target: mem.OffPackage, Addr: old, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1},
@@ -110,7 +128,7 @@ func (c *CAMEO) Access(req mem.Request) mc.Result {
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: mem.LineBytes, Write: true, Class: mem.ClassReplacement, Stage: 1},
 		mem.Op{Target: mem.InPackage, Addr: addr, Bytes: lltBytes, Write: true, Class: mem.ClassTag, Stage: 1, Fused: true},
 	)
-	*s = slotKey(line)
+	*s = key
 	return mc.Result{Hit: false, Ops: c.ops}
 }
 
@@ -121,5 +139,5 @@ func (c *CAMEO) FillStats(s *stats.Sim) {
 
 // Resident reports whether the line currently occupies its slot (tests).
 func (c *CAMEO) Resident(line uint64) bool {
-	return c.slots[line&c.mask]>>1 == line+1
+	return uint64(c.slots[line&c.mask]>>1) == line>>c.setBits+1
 }

@@ -24,6 +24,9 @@ func init() {
 		},
 		NoAllCoreStall: true,
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
+			if err := minCapacity(env, alloy.MinCapacityBytes); err != nil {
+				return nil, err
+			}
 			p := spec.AlloyFillProb
 			if p == 0 {
 				p = 1

@@ -14,6 +14,9 @@ func init() {
 		Parse:          exact("cameo", "CAMEO"),
 		NoAllCoreStall: true,
 		Build: func(spec Spec, env Env) (mc.Scheme, error) {
+			if err := minCapacity(env, cameo.MinCapacityBytes); err != nil {
+				return nil, err
+			}
 			return cameo.New(cameo.Config{CapacityBytes: env.CapacityBytes}), nil
 		},
 	})

@@ -71,6 +71,16 @@ type Env struct {
 	Cost      vm.CostModel
 }
 
+// minCapacity is the build error of a scheme whose tables cannot
+// cover a capacity below floor bytes, and nil at or above it.
+func minCapacity(env Env, floor int) error {
+	if env.CapacityBytes >= floor {
+		return nil
+	}
+	return fmt.Errorf("sim: %w", errs.Configf("DCacheBytes",
+		"%d B is below the %d B floor of this scheme's per-line table", env.CapacityBytes, floor))
+}
+
 // Scheme is one registered DRAM-cache design.
 type Scheme struct {
 	// Kind is the unique key Build dispatches on (Spec.Kind).

@@ -67,7 +67,7 @@ type Config struct {
 	L3Bytes, L3Ways int
 	TLBEntries      int
 
-	DCacheBytes   int     // DRAM cache capacity
+	DCacheBytes   int     // DRAM cache capacity (Alloy and CAMEO need ≥ 256 KB)
 	InPkgChannels int     // 4 ⇒ paper's 4× bandwidth ratio (Fig. 8c sweeps)
 	InPkgLatScale float64 // Fig. 8b latency sweep (1.0 = same as DDR)
 

@@ -61,26 +61,58 @@ type resRec struct {
 	fill [2]mem.Addr
 }
 
+// evRec is one event's dense record: the index of the core's previous
+// lookup of the page (meaningful on a TLB hit), the gap, and the flags.
+type evRec struct {
+	prev  uint64
+	gap   uint32
+	flags uint8
+}
+
+// ring holds a core's records [tail, head), record i at buf[i&(len-1)];
+// len(buf) is a power of two.
+type ring[T any] struct {
+	buf        []T
+	tail, head uint64
+}
+
+// push appends v. A full ring first moves its tail up to the slowest
+// lane's cursor (cur of core ci's replay state), which only then is
+// computed, and doubles if that frees nothing. So a ring holds what
+// lies between the slowest and the fastest lane: per-core progress
+// differs between lanes, and the difference grows with run length.
+func (r *ring[T]) push(v T, lanes []*System, ci int, cur func(*core) uint64) {
+	if r.head-r.tail == uint64(len(r.buf)) {
+		r.tail = r.head
+		for _, l := range lanes {
+			r.tail = min(r.tail, cur(l.cores[ci]))
+		}
+		if r.head-r.tail == uint64(len(r.buf)) {
+			next := make([]T, 2*len(r.buf))
+			for i := r.tail; i < r.head; i++ {
+				next[i&uint64(len(next)-1)] = r.buf[i&uint64(len(r.buf)-1)]
+			}
+			r.buf = next
+		}
+	}
+	r.buf[r.head&uint64(len(r.buf)-1)] = v
+	r.head++
+}
+
 // feCore is one core's front end: its private L1/L2/TLB plus the
-// recorded event stream in SoA form (gaps, flags and TLB-hit prevs
-// dense, residues sparse). base/resBase are the global indices of
-// element 0 — gen drops the prefix every lane has consumed before a
-// buffer would grow, so memory stays bounded by lane skew, not run
-// length.
+// recorded event stream: one dense record per event and a sparse
+// residue per event that carries one (feHasRes).
 type feCore struct {
 	l1, l2 *cache.Cache
 	tlb    *vm.TLB
 
-	gaps    []uint32
-	flags   []uint8
-	prevs   []uint64
-	res     []resRec
-	base    uint64
-	resBase uint64
+	evs ring[evRec]
+	res ring[resRec]
 }
 
-// feBufEvents is each core's starting buffer capacity, carved from one
-// allocation per buffer: a lane that never batches never outgrows it.
+// feBufEvents is each ring's starting capacity, carved from one
+// allocation per record type: a lane that never batches never
+// outgrows it.
 const feBufEvents = 8
 
 // gangStream is the front end: one workload source, one page table,
@@ -121,14 +153,12 @@ func openStream(base Config) (*gangStream, error) {
 	if base.LargePages {
 		g.size = mem.Page2M
 	}
-	gaps := make([]uint32, cores*feBufEvents)
-	flags := make([]uint8, cores*feBufEvents)
-	prevs := make([]uint64, cores*feBufEvents)
+	evs := make([]evRec, cores*feBufEvents)
 	res := make([]resRec, cores*feBufEvents)
 	for i := 0; i < cores; i++ {
 		f := &g.fe[i]
 		lo, hi := i*feBufEvents, (i+1)*feBufEvents
-		f.gaps, f.flags, f.prevs, f.res = gaps[lo:lo:hi], flags[lo:lo:hi], prevs[lo:lo:hi], res[lo:lo:hi]
+		f.evs.buf, f.res.buf = evs[lo:hi:hi], res[lo:hi:hi]
 		f.l1 = cache.New(cache.Config{
 			Name: fmt.Sprintf("L1d-%d", i), SizeBytes: base.L1Bytes, Ways: base.L1Ways,
 			LineBytes: mem.LineBytes, Policy: cache.LRU, Seed: base.Seed + uint64(i),
@@ -184,57 +214,25 @@ func (g *gangStream) gen(f *feCore, coreID int) {
 			}
 		}
 	}
-	if len(f.gaps) == cap(f.gaps) {
-		g.compact(f, coreID)
-	}
-	f.gaps = append(f.gaps, uint32(ev.Gap))
-	f.flags = append(f.flags, flags)
-	f.prevs = append(f.prevs, prev)
+	f.evs.push(evRec{prev, uint32(ev.Gap), flags}, g.lanes, coreID, func(c *core) uint64 { return c.evIdx })
 	if flags&feHasRes != 0 {
-		f.res = append(f.res, r)
-	}
-}
-
-// compact drops the prefix of core ci's stream that every lane has
-// consumed, once it is at least as long as what remains. gen calls it
-// before the dense buffers would grow, and checks the residues, which
-// never outnumber their events, at the same time. Each copy moves no
-// more elements than it drops, so compaction costs amortized O(1) per
-// event, and memory stays proportional to lane skew (bounded by the
-// step quantum), not run length.
-func (g *gangStream) compact(f *feCore, ci int) {
-	minEv, minRes := ^uint64(0), ^uint64(0)
-	for _, l := range g.lanes {
-		c := l.cores[ci]
-		minEv = min(minEv, c.evIdx)
-		minRes = min(minRes, c.resIdx)
-	}
-	if k := minEv - f.base; k > 0 && 2*k >= uint64(len(f.gaps)) {
-		f.gaps = f.gaps[:copy(f.gaps, f.gaps[k:])]
-		f.flags = f.flags[:copy(f.flags, f.flags[k:])]
-		f.prevs = f.prevs[:copy(f.prevs, f.prevs[k:])]
-		f.base = minEv
-	}
-	if k := minRes - f.resBase; k > 0 && 2*k >= uint64(len(f.res)) {
-		f.res = f.res[:copy(f.res, f.res[k:])]
-		f.resBase = minRes
+		f.res.push(r, g.lanes, coreID, func(c *core) uint64 { return c.resIdx })
 	}
 }
 
 // event returns core c's event at its cursor, generating it first if
-// no lane has reached it yet. prev is meaningful on a TLB hit only; r
-// is non-nil iff the event carries a residual record (feHasRes).
-func (g *gangStream) event(c *core) (gap uint32, flags uint8, prev uint64, r *resRec) {
+// no lane has reached it yet. r is non-nil iff the event carries a
+// residual record (feHasRes); it is valid until the next gen.
+func (g *gangStream) event(c *core) (e evRec, r *resRec) {
 	f := &g.fe[c.id]
-	if c.evIdx-f.base == uint64(len(f.gaps)) {
+	if c.evIdx == f.evs.head {
 		g.gen(f, c.id)
 	}
-	i := c.evIdx - f.base
-	gap, flags, prev = f.gaps[i], f.flags[i], f.prevs[i]
-	if flags&feHasRes != 0 {
-		r = &f.res[c.resIdx-f.resBase]
+	e = f.evs.buf[c.evIdx&uint64(len(f.evs.buf)-1)]
+	if e.flags&feHasRes != 0 {
+		r = &f.res.buf[c.resIdx&uint64(len(f.res.buf)-1)]
 	}
-	return gap, flags, prev, r
+	return e, r
 }
 
 // release closes the source once every lane over the stream has let
@@ -270,7 +268,8 @@ func (g *gangStream) close() {
 // order). SRAM hit latencies are folded into the core model (the
 // out-of-order window hides them); only LLC misses are timed.
 func (s *System) stepShared(c *core) {
-	gap, flags, prev, r := s.stream.event(c)
+	e, r := s.stream.event(c)
+	gap, flags := e.gap, e.flags
 	c.evIdx++
 	// Non-memory instructions retire at IssueWidth.
 	c.fract += int(gap)
@@ -278,7 +277,7 @@ func (s *System) stepShared(c *core) {
 	c.fract %= s.cfg.IssueWidth
 	c.retired += uint64(gap) + 1
 
-	if flags&feTLBMiss != 0 || prev < c.shotAt {
+	if flags&feTLBMiss != 0 || e.prev < c.shotAt {
 		c.time += pageWalkCycles
 	}
 	s.st.L1Accesses++
@@ -345,28 +344,24 @@ func (s *System) batchShared(c *core) {
 		return
 	}
 	f := &s.stream.fe[c.id]
-	i := c.evIdx - f.base
-	n := uint64(len(f.gaps))
 	var k, l1m, walks, gapSum uint64
 	for c.retired+gapSum+k < s.cfg.InstrPerCore {
-		if i == n {
-			// gen may compact the buffers; re-derive the scan position.
-			s.stream.gen(f, c.id)
-			i, n = c.evIdx+k-f.base, uint64(len(f.gaps))
+		i := c.evIdx + k
+		if i == f.evs.head {
+			s.stream.gen(f, c.id) // may grow the ring: index it afresh
 		}
-		fl := f.flags[i]
-		if fl&feHasRes != 0 {
+		e := &f.evs.buf[i&uint64(len(f.evs.buf)-1)]
+		if e.flags&feHasRes != 0 {
 			break
 		}
-		gapSum += uint64(f.gaps[i])
+		gapSum += uint64(e.gap)
 		k++
-		if fl&feTLBMiss != 0 {
+		if e.flags&feTLBMiss != 0 {
 			walks++
 		}
-		if fl&feL1Miss != 0 {
+		if e.flags&feL1Miss != 0 {
 			l1m++
 		}
-		i++
 	}
 	if k == 0 {
 		return

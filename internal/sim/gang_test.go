@@ -38,7 +38,7 @@ func TestStreamPacing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cfgs   []Config
-		maxCap int // bound on every buffer's capacity; 0 = unchecked
+		maxLen int // bound on every ring's length; 0 = unchecked
 	}{
 		{"Banshee", []Config{banshee}, 16},
 		{"batched", []Config{alloy}, 0},
@@ -64,8 +64,8 @@ func TestStreamPacing(t *testing.T) {
 					}
 				}
 				f := &g.gs.fe[ci]
-				if c := max(cap(f.gaps), cap(f.flags), cap(f.prevs), cap(f.res)); tc.maxCap > 0 && c >= tc.maxCap {
-					t.Errorf("core %d: stream buffers grew to %d events, want < %d", ci, c, tc.maxCap)
+				if n := max(len(f.evs.buf), len(f.res.buf)); tc.maxLen > 0 && n >= tc.maxLen {
+					t.Errorf("core %d: stream rings grew to %d records, want < %d", ci, n, tc.maxLen)
 				}
 			}
 		})
